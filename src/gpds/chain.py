@@ -123,8 +123,7 @@ def _history_log_density(chain: HistoryChain) -> float:
     out += float(np.sum(log_one_minus_phi(vals[chain.n_data :])))
     out += float(np.sum(base_logpdf(s.points, chain.psi)))
     if not s.degenerate:
-        out += -0.5 * (n * math.log(2 * math.pi)
-                       + 2.0 * float(np.sum(np.log(np.diag(s.lower))))
+        out += -0.5 * (n * math.log(2 * math.pi) + s.logdet()
                        + float(s.whitened @ s.whitened))
     return out
 

@@ -18,7 +18,7 @@ from .chain import ChainOptions, default_walk_scales, run_exchange_chain, run_hi
 from .config import RunConfig, parse_config, parse_float_list, parse_grid_spec
 from .generate import ProposalBudgetError, draw_prior_dataset
 from .geweke import run_geweke_exchange, run_geweke_history
-from .gp import ConditionalSampler, GpHyper, IllConditionedCovariance
+from .gp import GpHyper, IllConditionedCovariance
 from .io_utils import read_data_csv, write_csv, write_json
 from .model import (
     BaseHyper,
@@ -224,10 +224,10 @@ def cmd_sample_prior(cfg: RunConfig, out: Path, n: int | None = None) -> None:
     trace = draw_prior_dataset(n, theta, psi, rng, max_proposals=cfg.max_proposals)
     out.mkdir(parents=True, exist_ok=True)
     _write_samples(out / "samples.csv", trace.accepted)
-    # unnormalised density grid through the realised function's conditional mean
+    # unnormalised density grid through the realised function's conditional
+    # mean, from the sampler the run grew (no refactorisation)
     grid = _prior_grid(psi, cfg.grid_count)
-    sampler = ConditionalSampler(theta, trace.cond.points, trace.cond.values)
-    mean, _ = sampler.mean_cov(grid)
+    mean, _ = trace.sampler.mean_cov(grid)
     from .model import base_logpdf
 
     dens = phi(mean) * np.exp(base_logpdf(grid, psi))

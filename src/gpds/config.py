@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -78,6 +79,12 @@ class RunConfig:
             raise ValueError("iteration counts must be >= 0")
         if self.total_iters and self.burn_in >= self.total_iters:
             raise ValueError("burn_in must be smaller than total_iters")
+        for name in ("amplitude_init", "lengthscale_init"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not math.isfinite(self.mean_const):
+            raise ValueError(f"mean_const must be finite, got {self.mean_const}")
 
     def hash(self) -> str:
         canon = json.dumps(asdict(self), sort_keys=True)

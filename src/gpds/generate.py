@@ -27,7 +27,9 @@ class GenerativeTrace:
     ``accept_flags`` aligns with the proposals made during this run (the
     tail of ``cond`` when the run started from prior knowledge).  When
     ``uniforms`` is retained (debug mode), ``accept_flags[i]`` is
-    reconstructible as ``uniforms[i] < phi(g_i)``.
+    reconstructible as ``uniforms[i] < phi(g_i)``.  ``sampler`` is the
+    sampler the run grew: it is conditioned on exactly ``cond``, so callers
+    evaluate the realised function from it instead of refactorising.
     """
 
     accepted: np.ndarray          # (n, D)
@@ -36,15 +38,20 @@ class GenerativeTrace:
     accept_flags: np.ndarray      # (proposal_count,) bool
     proposal_count: int
     uniforms: np.ndarray | None = None
+    sampler: ConditionalSampler | None = None
 
 
 class ProposalBudgetError(RuntimeError):
     """Proposal budget exhausted before enough acceptances; carries the
     partial trace."""
 
-    def __init__(self, message: str, trace: GenerativeTrace):
+    def __init__(self, message: str, trace: GenerativeTrace | None):
         super().__init__(message)
         self.trace = trace
+
+    def __reduce__(self):
+        # the default reduction re-calls __init__ with ``args`` alone
+        return type(self), (self.args[0], self.trace)
 
 
 def continue_sampler(state: ConditioningSet | GenerativeTrace, n_more: int,
@@ -83,6 +90,7 @@ def continue_sampler(state: ConditioningSet | GenerativeTrace, n_more: int,
             accept_flags=np.asarray(flags, dtype=bool),
             proposal_count=len(flags),
             uniforms=None if uniforms is None else np.asarray(uniforms),
+            sampler=sampler,
         )
 
     while len(accepted) < n_more:

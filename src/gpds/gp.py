@@ -6,9 +6,13 @@ exact conditional (retrospective) sampling, prior log-densities and the
 whitening transform used by the gradient-based function moves.
 
 All functions are pure given an injected ``numpy.random.Generator``.  The
-only stateful object is :class:`ConditionalSampler`, which supports O(R^2)
-incremental appends/deletes so that rejection-sampling loops and MCMC moves
-do not refactorise the Gram matrix from scratch at every step.
+only stateful object is :class:`ConditionalSampler`, which keeps the
+Cholesky factor of the R known points row-packed (BLAS packed storage) and
+updates it in place: O(R^2) draws and appends, O((R - k) R) deletion of
+row k, so that rejection-sampling loops and MCMC moves do not refactorise
+the Gram matrix from scratch at every step.  The free functions that
+factorise from scratch (:func:`conditional`, :func:`log_prior_density`, ...)
+are the reference the sampler is tested against.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import drot, dtpmv, dtpsv
 
 # Relative jitter ladder: start here, escalate x10 per retry, give up at the
 # cap.  Values are relative to the mean diagonal magnitude of the matrix
@@ -62,9 +67,10 @@ class GpHyper:
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
         object.__setattr__(self, "lengthscales", ls)
-        if self.amplitude < 0:
+        # written so that NaN fails the test too
+        if not self.amplitude >= 0:
             raise ValueError("amplitude must be >= 0")
-        if np.any(ls <= 0):
+        if not np.all(ls > 0):
             raise ValueError("lengthscales must be positive")
         if self.pin_location is not None:
             pin = np.atleast_1d(np.asarray(self.pin_location, dtype=float))
@@ -318,37 +324,68 @@ def unwhiten(whitened, points, hyper: GpHyper,
 def _chol_update(L: np.ndarray, u: np.ndarray) -> None:
     """In-place rank-one update: after the call, L L^T equals old L L^T + u u^T.
 
-    Standard sequence of Givens-style rotations; u is destroyed.
+    Standard sequence of Givens rotations, each applied to a column of L
+    and to u by BLAS ``drot`` in place; u is destroyed.  L must be
+    Fortran-ordered (contiguous columns) and u contiguous, or the rotations
+    would land in copies.
     """
+    if not (L.flags.f_contiguous and u.flags.c_contiguous):
+        raise ValueError("L must be Fortran-ordered and u contiguous")
     n = L.shape[0]
     for k in range(n):
         lkk = L[k, k]
-        r = math.hypot(lkk, u[k])
-        c = r / lkk
-        s = u[k] / lkk
+        uk = u[k]
+        r = math.hypot(lkk, uk)
         L[k, k] = r
         if k + 1 < n:
-            L[k + 1:, k] = (L[k + 1:, k] + s * u[k + 1:]) / c
-            u[k + 1:] = c * u[k + 1:] - s * L[k + 1:, k]
+            drot(L[k + 1:, k], u[k + 1:], lkk / r, uk / r,
+                 overwrite_x=1, overwrite_y=1)
+
+
+def _tri(n: int) -> int:
+    """Length of the row-packed lower triangle of an n x n matrix."""
+    return n * (n + 1) // 2
+
+
+def _resized(a: np.ndarray, size: int, used: int) -> np.ndarray:
+    """A buffer of ``size`` leading entries holding the first ``used`` of ``a``."""
+    out = np.empty((size,) + a.shape[1:])
+    out[:used] = a[:used]
+    return out
 
 
 class ConditionalSampler:
     """Incrementally maintained GP conditional over a growing point set.
 
-    Holds the jittered Cholesky factor of the prior covariance at the
+    Holds the jittered Cholesky factor L of the prior covariance at the R
     currently known points together with the whitened residual
     ``w = L^-1 (values - mean)``, so that conditional means/variances and
-    retrospective draws cost O(R^2), appends cost O(R^2) and deletions cost
-    O((R - k)^2) instead of a full refactorisation.
+    retrospective draws cost O(R^2) instead of a full refactorisation.
+
+    L is stored row-packed in one flat buffer: row i holds its i + 1
+    entries ``L[i, :i + 1]`` at offset i (i + 1) / 2.  That is BLAS
+    upper-packed storage of L^T, so solves and products with L and L^T
+    are single packed BLAS calls (``dtpsv``, ``dtpmv``) that read R^2 / 2
+    contiguous doubles.  Appending a point writes R + 1 contiguous entries;
+    growing the capacity copies the R^2 / 2 stored entries.  Deleting row k
+    unpacks the R - k - 1 rows below it, restores triangularity of the
+    trailing block with a rank-one update and repacks them, which is
+    O((R - k) R).  :attr:`lower` is a dense O(R^2) copy of L, for the
+    multi-column paths (:meth:`mean_cov`, :meth:`draw_batch`) and tests.
 
     With ``amplitude == 0`` the sampler is degenerate: draws equal the mean
     function and no factor is kept (appends are O(1)).
+
+    ``factor``, when given, must be ``chol(kernel_matrix(points, points,
+    hyper), base_jitter)``; it is adopted as is instead of being computed
+    again.
     """
 
     def __init__(self, hyper: GpHyper, points=None, values=None,
                  mean_fn: MeanLike | None = None,
                  base_jitter: float = BASE_JITTER,
-                 ledger: list | None = None, tag: str = ""):
+                 ledger: list | None = None, tag: str = "",
+                 factor: CholeskyFactor | None = None):
         self.hyper = hyper
         self.mean_fn = hyper.mean if mean_fn is None else mean_fn
         self.base_jitter = base_jitter
@@ -371,15 +408,16 @@ class ConditionalSampler:
         if n:
             self._m[:n] = prior_mean(pts, hyper, self.mean_fn)
         if self.degenerate:
-            self._L = None
+            self._ap = None
             self._w = None
             self.jitter = 0.0
             return
-        self._L = np.zeros((cap, cap))
+        self._ap = np.empty(_tri(cap))
         self._w = np.empty(cap)
         if n:
-            factor = chol(kernel_matrix(pts, pts, hyper), base_jitter)
-            self._L[:n, :n] = factor.lower
+            if factor is None:
+                factor = chol(kernel_matrix(pts, pts, hyper), base_jitter)
+            self._ap[: _tri(n)] = factor.lower[np.tri(n, dtype=bool)]
             self.jitter = factor.jitter
             self._w[:n] = factor.solve_lower(vals - self._m[:n])
         else:
@@ -397,8 +435,17 @@ class ConditionalSampler:
         return self._vals[: self._n]
 
     @property
+    def packed(self) -> np.ndarray:
+        """The factor's R (R + 1) / 2 row-packed entries (a view)."""
+        return self._ap[: _tri(self._n)]
+
+    @property
     def lower(self) -> np.ndarray:
-        return self._L[: self._n, : self._n]
+        """Dense copy of the lower-triangular factor; O(R^2) time and memory."""
+        n = self._n
+        out = np.zeros((n, n))
+        out[np.tri(n, dtype=bool)] = self.packed
+        return out
 
     @property
     def prior_mean_vec(self) -> np.ndarray:
@@ -408,10 +455,37 @@ class ConditionalSampler:
     def whitened(self) -> np.ndarray:
         return self._w[: self._n]
 
+    def _packed_blas(self, kernel, x, trans: int) -> np.ndarray:
+        x = np.array(x, dtype=float)  # the kernel overwrites this copy
+        if not self._n:
+            return x
+        return kernel(self._n, self.packed, x, lower=0, trans=trans, overwrite_x=1)
+
+    def solve_lower(self, b: np.ndarray) -> np.ndarray:
+        """L^-1 b for one right-hand side; O(R^2)."""
+        return self._packed_blas(dtpsv, b, trans=1)
+
+    def lower_dot(self, v: np.ndarray) -> np.ndarray:
+        """L v; O(R^2)."""
+        return self._packed_blas(dtpmv, v, trans=1)
+
+    def lower_t_dot(self, c: np.ndarray) -> np.ndarray:
+        """L^T c; O(R^2)."""
+        return self._packed_blas(dtpmv, c, trans=0)
+
+    def logdet(self) -> float:
+        """log det (K + jitter I) from the factor's diagonal; O(R)."""
+        if self.degenerate:
+            raise ValueError("degenerate sampler has no factor")
+        diag = self._ap[np.cumsum(np.arange(1, self._n + 1)) - 1]
+        return 2.0 * float(np.sum(np.log(diag)))
+
     def conditioning_set(self) -> ConditioningSet:
         return ConditioningSet(self.points.copy(), self.values.copy())
 
     def copy(self) -> "ConditionalSampler":
+        n = self._n
+        cap = self._pts.shape[0]
         out = ConditionalSampler.__new__(ConditionalSampler)
         out.hyper = self.hyper
         out.mean_fn = self.mean_fn
@@ -420,12 +494,12 @@ class ConditionalSampler:
         out.tag = self.tag
         out.degenerate = self.degenerate
         out.jitter = self.jitter
-        out._n = self._n
-        out._pts = self._pts.copy()
-        out._vals = self._vals.copy()
-        out._m = self._m.copy()
-        out._L = None if self._L is None else self._L.copy()
-        out._w = None if self._w is None else self._w.copy()
+        out._n = n
+        out._pts = _resized(self._pts, cap, n)
+        out._vals = _resized(self._vals, cap, n)
+        out._m = _resized(self._m, cap, n)
+        out._ap = None if self._ap is None else _resized(self._ap, _tri(cap), _tri(n))
+        out._w = None if self._w is None else _resized(self._w, cap, n)
         return out
 
     def _grow(self, needed: int) -> None:
@@ -433,26 +507,51 @@ class ConditionalSampler:
         if needed <= cap:
             return
         new_cap = max(2 * cap, needed)
-        pts = np.empty((new_cap, self._pts.shape[1]))
-        pts[: self._n] = self._pts[: self._n]
-        vals = np.empty(new_cap)
-        vals[: self._n] = self._vals[: self._n]
-        m = np.empty(new_cap)
-        m[: self._n] = self._m[: self._n]
-        self._pts, self._vals, self._m = pts, vals, m
+        n = self._n
+        self._pts = _resized(self._pts, new_cap, n)
+        self._vals = _resized(self._vals, new_cap, n)
+        self._m = _resized(self._m, new_cap, n)
         if not self.degenerate:
-            L = np.zeros((new_cap, new_cap))
-            L[: self._n, : self._n] = self._L[: self._n, : self._n]
-            w = np.empty(new_cap)
-            w[: self._n] = self._w[: self._n]
-            self._L, self._w = L, w
+            self._ap = _resized(self._ap, _tri(new_cap), _tri(n))
+            self._w = _resized(self._w, new_cap, n)
 
     def _point_mean(self, x: np.ndarray) -> float:
         return float(prior_mean(x.reshape(1, -1), self.hyper, self.mean_fn)[0])
 
-    def _solve_k(self, x: np.ndarray) -> np.ndarray:
-        k = kernel_matrix(self.points, x.reshape(1, -1), self.hyper)[:, 0]
-        return solve_triangular(self.lower, k, lower=True, check_finite=False)
+    def _condition(self, x: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+        """Prior mean, conditional mean, conditional variance (jitter
+        included, not floored) and ``a = L^-1 k(points, x)`` at one point
+        of a non-degenerate sampler; O(R^2)."""
+        m = self._point_mean(x)
+        kxx = float(kernel_diag(x.reshape(1, -1), self.hyper)[0])
+        if self._n == 0:
+            return m, m, kxx + self.jitter, np.empty(0)
+        a = self.solve_lower(kernel_matrix(self.points, x.reshape(1, -1), self.hyper)[:, 0])
+        return m, m + float(a @ self.whitened), kxx + self.jitter - float(a @ a), a
+
+    def _pivot(self, var: float) -> float:
+        """New diagonal entry of the factor for conditional variance ``var``.
+
+        Numerical floor: keep the pivot at jitter scale so the factor stays
+        valid even for coincident locations.
+        """
+        return math.sqrt(max(var, min(self.jitter, 1e-12) if self.jitter > 0 else 1e-15))
+
+    def _push(self, x: np.ndarray, m: float, value: float,
+              a: np.ndarray | None = None, d: float = 0.0, w: float = 0.0) -> None:
+        """Record (x, value) with prior mean m and, unless degenerate, the
+        new factor row ``[a, d]`` and whitened coordinate w."""
+        n = self._n
+        self._grow(n + 1)
+        self._pts[n] = x
+        self._vals[n] = value
+        self._m[n] = m
+        if not self.degenerate:
+            row = self._ap[_tri(n) : _tri(n + 1)]
+            row[:n] = a
+            row[n] = d
+            self._w[n] = w
+        self._n = n + 1
 
     def mean_var(self, x) -> tuple[float, float]:
         """Conditional mean and variance at a single point.
@@ -462,15 +561,10 @@ class ConditionalSampler:
         a duplicated location it therefore bottoms out at jitter scale.
         """
         x = np.asarray(x, dtype=float).reshape(-1)
-        m = self._point_mean(x)
         if self.degenerate:
-            return m, 0.0
-        kxx = float(kernel_diag(x.reshape(1, -1), self.hyper)[0])
-        if self._n == 0:
-            return m, kxx + self.jitter
-        a = self._solve_k(x)
-        var = kxx + self.jitter - float(a @ a)
-        return m + float(a @ self._w[: self._n]), max(var, 0.0)
+            return self._point_mean(x), 0.0
+        _, mu, var, _ = self._condition(x)
+        return mu, max(var, 0.0)
 
     def draw(self, x, rng: np.random.Generator) -> float:
         """Sample a single function value (without recording it)."""
@@ -482,66 +576,28 @@ class ConditionalSampler:
     def append(self, x, value: float) -> None:
         """Record a known (location, value) pair; O(R^2)."""
         x = np.asarray(x, dtype=float).reshape(-1)
-        self._grow(self._n + 1)
-        n = self._n
-        m = self._point_mean(x)
-        self._pts[n] = x
-        self._vals[n] = value
-        self._m[n] = m
         if self.degenerate:
-            self._n += 1
+            self._push(x, self._point_mean(x), value)
             return
-        kxx = float(kernel_diag(x.reshape(1, -1), self.hyper)[0])
-        if n == 0:
-            d2 = kxx + self.jitter
-            a = np.empty(0)
-            mu = m
-        else:
-            a = self._solve_k(x)
-            d2 = kxx + self.jitter - float(a @ a)
-            mu = m + float(a @ self._w[:n])
-        # Numerical floor: keep the pivot at jitter scale so the factor
-        # stays valid even for coincident locations.
-        d = math.sqrt(max(d2, min(self.jitter, 1e-12) if self.jitter > 0 else 1e-15))
-        self._L[n, :n] = a
-        self._L[n, n] = d
-        self._w[n] = (value - mu) / d
-        self._n += 1
+        m, mu, var, a = self._condition(x)
+        d = self._pivot(var)
+        self._push(x, m, value, a, d, (value - mu) / d)
 
     def draw_append(self, x, rng: np.random.Generator) -> float:
         """Draw at x and record the result; the solve is shared, O(R^2)."""
         x = np.asarray(x, dtype=float).reshape(-1)
-        m = self._point_mean(x)
         if self.ledger is not None:
             self.ledger.append((self.tag, self._n))
         if self.degenerate:
+            m = self._point_mean(x)
             g = m + 0.0 * rng.standard_normal()
-            self._grow(self._n + 1)
-            self._pts[self._n] = x
-            self._vals[self._n] = g
-            self._m[self._n] = m
-            self._n += 1
+            self._push(x, m, g)
             return g
-        self._grow(self._n + 1)
-        n = self._n
-        kxx = float(kernel_diag(x.reshape(1, -1), self.hyper)[0])
-        if n == 0:
-            a = np.empty(0)
-            mu, d2 = m, kxx + self.jitter
-        else:
-            a = self._solve_k(x)
-            d2 = kxx + self.jitter - float(a @ a)
-            mu = m + float(a @ self._w[:n])
-        d = math.sqrt(max(d2, min(self.jitter, 1e-12) if self.jitter > 0 else 1e-15))
+        m, mu, var, a = self._condition(x)
+        d = self._pivot(var)
         z = rng.standard_normal()
         g = mu + d * z
-        self._pts[n] = x
-        self._vals[n] = g
-        self._m[n] = m
-        self._L[n, :n] = a
-        self._L[n, n] = d
-        self._w[n] = z
-        self._n += 1
+        self._push(x, m, g, a, d, z)
         return g
 
     def mean_cov(self, X) -> tuple[np.ndarray, np.ndarray]:
@@ -555,7 +611,7 @@ class ConditionalSampler:
             return m_q, K_qq
         A = solve_triangular(self.lower, kernel_matrix(self.points, X, self.hyper),
                              lower=True, check_finite=False)
-        return m_q + A.T @ self._w[: self._n], K_qq - A.T @ A
+        return m_q + A.T @ self.whitened, K_qq - A.T @ A
 
     def draw_batch(self, X, rng: np.random.Generator) -> np.ndarray:
         """Jointly sample function values at a batch of points (no record)."""
@@ -569,39 +625,33 @@ class ConditionalSampler:
         factor = chol(cov, self.base_jitter)
         return mean + factor.lower @ rng.standard_normal(X.shape[0])
 
-    def append_batch(self, X, values) -> None:
-        X = _as_points(X)
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        for x, v in zip(X, values):
-            self.append(x, float(v))
-
     def delete(self, row: int) -> None:
-        """Remove the point at ``row``; O((R - row)^2)."""
+        """Remove the point at ``row``; O((R - row) R)."""
         n = self._n
         if not 0 <= row < n:
             raise IndexError("row out of range")
         self._pts[row : n - 1] = self._pts[row + 1 : n]
         self._vals[row : n - 1] = self._vals[row + 1 : n]
         self._m[row : n - 1] = self._m[row + 1 : n]
-        if not self.degenerate:
-            L = self._L
-            c = L[row + 1 : n, row].copy()
-            # shift rows up, drop column `row`, then restore triangularity of
-            # the trailing block with a rank-one update by the dropped column
-            L[row : n - 1, :row] = L[row + 1 : n, :row]
-            block = L[row + 1 : n, row + 1 : n].copy()
-            _chol_update(block, c)
-            L[row : n - 1, row : n - 1] = block
-            L[row : n - 1, n - 1] = 0.0
-            L[n - 1, :n] = 0.0
-            m = n - 1
-            if m > row:
-                resid = self._vals[row:m] - self._m[row:m]
-                if row:
-                    resid = resid - L[row:m, :row] @ self._w[:row]
-                self._w[row:m] = solve_triangular(L[row:m, row:m], resid,
-                                                  lower=True, check_finite=False)
         self._n = n - 1
+        t = n - 1 - row  # rows below the deleted one
+        if self.degenerate or not t:
+            return
+        # unpack the rows below `row`, restore triangularity of their
+        # trailing block with a rank-one update by column `row`, then repack
+        # them one row up without that column
+        stored = np.tri(t, n, row + 1, dtype=bool)
+        tail = np.zeros((t, n), order="F")
+        tail[stored] = self._ap[_tri(row + 1) : _tri(n)]
+        block = tail[:, row + 1 :]
+        _chol_update(block, tail[:, row].copy())
+        stored[:, row] = False
+        self._ap[_tri(row) : _tri(n - 1)] = tail[stored]
+        resid = self._vals[row : n - 1] - self._m[row : n - 1]
+        if row:
+            resid = resid - tail[:, :row] @ self._w[:row]
+        self._w[row : n - 1] = solve_triangular(block, resid, lower=True,
+                                                check_finite=False)
 
     def set_values(self, values) -> None:
         """Replace all function values (locations unchanged); O(R^2)."""
@@ -609,10 +659,8 @@ class ConditionalSampler:
         if values.shape[0] != self._n:
             raise ValueError("value count mismatch")
         self._vals[: self._n] = values
-        if not self.degenerate and self._n:
-            self._w[: self._n] = solve_triangular(
-                self.lower, values - self._m[: self._n], lower=True, check_finite=False
-            )
+        if not self.degenerate:
+            self._w[: self._n] = self.solve_lower(values - self.prior_mean_vec)
 
     def set_whitened(self, v: np.ndarray) -> None:
         """Replace values via their whitened coordinates g = L v + m."""
@@ -621,5 +669,5 @@ class ConditionalSampler:
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self._n:
             raise ValueError("coordinate count mismatch")
-        self._vals[: self._n] = self.lower @ v + self._m[: self._n]
+        self._vals[: self._n] = self.lower_dot(v) + self.prior_mean_vec
         self._w[: self._n] = v

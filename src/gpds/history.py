@@ -336,12 +336,11 @@ class HistoryChain:
     # touch rejection rows), so the data/rejection split is a range check.
     def _potential_grad(self, v: np.ndarray):
         nd = self.n_data
-        L = self.sampler.lower
-        g = L @ v + self.sampler.prior_mean_vec
+        g = self.sampler.lower_dot(v) + self.sampler.prior_mean_vec
         ll = float(np.sum(log_phi(g[:nd]))) + float(np.sum(log_one_minus_phi(g[nd:])))
         u_val = 0.5 * float(v @ v) - ll
         c = np.concatenate([log_phi_grad(g[:nd]), log_one_minus_phi_grad(g[nd:])])
-        grad = v - L.T @ c
+        grad = v - self.sampler.lower_t_dot(c)
         return u_val, grad
 
     def step_function_hmc(self, step_size: float, n_leapfrog: int,
@@ -378,8 +377,7 @@ class HistoryChain:
         # GP prior density of the current values under both kernels; the
         # current one comes straight from the maintained factor.
         w = self.sampler.whitened
-        log_gp_cur = -0.5 * (n * math.log(2 * math.pi)
-                             + 2.0 * float(np.sum(np.log(np.diag(self.sampler.lower))))
+        log_gp_cur = -0.5 * (n * math.log(2 * math.pi) + self.sampler.logdet()
                              + float(w @ w))
         factor_hat = chol(kernel_matrix(pts, pts, theta_hat), self.sampler.base_jitter)
         m_hat = prior_mean(pts, theta_hat, self.sampler.mean_fn)
@@ -393,8 +391,10 @@ class HistoryChain:
             self.psi = psi_hat
             self.sampler = ConditionalSampler(theta_hat, pts, vals,
                                               mean_fn=self.sampler.mean_fn,
+                                              base_jitter=self.sampler.base_jitter,
                                               ledger=self.sampler.ledger,
-                                              tag=self.sampler.tag)
+                                              tag=self.sampler.tag,
+                                              factor=factor_hat)
             return True
         return False
 

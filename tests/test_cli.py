@@ -232,6 +232,21 @@ class TestSamplerErrors:
         assert capsys.readouterr().err == "error: factorisation failed at jitter cap\n"
 
 
+class TestBadHyperparameters:
+    @pytest.mark.parametrize("line", ["amplitude_init = nan",
+                                      "lengthscale_init = 0",
+                                      "mean_const = inf"])
+    def test_is_error_before_sampling(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, line + "\n")
+        out = tmp_path / "o"
+        rc = main(["sample-prior", "--config", str(cfg), "--n", "5",
+                   "--seed", "0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and line.split()[0] in err
+        assert not out.exists()
+
+
 class TestEntryPoint:
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "gpds.cli", "--help"],

@@ -55,6 +55,20 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_config(p)
 
+    @pytest.mark.parametrize("key, value", [
+        ("amplitude_init", "nan"), ("amplitude_init", "inf"),
+        ("amplitude_init", "0"), ("amplitude_init", "-1"),
+        ("lengthscale_init", "nan"), ("lengthscale_init", "-inf"),
+        ("lengthscale_init", "0"), ("mean_const", "nan"), ("mean_const", "-inf"),
+    ])
+    def test_bad_hyperparameter_is_error(self, tmp_path, key, value):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=key):
+            parse_config(p)
+        with pytest.raises(ValueError, match=key):
+            RunConfig(**{key: float(value)}).validate()
+
     def test_hash_tracks_content(self):
         a, b = RunConfig(), RunConfig()
         assert a.hash() == b.hash()

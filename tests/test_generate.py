@@ -1,12 +1,13 @@
 """Exact generative sampling: rejection-count law, exactness, bookkeeping."""
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.stats import chi2, kstest
 
 from gpds.generate import ProposalBudgetError, continue_sampler, draw_prior_dataset
-from gpds.gp import ConditioningSet, GpHyper
+from gpds.gp import ConditioningSet, GpHyper, IllConditionedCovariance
 from gpds.model import UniformBox, phi
 
 
@@ -54,6 +55,23 @@ class TestDrawPriorDataset:
         trace = err.value.trace
         assert trace.proposal_count == 100
         assert trace.accepted.shape[0] < 50
+
+    def test_budget_error_pickles(self):
+        err = pickle.loads(pickle.dumps(ProposalBudgetError("m", None)))
+        assert isinstance(err, ProposalBudgetError)
+        assert str(err) == "m" and err.trace is None
+        with pytest.raises(ProposalBudgetError) as caught:
+            draw_prior_dataset(5, frozen(-8.0), BOX, np.random.default_rng(2),
+                               max_proposals=10)
+        back = pickle.loads(pickle.dumps(caught.value))
+        assert str(back) == str(caught.value)
+        assert back.trace.proposal_count == 10
+        assert np.array_equal(back.trace.cond.points, caught.value.trace.cond.points)
+        assert np.array_equal(back.trace.accept_flags, caught.value.trace.accept_flags)
+
+    def test_ill_conditioned_error_pickles(self):
+        err = pickle.loads(pickle.dumps(IllConditionedCovariance("cap")))
+        assert isinstance(err, IllConditionedCovariance) and str(err) == "cap"
 
     def test_rejection_count_law(self):
         # flat function at zero: acceptance probability exactly 1/2, so the

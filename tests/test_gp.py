@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import kstest
 
 from gpds.gp import (
@@ -20,6 +21,7 @@ from gpds.gp import (
     sample_conditional,
     unwhiten,
     whiten,
+    _chol_update,
 )
 
 
@@ -367,6 +369,148 @@ class TestGpHyperValidation:
         with pytest.raises(ValueError):
             GpHyper(amplitude=1.0, lengthscales=[0.0])
 
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError):
+            GpHyper(amplitude=float("nan"), lengthscales=[1.0])
+
+    def test_nan_lengthscale_rejected(self):
+        with pytest.raises(ValueError):
+            GpHyper(amplitude=1.0, lengthscales=[0.5, float("nan")])
+
     def test_pin_needs_positive_amplitude(self):
         with pytest.raises(ValueError):
             GpHyper(amplitude=0.0, lengthscales=[1.0], pin_location=[0.0])
+
+
+class TestCholUpdate:
+    def test_rank_one_update_matches_refactorisation(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(30, 30))
+        L = np.asfortranarray(np.linalg.cholesky(a @ a.T / 30 + np.eye(30)))
+        u = rng.normal(size=30)
+        expected = np.linalg.cholesky(L @ L.T + np.outer(u, u))
+        _chol_update(L, u.copy())
+        assert np.abs(L - expected).max() < 1e-12
+
+    def test_c_ordered_factor_rejected(self):
+        # drot would rotate copies of the strided columns and lose the update
+        with pytest.raises(ValueError):
+            _chol_update(np.eye(3), np.ones(3))
+
+
+class TestPackedEngineAgainstOracle:
+    """Random operation sequences on the incremental engine, checked after
+    every operation against a from-scratch factorisation of the same points.
+
+    The points are spread over a box many lengthscales wide, so the Gram
+    matrix stays well conditioned while R grows past the 64-, 128- and
+    256-row capacities (64 -> 128 -> 256 -> 512)."""
+
+    HYPER = GpHyper(amplitude=1.3, lengthscales=[0.5, 0.7], mean=0.4)
+    BOX = 12.0
+
+    def check(self, cs: ConditionalSampler, rng) -> None:
+        hyper = self.HYPER
+        P, vals = cs.points, cs.values
+        n = len(cs)
+        L = cs.lower
+        target = kernel_matrix(P, P, hyper) + cs.jitter * np.eye(n)
+        assert np.abs(L @ L.T - target).max() < 1e-10
+        m = np.full(n, 0.4)
+        assert np.array_equal(cs.prior_mean_vec, m)
+        w = solve_triangular(L, vals - m, lower=True)
+        assert np.abs(cs.whitened - w).max() < 1e-8 * max(1.0, np.abs(w).max())
+        assert cs.logdet() == pytest.approx(np.linalg.slogdet(target)[1], rel=1e-10, abs=1e-8)
+        v = rng.normal(size=n)
+        assert np.abs(cs.lower_dot(v) - L @ v).max() < 1e-10
+        assert np.abs(cs.lower_t_dot(v) - L.T @ v).max() < 1e-10
+        assert np.abs(L @ cs.solve_lower(v) - v).max() < 1e-8
+        cond = ConditioningSet(P.copy(), vals.copy())
+        q = rng.uniform(0, self.BOX, (3, 2))
+        mu, var = cs.mean_var(q[0])
+        m_ref, c_ref = conditional(q[:1], cond, hyper)
+        assert mu == pytest.approx(m_ref[0], abs=1e-8)
+        assert var == pytest.approx(c_ref[0, 0] + cs.jitter, abs=1e-8)
+        mean, cov = cs.mean_cov(q)
+        m_ref, c_ref = conditional(q, cond, hyper)
+        assert np.abs(mean - m_ref).max() < 1e-8
+        assert np.abs(cov - c_ref).max() < 1e-8
+
+    def check_copy_independent(self, cs: ConditionalSampler, rng) -> None:
+        before = (cs.points.copy(), cs.values.copy(), cs.packed.copy(),
+                  cs.whitened.copy())
+        dup = cs.copy()
+        dup.append(rng.uniform(0, self.BOX, 2), 0.5)
+        dup.set_values(rng.normal(size=len(dup)))
+        dup.delete(0)
+        for a, b in zip(before, (cs.points, cs.values, cs.packed, cs.whitened)):
+            assert np.array_equal(a, b)
+        snap = (dup.values.copy(), dup.packed.copy())
+        cs.set_whitened(rng.normal(size=len(cs)))
+        assert np.array_equal(snap[0], dup.values)
+        assert np.array_equal(snap[1], dup.packed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_operation_sequence(self, seed):
+        rng = np.random.default_rng(seed)
+        cs = ConditionalSampler(self.HYPER)
+        seen = set()
+        while len(cs) <= 260:
+            op = rng.choice(["append", "draw_append", "delete", "set_values",
+                             "set_whitened", "copy"],
+                            p=[0.3, 0.35, 0.15, 0.07, 0.07, 0.06])
+            n = len(cs)
+            if op == "append":
+                cs.append(rng.uniform(0, self.BOX, 2), rng.normal())
+            elif op == "draw_append":
+                cs.draw_append(rng.uniform(0, self.BOX, 2), rng)
+            elif op == "delete" and n >= 3:
+                row = [0, int(rng.integers(1, n - 1)), n - 1][int(rng.integers(3))]
+                cs.delete(row)
+            elif op == "set_values" and n:
+                cs.set_values(rng.normal(size=n))
+            elif op == "set_whitened" and n:
+                cs.set_whitened(rng.normal(size=n))
+            elif op == "copy" and n:
+                self.check_copy_independent(cs, rng)
+            else:
+                continue
+            seen.add(str(op))
+            if n > 1:
+                self.check(cs, rng)
+        assert seen == {"append", "draw_append", "delete", "set_values",
+                        "set_whitened", "copy"}
+        assert cs._pts.shape[0] == 512
+
+    def test_delete_every_position_matches_rebuild(self):
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(0, self.BOX, (70, 2))
+        vals = rng.normal(size=70)
+        for row in (0, 1, 33, 68, 69):
+            cs = ConditionalSampler(self.HYPER, pts, vals)
+            cs.delete(row)
+            keep = np.delete(np.arange(70), row)
+            ref = ConditionalSampler(self.HYPER, pts[keep], vals[keep])
+            assert np.abs(cs.lower - ref.lower).max() < 1e-10
+            assert np.abs(cs.whitened - ref.whitened).max() < 1e-8
+
+    def test_degenerate_sampler(self):
+        hyper = GpHyper(amplitude=0.0, lengthscales=[1.0, 1.0], mean=0.7)
+        rng = np.random.default_rng(3)
+        cs = ConditionalSampler(hyper)
+        for _ in range(70):
+            assert cs.draw_append(rng.uniform(0, 1, 2), rng) == 0.7
+        cs.append([0.5, 0.5], 0.7)
+        cs.delete(0)
+        cs.delete(len(cs) - 1)
+        cs.set_values(np.full(len(cs), 0.7))
+        assert len(cs) == 69 and np.all(cs.values == 0.7)
+        assert cs.mean_var([0.2, 0.3]) == (0.7, 0.0)
+        mean, cov = cs.mean_cov(rng.uniform(0, 1, (4, 2)))
+        assert np.all(mean == 0.7) and np.all(cov == 0.0)
+        assert np.all(cs.draw_batch(rng.uniform(0, 1, (4, 2)), rng) == 0.7)
+        dup = cs.copy()
+        dup.append([0.1, 0.1], 0.7)
+        assert len(dup) == len(cs) + 1
+        with pytest.raises(ValueError):
+            cs.set_whitened(np.zeros(len(cs)))
