@@ -13,11 +13,7 @@ from .gp import (
     IllConditionedCovariance,
     chol,
     conditional,
-    covariance,
     log_prior_density,
-    sample_conditional,
-    unwhiten,
-    whiten,
 )
 from .model import (
     BaseHyper,
@@ -41,7 +37,6 @@ from .generate import (
 )
 from .exchange import (
     ExchangeState,
-    FantasyBatch,
     exchange_step_control,
     exchange_step_hyper,
     exchange_step_prior,
@@ -52,13 +47,8 @@ from .history import (
     LatentHistory,
     SweepConfig,
     ZetaSchedule,
-    history_logdensity,
     init_history,
     predictive_sample_history,
-    step_function_hmc,
-    step_hyper_history,
-    step_locations,
-    step_number,
     sweep,
 )
 from .predictive import (

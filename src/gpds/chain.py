@@ -17,13 +17,12 @@ import numpy as np
 from .gp import ConditionalSampler, GpHyper
 from .generate import DEFAULT_MAX_PROPOSALS, ProposalBudgetError, continue_sampler
 from .exchange import (
-    ExchangeState,
     exchange_step_control,
     exchange_step_hyper,
     exchange_step_prior,
     init_exchange_state,
 )
-from .history import HistoryChain, SweepConfig, ZetaSchedule, _sweep_chain, init_history
+from .history import HistoryChain, SweepConfig, ZetaSchedule, init_history, sweep
 from .model import (
     BaseHyper,
     GaussianBase,
@@ -104,7 +103,7 @@ class ChainResult:
     counters: Counter
     final_theta: GpHyper
     final_psi: BaseHyper
-    hmc_step_size: float
+    hmc_step_size: float | None  # None for exchange, which runs no HMC
     wall_time: float
 
 
@@ -181,7 +180,7 @@ def run_history_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
 
     for it in range(opts.total):
         before = Counter(counters)
-        _sweep_chain(chain, cfg, rng)
+        sweep(chain, cfg, rng)
         if it < opts.burn_in and cfg.enable_hmc and counters["hmc_att"] > before["hmc_att"]:
             acc = counters["hmc_acc"] - before["hmc_acc"]
             cfg.hmc_step_size *= math.exp(0.05 * (acc - opts.hmc_target))
@@ -284,7 +283,7 @@ def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
 
     return _collect(records, [], numerator_draws, denom_terms,
                     state.diagnostics, state.theta, state.psi,
-                    opts.hmc_step_size, gaussian_base, dim, t_start, opts)
+                    None, gaussian_base, dim, t_start, opts)
 
 
 def _collect(records, rej_snapshots, numerator_draws, denom_terms, counters,

@@ -7,11 +7,13 @@ Because the fantasies are exact draws from the proposal's density, the two
 intractable normalisers cancel from the acceptance ratio, which reduces to
 a product of squashed function values at the data and the fantasies.
 
-Bookkeeping rule: anything learned about a function must be kept while that
-function is part of the Markov state.  A rejected swap therefore appends
-the current function's fantasy evaluations to its conditioning set; an
-accepted swap discards the old function entirely but keeps the proposal's
-accumulated conditioning set.
+Every move is one proposal (:func:`_propose`: the proposed function's
+values at the controls, then its fantasies, grown on one sampler) and one
+swap (:func:`_swap`).  Bookkeeping rule: anything learned about a function
+must be kept while that function is part of the Markov state.  A rejected
+swap therefore appends the current function's fantasy evaluations to its
+conditioning set; an accepted swap discards the old function entirely but
+keeps the proposal's accumulated conditioning set.
 """
 from __future__ import annotations
 
@@ -41,7 +43,6 @@ from .model import (
 
 __all__ = [
     "ExchangeState",
-    "FantasyBatch",
     "init_exchange_state",
     "exchange_step_prior",
     "exchange_step_control",
@@ -68,7 +69,6 @@ class ExchangeState:
     theta: GpHyper
     psi: BaseHyper
     diagnostics: Counter = field(default_factory=Counter)
-    ledger: list | None = None
 
     @property
     def n_data(self) -> int:
@@ -77,15 +77,6 @@ class ExchangeState:
     @property
     def g_data(self) -> np.ndarray:
         return self.control_values[: self.n_data]
-
-
-@dataclass
-class FantasyBatch:
-    """Fantasies drawn under a proposed function, plus its bookkeeping."""
-
-    fantasies: np.ndarray           # (N, D)
-    proposal_cond: ConditioningSet  # everything learned about the proposal
-    g_at_fantasies: np.ndarray      # current function's values at fantasies
 
 
 def init_exchange_state(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
@@ -128,71 +119,83 @@ def _swap_log_ratio(log_phi_hat_data, log_phi_cur_data,
                  + np.sum(log_phi_cur_fant) - np.sum(log_phi_hat_fant))
 
 
-def _draw_fantasies(state: ExchangeState, hat_controls: np.ndarray,
-                    hat_values: np.ndarray, theta: GpHyper, psi: BaseHyper,
-                    max_proposals: int, rng: np.random.Generator) -> tuple[FantasyBatch, GenerativeTrace]:
-    """Generate N fantasies under the proposed function and evaluate the
-    current function at them."""
-    trace = continue_sampler(ConditioningSet(hat_controls, hat_values),
-                             state.n_data, theta, psi, rng,
-                             max_proposals=max_proposals,
-                             ledger=state.ledger, tag="proposal")
-    current = ConditionalSampler(state.theta, state.cond.points,
-                                 state.cond.values, ledger=state.ledger,
-                                 tag="current")
+def _propose(state: ExchangeState, theta: GpHyper, psi: BaseHyper, eps: float,
+             max_proposals: int, rng: np.random.Generator) -> tuple[np.ndarray, GenerativeTrace]:
+    """Propose a function: its values at the controls (a crankshaft step of
+    size ``eps`` from the current values, or a prior draw under ``theta``
+    when ``eps >= 1``), then N fantasies generated from it under ``psi``.
+
+    The control covariance is factorised once; the sampler built on that
+    factor is grown by the fantasy run.  Raises
+    :class:`ProposalBudgetError` when the fantasies exhaust the budget.
+    """
+    mean_c = prior_mean(state.controls, theta)
+    factor = None
+    if theta.amplitude == 0.0:
+        hat_values = mean_c.copy()  # degenerate GP: the function is the mean
+    else:
+        factor = chol(kernel_matrix(state.controls, state.controls, theta))
+        if eps >= 1.0:
+            hat_values = mean_c + factor.lower @ rng.standard_normal(len(mean_c))
+        else:
+            hat_values = _crankshaft(state.control_values, mean_c, factor.lower,
+                                     eps, rng)
+    proposal = ConditionalSampler(theta, state.controls, hat_values, factor=factor)
+    trace = continue_sampler(proposal, state.n_data, theta, psi, rng,
+                             max_proposals=max_proposals)
+    return hat_values, trace
+
+
+def _swap(state: ExchangeState, theta: GpHyper, psi: BaseHyper,
+          hat_values: np.ndarray, trace: GenerativeTrace, rng: np.random.Generator,
+          move: str, log_prior_ratio: float = 0.0,
+          base_terms: tuple[float, ...] = ()) -> tuple[ExchangeState, bool]:
+    """Evaluate the current function at the fantasies and accept the swap
+    with probability exp(log_prior_ratio + swap ratio + sum(base_terms)).
+
+    On accept the proposal (``theta``, ``psi``, ``hat_values`` and all it
+    learned in ``trace``) becomes the state; on reject the current function
+    keeps its values at the fantasies.
+    """
+    n = state.n_data
+    current = ConditionalSampler(state.theta, state.cond.points, state.cond.values)
     g_fant = current.draw_batch(trace.accepted, rng)
-    batch = FantasyBatch(fantasies=trace.accepted, proposal_cond=trace.cond,
-                         g_at_fantasies=g_fant)
-    return batch, trace
+    log_a = log_prior_ratio + _swap_log_ratio(
+        log_phi(hat_values[:n]), log_phi(state.g_data),
+        log_phi(g_fant), log_phi(trace.accepted_values))
+    for term in base_terms:
+        log_a += term
+    if math.log(rng.uniform()) < log_a:
+        state.diagnostics[f"{move}_acc"] += 1
+        return ExchangeState(
+            data=state.data, cond=trace.cond,
+            controls=state.controls, control_values=hat_values,
+            theta=theta, psi=psi, diagnostics=state.diagnostics,
+        ), True
+    return ExchangeState(
+        data=state.data, cond=state.cond.extended(trace.accepted, g_fant),
+        controls=state.controls, control_values=state.control_values,
+        theta=state.theta, psi=state.psi, diagnostics=state.diagnostics,
+    ), False
 
 
 def _step_function(state: ExchangeState, eps: float, max_proposals: int,
-                   rng: np.random.Generator, move: str) -> tuple[ExchangeState, bool]:
-    n = state.n_data
-    mean_c = prior_mean(state.controls, state.theta)
-    if state.theta.amplitude == 0.0:
-        hat_values = mean_c.copy()  # degenerate GP: the function is the mean
-    elif eps >= 1.0:
-        factor = chol(kernel_matrix(state.controls, state.controls, state.theta))
-        hat_values = mean_c + factor.lower @ rng.standard_normal(len(mean_c))
-    else:
-        factor = chol(kernel_matrix(state.controls, state.controls, state.theta))
-        hat_values = _crankshaft(state.control_values, mean_c, factor.lower, eps, rng)
+                   rng: np.random.Generator) -> tuple[ExchangeState, bool]:
+    state.diagnostics["func_att"] += 1
     try:
-        batch, trace = _draw_fantasies(state, state.controls, hat_values,
-                                       state.theta, state.psi, max_proposals, rng)
+        hat_values, trace = _propose(state, state.theta, state.psi, eps,
+                                     max_proposals, rng)
     except ProposalBudgetError:
         state.diagnostics["budget_failures"] += 1
-        state.diagnostics[f"{move}_att"] += 1
         return state, False
-    log_a = _swap_log_ratio(log_phi(hat_values[:n]), log_phi(state.g_data),
-                            log_phi(batch.g_at_fantasies),
-                            log_phi(trace.accepted_values))
-    state.diagnostics[f"{move}_att"] += 1
-    if math.log(rng.uniform()) < log_a:
-        state.diagnostics[f"{move}_acc"] += 1
-        new_state = ExchangeState(
-            data=state.data, cond=batch.proposal_cond,
-            controls=state.controls, control_values=hat_values,
-            theta=state.theta, psi=state.psi,
-            diagnostics=state.diagnostics, ledger=state.ledger,
-        )
-        return new_state, True
-    new_state = ExchangeState(
-        data=state.data,
-        cond=state.cond.extended(batch.fantasies, batch.g_at_fantasies),
-        controls=state.controls, control_values=state.control_values,
-        theta=state.theta, psi=state.psi,
-        diagnostics=state.diagnostics, ledger=state.ledger,
-    )
-    return new_state, False
+    return _swap(state, state.theta, state.psi, hat_values, trace, rng, "func")
 
 
 def exchange_step_prior(state: ExchangeState,
                         max_proposals: int = DEFAULT_MAX_PROPOSALS,
                         rng: np.random.Generator | None = None) -> tuple[ExchangeState, bool]:
     """Independence proposal: draw the new function from the GP prior."""
-    return _step_function(state, 1.0, max_proposals, rng, "func")
+    return _step_function(state, 1.0, max_proposals, rng)
 
 
 def exchange_step_control(state: ExchangeState, step_scale: float,
@@ -206,7 +209,7 @@ def exchange_step_control(state: ExchangeState, step_scale: float,
     """
     if not 0.0 < step_scale <= 1.0:
         raise ValueError("step_scale must be in (0, 1]")
-    return _step_function(state, step_scale, max_proposals, rng, "func")
+    return _step_function(state, step_scale, max_proposals, rng)
 
 
 def exchange_step_hyper(state: ExchangeState, proposal_scales: HyperWalkScales,
@@ -220,7 +223,6 @@ def exchange_step_hyper(state: ExchangeState, proposal_scales: HyperWalkScales,
     keeps only the hyperprior ratio, the squashed-value products, and the
     base-density ratios at the data and the fantasies.
     """
-    n = state.n_data
     state.diagnostics["hyper_att"] += 1
     theta_hat, psi_hat = propose_hypers(state.theta, state.psi,
                                         proposal_scales, priors, rng)
@@ -231,42 +233,18 @@ def exchange_step_hyper(state: ExchangeState, proposal_scales: HyperWalkScales,
     if not np.all(np.isfinite(base_data_hat)):
         return state, False
     lp_cur = hyperprior_logpdf(state.theta, state.psi, priors)
-    mean_c = prior_mean(state.controls, theta_hat)
-    if theta_hat.amplitude == 0.0:
-        hat_values = mean_c.copy()
-    else:
-        factor = chol(kernel_matrix(state.controls, state.controls, theta_hat))
-        hat_values = mean_c + factor.lower @ rng.standard_normal(len(mean_c))
     try:
-        batch, trace = _draw_fantasies(state, state.controls, hat_values,
-                                       theta_hat, psi_hat, max_proposals, rng)
+        hat_values, trace = _propose(state, theta_hat, psi_hat, 1.0,
+                                     max_proposals, rng)
     except ProposalBudgetError:
         state.diagnostics["budget_failures"] += 1
         return state, False
-    log_a = (lp_hat - lp_cur
-             + _swap_log_ratio(log_phi(hat_values[:n]), log_phi(state.g_data),
-                               log_phi(batch.g_at_fantasies),
-                               log_phi(trace.accepted_values))
-             + float(np.sum(base_data_hat - base_logpdf(state.data, state.psi)))
-             + float(np.sum(base_logpdf(batch.fantasies, state.psi)
-                            - base_logpdf(batch.fantasies, psi_hat))))
-    if math.log(rng.uniform()) < log_a:
-        state.diagnostics["hyper_acc"] += 1
-        new_state = ExchangeState(
-            data=state.data, cond=batch.proposal_cond,
-            controls=state.controls, control_values=hat_values,
-            theta=theta_hat, psi=psi_hat,
-            diagnostics=state.diagnostics, ledger=state.ledger,
-        )
-        return new_state, True
-    new_state = ExchangeState(
-        data=state.data,
-        cond=state.cond.extended(batch.fantasies, batch.g_at_fantasies),
-        controls=state.controls, control_values=state.control_values,
-        theta=state.theta, psi=state.psi,
-        diagnostics=state.diagnostics, ledger=state.ledger,
-    )
-    return new_state, False
+    fantasies = trace.accepted
+    return _swap(state, theta_hat, psi_hat, hat_values, trace, rng, "hyper",
+                 lp_hat - lp_cur,
+                 (float(np.sum(base_data_hat - base_logpdf(state.data, state.psi))),
+                  float(np.sum(base_logpdf(fantasies, state.psi)
+                               - base_logpdf(fantasies, psi_hat)))))
 
 
 def predictive_sample_exchange(state: ExchangeState, n_samples: int,

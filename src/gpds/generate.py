@@ -54,29 +54,31 @@ class ProposalBudgetError(RuntimeError):
         return type(self), (self.args[0], self.trace)
 
 
-def continue_sampler(state: ConditioningSet | GenerativeTrace, n_more: int,
+def continue_sampler(state: ConditioningSet | ConditionalSampler, n_more: int,
                      theta: GpHyper, psi: BaseHyper,
                      rng: np.random.Generator,
                      max_proposals: int = DEFAULT_MAX_PROPOSALS,
                      mean_fn: MeanLike | None = None,
-                     keep_uniforms: bool = False,
-                     ledger: list | None = None, tag: str = "") -> GenerativeTrace:
+                     keep_uniforms: bool = False) -> GenerativeTrace:
     """Run the rejection sampler forward from existing function knowledge.
 
-    Accepts either a :class:`ConditioningSet` or a previous
-    :class:`GenerativeTrace` (its ``cond`` is used).  Returns once
-    ``n_more`` proposals have been accepted; raises
+    ``state`` is either a :class:`ConditioningSet`, from which a sampler
+    under ``theta`` and ``mean_fn`` is built, or a
+    :class:`ConditionalSampler`, which is grown in place under its own
+    hyperparameters and mean (``theta`` and ``mean_fn`` are then unused).
+    Returns once ``n_more`` proposals have been accepted; raises
     :class:`ProposalBudgetError` if ``max_proposals`` is hit first.
     """
-    if isinstance(state, GenerativeTrace):
-        state = state.cond
     if n_more < 0:
         raise ValueError("n_more must be >= 0")
     if max_proposals < n_more:
         raise ValueError("max_proposals must be at least the number of samples")
-    sampler = ConditionalSampler(theta, state.points, state.values,
-                                 mean_fn=mean_fn, ledger=ledger, tag=tag)
-    dim = theta.dim
+    if isinstance(state, ConditionalSampler):
+        sampler = state
+    else:
+        sampler = ConditionalSampler(theta, state.points, state.values,
+                                     mean_fn=mean_fn)
+    dim = sampler.hyper.dim
     accepted: list[np.ndarray] = []
     accepted_values: list[float] = []
     flags: list[bool] = []

@@ -24,7 +24,7 @@ from .exchange import (
 )
 from .generate import DEFAULT_MAX_PROPOSALS, continue_sampler, draw_prior_dataset
 from .gp import ConditioningSet, GpHyper
-from .history import LatentHistory, SweepConfig, sweep
+from .history import HistoryChain, LatentHistory, SweepConfig, sweep
 from .model import BaseHyper, phi
 
 
@@ -62,12 +62,15 @@ def _make_report(forward: dict, successive: dict, threshold: float) -> GewekeRep
 
 
 def _history_from_trace(trace, theta, psi) -> LatentHistory:
+    """The block this run of the sampler produced: its acceptances are the
+    data, its rejections the latent history."""
+    run = slice(len(trace.cond) - trace.proposal_count, None)
     rej = ~trace.accept_flags
     return LatentHistory(
         data=trace.accepted,
         g_data=trace.accepted_values,
-        rejections=trace.cond.points[rej],
-        g_rejections=trace.cond.values[rej],
+        rejections=trace.cond.points[run][rej],
+        g_rejections=trace.cond.values[run][rej],
         theta=theta,
         psi=psi,
     )
@@ -76,17 +79,9 @@ def _history_from_trace(trace, theta, psi) -> LatentHistory:
 def history_data_refresh(h: LatentHistory, rng: np.random.Generator,
                          max_proposals: int = DEFAULT_MAX_PROPOSALS) -> LatentHistory:
     """Replace (data, rejections) with a freshly continued block."""
-    cond = h.conditioning_set()
-    trace = continue_sampler(cond, h.n_data, h.theta, h.psi, rng,
+    trace = continue_sampler(h.conditioning_set(), h.n_data, h.theta, h.psi, rng,
                              max_proposals=max_proposals)
-    new_pts = trace.cond.points[len(cond):]
-    new_vals = trace.cond.values[len(cond):]
-    rej = ~trace.accept_flags
-    return LatentHistory(
-        data=trace.accepted, g_data=trace.accepted_values,
-        rejections=new_pts[rej], g_rejections=new_vals[rej],
-        theta=h.theta, psi=h.psi,
-    )
+    return _history_from_trace(trace, h.theta, h.psi)
 
 
 def _history_stats(h: LatentHistory) -> dict[str, float]:
@@ -122,8 +117,9 @@ def run_geweke_history(theta: GpHyper, psi: BaseHyper, n_data: int = 3,
     h = _history_from_trace(trace, theta, psi)
     for i in range(n_samples):
         for _ in range(thin):
-            h = sweep(h, cfg, rng)
-            h = history_data_refresh(h, rng, max_proposals)
+            chain = HistoryChain(h)
+            sweep(chain, cfg, rng)
+            h = history_data_refresh(chain.snapshot(), rng, max_proposals)
         for k, v in _history_stats(h).items():
             successive[k][i] = v
     return _make_report(forward, successive, threshold)

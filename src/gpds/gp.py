@@ -1,23 +1,23 @@
 """Gaussian process primitives.
 
 Squared-exponential covariances (isotropic or per-dimension ARD, optionally
-pinned to zero at a reference location), jittered Cholesky factorisation,
-exact conditional (retrospective) sampling, prior log-densities and the
-whitening transform used by the gradient-based function moves.
+pinned to zero at a reference location), jittered Cholesky factorisation
+and the one engine every sampler, move and estimator goes through:
+:class:`ConditionalSampler`.  It keeps the Cholesky factor of the R known
+points row-packed (BLAS packed storage) and updates it in place: O(R^2)
+retrospective draws and appends, O((R - k) R) deletion of row k, so that
+rejection-sampling loops and MCMC moves do not refactorise the Gram matrix
+from scratch at every step.  It also holds the whitened coordinates used
+by the gradient-based function moves.
 
-All functions are pure given an injected ``numpy.random.Generator``.  The
-only stateful object is :class:`ConditionalSampler`, which keeps the
-Cholesky factor of the R known points row-packed (BLAS packed storage) and
-updates it in place: O(R^2) draws and appends, O((R - k) R) deletion of
-row k, so that rejection-sampling loops and MCMC moves do not refactorise
-the Gram matrix from scratch at every step.  The free functions that
-factorise from scratch (:func:`conditional`, :func:`log_prior_density`, ...)
-are the reference the sampler is tested against.
+Two free functions factorise from scratch, :func:`conditional` and
+:func:`log_prior_density`; nothing in the package calls them, they are the
+reference the engine is tested against.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -164,11 +164,6 @@ def kernel_diag(X, hyper: GpHyper) -> np.ndarray:
     return v
 
 
-def covariance(x, y, hyper: GpHyper) -> float:
-    """Covariance between two single points (pin-conditioned when set)."""
-    return float(kernel_matrix(x, y, hyper)[0, 0])
-
-
 def prior_mean(X, hyper: GpHyper, mean_fn: MeanLike | None = None) -> np.ndarray:
     """Prior mean at X, including the deterministic pinning adjustment.
 
@@ -263,24 +258,6 @@ def conditional(query, cond: ConditioningSet, hyper: GpHyper,
     return mean, cov
 
 
-def sample_conditional(query, cond: ConditioningSet, hyper: GpHyper,
-                       rng: np.random.Generator,
-                       mean_fn: MeanLike | None = None,
-                       base_jitter: float = BASE_JITTER) -> np.ndarray:
-    """Draw jointly Gaussian function values at ``query`` given ``cond``.
-
-    The caller is responsible for appending ``(query, draw)`` to its
-    conditioning set if retrospective consistency with later draws is
-    required.
-    """
-    mean, cov = conditional(query, cond, hyper, mean_fn, base_jitter)
-    if hyper.amplitude == 0.0:
-        return mean
-    cov = 0.5 * (cov + cov.T)
-    factor = chol(cov, base_jitter)
-    return mean + factor.lower @ rng.standard_normal(mean.shape[0])
-
-
 def log_prior_density(values, points, hyper: GpHyper,
                       mean_fn: MeanLike | None = None,
                       base_jitter: float = BASE_JITTER) -> float:
@@ -295,30 +272,6 @@ def log_prior_density(values, points, hyper: GpHyper,
     z = factor.solve_lower(v - prior_mean(P, hyper, mean_fn))
     n = v.shape[0]
     return -0.5 * (n * math.log(2.0 * math.pi) + factor.logdet() + float(z @ z))
-
-
-def whiten(values, points, hyper: GpHyper,
-           mean_fn: MeanLike | None = None,
-           base_jitter: float = BASE_JITTER) -> np.ndarray:
-    """Map function values to whitened coordinates v = L^-1 (g - m)."""
-    if hyper.amplitude == 0.0:
-        raise ValueError("whitening undefined for the degenerate (amplitude 0) GP")
-    P = _as_points(points)
-    v = np.atleast_1d(np.asarray(values, dtype=float))
-    factor = chol(kernel_matrix(P, P, hyper), base_jitter)
-    return factor.solve_lower(v - prior_mean(P, hyper, mean_fn))
-
-
-def unwhiten(whitened, points, hyper: GpHyper,
-             mean_fn: MeanLike | None = None,
-             base_jitter: float = BASE_JITTER) -> np.ndarray:
-    """Inverse of :func:`whiten`: g = L v + m."""
-    if hyper.amplitude == 0.0:
-        raise ValueError("whitening undefined for the degenerate (amplitude 0) GP")
-    P = _as_points(points)
-    w = np.atleast_1d(np.asarray(whitened, dtype=float))
-    factor = chol(kernel_matrix(P, P, hyper), base_jitter)
-    return factor.lower @ w + prior_mean(P, hyper, mean_fn)
 
 
 def _chol_update(L: np.ndarray, u: np.ndarray) -> None:
@@ -384,13 +337,10 @@ class ConditionalSampler:
     def __init__(self, hyper: GpHyper, points=None, values=None,
                  mean_fn: MeanLike | None = None,
                  base_jitter: float = BASE_JITTER,
-                 ledger: list | None = None, tag: str = "",
                  factor: CholeskyFactor | None = None):
         self.hyper = hyper
         self.mean_fn = hyper.mean if mean_fn is None else mean_fn
         self.base_jitter = base_jitter
-        self.ledger = ledger
-        self.tag = tag
         self.degenerate = hyper.amplitude == 0.0
         dim = hyper.dim
         pts = _as_points(points) if points is not None and np.size(points) else np.empty((0, dim))
@@ -490,8 +440,6 @@ class ConditionalSampler:
         out.hyper = self.hyper
         out.mean_fn = self.mean_fn
         out.base_jitter = self.base_jitter
-        out.ledger = self.ledger
-        out.tag = self.tag
         out.degenerate = self.degenerate
         out.jitter = self.jitter
         out._n = n
@@ -569,8 +517,6 @@ class ConditionalSampler:
     def draw(self, x, rng: np.random.Generator) -> float:
         """Sample a single function value (without recording it)."""
         mu, var = self.mean_var(x)
-        if self.ledger is not None:
-            self.ledger.append((self.tag, self._n))
         return mu + math.sqrt(var) * rng.standard_normal()
 
     def append(self, x, value: float) -> None:
@@ -586,8 +532,6 @@ class ConditionalSampler:
     def draw_append(self, x, rng: np.random.Generator) -> float:
         """Draw at x and record the result; the solve is shared, O(R^2)."""
         x = np.asarray(x, dtype=float).reshape(-1)
-        if self.ledger is not None:
-            self.ledger.append((self.tag, self._n))
         if self.degenerate:
             m = self._point_mean(x)
             g = m + 0.0 * rng.standard_normal()
@@ -617,8 +561,6 @@ class ConditionalSampler:
         """Jointly sample function values at a batch of points (no record)."""
         X = _as_points(X)
         mean, cov = self.mean_cov(X)
-        if self.ledger is not None:
-            self.ledger.append((self.tag, self._n))
         if self.degenerate:
             return mean
         cov = 0.5 * (cov + cov.T)

@@ -2,10 +2,13 @@
 
 The chain state is everything the sampler would have produced on its way
 to the observed data: the function values at the data, plus the number,
-locations and function values of the rejected proposals.  Moves: insert or
-delete a single latent rejection, perturb rejection locations, update all
-function values jointly with Hamiltonian dynamics in the whitened space,
-and random-walk the hyperparameters.
+locations and function values of the rejected proposals.  It lives in a
+:class:`HistoryChain`, whose moves update one incrementally maintained
+factor in place: insert or delete a single latent rejection, perturb
+rejection locations, update all function values jointly with Hamiltonian
+dynamics in the whitened space, and random-walk the hyperparameters.
+:func:`sweep` runs one iteration of those moves; :class:`LatentHistory`
+holds the state as plain arrays (:meth:`HistoryChain.snapshot`).
 """
 from __future__ import annotations
 
@@ -44,15 +47,9 @@ __all__ = [
     "LatentHistory",
     "ZetaSchedule",
     "SweepConfig",
-    "history_logdensity",
     "insert_log_accept",
     "delete_log_accept",
     "location_log_accept",
-    "number_move_log_ratio",
-    "step_number",
-    "step_locations",
-    "step_function_hmc",
-    "step_hyper_history",
     "sweep",
     "predictive_sample_history",
 ]
@@ -124,29 +121,6 @@ class ZetaSchedule:
         return 1.0 if m == 0 else self.insert_prob
 
 
-def history_logdensity(h: LatentHistory) -> float:
-    """Log joint density of the data and the latent history.
-
-    GP prior over all function values at the data and rejection locations,
-    plus per-point acceptance/rejection and base-density terms.  Returns
-    -inf when a location falls outside the base support.
-    """
-    from .gp import log_prior_density
-
-    pts = np.vstack([h.data, h.rejections])
-    vals = np.concatenate([h.g_data, h.g_rejections])
-    if not np.all(np.isfinite(vals)):
-        return -np.inf
-    base_terms = base_logpdf(pts, h.psi)
-    if not np.all(np.isfinite(base_terms)):
-        return -np.inf
-    out = log_prior_density(vals, pts, h.theta)
-    out += float(np.sum(log_phi(h.g_data)))
-    out += float(np.sum(log_one_minus_phi(h.g_rejections)))
-    out += float(np.sum(base_terms))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Acceptance-ratio helpers (pure, log scale)
 # ---------------------------------------------------------------------------
@@ -173,27 +147,6 @@ def delete_log_accept(m: int, n: int, zeta: Callable[[int, int], float],
     return (math.log(zeta(m - 1, n)) + math.log(m)
             - math.log(one_minus_zeta) - math.log(m + n - 1)
             - float(log_one_minus_phi(g_minus)))
-
-
-def number_move_log_ratio(m: int, m_hat: int, n: int, log_q_fwd: float,
-                          log_q_rev: float, g_block) -> float:
-    """Log acceptance ratio for a general block move m -> m_hat rejections.
-
-    ``g_block`` holds the function values at the inserted points (when
-    ``m_hat > m``) or at the removed points (when ``m_hat < m``);
-    ``log_q_fwd``/``log_q_rev`` are the log probabilities of proposing the
-    count change and its reverse.  Not used by the default sweep, which only
-    makes single insert/delete moves, but kept tested as the general form.
-    """
-    out = (log_q_rev - log_q_fwd
-           + math.lgamma(m + 1) + math.lgamma(m_hat + n)
-           - math.lgamma(m_hat + 1) - math.lgamma(m + n))
-    g_block = np.atleast_1d(np.asarray(g_block, dtype=float))
-    if m_hat > m:
-        out += float(np.sum(log_one_minus_phi(g_block)))
-    elif m_hat < m:
-        out -= float(np.sum(log_one_minus_phi(g_block)))
-    return out
 
 
 def location_log_accept(log_pi_new: float, log_pi_old: float,
@@ -239,7 +192,7 @@ def leapfrog(potential_grad, v0: np.ndarray, p0: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class HistoryChain:
-    """Mutable engine behind the functional step operations.
+    """The latent-history Markov state, updated in place by its moves.
 
     Wraps a :class:`ConditionalSampler` whose rows are the data (first N,
     never touched) followed by the latent rejections, so individual moves
@@ -247,15 +200,14 @@ class HistoryChain:
     ``rej_rows`` maps rejection slots to factor rows.
     """
 
-    def __init__(self, h: LatentHistory, ledger: list | None = None):
+    def __init__(self, h: LatentHistory):
         self.data = h.data
         self.n_data = h.n_data
         self.theta = h.theta
         self.psi = h.psi
         pts = np.vstack([h.data, h.rejections])
         vals = np.concatenate([h.g_data, h.g_rejections])
-        self.sampler = ConditionalSampler(h.theta, pts, vals, ledger=ledger,
-                                          tag="history")
+        self.sampler = ConditionalSampler(h.theta, pts, vals)
         self.rej_rows = list(range(self.n_data, self.n_data + h.n_rejections))
 
     @property
@@ -392,51 +344,9 @@ class HistoryChain:
             self.sampler = ConditionalSampler(theta_hat, pts, vals,
                                               mean_fn=self.sampler.mean_fn,
                                               base_jitter=self.sampler.base_jitter,
-                                              ledger=self.sampler.ledger,
-                                              tag=self.sampler.tag,
                                               factor=factor_hat)
             return True
         return False
-
-
-# ---------------------------------------------------------------------------
-# Functional step operations
-# ---------------------------------------------------------------------------
-
-def step_number(h: LatentHistory, zeta, rng: np.random.Generator,
-                corrupt_insert: bool = False) -> tuple[LatentHistory, bool]:
-    """Propose inserting (with probability zeta(M, N)) or deleting one
-    latent rejection."""
-    chain = HistoryChain(h)
-    acc = chain.step_number(zeta, rng, corrupt_insert=corrupt_insert)
-    return chain.snapshot(), acc
-
-
-def step_locations(h: LatentHistory, walk_scales,
-                   rng: np.random.Generator) -> tuple[LatentHistory, int]:
-    """Symmetric Gaussian-walk proposal for each rejection location."""
-    chain = HistoryChain(h)
-    scales = np.broadcast_to(np.asarray(walk_scales, dtype=float),
-                             (h.data.shape[1],)).copy()
-    n_acc = chain.step_locations(scales, rng)
-    return chain.snapshot(), n_acc
-
-
-def step_function_hmc(h: LatentHistory, step_size: float, n_leapfrog: int,
-                      rng: np.random.Generator) -> tuple[LatentHistory, bool]:
-    """Hamiltonian update of all function values in the whitened space."""
-    chain = HistoryChain(h)
-    acc = chain.step_function_hmc(step_size, n_leapfrog, rng)
-    return chain.snapshot(), acc
-
-
-def step_hyper_history(h: LatentHistory, proposal_scales: HyperWalkScales,
-                       priors: HyperPrior,
-                       rng: np.random.Generator) -> tuple[LatentHistory, bool]:
-    """Random-walk hyperparameter move with the latent history held fixed."""
-    chain = HistoryChain(h)
-    acc = chain.step_hyper(proposal_scales, priors, rng)
-    return chain.snapshot(), acc
 
 
 @dataclass
@@ -463,15 +373,10 @@ class SweepConfig:
     counters: Counter = field(default_factory=Counter)
 
 
-def sweep(h: LatentHistory, config: SweepConfig, rng: np.random.Generator) -> LatentHistory:
-    """One full iteration: number move, location moves, HMC, hyper move."""
-    chain = HistoryChain(h)
-    _sweep_chain(chain, config, rng)
-    return chain.snapshot()
-
-
-def _sweep_chain(chain: HistoryChain, config: SweepConfig,
-                 rng: np.random.Generator) -> None:
+def sweep(chain: HistoryChain, config: SweepConfig,
+          rng: np.random.Generator) -> None:
+    """One full iteration in place: number moves, location moves, HMC and
+    the hyperparameter move, each as enabled in ``config``."""
     c = config.counters
     if config.enable_number:
         for _ in range(config.number_moves):

@@ -84,6 +84,22 @@ class TestFit:
         names, trace = read_csv(out / "trace.csv")
         assert "func_acc" in names
 
+    @pytest.mark.parametrize("sampler, has_hmc", [("latent-history", True),
+                                                  ("exchange", False)])
+    def test_hmc_step_size_only_for_history(self, tmp_path, sampler, has_hmc):
+        # the exchange sampler runs no HMC, so it reports no step size
+        args, out = self.fit_args(
+            tmp_path, f"sampler = {sampler}\ntotal_iters = 6\nburn_in = 2\n")
+        assert main(args) == 0
+        step = json.loads((out / "meta.json").read_text())["summary"]["chain00"][
+            "hmc_step_size"]
+        if has_hmc:
+            assert type(step) is float and step > 0
+        else:
+            assert step is None
+        text = (out / "meta.json").read_text()
+        assert ('"hmc_step_size": null' in text) is not has_hmc
+
     def test_multi_chain_layout(self, tmp_path):
         args, out = self.fit_args(
             tmp_path, "total_iters = 30\nburn_in = 10\nthinning = 2\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import gpds.exchange
 from gpds.exchange import (
     ExchangeState,
     _crankshaft,
@@ -16,8 +17,14 @@ from gpds.exchange import (
     init_exchange_state,
     predictive_sample_exchange,
 )
-from gpds.generate import draw_prior_dataset
-from gpds.gp import BASE_JITTER, ConditioningSet, GpHyper, chol, kernel_matrix
+from gpds.gp import (
+    BASE_JITTER,
+    ConditionalSampler,
+    ConditioningSet,
+    GpHyper,
+    chol,
+    kernel_matrix,
+)
 from gpds.model import HyperPrior, HyperWalkScales, UniformBox, log_phi
 
 BOX = UniformBox.unit(1)
@@ -60,15 +67,27 @@ class TestExchangeStepPrior:
                 assert len(state.cond) == n_before + 4
         assert rejected_seen
 
-    def test_acceptance_adopts_proposal_bookkeeping(self):
+    def test_acceptance_adopts_proposal_bookkeeping(self, monkeypatch):
         rng = np.random.default_rng(1)
         state = make_state(rng, n=3)
+        traces = []
+
+        def spy(*args, **kwargs):
+            traces.append(continue_sampler(*args, **kwargs))
+            return traces[-1]
+
+        continue_sampler = gpds.exchange.continue_sampler
+        monkeypatch.setattr(gpds.exchange, "continue_sampler", spy)
         for _ in range(50):
             state, accepted = exchange_step_prior(state, 100_000, rng)
             if accepted:
-                # proposal cond: controls first, then the fantasy loop's
-                # proposals; all control values are fresh
-                assert len(state.cond) >= len(state.controls) + 3
+                # proposal cond: controls first, then every proposal of the
+                # fantasy loop, N of them accepted; all control values are
+                # fresh
+                trace = traces[-1]
+                assert trace.accepted.shape == (3, 1)
+                assert trace.proposal_count >= 3
+                assert len(state.cond) == len(state.controls) + trace.proposal_count
                 assert np.array_equal(state.cond.points[:3], state.data)
                 break
         else:
@@ -166,6 +185,29 @@ class TestExchangeStepHyper:
         assert not accepted
         assert state2.psi is state.psi
 
+    def test_proposal_is_one_function_under_proposed_theta(self, monkeypatch):
+        # the proposal's values at the controls and every value its fantasy
+        # run draws come from one function under the proposed theta: with a
+        # degenerate proposed GP they all equal its mean
+        rng = np.random.default_rng(17)
+        state = make_state(rng, n=3)
+        theta_hat = GpHyper(amplitude=0.0, lengthscales=[0.3], mean=0.7)
+        monkeypatch.setattr("gpds.exchange.propose_hypers",
+                            lambda *a, **k: (theta_hat, state.psi))
+        monkeypatch.setattr("gpds.exchange.hyperprior_logpdf", lambda *a, **k: 0.0)
+        traces = []
+
+        def spy(*args, **kwargs):
+            traces.append(continue_sampler(*args, **kwargs))
+            return traces[-1]
+
+        continue_sampler = gpds.exchange.continue_sampler
+        monkeypatch.setattr(gpds.exchange, "continue_sampler", spy)
+        exchange_step_hyper(state, HyperWalkScales(), HyperPrior(), 100_000, rng)
+        (trace,) = traces
+        assert len(trace.cond) == 3 + trace.proposal_count
+        assert np.all(trace.cond.values == 0.7)
+
     def test_moves_hyperparameters(self):
         rng = np.random.default_rng(11)
         state = make_state(rng, n=3)
@@ -207,22 +249,31 @@ class TestPredictiveSamplesExchange:
 
 
 class TestBookkeepingAudit:
-    def test_draw_ledger_monotone_per_function(self):
+    def test_draw_ledger_monotone_per_function(self, monkeypatch):
         # every retrospective draw for a live function must condition on at
-        # least as much knowledge as the previous draw for that function
+        # least as much knowledge as the previous draw for that function:
+        # record the size of the conditioning set at each draw of a move
+        events = []
+        for op, kind in (("draw_append", "proposal"), ("draw_batch", "current")):
+            original = getattr(ConditionalSampler, op)
+
+            def spy(self, *args, _original=original, _kind=kind, **kwargs):
+                events.append((_kind, len(self)))
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ConditionalSampler, op, spy)
         rng = np.random.default_rng(15)
         state = make_state(rng, n=3)
-        state.ledger = []
         for _ in range(10):
-            marker = len(state.ledger)
+            del events[:]
             n_cond_entry = len(state.cond)
             state, accepted = exchange_step_prior(state, 100_000, rng)
-            events = state.ledger[marker:]
-            prop_sizes = [n for tag, n in events if tag == "proposal"]
+            prop_sizes = [n for kind, n in events if kind == "proposal"]
             # the proposal's conditioning grows by one per retrospective draw
+            assert len(prop_sizes) >= 3
             assert prop_sizes == list(range(len(state.controls),
                                             len(state.controls) + len(prop_sizes)))
-            cur_sizes = [n for tag, n in events if tag == "current"]
+            cur_sizes = [n for kind, n in events if kind == "current"]
             assert cur_sizes == [n_cond_entry]
 
     def test_no_normalizer_evaluation_in_module(self):
@@ -230,20 +281,3 @@ class TestBookkeepingAudit:
         src = Path("src/gpds/exchange.py").read_text()
         for needle in ("trapezoid", "trapz", "simpson", "quad("):
             assert needle not in src
-
-
-class TestFantasyBatch:
-    def test_fantasy_count_matches_data(self):
-        rng = np.random.default_rng(16)
-        state = make_state(rng, n=5)
-        from gpds.exchange import _draw_fantasies
-        from gpds.gp import prior_mean
-
-        mean_c = prior_mean(state.controls, state.theta)
-        factor = chol(kernel_matrix(state.controls, state.controls, state.theta))
-        hat_values = mean_c + factor.lower @ rng.standard_normal(5)
-        batch, trace = _draw_fantasies(state, state.controls, hat_values,
-                                       state.theta, state.psi, 100_000, rng)
-        assert batch.fantasies.shape == (5, 1)
-        assert batch.g_at_fantasies.shape == (5,)
-        assert len(batch.proposal_cond) == 5 + trace.proposal_count

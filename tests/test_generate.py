@@ -147,8 +147,15 @@ class TestContinueSampler:
     def test_accepts_trace_as_state(self):
         theta = GpHyper(amplitude=1.1, lengthscales=[0.4])
         first = draw_prior_dataset(3, theta, BOX, np.random.default_rng(10))
-        more = continue_sampler(first, 3, theta, BOX, np.random.default_rng(11))
-        assert len(more.cond) == len(first.cond) + more.proposal_count
+        n_first = len(first.cond)
+        more = continue_sampler(first.sampler, 3, theta, BOX, np.random.default_rng(11))
+        assert len(more.cond) == n_first + more.proposal_count
+        # the sampler is grown in place and keeps the first run's knowledge
+        assert more.sampler is first.sampler
+        assert np.array_equal(more.cond.points[:n_first], first.cond.points)
+        # same draws as continuing from the knowledge refactorised
+        again = continue_sampler(first.cond, 3, theta, BOX, np.random.default_rng(11))
+        assert np.array_equal(again.accepted, more.accepted)
 
     def test_concentration_where_function_is_large(self):
         # strong positive knowledge inside [0.4, 0.6], negative elsewhere

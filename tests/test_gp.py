@@ -15,12 +15,8 @@ from gpds.gp import (
     IllConditionedCovariance,
     chol,
     conditional,
-    covariance,
     kernel_matrix,
     log_prior_density,
-    sample_conditional,
-    unwhiten,
-    whiten,
     _chol_update,
 )
 
@@ -51,28 +47,29 @@ def brute_force_conditional(query, cond_pts, cond_vals, hyper, jitter):
 class TestCovariance:
     def test_zero_distance_gives_amplitude_squared(self):
         hyper = GpHyper(amplitude=2.0, lengthscales=[0.7, 1.3])
-        assert covariance([0.1, -0.4], [0.1, -0.4], hyper) == pytest.approx(4.0)
+        assert kernel_matrix([0.1, -0.4], [0.1, -0.4], hyper)[0, 0] == pytest.approx(4.0)
 
     def test_unit_separation(self):
         hyper = GpHyper(amplitude=1.0, lengthscales=[1.0])
-        assert covariance([0.0], [1.0], hyper) == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert kernel_matrix([0.0], [1.0], hyper)[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_pin_forces_zero_at_pin(self):
         hyper = GpHyper(amplitude=1.5, lengthscales=[0.5], pin_location=[0.3])
         for y in ([0.3], [0.9], [-2.0]):
-            assert covariance([0.3], y, hyper) == pytest.approx(0.0, abs=1e-12)
+            assert kernel_matrix([0.3], y, hyper)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry(self):
         hyper = GpHyper(amplitude=1.2, lengthscales=[0.5, 0.8], pin_location=[0.1, 0.2])
         rng = np.random.default_rng(0)
         for _ in range(20):
             x, y = rng.normal(size=2), rng.normal(size=2)
-            assert covariance(x, y, hyper) == pytest.approx(covariance(y, x, hyper), rel=1e-12)
+            assert kernel_matrix(x, y, hyper)[0, 0] == pytest.approx(
+                kernel_matrix(y, x, hyper)[0, 0], rel=1e-12)
 
     def test_dimension_mismatch_raises(self):
         hyper = GpHyper(amplitude=1.0, lengthscales=[1.0, 1.0])
         with pytest.raises(ValueError):
-            covariance([0.0], [1.0], hyper)
+            kernel_matrix([0.0], [1.0], hyper)
 
     def test_psd_on_random_point_sets(self):
         rng = np.random.default_rng(1)
@@ -136,7 +133,7 @@ class TestConditional:
         # must give mean rho at x2 (2x2 joint-partition oracle)
         hyper = GpHyper(amplitude=1.0, lengthscales=[1.0])
         x1, x2 = 0.0, 0.8
-        rho = covariance([x1], [x2], hyper)
+        rho = kernel_matrix([x1], [x2], hyper)[0, 0]
         mean, _ = conditional([[x2]], ConditioningSet([[x1]], [1.0]), hyper)
         assert mean[0] == pytest.approx(rho, abs=1e-7)
 
@@ -175,14 +172,16 @@ class TestSampleConditional:
     def test_degenerate_amplitude_returns_mean(self):
         hyper = GpHyper(amplitude=0.0, lengthscales=[1.0], mean=3.0)
         rng = np.random.default_rng(0)
-        draw = sample_conditional([[0.1], [0.9]], ConditioningSet.empty(1), hyper, rng)
+        draw = ConditionalSampler(hyper).draw_batch([[0.1], [0.9]], rng)
         assert np.allclose(draw, 3.0)
 
     def test_seed_determinism(self):
         hyper = GpHyper(amplitude=1.0, lengthscales=[0.4])
         cond = ConditioningSet([[0.0]], [0.5])
-        a = sample_conditional([[0.3], [0.7]], cond, hyper, np.random.default_rng(11))
-        b = sample_conditional([[0.3], [0.7]], cond, hyper, np.random.default_rng(11))
+        a = ConditionalSampler(hyper, cond.points, cond.values).draw_batch(
+            [[0.3], [0.7]], np.random.default_rng(11))
+        b = ConditionalSampler(hyper, cond.points, cond.values).draw_batch(
+            [[0.3], [0.7]], np.random.default_rng(11))
         assert np.array_equal(a, b)
 
     @pytest.mark.slow
@@ -197,9 +196,9 @@ class TestSampleConditional:
         draws = np.empty((n, 2))
         for i in range(n):
             draws[i] = sampler.draw_batch(query, rng)
-        # spot-check that the stateless entry point agrees with the engine
+        # spot-check that samplers built afresh agree with the reused one
         for i in range(2_000):
-            draws[i] = sample_conditional(query, cond, hyper, rng)
+            draws[i] = ConditionalSampler(hyper, cond.points, cond.values).draw_batch(query, rng)
         se_mean = np.sqrt(np.diag(cov) / n)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 3 * se_mean)
         emp_cov = np.cov(draws.T)
@@ -226,7 +225,7 @@ class TestRetrospectiveConsistency:
         for i in range(n):
             cs = ConditionalSampler(hyper)
             seq[i] = [cs.draw_append(a, rng), cs.draw_append(b, rng)]
-            joint[i] = sample_conditional(both, ConditioningSet.empty(1), hyper, rng)
+            joint[i] = ConditionalSampler(hyper).draw_batch(both, rng)
         for col in range(2):
             se = math.sqrt(seq[:, col].var() / n + joint[:, col].var() / n)
             assert abs(seq[:, col].mean() - joint[:, col].mean()) < 3 * se
@@ -240,8 +239,9 @@ class TestRetrospectiveConsistency:
         rng = np.random.default_rng(9)
         cond = ConditioningSet([[0.0], [0.9]], [0.8, -1.1])
         jitter_scale = math.sqrt(BASE_JITTER)
+        sampler = ConditionalSampler(hyper, cond.points, cond.values)
         for _ in range(200):
-            g = sample_conditional([[0.4]], cond, hyper, rng)
+            g = sampler.draw_batch([[0.4]], rng)
             assert abs(g[0]) < 6 * jitter_scale
 
 
@@ -271,20 +271,23 @@ class TestWhitening:
     def test_prior_mean_maps_to_zero(self):
         hyper = GpHyper(amplitude=1.0, lengthscales=[0.5], mean=1.5)
         pts = np.array([[0.0], [0.4], [0.9]])
-        assert np.allclose(whiten(np.full(3, 1.5), pts, hyper), 0.0)
+        assert np.allclose(ConditionalSampler(hyper, pts, np.full(3, 1.5)).whitened, 0.0)
 
     def test_round_trip(self):
         hyper = GpHyper(amplitude=1.4, lengthscales=[0.3])
         rng = np.random.default_rng(12)
         pts = rng.uniform(0, 1, (5, 1))
         vals = rng.normal(size=5)
-        back = unwhiten(whiten(vals, pts, hyper), pts, hyper)
-        assert np.max(np.abs(back - vals)) < 1e-10
+        whitened = ConditionalSampler(hyper, pts, vals).whitened
+        back = ConditionalSampler(hyper, pts, np.zeros(5))
+        back.set_whitened(whitened)
+        assert np.max(np.abs(back.values - vals)) < 1e-10
 
     @pytest.mark.slow
     def test_whitened_prior_draws_are_standard_normal(self):
         # prior draws generated point-by-point through the incremental
-        # engine, whitened through the batch factor: cross-path consistency
+        # engine, whitened through a factor built from scratch: cross-path
+        # consistency
         # plus the distributional contract
         hyper = GpHyper(amplitude=1.0, lengthscales=[0.5])
         pts = np.array([[0.0], [0.3], [0.8]])
@@ -294,7 +297,7 @@ class TestWhitening:
         for i in range(n):
             cs = ConditionalSampler(hyper)
             draw = np.array([cs.draw_append(p, rng) for p in pts])
-            ws[i] = whiten(draw, pts, hyper)
+            ws[i] = ConditionalSampler(hyper, pts, draw).whitened
         for col in range(3):
             assert kstest(ws[:, col], "norm").pvalue > 0.01
 

@@ -5,28 +5,32 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, kstest
 
-from gpds.generate import continue_sampler, draw_prior_dataset
-from gpds.gp import ConditioningSet, GpHyper, log_prior_density
+from gpds.chain import _history_log_density
+from gpds.generate import draw_prior_dataset
+from gpds.gp import GpHyper, log_prior_density
 from gpds.history import (
     HistoryChain,
     LatentHistory,
     SweepConfig,
     ZetaSchedule,
     delete_log_accept,
-    history_logdensity,
     init_history,
     insert_log_accept,
     leapfrog,
     location_log_accept,
-    number_move_log_ratio,
     predictive_sample_history,
-    step_function_hmc,
-    step_hyper_history,
-    step_locations,
-    step_number,
     sweep,
 )
-from gpds.model import GaussianBase, HyperPrior, HyperWalkScales, UniformBox, phi
+from gpds.model import (
+    GaussianBase,
+    HyperPrior,
+    HyperWalkScales,
+    UniformBox,
+    base_logpdf,
+    log_one_minus_phi,
+    log_phi,
+    phi,
+)
 
 BOX = UniformBox.unit(1)
 THETA = GpHyper(amplitude=1.3, lengthscales=[0.3])
@@ -40,6 +44,11 @@ def make_history(rng, n=4, theta=THETA, psi=BOX):
         rejections=trace.cond.points[rej], g_rejections=trace.cond.values[rej],
         theta=theta, psi=psi,
     )
+
+
+def history_logdensity(h: LatentHistory) -> float:
+    """The chain's log joint (what trace.csv writes) for the state h."""
+    return _history_log_density(HistoryChain(h))
 
 
 class TestHistoryLogdensity:
@@ -87,6 +96,49 @@ class TestHistoryLogdensity:
         assert history_logdensity(h) == -math.inf
 
 
+class TestChainLogDensityAfterMoves:
+    # the value trace.csv writes as log_density, read off the maintained
+    # factor, against the from-scratch oracle after the factor has been
+    # through appends, deletes (at any row) and an adopted hyper-move factor
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("base", ["uniform-1d", "gaussian-2d"])
+    def test_matches_oracle(self, seed, base):
+        rng = np.random.default_rng(100 + seed)
+        if base == "uniform-1d":
+            theta, psi, priors = THETA, BOX, HyperPrior()
+        else:
+            theta = GpHyper(amplitude=1.1, lengthscales=[0.6, 0.9])
+            psi = GaussianBase([0.0, 0.5], [1.0, 0.7])
+            priors = HyperPrior(base_mean=(np.zeros(2), np.ones(2)),
+                                log_base_sigma=(np.zeros(2), np.ones(2)))
+        chain = HistoryChain(make_history(rng, n=5, theta=theta, psi=psi))
+        zeta = ZetaSchedule(0.5)
+        walk = np.full(theta.dim, 0.2)
+        inserts = deletes = moved = hyper_acc = 0
+        for _ in range(40):
+            for _ in range(3):
+                m = chain.n_rejections
+                chain.step_number(zeta, rng)
+                inserts += chain.n_rejections > m
+                deletes += chain.n_rejections < m
+            moved += chain.step_locations(walk, rng)
+            chain.step_function_hmc(0.2, 10, rng)
+            hyper_acc += chain.step_hyper(HyperWalkScales(), priors, rng)
+        # end on incremental updates of the last adopted factor
+        for _ in range(5):
+            chain.step_number(zeta, rng)
+            chain.step_locations(walk, rng)
+        assert min(inserts, deletes, moved, hyper_acc) > 0
+        h = chain.snapshot()
+        pts = np.vstack([h.data, h.rejections])
+        vals = np.concatenate([h.g_data, h.g_rejections])
+        oracle = (log_prior_density(vals, pts, h.theta)
+                  + float(np.sum(log_phi(h.g_data)))
+                  + float(np.sum(log_one_minus_phi(h.g_rejections)))
+                  + float(np.sum(base_logpdf(pts, h.psi))))
+        assert _history_log_density(chain) == pytest.approx(oracle, rel=1e-9)
+
+
 class TestNumberMoveRatios:
     def test_insert_example(self):
         zeta = ZetaSchedule(0.5)
@@ -115,26 +167,6 @@ class TestNumberMoveRatios:
             worst = max(worst, abs(total))
         assert worst < 1e-12
 
-    def test_general_form_reduces_to_single_insert(self):
-        zeta = ZetaSchedule(0.4)
-        m, n, g = 3, 6, -0.8
-        general = number_move_log_ratio(
-            m, m + 1, n,
-            log_q_fwd=math.log(zeta(m, n)),
-            log_q_rev=math.log(1 - zeta(m + 1, n)),
-            g_block=[g])
-        assert general == pytest.approx(insert_log_accept(m, n, zeta, g), rel=1e-12)
-
-    def test_general_form_reduces_to_single_delete(self):
-        zeta = ZetaSchedule(0.4)
-        m, n, g = 4, 6, 0.3
-        general = number_move_log_ratio(
-            m, m - 1, n,
-            log_q_fwd=math.log(1 - zeta(m, n)),
-            log_q_rev=math.log(zeta(m - 1, n)),
-            g_block=[g])
-        assert general == pytest.approx(delete_log_accept(m, n, zeta, g), rel=1e-12)
-
     def test_zeta_forces_insert_at_zero(self):
         zeta = ZetaSchedule(0.3)
         assert zeta(0, 10) == 1.0
@@ -144,12 +176,12 @@ class TestNumberMoveRatios:
 
     def test_step_number_grows_and_shrinks(self):
         rng = np.random.default_rng(4)
-        h = make_history(rng)
+        chain = HistoryChain(make_history(rng))
         zeta = ZetaSchedule(0.5)
-        sizes = {h.n_rejections}
+        sizes = {chain.n_rejections}
         for _ in range(60):
-            h, _ = step_number(h, zeta, rng)
-            sizes.add(h.n_rejections)
+            chain.step_number(zeta, rng)
+            sizes.add(chain.n_rejections)
         assert len(sizes) > 2
 
 
@@ -172,8 +204,10 @@ class TestLocationMoves:
         h = make_history(rng)
         while h.n_rejections < 1:
             h = make_history(rng)
+        chain = HistoryChain(h)
         for _ in range(30):
-            h, _ = step_locations(h, 0.5, rng)
+            chain.step_locations(np.array([0.5]), rng)
+            h = chain.snapshot()
             assert np.all((h.rejections >= 0) & (h.rejections <= 1))
             assert h.n_rejections == len(h.g_rejections)
 
@@ -210,27 +244,28 @@ class TestHmc:
 
     def test_tiny_step_always_accepts(self):
         rng = np.random.default_rng(9)
-        h = make_history(rng, n=4)
+        chain = HistoryChain(make_history(rng, n=4))
         accepted = 0
         for _ in range(20):
-            h, acc = step_function_hmc(h, 1e-5, 3, rng)
-            accepted += acc
+            accepted += chain.step_function_hmc(1e-5, 3, rng)
         assert accepted == 20
 
     def test_locations_and_count_unchanged(self):
         rng = np.random.default_rng(10)
         h = make_history(rng, n=4)
-        h2, _ = step_function_hmc(h, 0.3, 10, rng)
+        chain = HistoryChain(h)
+        chain.step_function_hmc(0.3, 10, rng)
+        h2 = chain.snapshot()
         assert np.array_equal(h2.data, h.data)
         assert np.array_equal(h2.rejections, h.rejections)
 
     def test_invalid_arguments(self):
         rng = np.random.default_rng(11)
-        h = make_history(rng)
+        chain = HistoryChain(make_history(rng))
         with pytest.raises(ValueError):
-            step_function_hmc(h, 0.0, 10, rng)
+            chain.step_function_hmc(0.0, 10, rng)
         with pytest.raises(ValueError):
-            step_function_hmc(h, 0.1, 0, rng)
+            chain.step_function_hmc(0.1, 0, rng)
 
     @pytest.mark.slow
     def test_invariance_on_single_point_posterior(self):
@@ -240,12 +275,13 @@ class TestHmc:
         theta = GpHyper(amplitude=1.2, lengthscales=[0.5])
         h = LatentHistory(data=[[0.5]], g_data=[0.1], rejections=np.empty((0, 1)),
                           g_rejections=[], theta=theta, psi=BOX)
+        chain = HistoryChain(h)
         rng = np.random.default_rng(12)
         samples = []
         for i in range(6000):
-            h, _ = step_function_hmc(h, 0.5, 10, rng)
+            chain.step_function_hmc(0.5, 10, rng)
             if i % 2:
-                samples.append(h.g_data[0])
+                samples.append(chain.sampler.values[0])
         gs = np.linspace(-6, 6, 4001)
         var = 1.2**2 * (1 + 1e-8)
         dens = np.exp(-0.5 * gs**2 / var) * phi(gs)
@@ -262,10 +298,10 @@ class TestHyperMove:
         zero = HyperWalkScales(log_amplitude=0.0, log_lengthscale=0.0,
                                base_mean=0.0, log_base_sigma=0.0, pin=0.0)
         priors = HyperPrior()
+        chain = HistoryChain(h)
         for _ in range(5):
-            h2, acc = step_hyper_history(h, zero, priors, rng)
-            assert acc
-            assert h2.theta.amplitude == h.theta.amplitude
+            assert chain.step_hyper(zero, priors, rng)
+            assert chain.theta.amplitude == h.theta.amplitude
 
     def test_out_of_support_proposal_rejected(self, monkeypatch):
         rng = np.random.default_rng(14)
@@ -277,9 +313,9 @@ class TestHyperMove:
         bad_box = UniformBox([x + 1e-6], [x + 2.0])
         monkeypatch.setattr("gpds.history.propose_hypers",
                             lambda *a, **k: (h.theta, bad_box))
-        h2, acc = step_hyper_history(h, HyperWalkScales(), HyperPrior(), rng)
-        assert not acc
-        assert h2.psi is h.psi or isinstance(h2.psi, UniformBox)
+        chain = HistoryChain(h)
+        assert not chain.step_hyper(HyperWalkScales(), HyperPrior(), rng)
+        assert chain.psi is h.psi
 
     def test_empty_rejection_product(self):
         rng = np.random.default_rng(15)
@@ -287,20 +323,19 @@ class TestHyperMove:
         h = LatentHistory(data=trace.accepted, g_data=trace.accepted_values,
                           rejections=np.empty((0, 1)), g_rejections=[],
                           theta=THETA, psi=BOX)
-        h2, acc = step_hyper_history(h, HyperWalkScales(), HyperPrior(), rng)
+        acc = HistoryChain(h).step_hyper(HyperWalkScales(), HyperPrior(), rng)
         assert isinstance(acc, bool) or acc in (True, False)
 
     def test_gaussian_base_moves(self):
         rng = np.random.default_rng(16)
         psi = GaussianBase([0.0], [1.0])
         theta = GpHyper(amplitude=1.0, lengthscales=[0.5])
-        h = make_history(rng, n=4, theta=theta, psi=psi)
+        chain = HistoryChain(make_history(rng, n=4, theta=theta, psi=psi))
         priors = HyperPrior(base_mean=(np.zeros(1), np.ones(1)),
                             log_base_sigma=(np.zeros(1), np.ones(1)))
         changed = False
         for _ in range(30):
-            h, acc = step_hyper_history(h, HyperWalkScales(), priors, rng)
-            changed = changed or acc
+            changed = chain.step_hyper(HyperWalkScales(), priors, rng) or changed
         assert changed
 
 
@@ -310,7 +345,9 @@ class TestSweep:
         h = make_history(rng)
         cfg = SweepConfig(enable_number=False, enable_locations=False,
                           enable_hmc=False, enable_hyper=False)
-        h2 = sweep(h, cfg, rng)
+        chain = HistoryChain(h)
+        sweep(chain, cfg, rng)
+        h2 = chain.snapshot()
         assert np.array_equal(h2.g_data, h.g_data)
         assert np.array_equal(h2.rejections, h.rejections)
 
@@ -319,11 +356,11 @@ class TestSweep:
         out = []
         for _ in range(2):
             rng = np.random.default_rng(99)
-            h = h0
+            chain = HistoryChain(h0)
             cfg = SweepConfig()
             for _ in range(20):
-                h = sweep(h, cfg, rng)
-            out.append(h)
+                sweep(chain, cfg, rng)
+            out.append(chain.snapshot())
         assert np.array_equal(out[0].g_data, out[1].g_data)
         assert np.array_equal(out[0].rejections, out[1].rejections)
 
@@ -335,14 +372,14 @@ class TestSweep:
         theta = GpHyper(amplitude=0.0, lengthscales=[1.0], mean=0.0)
         rng = np.random.default_rng(19)
         data = rng.uniform(0, 1, (5, 1))
-        h = init_history(data, theta, BOX, rng)
+        chain = HistoryChain(init_history(data, theta, BOX, rng))
         cfg = SweepConfig(enable_hyper=False)
         n_sweeps, burn = 6000, 500
         ms = np.empty(n_sweeps - burn)
         for i in range(n_sweeps):
-            h = sweep(h, cfg, rng)
+            sweep(chain, cfg, rng)
             if i >= burn:
-                ms[i - burn] = h.n_rejections
+                ms[i - burn] = chain.n_rejections
         p = 0.5
         m_grid = np.arange(201)
         log_pmf = (np.array([math.lgamma(m + 5) - math.lgamma(m + 1) for m in m_grid])

@@ -89,3 +89,132 @@ def test_history_fit(tmp_path):
         1.1190795561059272, 1.1605137876558496], rel=1e-8)
     assert digest(out / "rejections.csv") == "f6a910671f1800df"
     assert digest(out / "predictive_samples.csv") == "4cf482772eabef88"
+
+
+EXCHANGE_EXPECTED = {
+    # uniform box: chain00 also takes a fantasy budget failure
+    "uniform-box": {
+        "chain00": {
+            "m": [112, 207, 252, 345, 449, 489, 509, 549],
+            "acc": {"func_acc": 5, "func_att": 8, "hyper_acc": 1, "hyper_att": 8},
+            "log_density": [-27.666888840027173, -30.85386885495054,
+                            -57.51057865788024, -62.22615760215784]
+                           + [-59.630345037794264] * 4,
+            "amplitude": [1.241860204583605] * 8,
+            "ls1": [1.1507334894217853] * 8,
+            "predictive": "51f250f0e20cc588",
+            "budget_failures": 1,
+        },
+        "chain01": {
+            "m": [77, 73, 48, 54, 94, 58, 77, 43],
+            "acc": {"func_acc": 6, "func_att": 8, "hyper_acc": 6, "hyper_att": 8},
+            "log_density": [-16.62045875961191, -17.053884989505757,
+                            -5.088849685024465, -9.762801463761067,
+                            -9.762801463761067, -14.971054505009889,
+                            -18.96684276660775, -1.6524234325874798],
+            "amplitude": [0.8009297117664325, 0.9192329363341682,
+                          1.0649708136860598, 1.1460779886137704,
+                          1.1460779886137704, 1.3344871844943205,
+                          1.3344871844943205, 1.3149311676694095],
+            "ls1": [1.0902044956958288, 1.3536939986842542, 1.3490453807972835,
+                    1.161974523296263, 1.161974523296263, 1.0419708751647592,
+                    1.0419708751647592, 1.0807985171200327],
+            "predictive": "a8d66d5ab8262b66",
+            "budget_failures": 0,
+        },
+    },
+    # gaussian base: hyper moves also move psi, so the base-density ratios
+    # at the data and the fantasies enter the swap ratio
+    "gaussian": {
+        "chain00": {
+            "m": [80, 53, 74, 63, 45, 63, 63, 103],
+            "acc": {"func_acc": 6, "func_att": 8, "hyper_acc": 3, "hyper_att": 8},
+            "log_density": [-9.88980578736928, -11.064440637446824,
+                            -7.811879911656279, -16.5691274926127,
+                            -6.280072300153165, -2.8826756427673037,
+                            -1.9772714416696042, -1.9772714416696042],
+            "amplitude": [0.9611854743815391, 0.9669807956844205,
+                          0.9669807956844205, 1.0300839547989764]
+                         + [1.054762831217471] * 4,
+            "ls1": [0.875182002554331, 0.7849372189906905, 0.7849372189906905,
+                    0.834021600142453] + [0.7151139255823301] * 4,
+            "base_mean1": [0.43358871117590225, 0.39764276940154936,
+                           0.39764276940154936, 0.315080710813826]
+                          + [0.32832747625256187] * 4,
+            "base_sigma1": [0.28339991269839226, 0.28076510616293876,
+                            0.28076510616293876, 0.2339428177652099]
+                           + [0.25041812526839136] * 4,
+            "predictive": "42ae4fbfb24c4ec4",
+            "budget_failures": 0,
+        },
+        "chain01": {
+            "m": [148, 97, 77, 46, 64, 65, 105, 46],
+            "acc": {"func_acc": 6, "func_att": 8, "hyper_acc": 3, "hyper_att": 8},
+            "log_density": [-32.76623129278432, -28.234771812555046,
+                            -18.119267187173776, -4.402557985077138,
+                            -2.8510464945957095, -3.325275243382083,
+                            -3.325275243382083, -5.605398584858009],
+            "amplitude": [0.7883550709032171, 0.7883550709032171,
+                          0.7228257483423888] + [0.9045756962488973] * 4
+                         + [0.7913100564602931],
+            "ls1": [1.0167506620335218, 1.0167506620335218, 0.9642195736648094]
+                   + [0.9455728658078938] * 4 + [0.8710890461074988],
+            "base_mean1": [0.2714337292259875, 0.2714337292259875,
+                           0.23906864268959438] + [0.2218739937674175] * 4
+                          + [0.26838889961449097],
+            "base_sigma1": [0.3396473346946813, 0.3396473346946813,
+                            0.38834551989957794] + [0.35766571917798196] * 4
+                           + [0.3449331972495299],
+            "predictive": "eff950f938c30660",
+            "budget_failures": 0,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("base", sorted(EXCHANGE_EXPECTED))
+def test_exchange_fit_two_chains(tmp_path, base):
+    # values recorded before the exchange move was folded into one proposal
+    # and one swap routine
+    run(["gen-synthetic", "--name", "f1", "--n", "20", "--seed", "6",
+         "--out", str(tmp_path / "data")])
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text(f"sampler = exchange\nbase = {base}\ncrankshaft_eps = 0.5\n"
+                   "max_proposals = 500\ntotal_iters = 12\nburn_in = 4\n"
+                   "thinning = 1\ninfer_hypers = true\nrecord_predictive = true\n")
+    out = tmp_path / "fit"
+    run(["fit", "--config", str(cfg), "--data", str(tmp_path / "data" / "f1.csv"),
+         "--chains", "2", "--seed", "6", "--out", str(out)])
+    summary = json.loads((out / "meta.json").read_text())["summary"]
+    for chain, want in EXCHANGE_EXPECTED[base].items():
+        names, trace = read_csv(out / chain / "trace.csv")
+        col = {n: trace[:, i] for i, n in enumerate(names)}
+        assert col["m"].astype(int).tolist() == want["m"]
+        assert {k: int(col[k].sum()) for k in names
+                if k.endswith(("_acc", "_att"))} == want["acc"]
+        floats = [n for n in names if n in want]
+        assert {"log_density", "amplitude", "ls1"} <= set(floats)
+        for name in floats:
+            assert col[name].tolist() == pytest.approx(want[name], rel=1e-8)
+        assert digest(out / chain / "predictive_samples.csv") == want["predictive"]
+        assert summary[chain]["acceptance"]["budget_failures"] == want["budget_failures"]
+
+
+@pytest.mark.parametrize("sampler, statistics", [
+    ("latent-history", {"data_mean": (0.25, 0.16497269950224194),
+                        "mean_g_data": (0.15, 0.7659314523482239),
+                        "n_rejections": (0.225, 0.2656871402817289)}),
+    ("exchange", {"data_mean": (0.175, 0.5786001416508443),
+                  "mean_g_data": (0.15, 0.7659314523482239),
+                  "mean_phi_data": (0.15, 0.7659314523482239)}),
+])
+def test_geweke(tmp_path, sampler, statistics):
+    # the KS statistic of 40 vs 40 samples moves in steps of 1/40, so any
+    # change to the forward draws or the chain shows up exactly
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(f"sampler = {sampler}\ngeweke_samples = 40\ngeweke_thin = 2\n")
+    run(["geweke", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "g")])
+    report = json.loads((tmp_path / "g" / "geweke_report.json").read_text())
+    assert report["passed"] is True
+    assert {k: (v["ks"], pytest.approx(v["p"], rel=1e-8))
+            for k, v in report["statistics"].items()} == statistics
