@@ -248,6 +248,20 @@ class TestPredictiveSamplesExchange:
         assert kstest(out[:, 0], "uniform").pvalue > 0.01
 
 
+class TestFantasyBatch:
+    def test_fantasy_count_matches_data(self):
+        rng = np.random.default_rng(16)
+        state = make_state(rng, n=5)
+        from gpds.exchange import _propose
+
+        hat_values, trace = _propose(state, state.theta, state.psi, 1.0,
+                                     100_000, rng)
+        assert hat_values.shape == (5,)
+        assert trace.accepted.shape == (5, 1)
+        assert trace.accepted_values.shape == (5,)
+        assert len(trace.cond) == 5 + trace.proposal_count
+
+
 class TestBookkeepingAudit:
     def test_draw_ledger_monotone_per_function(self, monkeypatch):
         # every retrospective draw for a live function must condition on at
