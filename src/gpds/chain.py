@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import ConditionalSampler, GpHyper
+from .gp import GpHyper
 from .generate import DEFAULT_MAX_PROPOSALS, ProposalBudgetError, continue_sampler
 from .exchange import (
     exchange_step_control,
@@ -89,7 +89,7 @@ class ChainResult:
     """Thinned records of one chain run."""
 
     iterations: np.ndarray
-    m_counts: np.ndarray                    # latent rejections (history) or cond size (exchange)
+    m_counts: np.ndarray                    # latent rejections (history) or sampler size (exchange)
     accept: dict[str, np.ndarray]
     amplitude: np.ndarray
     lengthscales: np.ndarray
@@ -127,12 +127,12 @@ def _history_log_density(chain: HistoryChain) -> float:
     return out
 
 
-def _predictive_probe(sampler, theta, psi, opts, rng, counters):
-    """Draw one predictive sample from a copy of the state and, when a query
-    grid is registered, jointly evaluate the function there."""
-    probe = sampler.copy()
+def _predictive_probe(sampler, psi, opts, rng, counters):
+    """Draw one predictive sample by growing a copy of the state's sampler
+    and, when a query grid is registered, jointly evaluate the function
+    there from the grown copy."""
     try:
-        trace = continue_sampler(probe.conditioning_set(), 1, theta, psi, rng,
+        trace = continue_sampler(sampler.copy(), 1, psi, rng,
                                  max_proposals=opts.max_proposals)
     except ProposalBudgetError:
         counters["budget_failures"] += 1
@@ -141,11 +141,10 @@ def _predictive_probe(sampler, theta, psi, opts, rng, counters):
     g_pred = float(trace.accepted_values[0])
     draw = None
     if opts.numerator_query is not None:
-        probe2 = ConditionalSampler(theta, trace.cond.points, trace.cond.values,
-                                    mean_fn=probe.mean_fn)
-        g_query = probe2.draw_batch(opts.numerator_query, rng)
-        draw = PosteriorDraw(theta=theta, psi=psi, x_pred=x_pred, g_pred=g_pred,
-                             query=opts.numerator_query, g_query=g_query)
+        g_query = trace.sampler.draw_batch(opts.numerator_query, rng)
+        draw = PosteriorDraw(theta=sampler.hyper, psi=psi, x_pred=x_pred,
+                             g_pred=g_pred, query=opts.numerator_query,
+                             g_query=g_query)
     return x_pred, draw
 
 
@@ -205,8 +204,8 @@ def run_history_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
             rej_snapshots.append(chain.sampler.points[rows].copy()
                                  if rows.size else np.empty((0, dim)))
         if opts.record_predictive or opts.numerator_query is not None:
-            x_pred, draw = _predictive_probe(chain.sampler, chain.theta,
-                                             chain.psi, opts, rng, counters)
+            x_pred, draw = _predictive_probe(chain.sampler, chain.psi, opts,
+                                             rng, counters)
             rec["predictive"] = x_pred
             if draw is not None:
                 numerator_draws.append(draw)
@@ -255,7 +254,7 @@ def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
                  ("func_acc", "func_att", "hyper_acc", "hyper_att")}
         rec = {
             "iteration": it,
-            "m": len(state.cond),
+            "m": len(state.sampler),
             "log_density": float(np.sum(log_phi(state.g_data))),
             "amplitude": state.theta.amplitude,
             "lengthscales": state.theta.lengthscales.copy(),
@@ -265,19 +264,15 @@ def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
             rec["psi_mean"] = state.psi.mean.copy()
             rec["psi_sigma"] = state.psi.sigma.copy()
         if opts.record_predictive or opts.numerator_query is not None:
-            sampler = ConditionalSampler(state.theta, state.cond.points,
-                                         state.cond.values)
-            x_pred, draw = _predictive_probe(sampler, state.theta, state.psi,
-                                             opts, rng, state.diagnostics)
+            x_pred, draw = _predictive_probe(state.sampler, state.psi, opts,
+                                             rng, state.diagnostics)
             rec["predictive"] = x_pred
             if draw is not None:
                 numerator_draws.append(draw)
         if opts.denominator_point is not None:
-            sampler = ConditionalSampler(state.theta, state.cond.points,
-                                         state.cond.values)
             g_aug = float(state.g_data[opts.denominator_point])
             x_prime = base_sample(state.psi, rng)
-            g_prime = sampler.draw(x_prime, rng)
+            g_prime = state.sampler.draw(x_prime, rng)
             denom_terms.append(min(1.0, phi(g_prime) / phi(g_aug)))
         records.append(rec)
 

@@ -257,6 +257,8 @@ def _run_one_chain(args) -> tuple[int, object]:
 
 
 def cmd_fit(cfg: RunConfig, data_path: Path, out: Path, chains: int = 1) -> None:
+    if chains < 1:
+        raise ValueError(f"--chains must be >= 1, got {chains}")
     data = read_data_csv(data_path)
     dim = data.shape[1]
     out.mkdir(parents=True, exist_ok=True)

@@ -85,6 +85,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not math.isfinite(self.mean_const):
             raise ValueError(f"mean_const must be finite, got {self.mean_const}")
+        if not 0.0 < self.crankshaft_eps <= 1.0:
+            raise ValueError(f"crankshaft_eps must be in (0, 1], got {self.crankshaft_eps}")
 
     def hash(self) -> str:
         canon = json.dumps(asdict(self), sort_keys=True)

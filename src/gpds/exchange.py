@@ -10,10 +10,11 @@ a product of squashed function values at the data and the fantasies.
 Every move is one proposal (:func:`_propose`: the proposed function's
 values at the controls, then its fantasies, grown on one sampler) and one
 swap (:func:`_swap`).  Bookkeeping rule: anything learned about a function
-must be kept while that function is part of the Markov state.  A rejected
-swap therefore appends the current function's fantasy evaluations to its
-conditioning set; an accepted swap discards the old function entirely but
-keeps the proposal's accumulated conditioning set.
+must be kept while that function is part of the Markov state, and the
+state's :class:`ConditionalSampler` is where it is kept.  A rejected swap
+therefore appends the current function's values at the fantasies to that
+sampler; an accepted swap discards the old function entirely and adopts
+the proposal's grown sampler.  Neither refactorises anything.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import ConditionalSampler, ConditioningSet, GpHyper, chol, kernel_matrix, prior_mean
+from .gp import ConditionalSampler, GpHyper, chol, kernel_matrix, prior_mean
 from .generate import (
     DEFAULT_MAX_PROPOSALS,
     GenerativeTrace,
@@ -57,13 +58,14 @@ class ExchangeState:
 
     ``controls`` are the anchor locations for perturbative proposals; the
     first N of them are always the data locations, and their current
-    function values are ``control_values``.  ``cond`` is a superset of the
-    controls: it additionally holds whatever has been learned about the
-    current function at fantasy locations since the last accepted swap.
+    function values are ``control_values``.  ``sampler`` is the current
+    function: it is conditioned on the controls and on whatever has been
+    learned about the function at fantasy locations since the last
+    accepted swap.  The moves update the state in place.
     """
 
     data: np.ndarray            # (N, D), fixed
-    cond: ConditioningSet
+    sampler: ConditionalSampler
     controls: np.ndarray        # (B, D), controls[:N] == data
     control_values: np.ndarray  # (B,)
     theta: GpHyper
@@ -92,7 +94,7 @@ def init_exchange_state(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
     values = np.array([sampler.draw_append(x, rng) for x in controls])
     return ExchangeState(
         data=data,
-        cond=ConditioningSet(controls.copy(), values.copy()),
+        sampler=sampler,
         controls=controls.copy(),
         control_values=values,
         theta=theta,
@@ -141,7 +143,7 @@ def _propose(state: ExchangeState, theta: GpHyper, psi: BaseHyper, eps: float,
             hat_values = _crankshaft(state.control_values, mean_c, factor.lower,
                                      eps, rng)
     proposal = ConditionalSampler(theta, state.controls, hat_values, factor=factor)
-    trace = continue_sampler(proposal, state.n_data, theta, psi, rng,
+    trace = continue_sampler(proposal, state.n_data, psi, rng,
                              max_proposals=max_proposals)
     return hat_values, trace
 
@@ -153,30 +155,29 @@ def _swap(state: ExchangeState, theta: GpHyper, psi: BaseHyper,
     """Evaluate the current function at the fantasies and accept the swap
     with probability exp(log_prior_ratio + swap ratio + sum(base_terms)).
 
-    On accept the proposal (``theta``, ``psi``, ``hat_values`` and all it
-    learned in ``trace``) becomes the state; on reject the current function
-    keeps its values at the fantasies.
+    The state is updated in place and returned with the verdict.  On accept
+    the proposal (``theta``, ``psi``, ``hat_values`` and the sampler grown
+    in ``trace``) becomes the state; on reject the current function keeps
+    its values at the fantasies, appended to its sampler.
     """
     n = state.n_data
-    current = ConditionalSampler(state.theta, state.cond.points, state.cond.values)
-    g_fant = current.draw_batch(trace.accepted, rng)
+    g_fant = state.sampler.draw_batch(trace.accepted, rng)
     log_a = log_prior_ratio + _swap_log_ratio(
         log_phi(hat_values[:n]), log_phi(state.g_data),
         log_phi(g_fant), log_phi(trace.accepted_values))
     for term in base_terms:
         log_a += term
-    if math.log(rng.uniform()) < log_a:
+    accepted = math.log(rng.uniform()) < log_a
+    if accepted:
         state.diagnostics[f"{move}_acc"] += 1
-        return ExchangeState(
-            data=state.data, cond=trace.cond,
-            controls=state.controls, control_values=hat_values,
-            theta=theta, psi=psi, diagnostics=state.diagnostics,
-        ), True
-    return ExchangeState(
-        data=state.data, cond=state.cond.extended(trace.accepted, g_fant),
-        controls=state.controls, control_values=state.control_values,
-        theta=state.theta, psi=state.psi, diagnostics=state.diagnostics,
-    ), False
+        state.sampler = trace.sampler
+        state.control_values = hat_values
+        state.theta = theta
+        state.psi = psi
+    else:
+        for x, g in zip(trace.accepted, g_fant):
+            state.sampler.append(x, g)
+    return state, accepted
 
 
 def _step_function(state: ExchangeState, eps: float, max_proposals: int,
@@ -257,6 +258,6 @@ def predictive_sample_exchange(state: ExchangeState, n_samples: int,
     """
     if n_samples == 0:
         return np.empty((0, state.data.shape[1]))
-    trace = continue_sampler(state.cond, n_samples, state.theta, state.psi,
-                             rng, max_proposals=max_proposals)
+    trace = continue_sampler(state.sampler.copy(), n_samples, state.psi, rng,
+                             max_proposals=max_proposals)
     return trace.accepted

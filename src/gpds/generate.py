@@ -3,9 +3,10 @@
 Proposals are drawn one at a time from the base density, the latent
 function is sampled retrospectively at each proposal (conditioned on every
 value sampled so far), and the proposal is accepted when a uniform variate
-falls below the squashed function value.  Every proposal enters the
-conditioning set whether accepted or not; that bookkeeping is what makes
-the accepted points exact draws from a single consistent function.
+falls below the squashed function value.  Every proposal is appended to
+the realisation's :class:`ConditionalSampler` whether accepted or not; that
+bookkeeping is what makes the accepted points exact draws from a single
+consistent function.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import ConditionalSampler, ConditioningSet, GpHyper, MeanLike
+from .gp import ConditionalSampler, GpHyper
 from .model import BaseHyper, base_sample, phi
 
 DEFAULT_MAX_PROPOSALS = 1_000_000
@@ -23,22 +24,20 @@ DEFAULT_MAX_PROPOSALS = 1_000_000
 class GenerativeTrace:
     """Full record of one run of the rejection sampler.
 
-    ``cond`` holds every proposal with its sampled function value;
+    ``sampler`` is the realisation the run grew: it holds every proposal
+    with its sampled function value, after whatever it knew before the run.
     ``accept_flags`` aligns with the proposals made during this run (the
-    tail of ``cond`` when the run started from prior knowledge).  When
-    ``uniforms`` is retained (debug mode), ``accept_flags[i]`` is
-    reconstructible as ``uniforms[i] < phi(g_i)``.  ``sampler`` is the
-    sampler the run grew: it is conditioned on exactly ``cond``, so callers
-    evaluate the realised function from it instead of refactorising.
+    last ``proposal_count`` rows of ``sampler``).  When ``uniforms`` is
+    retained (debug mode), ``accept_flags[i]`` is reconstructible as
+    ``uniforms[i] < phi(g_i)``.
     """
 
     accepted: np.ndarray          # (n, D)
     accepted_values: np.ndarray   # (n,), function values at accepted points
-    cond: ConditioningSet
+    sampler: ConditionalSampler
     accept_flags: np.ndarray      # (proposal_count,) bool
     proposal_count: int
     uniforms: np.ndarray | None = None
-    sampler: ConditionalSampler | None = None
 
 
 class ProposalBudgetError(RuntimeError):
@@ -54,18 +53,14 @@ class ProposalBudgetError(RuntimeError):
         return type(self), (self.args[0], self.trace)
 
 
-def continue_sampler(state: ConditioningSet | ConditionalSampler, n_more: int,
-                     theta: GpHyper, psi: BaseHyper,
-                     rng: np.random.Generator,
+def continue_sampler(sampler: ConditionalSampler, n_more: int,
+                     psi: BaseHyper, rng: np.random.Generator,
                      max_proposals: int = DEFAULT_MAX_PROPOSALS,
-                     mean_fn: MeanLike | None = None,
                      keep_uniforms: bool = False) -> GenerativeTrace:
     """Run the rejection sampler forward from existing function knowledge.
 
-    ``state`` is either a :class:`ConditioningSet`, from which a sampler
-    under ``theta`` and ``mean_fn`` is built, or a
-    :class:`ConditionalSampler`, which is grown in place under its own
-    hyperparameters and mean (``theta`` and ``mean_fn`` are then unused).
+    ``sampler`` is grown in place, under its own hyperparameters; pass a
+    :meth:`~ConditionalSampler.copy` to leave a realisation untouched.
     Returns once ``n_more`` proposals have been accepted; raises
     :class:`ProposalBudgetError` if ``max_proposals`` is hit first.
     """
@@ -73,11 +68,6 @@ def continue_sampler(state: ConditioningSet | ConditionalSampler, n_more: int,
         raise ValueError("n_more must be >= 0")
     if max_proposals < n_more:
         raise ValueError("max_proposals must be at least the number of samples")
-    if isinstance(state, ConditionalSampler):
-        sampler = state
-    else:
-        sampler = ConditionalSampler(theta, state.points, state.values,
-                                     mean_fn=mean_fn)
     dim = sampler.hyper.dim
     accepted: list[np.ndarray] = []
     accepted_values: list[float] = []
@@ -88,11 +78,10 @@ def continue_sampler(state: ConditioningSet | ConditionalSampler, n_more: int,
         return GenerativeTrace(
             accepted=np.array(accepted).reshape(len(accepted), dim),
             accepted_values=np.asarray(accepted_values, dtype=float),
-            cond=sampler.conditioning_set(),
+            sampler=sampler,
             accept_flags=np.asarray(flags, dtype=bool),
             proposal_count=len(flags),
             uniforms=None if uniforms is None else np.asarray(uniforms),
-            sampler=sampler,
         )
 
     while len(accepted) < n_more:
@@ -117,11 +106,10 @@ def continue_sampler(state: ConditioningSet | ConditionalSampler, n_more: int,
 def draw_prior_dataset(n: int, theta: GpHyper, psi: BaseHyper,
                        rng: np.random.Generator,
                        max_proposals: int = DEFAULT_MAX_PROPOSALS,
-                       mean_fn: MeanLike | None = None,
                        keep_uniforms: bool = False) -> GenerativeTrace:
     """Generate ``n`` exact samples from a density drawn from the prior."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return continue_sampler(ConditioningSet.empty(theta.dim), n, theta, psi,
-                            rng, max_proposals=max_proposals, mean_fn=mean_fn,
+    return continue_sampler(ConditionalSampler(theta), n, psi, rng,
+                            max_proposals=max_proposals,
                             keep_uniforms=keep_uniforms)

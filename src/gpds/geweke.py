@@ -23,7 +23,7 @@ from .exchange import (
     exchange_step_prior,
 )
 from .generate import DEFAULT_MAX_PROPOSALS, continue_sampler, draw_prior_dataset
-from .gp import ConditioningSet, GpHyper
+from .gp import GpHyper
 from .history import HistoryChain, LatentHistory, SweepConfig, sweep
 from .model import BaseHyper, phi
 
@@ -61,27 +61,19 @@ def _make_report(forward: dict, successive: dict, threshold: float) -> GewekeRep
                         forward=forward, successive=successive)
 
 
-def _history_from_trace(trace, theta, psi) -> LatentHistory:
+def _history_from_trace(trace, psi) -> LatentHistory:
     """The block this run of the sampler produced: its acceptances are the
     data, its rejections the latent history."""
-    run = slice(len(trace.cond) - trace.proposal_count, None)
+    run = slice(len(trace.sampler) - trace.proposal_count, None)
     rej = ~trace.accept_flags
     return LatentHistory(
         data=trace.accepted,
         g_data=trace.accepted_values,
-        rejections=trace.cond.points[run][rej],
-        g_rejections=trace.cond.values[run][rej],
-        theta=theta,
+        rejections=trace.sampler.points[run][rej],
+        g_rejections=trace.sampler.values[run][rej],
+        theta=trace.sampler.hyper,
         psi=psi,
     )
-
-
-def history_data_refresh(h: LatentHistory, rng: np.random.Generator,
-                         max_proposals: int = DEFAULT_MAX_PROPOSALS) -> LatentHistory:
-    """Replace (data, rejections) with a freshly continued block."""
-    trace = continue_sampler(h.conditioning_set(), h.n_data, h.theta, h.psi, rng,
-                             max_proposals=max_proposals)
-    return _history_from_trace(trace, h.theta, h.psi)
 
 
 def _history_stats(h: LatentHistory) -> dict[str, float]:
@@ -109,40 +101,44 @@ def run_geweke_history(theta: GpHyper, psi: BaseHyper, n_data: int = 3,
     for i in range(n_samples):
         trace = draw_prior_dataset(n_data, theta, psi, rng,
                                    max_proposals=max_proposals)
-        h = _history_from_trace(trace, theta, psi)
+        h = _history_from_trace(trace, psi)
         for k, v in _history_stats(h).items():
             forward[k][i] = v
     successive = {k: np.empty(n_samples) for k in names}
     trace = draw_prior_dataset(n_data, theta, psi, rng, max_proposals=max_proposals)
-    h = _history_from_trace(trace, theta, psi)
+    h = _history_from_trace(trace, psi)
     for i in range(n_samples):
         for _ in range(thin):
             chain = HistoryChain(h)
             sweep(chain, cfg, rng)
-            h = history_data_refresh(chain.snapshot(), rng, max_proposals)
+            # replace (data, rejections) with a block continued from the
+            # chain's own sampler
+            trace = continue_sampler(chain.sampler, chain.n_data, chain.psi, rng,
+                                     max_proposals=max_proposals)
+            h = _history_from_trace(trace, chain.psi)
         for k, v in _history_stats(h).items():
             successive[k][i] = v
     return _make_report(forward, successive, threshold)
 
 
-def _exchange_from_trace(trace, theta, psi) -> ExchangeState:
+def _exchange_from_trace(trace, psi) -> ExchangeState:
     return ExchangeState(
         data=trace.accepted,
-        cond=ConditioningSet(trace.cond.points.copy(), trace.cond.values.copy()),
+        sampler=trace.sampler,
         controls=trace.accepted.copy(),
         control_values=trace.accepted_values.copy(),
-        theta=theta, psi=psi,
+        theta=trace.sampler.hyper, psi=psi,
     )
 
 
 def exchange_data_refresh(state: ExchangeState, rng: np.random.Generator,
                           max_proposals: int = DEFAULT_MAX_PROPOSALS) -> ExchangeState:
-    """Continue the sampler for N more acceptances; the fresh block becomes
-    the data (and the controls), all function knowledge is kept."""
-    trace = continue_sampler(state.cond, state.n_data, state.theta, state.psi,
-                             rng, max_proposals=max_proposals)
+    """Continue the state's sampler for N more acceptances; the fresh block
+    becomes the data (and the controls), all function knowledge is kept."""
+    trace = continue_sampler(state.sampler, state.n_data, state.psi, rng,
+                             max_proposals=max_proposals)
     return ExchangeState(
-        data=trace.accepted, cond=trace.cond,
+        data=trace.accepted, sampler=trace.sampler,
         controls=trace.accepted.copy(), control_values=trace.accepted_values.copy(),
         theta=state.theta, psi=state.psi, diagnostics=state.diagnostics,
     )
@@ -174,12 +170,12 @@ def run_geweke_exchange(theta: GpHyper, psi: BaseHyper, n_data: int = 3,
     for i in range(n_samples):
         trace = draw_prior_dataset(n_data, theta, psi, rng,
                                    max_proposals=max_proposals)
-        state = _exchange_from_trace(trace, theta, psi)
+        state = _exchange_from_trace(trace, psi)
         for k, v in _exchange_stats(state).items():
             forward[k][i] = v
     successive = {k: np.empty(n_samples) for k in names}
     trace = draw_prior_dataset(n_data, theta, psi, rng, max_proposals=max_proposals)
-    state = _exchange_from_trace(trace, theta, psi)
+    state = _exchange_from_trace(trace, psi)
     flip = False
     for i in range(n_samples):
         for _ in range(thin):

@@ -10,6 +10,15 @@ rejection-sampling loops and MCMC moves do not refactorise the Gram matrix
 from scratch at every step.  It also holds the whitened coordinates used
 by the gradient-based function moves.
 
+Jitter policy: a realisation's jitter is fixed when its factor is first
+built (``chol`` of the Gram matrix at the starting points, or
+``BASE_JITTER * amplitude^2`` for an empty sampler), and growing the
+factor never changes it.  A sampler is the realisation: callers keep and
+grow it (or a :meth:`ConditionalSampler.copy`) instead of refactorising
+its points.  Only the batch draws (:meth:`ConditionalSampler.draw_batch`)
+factorise on their own, with their own jitter ladder, because their
+conditional covariance is a new matrix.
+
 Two free functions factorise from scratch, :func:`conditional` and
 :func:`log_prior_density`; nothing in the package calls them, they are the
 reference the engine is tested against.
@@ -97,7 +106,8 @@ class GpHyper:
 
 @dataclass
 class ConditioningSet:
-    """Paired locations and function values known for one GP realisation."""
+    """Paired locations and function values known for one GP realisation;
+    the input of the from-scratch :func:`conditional` oracle."""
 
     points: np.ndarray  # (R, D)
     values: np.ndarray  # (R,)
@@ -121,16 +131,6 @@ class ConditioningSet:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def extended(self, points, values) -> "ConditioningSet":
-        """Return a copy with extra (points, values) pairs appended."""
-        pts = _as_points(points)
-        vals = np.atleast_1d(np.asarray(values, dtype=float))
-        if len(self) == 0:
-            return ConditioningSet(pts.copy(), vals.copy())
-        return ConditioningSet(
-            np.vstack([self.points, pts]), np.concatenate([self.values, vals])
-        )
 
 
 def _se_matrix(X: np.ndarray, Y: np.ndarray, amplitude: float, lengthscales: np.ndarray) -> np.ndarray:
@@ -327,20 +327,22 @@ class ConditionalSampler:
     multi-column paths (:meth:`mean_cov`, :meth:`draw_batch`) and tests.
 
     With ``amplitude == 0`` the sampler is degenerate: draws equal the mean
-    function and no factor is kept (appends are O(1)).
+    function and no factor is kept (appends are O(1)).  The mean is always
+    ``hyper.mean``.
+
+    The jitter is fixed here, when the factor is first built: the jitter
+    ``chol`` settles on for the starting points, or ``BASE_JITTER *
+    amplitude^2`` when there are none.  :meth:`append`, :meth:`draw_append`
+    and :meth:`delete` keep it, so one realisation has one jitter however
+    it grew.
 
     ``factor``, when given, must be ``chol(kernel_matrix(points, points,
-    hyper), base_jitter)``; it is adopted as is instead of being computed
-    again.
+    hyper))``; it is adopted as is instead of being computed again.
     """
 
     def __init__(self, hyper: GpHyper, points=None, values=None,
-                 mean_fn: MeanLike | None = None,
-                 base_jitter: float = BASE_JITTER,
                  factor: CholeskyFactor | None = None):
         self.hyper = hyper
-        self.mean_fn = hyper.mean if mean_fn is None else mean_fn
-        self.base_jitter = base_jitter
         self.degenerate = hyper.amplitude == 0.0
         dim = hyper.dim
         pts = _as_points(points) if points is not None and np.size(points) else np.empty((0, dim))
@@ -356,7 +358,7 @@ class ConditionalSampler:
         self._pts[:n] = pts
         self._vals[:n] = vals
         if n:
-            self._m[:n] = prior_mean(pts, hyper, self.mean_fn)
+            self._m[:n] = prior_mean(pts, hyper)
         if self.degenerate:
             self._ap = None
             self._w = None
@@ -366,12 +368,12 @@ class ConditionalSampler:
         self._w = np.empty(cap)
         if n:
             if factor is None:
-                factor = chol(kernel_matrix(pts, pts, hyper), base_jitter)
+                factor = chol(kernel_matrix(pts, pts, hyper))
             self._ap[: _tri(n)] = factor.lower[np.tri(n, dtype=bool)]
             self.jitter = factor.jitter
             self._w[:n] = factor.solve_lower(vals - self._m[:n])
         else:
-            self.jitter = base_jitter * hyper.amplitude**2
+            self.jitter = BASE_JITTER * hyper.amplitude**2
 
     def __len__(self) -> int:
         return self._n
@@ -430,16 +432,11 @@ class ConditionalSampler:
         diag = self._ap[np.cumsum(np.arange(1, self._n + 1)) - 1]
         return 2.0 * float(np.sum(np.log(diag)))
 
-    def conditioning_set(self) -> ConditioningSet:
-        return ConditioningSet(self.points.copy(), self.values.copy())
-
     def copy(self) -> "ConditionalSampler":
         n = self._n
         cap = self._pts.shape[0]
         out = ConditionalSampler.__new__(ConditionalSampler)
         out.hyper = self.hyper
-        out.mean_fn = self.mean_fn
-        out.base_jitter = self.base_jitter
         out.degenerate = self.degenerate
         out.jitter = self.jitter
         out._n = n
@@ -464,7 +461,7 @@ class ConditionalSampler:
             self._w = _resized(self._w, new_cap, n)
 
     def _point_mean(self, x: np.ndarray) -> float:
-        return float(prior_mean(x.reshape(1, -1), self.hyper, self.mean_fn)[0])
+        return float(prior_mean(x.reshape(1, -1), self.hyper)[0])
 
     def _condition(self, x: np.ndarray) -> tuple[float, float, float, np.ndarray]:
         """Prior mean, conditional mean, conditional variance (jitter
@@ -547,7 +544,7 @@ class ConditionalSampler:
     def mean_cov(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Joint conditional mean and covariance at a batch of points."""
         X = _as_points(X)
-        m_q = prior_mean(X, self.hyper, self.mean_fn)
+        m_q = prior_mean(X, self.hyper)
         if self.degenerate:
             return m_q, np.zeros((X.shape[0], X.shape[0]))
         K_qq = kernel_matrix(X, X, self.hyper)
@@ -564,7 +561,7 @@ class ConditionalSampler:
         if self.degenerate:
             return mean
         cov = 0.5 * (cov + cov.T)
-        factor = chol(cov, self.base_jitter)
+        factor = chol(cov)
         return mean + factor.lower @ rng.standard_normal(X.shape[0])
 
     def delete(self, row: int) -> None:

@@ -19,14 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gp import (
-    ConditionalSampler,
-    ConditioningSet,
-    GpHyper,
-    chol,
-    kernel_matrix,
-    prior_mean,
-)
+from .gp import ConditionalSampler, GpHyper, chol, kernel_matrix, prior_mean
 from .generate import DEFAULT_MAX_PROPOSALS, continue_sampler
 from .model import (
     BaseHyper,
@@ -84,12 +77,6 @@ class LatentHistory:
     @property
     def n_rejections(self) -> int:
         return self.rejections.shape[0]
-
-    def conditioning_set(self) -> ConditioningSet:
-        return ConditioningSet(
-            np.vstack([self.data, self.rejections]),
-            np.concatenate([self.g_data, self.g_rejections]),
-        )
 
 
 def init_history(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
@@ -331,8 +318,8 @@ class HistoryChain:
         w = self.sampler.whitened
         log_gp_cur = -0.5 * (n * math.log(2 * math.pi) + self.sampler.logdet()
                              + float(w @ w))
-        factor_hat = chol(kernel_matrix(pts, pts, theta_hat), self.sampler.base_jitter)
-        m_hat = prior_mean(pts, theta_hat, self.sampler.mean_fn)
+        factor_hat = chol(kernel_matrix(pts, pts, theta_hat))
+        m_hat = prior_mean(pts, theta_hat)
         w_hat = factor_hat.solve_lower(vals - m_hat)
         log_gp_hat = -0.5 * (n * math.log(2 * math.pi) + factor_hat.logdet()
                              + float(w_hat @ w_hat))
@@ -341,10 +328,7 @@ class HistoryChain:
         if math.log(rng.uniform()) < log_a:
             self.theta = theta_hat
             self.psi = psi_hat
-            self.sampler = ConditionalSampler(theta_hat, pts, vals,
-                                              mean_fn=self.sampler.mean_fn,
-                                              base_jitter=self.sampler.base_jitter,
-                                              factor=factor_hat)
+            self.sampler = ConditionalSampler(theta_hat, pts, vals, factor=factor_hat)
             return True
         return False
 
@@ -405,6 +389,6 @@ def predictive_sample_history(h: LatentHistory, n_samples: int,
     """Continue the rejection procedure forward; chain state is untouched."""
     if n_samples == 0:
         return np.empty((0, h.data.shape[1]))
-    trace = continue_sampler(h.conditioning_set(), n_samples, h.theta, h.psi,
-                             rng, max_proposals=max_proposals)
+    trace = continue_sampler(HistoryChain(h).sampler, n_samples, h.psi, rng,
+                             max_proposals=max_proposals)
     return trace.accepted

@@ -110,6 +110,14 @@ class TestFit:
         b = read_csv(out / "chain01" / "trace.csv")[1]
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("chains", ["0", "-1"])
+    def test_chain_count_below_one_is_error(self, tmp_path, capsys, chains):
+        args, out = self.fit_args(tmp_path, "total_iters = 6\nburn_in = 2\n")
+        capsys.readouterr()
+        assert main(args + ["--chains", chains]) == 2
+        assert capsys.readouterr().err == f"error: --chains must be >= 1, got {chains}\n"
+        assert not out.exists()
+
     def test_gaussian_base_fit(self, tmp_path):
         cfg = write_cfg(tmp_path,
                         "base = gaussian\nkernel = isotropic\n"

@@ -60,6 +60,8 @@ class TestConfigParsing:
         ("amplitude_init", "0"), ("amplitude_init", "-1"),
         ("lengthscale_init", "nan"), ("lengthscale_init", "-inf"),
         ("lengthscale_init", "0"), ("mean_const", "nan"), ("mean_const", "-inf"),
+        ("crankshaft_eps", "0"), ("crankshaft_eps", "-0.5"),
+        ("crankshaft_eps", "1.5"), ("crankshaft_eps", "nan"),
     ])
     def test_bad_hyperparameter_is_error(self, tmp_path, key, value):
         p = tmp_path / "run.cfg"
@@ -68,6 +70,9 @@ class TestConfigParsing:
             parse_config(p)
         with pytest.raises(ValueError, match=key):
             RunConfig(**{key: float(value)}).validate()
+
+    def test_crankshaft_eps_of_one_is_a_prior_proposal(self):
+        RunConfig(crankshaft_eps=1.0).validate()
 
     def test_hash_tracks_content(self):
         a, b = RunConfig(), RunConfig()

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import kstest
 
 import gpds.exchange
+from gpds.chain import ChainOptions, run_exchange_chain
 from gpds.exchange import (
     ExchangeState,
     _crankshaft,
@@ -20,12 +22,12 @@ from gpds.exchange import (
 from gpds.gp import (
     BASE_JITTER,
     ConditionalSampler,
-    ConditioningSet,
     GpHyper,
     chol,
     kernel_matrix,
+    prior_mean,
 )
-from gpds.model import HyperPrior, HyperWalkScales, UniformBox, log_phi
+from gpds.model import GaussianBase, HyperPrior, HyperWalkScales, UniformBox, log_phi
 
 BOX = UniformBox.unit(1)
 THETA = GpHyper(amplitude=1.3, lengthscales=[0.3])
@@ -57,14 +59,16 @@ class TestExchangeStepPrior:
     def test_rejection_extends_cond_by_n(self):
         rng = np.random.default_rng(0)
         state = make_state(rng, n=4)
-        n_before = len(state.cond)
         rejected_seen = False
         for _ in range(30):
-            n_before = len(state.cond)
+            sampler = state.sampler
+            n_before = len(sampler)
             state, accepted = exchange_step_prior(state, 100_000, rng)
             if not accepted:
                 rejected_seen = True
-                assert len(state.cond) == n_before + 4
+                # grown in place, not rebuilt
+                assert state.sampler is sampler
+                assert len(state.sampler) == n_before + 4
         assert rejected_seen
 
     def test_acceptance_adopts_proposal_bookkeeping(self, monkeypatch):
@@ -81,14 +85,16 @@ class TestExchangeStepPrior:
         for _ in range(50):
             state, accepted = exchange_step_prior(state, 100_000, rng)
             if accepted:
-                # proposal cond: controls first, then every proposal of the
-                # fantasy loop, N of them accepted; all control values are
-                # fresh
+                # proposal sampler: controls first, then every proposal of
+                # the fantasy loop, N of them accepted; all control values
+                # are fresh
                 trace = traces[-1]
                 assert trace.accepted.shape == (3, 1)
                 assert trace.proposal_count >= 3
-                assert len(state.cond) == len(state.controls) + trace.proposal_count
-                assert np.array_equal(state.cond.points[:3], state.data)
+                assert state.sampler is trace.sampler
+                assert len(state.sampler) == len(state.controls) + trace.proposal_count
+                assert np.array_equal(state.sampler.points[:3], state.data)
+                assert np.array_equal(state.sampler.values[:3], state.g_data)
                 break
         else:
             pytest.fail("no acceptance in 50 prior steps")
@@ -105,10 +111,10 @@ class TestExchangeStepPrior:
         rng = np.random.default_rng(3)
         theta = GpHyper(amplitude=0.3, lengthscales=[0.3], mean=-7.0)
         state = make_state(rng, n=3, theta=theta)
-        cond_before = state.cond.points.copy()
+        points_before = state.sampler.points.copy()
         state2, accepted = exchange_step_prior(state, 40, rng)
         assert not accepted
-        assert np.array_equal(state2.cond.points, cond_before)
+        assert np.array_equal(state2.sampler.points, points_before)
         assert state2.diagnostics["budget_failures"] == 1
 
 
@@ -169,9 +175,10 @@ class TestExchangeStepHyper:
         rng = np.random.default_rng(9)
         state = make_state(rng, n=3)
         zero = HyperWalkScales(0.0, 0.0, 0.0, 0.0, 0.0)
+        amplitude = state.theta.amplitude
         state2, accepted = exchange_step_hyper(state, zero, HyperPrior(), 100_000, rng)
         assert accepted
-        assert state2.theta.amplitude == state.theta.amplitude
+        assert state2.theta.amplitude == amplitude
 
     def test_support_violation_rejected(self, monkeypatch):
         rng = np.random.default_rng(10)
@@ -180,10 +187,11 @@ class TestExchangeStepHyper:
         bad_box = UniformBox([x + 1e-9], [x + 1.0])
         monkeypatch.setattr("gpds.exchange.propose_hypers",
                             lambda *a, **k: (state.theta, bad_box))
+        psi = state.psi
         state2, accepted = exchange_step_hyper(state, HyperWalkScales(),
                                                HyperPrior(), 100_000, rng)
         assert not accepted
-        assert state2.psi is state.psi
+        assert state2.psi is psi
 
     def test_proposal_is_one_function_under_proposed_theta(self, monkeypatch):
         # the proposal's values at the controls and every value its fantasy
@@ -205,8 +213,8 @@ class TestExchangeStepHyper:
         monkeypatch.setattr(gpds.exchange, "continue_sampler", spy)
         exchange_step_hyper(state, HyperWalkScales(), HyperPrior(), 100_000, rng)
         (trace,) = traces
-        assert len(trace.cond) == 3 + trace.proposal_count
-        assert np.all(trace.cond.values == 0.7)
+        assert len(trace.sampler) == 3 + trace.proposal_count
+        assert np.all(trace.sampler.values == 0.7)
 
     def test_moves_hyperparameters(self):
         rng = np.random.default_rng(11)
@@ -233,14 +241,17 @@ class TestPredictiveSamplesExchange:
 
     def test_state_not_mutated(self):
         state = make_state(np.random.default_rng(14))
-        before = state.cond.points.copy()
+        points, values = state.sampler.points.copy(), state.sampler.values.copy()
+        packed = state.sampler.packed.copy()
         predictive_sample_exchange(state, 10, 100_000, np.random.default_rng(2))
-        assert np.array_equal(state.cond.points, before)
+        assert np.array_equal(state.sampler.points, points)
+        assert np.array_equal(state.sampler.values, values)
+        assert np.array_equal(state.sampler.packed, packed)
 
     def test_saturated_state_samples_base(self):
         theta = GpHyper(amplitude=0.0, lengthscales=[1.0], mean=40.0)
         data = np.array([[0.5]])
-        state = ExchangeState(data=data, cond=ConditioningSet(data, [40.0]),
+        state = ExchangeState(data=data, sampler=ConditionalSampler(theta, data, [40.0]),
                               controls=data, control_values=np.array([40.0]),
                               theta=theta, psi=BOX)
         out = predictive_sample_exchange(state, 5000, 100_000,
@@ -259,10 +270,81 @@ class TestFantasyBatch:
         assert hat_values.shape == (5,)
         assert trace.accepted.shape == (5, 1)
         assert trace.accepted_values.shape == (5,)
-        assert len(trace.cond) == 5 + trace.proposal_count
+        assert len(trace.sampler) == 5 + trace.proposal_count
+
+
+def assert_fresh_build(state):
+    """The state's sampler is the factor a from-scratch build over its
+    points gives, at the jitter it was first built with."""
+    s = state.sampler
+    assert s.hyper is state.theta
+    assert np.array_equal(s.points[: len(state.controls)], state.controls)
+    assert np.array_equal(s.values[: len(state.controls)], state.control_values)
+    lower = s.lower
+    gram = kernel_matrix(s.points, s.points, s.hyper) + s.jitter * np.eye(len(s))
+    assert np.allclose(lower @ lower.T, gram, rtol=0, atol=1e-10)
+    resid = s.values - prior_mean(s.points, s.hyper)
+    fresh = solve_triangular(lower, resid, lower=True)
+    assert np.allclose(s.whitened, fresh, rtol=1e-8, atol=1e-8)
+
+
+class TestStateSampler:
+    @pytest.mark.parametrize("psi", [BOX, GaussianBase(mean=[0.5], sigma=[0.3])],
+                             ids=["uniform-box", "gaussian"])
+    def test_grown_sampler_matches_a_fresh_build(self, psi):
+        # accepted swaps adopt the proposal's sampler, rejected ones append
+        # the fantasies to the current one
+        rng = np.random.default_rng(18)
+        state = make_state(rng, n=4, psi=psi)
+        verdicts = []
+        for i in range(40):
+            if i % 4 == 3:
+                state, ok = exchange_step_hyper(state, HyperWalkScales(),
+                                                HyperPrior(), 100_000, rng)
+            elif i % 2:
+                state, ok = exchange_step_control(state, 0.5, 100_000, rng)
+            else:
+                state, ok = exchange_step_prior(state, 100_000, rng)
+            verdicts.append(ok)
+            assert_fresh_build(state)
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestBookkeepingAudit:
+    def test_chain_builds_factors_only_for_proposals(self, monkeypatch):
+        # the chain state, the predictive probe and the denominator draw all
+        # reuse the state's sampler: the only factor built from points is
+        # the one of each proposal's controls
+        builds, proposals = [], []
+        init = ConditionalSampler.__init__
+        propose = gpds.exchange._propose
+
+        def spy_init(self, hyper, points=None, *args, **kwargs):
+            if points is not None and np.size(points):
+                builds.append(bool(proposals) and proposals[-1] == "open")
+            init(self, hyper, points, *args, **kwargs)
+
+        def spy_propose(*args, **kwargs):
+            proposals.append("open")
+            try:
+                return propose(*args, **kwargs)
+            finally:
+                proposals[-1] = "closed"
+
+        monkeypatch.setattr(ConditionalSampler, "__init__", spy_init)
+        monkeypatch.setattr(gpds.exchange, "_propose", spy_propose)
+        rng = np.random.default_rng(19)
+        data = rng.uniform(0, 1, (4, 1))
+        opts = ChainOptions(total=20, burn_in=4, record_predictive=True,
+                            numerator_query=np.array([[0.25], [0.75]]),
+                            denominator_point=3)
+        result = run_exchange_chain(data, THETA, BOX, opts, HyperPrior(), rng)
+        assert result.denominator_terms.shape == (16,)
+        assert len(result.numerator_draws) == 16
+        assert len(proposals) >= opts.total  # one function move per iteration
+        assert builds == [True] * len(proposals)
+
+
     def test_draw_ledger_monotone_per_function(self, monkeypatch):
         # every retrospective draw for a live function must condition on at
         # least as much knowledge as the previous draw for that function:
@@ -280,7 +362,7 @@ class TestBookkeepingAudit:
         state = make_state(rng, n=3)
         for _ in range(10):
             del events[:]
-            n_cond_entry = len(state.cond)
+            n_cond_entry = len(state.sampler)
             state, accepted = exchange_step_prior(state, 100_000, rng)
             prop_sizes = [n for kind, n in events if kind == "proposal"]
             # the proposal's conditioning grows by one per retrospective draw

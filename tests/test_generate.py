@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chi2, kstest
 
 from gpds.generate import ProposalBudgetError, continue_sampler, draw_prior_dataset
-from gpds.gp import ConditioningSet, GpHyper, IllConditionedCovariance
+from gpds.gp import ConditionalSampler, GpHyper, IllConditionedCovariance
 from gpds.model import UniformBox, phi
 
 
@@ -25,9 +25,9 @@ class TestDrawPriorDataset:
         trace = draw_prior_dataset(8, theta, BOX, np.random.default_rng(0))
         assert trace.accepted.shape == (8, 1)
         assert trace.accept_flags.sum() == 8
-        assert len(trace.cond) == trace.proposal_count
-        acc_pts = trace.cond.points[trace.accept_flags]
-        acc_vals = trace.cond.values[trace.accept_flags]
+        assert len(trace.sampler) == trace.proposal_count
+        acc_pts = trace.sampler.points[trace.accept_flags]
+        acc_vals = trace.sampler.values[trace.accept_flags]
         assert np.array_equal(acc_pts, trace.accepted)
         assert np.array_equal(acc_vals, trace.accepted_values)
 
@@ -35,7 +35,7 @@ class TestDrawPriorDataset:
         theta = GpHyper(amplitude=1.2, lengthscales=[0.4])
         trace = draw_prior_dataset(10, theta, BOX, np.random.default_rng(1),
                                    keep_uniforms=True)
-        rebuilt = trace.uniforms < phi(trace.cond.values)
+        rebuilt = trace.uniforms < phi(trace.sampler.values)
         assert np.array_equal(rebuilt, trace.accept_flags)
 
     def test_seed_determinism(self):
@@ -43,7 +43,7 @@ class TestDrawPriorDataset:
         a = draw_prior_dataset(6, theta, BOX, np.random.default_rng(7))
         b = draw_prior_dataset(6, theta, BOX, np.random.default_rng(7))
         assert np.array_equal(a.accepted, b.accepted)
-        assert np.array_equal(a.cond.values, b.cond.values)
+        assert np.array_equal(a.sampler.values, b.sampler.values)
         assert a.proposal_count == b.proposal_count
 
     def test_budget_error_carries_partial_trace(self):
@@ -66,7 +66,8 @@ class TestDrawPriorDataset:
         back = pickle.loads(pickle.dumps(caught.value))
         assert str(back) == str(caught.value)
         assert back.trace.proposal_count == 10
-        assert np.array_equal(back.trace.cond.points, caught.value.trace.cond.points)
+        assert np.array_equal(back.trace.sampler.points, caught.value.trace.sampler.points)
+        assert np.array_equal(back.trace.sampler.values, caught.value.trace.sampler.values)
         assert np.array_equal(back.trace.accept_flags, caught.value.trace.accept_flags)
 
     def test_ill_conditioned_error_pickles(self):
@@ -138,23 +139,25 @@ class TestDrawPriorDataset:
 class TestContinueSampler:
     def test_empty_cond_reduces_to_draw_prior_dataset(self):
         theta = GpHyper(amplitude=1.1, lengthscales=[0.4])
-        a = continue_sampler(ConditioningSet.empty(1), 5, theta, BOX,
+        a = continue_sampler(ConditionalSampler(theta), 5, BOX,
                              np.random.default_rng(9))
         b = draw_prior_dataset(5, theta, BOX, np.random.default_rng(9))
         assert np.array_equal(a.accepted, b.accepted)
-        assert np.array_equal(a.cond.points, b.cond.points)
+        assert np.array_equal(a.sampler.points, b.sampler.points)
 
     def test_accepts_trace_as_state(self):
         theta = GpHyper(amplitude=1.1, lengthscales=[0.4])
         first = draw_prior_dataset(3, theta, BOX, np.random.default_rng(10))
-        n_first = len(first.cond)
-        more = continue_sampler(first.sampler, 3, theta, BOX, np.random.default_rng(11))
-        assert len(more.cond) == n_first + more.proposal_count
+        n_first = len(first.sampler)
+        first_points = first.sampler.points.copy()
+        rebuilt = ConditionalSampler(theta, first.sampler.points, first.sampler.values)
+        more = continue_sampler(first.sampler, 3, BOX, np.random.default_rng(11))
+        assert len(more.sampler) == n_first + more.proposal_count
         # the sampler is grown in place and keeps the first run's knowledge
         assert more.sampler is first.sampler
-        assert np.array_equal(more.cond.points[:n_first], first.cond.points)
+        assert np.array_equal(more.sampler.points[:n_first], first_points)
         # same draws as continuing from the knowledge refactorised
-        again = continue_sampler(first.cond, 3, theta, BOX, np.random.default_rng(11))
+        again = continue_sampler(rebuilt, 3, BOX, np.random.default_rng(11))
         assert np.array_equal(again.accepted, more.accepted)
 
     def test_concentration_where_function_is_large(self):
@@ -162,9 +165,8 @@ class TestContinueSampler:
         theta = GpHyper(amplitude=2.0, lengthscales=[0.08])
         anchors = np.linspace(0, 1, 26).reshape(-1, 1)
         values = np.where((anchors[:, 0] > 0.4) & (anchors[:, 0] < 0.6), 4.0, -3.0)
-        cond = ConditioningSet(anchors, values)
-        trace = continue_sampler(cond, 400, theta, BOX,
-                                 np.random.default_rng(12))
+        sampler = ConditionalSampler(theta, anchors, values)
+        trace = continue_sampler(sampler, 400, BOX, np.random.default_rng(12))
         xs = trace.accepted[:, 0]
         inside = np.mean((xs > 0.4) & (xs < 0.6))
         assert inside > 0.5  # region has 20% of base mass
@@ -176,7 +178,7 @@ class TestContinueSampler:
         # degenerate function frozen at c: acceptance is Bernoulli(phi(c))
         c = -0.7
         theta = frozen(c)
-        trace = continue_sampler(ConditioningSet.empty(1), 3000, theta, BOX,
+        trace = continue_sampler(ConditionalSampler(theta), 3000, BOX,
                                  np.random.default_rng(13))
         rate = 3000 / trace.proposal_count
         p = phi(c)

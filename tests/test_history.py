@@ -41,7 +41,7 @@ def make_history(rng, n=4, theta=THETA, psi=BOX):
     rej = ~trace.accept_flags
     return LatentHistory(
         data=trace.accepted, g_data=trace.accepted_values,
-        rejections=trace.cond.points[rej], g_rejections=trace.cond.values[rej],
+        rejections=trace.sampler.points[rej], g_rejections=trace.sampler.values[rej],
         theta=theta, psi=psi,
     )
 

@@ -1,10 +1,12 @@
 """Normalised predictive density estimation via the detailed-balance ratio."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from gpds.chain import ChainOptions, PosteriorDraw
+from gpds.chain import ChainOptions, PosteriorDraw, _predictive_probe
+from gpds.generate import draw_prior_dataset
 from gpds.gp import GpHyper
 from gpds.model import UniformBox, phi
 from gpds.predictive import (
@@ -26,6 +28,23 @@ def frozen_config(mean_fn, retained=400, burn_in=50, sampler="latent-history"):
                          sampler=sampler, retained=retained, burn_in=burn_in,
                          chain_options=ChainOptions(total=1, burn_in=0,
                                                     infer_hypers=False))
+
+
+class TestPredictiveProbe:
+    def test_chain_sampler_bitwise_unchanged(self):
+        theta = GpHyper(amplitude=1.3, lengthscales=[0.3])
+        sampler = draw_prior_dataset(6, theta, BOX, np.random.default_rng(20)).sampler
+        before = (len(sampler), sampler.packed.copy(), sampler.whitened.copy(),
+                  sampler.values.copy())
+        opts = ChainOptions(total=1, burn_in=0,
+                            numerator_query=np.array([[0.2], [0.8]]))
+        x_pred, draw = _predictive_probe(sampler, BOX, opts,
+                                         np.random.default_rng(21), Counter())
+        assert x_pred.shape == (1,) and draw.g_query.shape == (2,)
+        assert len(sampler) == before[0]
+        assert np.array_equal(sampler.packed, before[1])
+        assert np.array_equal(sampler.whitened, before[2])
+        assert np.array_equal(sampler.values, before[3])
 
 
 class TestEstimateNumerator:
