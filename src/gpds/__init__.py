@@ -8,7 +8,6 @@ and a normalised predictive density estimator.
 from .gp import (
     CholeskyFactor,
     ConditionalSampler,
-    ConditioningSet,
     GpHyper,
     IllConditionedCovariance,
     chol,
@@ -41,14 +40,12 @@ from .exchange import (
     exchange_step_hyper,
     exchange_step_prior,
     init_exchange_state,
-    predictive_sample_exchange,
 )
 from .history import (
     LatentHistory,
     SweepConfig,
     ZetaSchedule,
     init_history,
-    predictive_sample_history,
     sweep,
 )
 from .predictive import (

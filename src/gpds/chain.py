@@ -116,14 +116,12 @@ def default_walk_scales(data: np.ndarray, frac: float = 0.1) -> np.ndarray:
 def _history_log_density(chain: HistoryChain) -> float:
     """History log joint from the maintained factor; O(R)."""
     s = chain.sampler
-    n = len(s)
     vals = s.values
     out = float(np.sum(log_phi(vals[: chain.n_data])))
     out += float(np.sum(log_one_minus_phi(vals[chain.n_data :])))
     out += float(np.sum(base_logpdf(s.points, chain.psi)))
     if not s.degenerate:
-        out += -0.5 * (n * math.log(2 * math.pi) + s.logdet()
-                       + float(s.whitened @ s.whitened))
+        out += s.log_density()
     return out
 
 
@@ -148,13 +146,98 @@ def _predictive_probe(sampler, psi, opts, rng, counters):
     return x_pred, draw
 
 
+class _Recorder:
+    """The retained iterations of one chain run, recorded the same way for
+    both samplers.  The state passed in is a :class:`HistoryChain` or an
+    :class:`~gpds.exchange.ExchangeState`; both carry ``theta``, ``psi``,
+    ``sampler`` and ``g_data``."""
+
+    def __init__(self, opts: ChainOptions, dim: int, gaussian_base: bool,
+                 accept_keys: tuple[str, ...]):
+        self.opts = opts
+        self.dim = dim
+        self.gaussian_base = gaussian_base
+        self.accept_keys = accept_keys
+        self.t_start = time.perf_counter()
+        self.rows: list[dict] = []
+        self.rejection_snapshots: list[np.ndarray] = []
+        self.numerator_draws: list[PosteriorDraw] = []
+        self.denom_terms: list[float] = []
+
+    def add(self, it: int, state, m: int, log_density: float,
+            counters: Counter, before: Counter, rng: np.random.Generator) -> None:
+        """Record iteration ``it``: the trace row with the acceptances since
+        ``before``, then the predictive probe and then the denominator term,
+        drawing from ``rng`` in that order."""
+        opts = self.opts
+        rec = {
+            "iteration": it,
+            "m": m,
+            "log_density": log_density,
+            "amplitude": state.theta.amplitude,
+            "lengthscales": state.theta.lengthscales.copy(),
+            "accept": {k: counters[k] - before[k] for k in self.accept_keys},
+        }
+        if self.gaussian_base:
+            rec["psi_mean"] = state.psi.mean.copy()
+            rec["psi_sigma"] = state.psi.sigma.copy()
+        if opts.record_predictive or opts.numerator_query is not None:
+            x_pred, draw = _predictive_probe(state.sampler, state.psi, opts,
+                                             rng, counters)
+            rec["predictive"] = x_pred
+            if draw is not None:
+                self.numerator_draws.append(draw)
+        if opts.denominator_point is not None:
+            g_aug = float(state.g_data[opts.denominator_point])
+            x_prime = base_sample(state.psi, rng)
+            g_prime = state.sampler.draw(x_prime, rng)
+            self.denom_terms.append(min(1.0, phi(g_prime) / phi(g_aug)))
+        self.rows.append(rec)
+
+    def result(self, state, counters: Counter, hmc_step: float | None) -> ChainResult:
+        records, dim = self.rows, self.dim
+        n = len(records)
+        predictive = None
+        if any("predictive" in r for r in records):
+            predictive = np.full((n, dim), np.nan)
+            for i, r in enumerate(records):
+                if r["predictive"] is not None:
+                    predictive[i] = r["predictive"]
+        return ChainResult(
+            iterations=np.array([r["iteration"] for r in records], dtype=int),
+            m_counts=np.array([r["m"] for r in records], dtype=int),
+            accept={k: np.array([r["accept"][k] for r in records], dtype=int)
+                    for k in (sorted(self.accept_keys) if n else ())},
+            amplitude=np.array([r["amplitude"] for r in records]),
+            lengthscales=(np.vstack([r["lengthscales"] for r in records])
+                          if n else np.empty((0, dim))),
+            psi_mean=(np.vstack([r["psi_mean"] for r in records])
+                      if n and self.gaussian_base else None),
+            psi_sigma=(np.vstack([r["psi_sigma"] for r in records])
+                       if n and self.gaussian_base else None),
+            log_density=np.array([r["log_density"] for r in records]),
+            predictive=predictive,
+            rejection_snapshots=self.rejection_snapshots,
+            numerator_draws=self.numerator_draws,
+            denominator_terms=(np.asarray(self.denom_terms)
+                               if self.denom_terms else None),
+            counters=counters,
+            final_theta=state.theta,
+            final_psi=state.psi,
+            hmc_step_size=hmc_step,
+            wall_time=time.perf_counter() - self.t_start,
+        )
+
+
 def run_history_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
                       opts: ChainOptions, priors: HyperPrior | None,
                       rng: np.random.Generator) -> ChainResult:
     """Latent-history MCMC with burn-in HMC step-size adaptation."""
-    t_start = time.perf_counter()
     data = np.atleast_2d(np.asarray(data, dtype=float))
     dim = data.shape[1]
+    recorder = _Recorder(opts, dim, isinstance(psi0, GaussianBase),
+                         ("number_acc", "number_att", "loc_acc", "loc_att",
+                          "hmc_acc", "hmc_att", "hyper_acc", "hyper_att"))
     h = init_history(data, theta0, psi0, rng)
     chain = HistoryChain(h)
     walk = (default_walk_scales(data) if opts.walk_scales is None
@@ -170,12 +253,7 @@ def run_history_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
         enable_hyper=opts.infer_hypers and priors is not None,
         enable_hmc=theta0.amplitude > 0,
     )
-    records: list[dict] = []
-    rej_snapshots: list[np.ndarray] = []
-    numerator_draws: list[PosteriorDraw] = []
-    denom_terms: list[float] = []
     counters = cfg.counters
-    gaussian_base = isinstance(psi0, GaussianBase)
 
     for it in range(opts.total):
         before = Counter(counters)
@@ -185,40 +263,14 @@ def run_history_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
             cfg.hmc_step_size *= math.exp(0.05 * (acc - opts.hmc_target))
         if it < opts.burn_in or (it - opts.burn_in) % opts.thinning:
             continue
-        delta = {k: counters[k] - before[k] for k in
-                 ("number_acc", "number_att", "loc_acc", "loc_att",
-                  "hmc_acc", "hmc_att", "hyper_acc", "hyper_att")}
-        rec = {
-            "iteration": it,
-            "m": chain.n_rejections,
-            "log_density": _history_log_density(chain),
-            "amplitude": chain.theta.amplitude,
-            "lengthscales": chain.theta.lengthscales.copy(),
-            "accept": delta,
-        }
-        if gaussian_base:
-            rec["psi_mean"] = chain.psi.mean.copy()
-            rec["psi_sigma"] = chain.psi.sigma.copy()
         if opts.record_rejections:
             rows = np.asarray(chain.rej_rows, dtype=int)
-            rej_snapshots.append(chain.sampler.points[rows].copy()
-                                 if rows.size else np.empty((0, dim)))
-        if opts.record_predictive or opts.numerator_query is not None:
-            x_pred, draw = _predictive_probe(chain.sampler, chain.psi, opts,
-                                             rng, counters)
-            rec["predictive"] = x_pred
-            if draw is not None:
-                numerator_draws.append(draw)
-        if opts.denominator_point is not None:
-            g_aug = float(chain.sampler.values[opts.denominator_point])
-            x_prime = base_sample(chain.psi, rng)
-            g_prime = chain.sampler.draw(x_prime, rng)
-            denom_terms.append(min(1.0, phi(g_prime) / phi(g_aug)))
-        records.append(rec)
+            recorder.rejection_snapshots.append(chain.sampler.points[rows].copy()
+                                                if rows.size else np.empty((0, dim)))
+        recorder.add(it, chain, chain.n_rejections, _history_log_density(chain),
+                     counters, before, rng)
 
-    return _collect(records, rej_snapshots, numerator_draws, denom_terms,
-                    counters, chain.theta, chain.psi, cfg.hmc_step_size,
-                    gaussian_base, dim, t_start, opts)
+    return recorder.result(chain, counters, cfg.hmc_step_size)
 
 
 def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
@@ -227,15 +279,12 @@ def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
     """Exchange-sampling MCMC: one function move (crankshaft through the
     control points, or a prior draw when crankshaft_eps >= 1) per iteration,
     interleaved 1:1 with a hyperparameter move when enabled."""
-    t_start = time.perf_counter()
     data = np.atleast_2d(np.asarray(data, dtype=float))
     dim = data.shape[1]
+    recorder = _Recorder(opts, dim, isinstance(psi0, GaussianBase),
+                         ("func_acc", "func_att", "hyper_acc", "hyper_att"))
     state = init_exchange_state(data, theta0, psi0, rng,
                                 n_extra_controls=opts.n_extra_controls)
-    records: list[dict] = []
-    numerator_draws: list[PosteriorDraw] = []
-    denom_terms: list[float] = []
-    gaussian_base = isinstance(psi0, GaussianBase)
 
     for it in range(opts.total):
         before = Counter(state.diagnostics)
@@ -249,68 +298,8 @@ def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
                                            opts.max_proposals, rng)
         if it < opts.burn_in or (it - opts.burn_in) % opts.thinning:
             continue
-        counters = state.diagnostics
-        delta = {k: counters[k] - before[k] for k in
-                 ("func_acc", "func_att", "hyper_acc", "hyper_att")}
-        rec = {
-            "iteration": it,
-            "m": len(state.sampler),
-            "log_density": float(np.sum(log_phi(state.g_data))),
-            "amplitude": state.theta.amplitude,
-            "lengthscales": state.theta.lengthscales.copy(),
-            "accept": delta,
-        }
-        if gaussian_base:
-            rec["psi_mean"] = state.psi.mean.copy()
-            rec["psi_sigma"] = state.psi.sigma.copy()
-        if opts.record_predictive or opts.numerator_query is not None:
-            x_pred, draw = _predictive_probe(state.sampler, state.psi, opts,
-                                             rng, state.diagnostics)
-            rec["predictive"] = x_pred
-            if draw is not None:
-                numerator_draws.append(draw)
-        if opts.denominator_point is not None:
-            g_aug = float(state.g_data[opts.denominator_point])
-            x_prime = base_sample(state.psi, rng)
-            g_prime = state.sampler.draw(x_prime, rng)
-            denom_terms.append(min(1.0, phi(g_prime) / phi(g_aug)))
-        records.append(rec)
+        recorder.add(it, state, len(state.sampler),
+                     float(np.sum(log_phi(state.g_data))),
+                     state.diagnostics, before, rng)
 
-    return _collect(records, [], numerator_draws, denom_terms,
-                    state.diagnostics, state.theta, state.psi,
-                    None, gaussian_base, dim, t_start, opts)
-
-
-def _collect(records, rej_snapshots, numerator_draws, denom_terms, counters,
-             theta, psi, hmc_step, gaussian_base, dim, t_start, opts) -> ChainResult:
-    n = len(records)
-    accept_keys = sorted({k for r in records for k in r["accept"]})
-    predictive = None
-    if any("predictive" in r for r in records):
-        predictive = np.full((n, dim), np.nan)
-        for i, r in enumerate(records):
-            if r.get("predictive") is not None:
-                predictive[i] = r["predictive"]
-    return ChainResult(
-        iterations=np.array([r["iteration"] for r in records], dtype=int),
-        m_counts=np.array([r["m"] for r in records], dtype=int),
-        accept={k: np.array([r["accept"].get(k, 0) for r in records], dtype=int)
-                for k in accept_keys},
-        amplitude=np.array([r["amplitude"] for r in records]),
-        lengthscales=(np.vstack([r["lengthscales"] for r in records])
-                      if n else np.empty((0, dim))),
-        psi_mean=(np.vstack([r["psi_mean"] for r in records])
-                  if n and gaussian_base else None),
-        psi_sigma=(np.vstack([r["psi_sigma"] for r in records])
-                   if n and gaussian_base else None),
-        log_density=np.array([r["log_density"] for r in records]),
-        predictive=predictive,
-        rejection_snapshots=rej_snapshots,
-        numerator_draws=numerator_draws,
-        denominator_terms=np.asarray(denom_terms) if denom_terms else None,
-        counters=counters,
-        final_theta=theta,
-        final_psi=psi,
-        hmc_step_size=hmc_step,
-        wall_time=time.perf_counter() - t_start,
-    )
+    return recorder.result(state, state.diagnostics, None)

@@ -26,7 +26,8 @@ from .model import (
     HyperPrior,
     HyperWalkScales,
     UniformBox,
-    phi,
+    base_logpdf,
+    unnormalized_density,
 )
 from .predictive import DensityConfig, density_grid
 from .synthetic import sample_f1, sample_f2
@@ -184,7 +185,10 @@ def _meta(cfg: RunConfig, command: str, extra: dict) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_synthetic(cfg: RunConfig, name: str, n: int, out: Path) -> None:
+def cmd_gen_synthetic(cfg: RunConfig, name: str, n: int | None, out: Path) -> None:
+    n = cfg.n_samples if n is None else n
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
     rng = np.random.default_rng(cfg.seed)
     if name == "f1":
         samples = sample_f1(n, rng)
@@ -228,9 +232,7 @@ def cmd_sample_prior(cfg: RunConfig, out: Path, n: int | None = None) -> None:
     # mean, from the sampler the run grew (no refactorisation)
     grid = _prior_grid(psi, cfg.grid_count)
     mean, _ = trace.sampler.mean_cov(grid)
-    from .model import base_logpdf
-
-    dens = phi(mean) * np.exp(base_logpdf(grid, psi))
+    dens = unnormalized_density(grid, mean, psi)
     header = [f"x{i + 1}" for i in range(dim)] + ["unnormalized_density"]
     write_csv(out / "density_grid.csv", header, np.column_stack([grid, dens]))
     write_json(out / "meta.json", _meta(cfg, "sample-prior", {
@@ -240,6 +242,18 @@ def cmd_sample_prior(cfg: RunConfig, out: Path, n: int | None = None) -> None:
     }))
     print(f"wrote {out / 'samples.csv'} ({n} accepted, "
           f"{trace.proposal_count} proposals)")
+
+
+def _read_data(cfg: RunConfig, path: Path) -> tuple[np.ndarray, BaseHyper]:
+    """The data file and the base density built for it.  Every datum must
+    have positive base density, or its density under the model is zero."""
+    data = read_data_csv(path)
+    psi = build_psi(cfg, data.shape[1], data)
+    outside = ~np.isfinite(base_logpdf(data, psi))
+    if outside.any():
+        raise ValueError(f"{path}: {int(outside.sum())} data point(s) outside the "
+                         f"base density's support, first {data[outside][0].tolist()}")
+    return data, psi
 
 
 def _run_one_chain(args) -> tuple[int, object]:
@@ -259,7 +273,7 @@ def _run_one_chain(args) -> tuple[int, object]:
 def cmd_fit(cfg: RunConfig, data_path: Path, out: Path, chains: int = 1) -> None:
     if chains < 1:
         raise ValueError(f"--chains must be >= 1, got {chains}")
-    data = read_data_csv(data_path)
+    data, _ = _read_data(cfg, data_path)
     dim = data.shape[1]
     out.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(cfg.seed).spawn(chains)
@@ -300,7 +314,7 @@ def cmd_fit(cfg: RunConfig, data_path: Path, out: Path, chains: int = 1) -> None
 
 def cmd_predict_density(cfg: RunConfig, data_path: Path, out: Path,
                         grid_spec: str | None = None) -> None:
-    data = read_data_csv(data_path)
+    data, psi = _read_data(cfg, data_path)
     dim = data.shape[1]
     spec = parse_grid_spec(grid_spec if grid_spec is not None else cfg.grid)
     if len(spec) != dim:
@@ -308,16 +322,14 @@ def cmd_predict_density(cfg: RunConfig, data_path: Path, out: Path,
     axes = [np.linspace(lo, hi, n) for lo, hi, n in spec]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
-    psi = build_psi(cfg, dim, data)
     theta = build_theta(cfg, dim, psi)
     priors = build_priors(cfg, data) if cfg.infer_hypers else None
     dconf = DensityConfig(
         theta0=theta, psi0=psi, priors=priors, sampler=cfg.sampler,
-        retained=cfg.pred_retained, burn_in=cfg.pred_burn_in,
-        thinning=cfg.pred_thinning,
-        chain_options=build_chain_options(cfg, data, total=1, burn_in=0,
-                                          record_predictive=False,
-                                          record_rejections=False),
+        chain_options=build_chain_options(
+            cfg, data, total=cfg.pred_burn_in + cfg.pred_retained * cfg.pred_thinning,
+            burn_in=cfg.pred_burn_in, thinning=cfg.pred_thinning,
+            record_predictive=False, record_rejections=False),
     )
     seq = np.random.SeedSequence(cfg.seed)
     rng = np.random.default_rng(seq.spawn(1)[0])
@@ -433,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.command == "gen-synthetic":
-            cmd_gen_synthetic(cfg, args.name, args.n or cfg.n_samples, args.out)
+            cmd_gen_synthetic(cfg, args.name, args.n, args.out)
         elif args.command == "sample-prior":
             cmd_sample_prior(cfg, args.out, args.n)
         elif args.command == "fit":

@@ -87,6 +87,19 @@ class RunConfig:
             raise ValueError(f"mean_const must be finite, got {self.mean_const}")
         if not 0.0 < self.crankshaft_eps <= 1.0:
             raise ValueError(f"crankshaft_eps must be in (0, 1], got {self.crankshaft_eps}")
+        if not 0.0 < self.zeta_insert <= 1.0:
+            raise ValueError(f"zeta_insert must be in (0, 1], got {self.zeta_insert}")
+        if not 0.0 < self.hmc_target < 1.0:
+            raise ValueError(f"hmc_target must be in (0, 1), got {self.hmc_target}")
+        if not self.hmc_step_size > 0.0:
+            raise ValueError(f"hmc_step_size must be positive, got {self.hmc_step_size}")
+        for name in ("hmc_steps", "max_proposals", "pred_retained", "grid_count",
+                     "geweke_thin"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("number_moves", "extra_controls"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def hash(self) -> str:
         canon = json.dumps(asdict(self), sort_keys=True)

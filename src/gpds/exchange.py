@@ -48,7 +48,6 @@ __all__ = [
     "exchange_step_prior",
     "exchange_step_control",
     "exchange_step_hyper",
-    "predictive_sample_exchange",
 ]
 
 
@@ -246,18 +245,3 @@ def exchange_step_hyper(state: ExchangeState, proposal_scales: HyperWalkScales,
                  (float(np.sum(base_data_hat - base_logpdf(state.data, state.psi))),
                   float(np.sum(base_logpdf(fantasies, state.psi)
                                - base_logpdf(fantasies, psi_hat)))))
-
-
-def predictive_sample_exchange(state: ExchangeState, n_samples: int,
-                               max_proposals: int = DEFAULT_MAX_PROPOSALS,
-                               rng: np.random.Generator | None = None) -> np.ndarray:
-    """Continue the rejection sampler from the current state's knowledge.
-
-    Side-effect free with respect to the Markov chain: the knowledge gained
-    while generating the samples is discarded.
-    """
-    if n_samples == 0:
-        return np.empty((0, state.data.shape[1]))
-    trace = continue_sampler(state.sampler.copy(), n_samples, state.psi, rng,
-                             max_proposals=max_proposals)
-    return trace.accepted

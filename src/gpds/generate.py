@@ -27,9 +27,7 @@ class GenerativeTrace:
     ``sampler`` is the realisation the run grew: it holds every proposal
     with its sampled function value, after whatever it knew before the run.
     ``accept_flags`` aligns with the proposals made during this run (the
-    last ``proposal_count`` rows of ``sampler``).  When ``uniforms`` is
-    retained (debug mode), ``accept_flags[i]`` is reconstructible as
-    ``uniforms[i] < phi(g_i)``.
+    last ``proposal_count`` rows of ``sampler``).
     """
 
     accepted: np.ndarray          # (n, D)
@@ -37,7 +35,6 @@ class GenerativeTrace:
     sampler: ConditionalSampler
     accept_flags: np.ndarray      # (proposal_count,) bool
     proposal_count: int
-    uniforms: np.ndarray | None = None
 
 
 class ProposalBudgetError(RuntimeError):
@@ -55,14 +52,15 @@ class ProposalBudgetError(RuntimeError):
 
 def continue_sampler(sampler: ConditionalSampler, n_more: int,
                      psi: BaseHyper, rng: np.random.Generator,
-                     max_proposals: int = DEFAULT_MAX_PROPOSALS,
-                     keep_uniforms: bool = False) -> GenerativeTrace:
+                     max_proposals: int = DEFAULT_MAX_PROPOSALS) -> GenerativeTrace:
     """Run the rejection sampler forward from existing function knowledge.
 
     ``sampler`` is grown in place, under its own hyperparameters; pass a
     :meth:`~ConditionalSampler.copy` to leave a realisation untouched.
     Returns once ``n_more`` proposals have been accepted; raises
-    :class:`ProposalBudgetError` if ``max_proposals`` is hit first.
+    :class:`ProposalBudgetError` if ``max_proposals`` is hit first.  Each
+    proposal draws its location, its function value and its uniform, in
+    that order.
     """
     if n_more < 0:
         raise ValueError("n_more must be >= 0")
@@ -72,7 +70,6 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
     accepted: list[np.ndarray] = []
     accepted_values: list[float] = []
     flags: list[bool] = []
-    uniforms: list[float] = [] if keep_uniforms else None
 
     def _trace() -> GenerativeTrace:
         return GenerativeTrace(
@@ -81,7 +78,6 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
             sampler=sampler,
             accept_flags=np.asarray(flags, dtype=bool),
             proposal_count=len(flags),
-            uniforms=None if uniforms is None else np.asarray(uniforms),
         )
 
     while len(accepted) < n_more:
@@ -92,10 +88,7 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
             )
         x = base_sample(psi, rng)
         g = sampler.draw_append(x, rng)
-        u = rng.uniform()
-        if uniforms is not None:
-            uniforms.append(u)
-        ok = u < phi(g)
+        ok = rng.uniform() < phi(g)
         flags.append(ok)
         if ok:
             accepted.append(x)
@@ -105,11 +98,9 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
 
 def draw_prior_dataset(n: int, theta: GpHyper, psi: BaseHyper,
                        rng: np.random.Generator,
-                       max_proposals: int = DEFAULT_MAX_PROPOSALS,
-                       keep_uniforms: bool = False) -> GenerativeTrace:
+                       max_proposals: int = DEFAULT_MAX_PROPOSALS) -> GenerativeTrace:
     """Generate ``n`` exact samples from a density drawn from the prior."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return continue_sampler(ConditionalSampler(theta), n, psi, rng,
-                            max_proposals=max_proposals,
-                            keep_uniforms=keep_uniforms)
+                            max_proposals=max_proposals)

@@ -137,11 +137,9 @@ def exchange_data_refresh(state: ExchangeState, rng: np.random.Generator,
     becomes the data (and the controls), all function knowledge is kept."""
     trace = continue_sampler(state.sampler, state.n_data, state.psi, rng,
                              max_proposals=max_proposals)
-    return ExchangeState(
-        data=trace.accepted, sampler=trace.sampler,
-        controls=trace.accepted.copy(), control_values=trace.accepted_values.copy(),
-        theta=state.theta, psi=state.psi, diagnostics=state.diagnostics,
-    )
+    fresh = _exchange_from_trace(trace, state.psi)
+    fresh.diagnostics = state.diagnostics
+    return fresh
 
 
 def _exchange_stats(state: ExchangeState) -> dict[str, float]:

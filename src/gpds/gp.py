@@ -104,35 +104,6 @@ class GpHyper:
         return GpHyper(**out)
 
 
-@dataclass
-class ConditioningSet:
-    """Paired locations and function values known for one GP realisation;
-    the input of the from-scratch :func:`conditional` oracle."""
-
-    points: np.ndarray  # (R, D)
-    values: np.ndarray  # (R,)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        vals = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if pts.ndim == 0:
-            pts = pts.reshape(1, 1)
-        elif pts.ndim == 1:
-            # disambiguate via the value count: n 1-D points vs one n-D point
-            pts = pts.reshape(-1, 1) if pts.size == vals.size else pts.reshape(1, -1)
-        self.points = pts
-        self.values = vals
-        if self.points.shape[0] != self.values.shape[0]:
-            raise ValueError("points and values must have equal length")
-
-    @classmethod
-    def empty(cls, dim: int) -> "ConditioningSet":
-        return cls(np.empty((0, dim)), np.empty(0))
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 def _se_matrix(X: np.ndarray, Y: np.ndarray, amplitude: float, lengthscales: np.ndarray) -> np.ndarray:
     diff = (X[:, None, :] - Y[None, :, :]) / lengthscales
     return amplitude**2 * np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
@@ -164,14 +135,14 @@ def kernel_diag(X, hyper: GpHyper) -> np.ndarray:
     return v
 
 
-def prior_mean(X, hyper: GpHyper, mean_fn: MeanLike | None = None) -> np.ndarray:
+def prior_mean(X, hyper: GpHyper) -> np.ndarray:
     """Prior mean at X, including the deterministic pinning adjustment.
 
     Conditioning the GP on g(x0) = 0 shifts the mean by
     -k(x, x0) m(x0) / k(x0, x0) in addition to modifying the kernel.
     """
     X = _as_points(X)
-    mf = hyper.mean if mean_fn is None else mean_fn
+    mf = hyper.mean
     if callable(mf):
         m = np.atleast_1d(np.asarray(mf(X), dtype=float))
     else:
@@ -232,34 +203,36 @@ def chol(cov: np.ndarray, base_jitter: float = BASE_JITTER) -> CholeskyFactor:
             j = BASE_JITTER if j == 0.0 else j * 10.0
 
 
-def conditional(query, cond: ConditioningSet, hyper: GpHyper,
-                mean_fn: MeanLike | None = None,
+def conditional(query, points, values, hyper: GpHyper,
                 base_jitter: float = BASE_JITTER):
-    """Gaussian conditional of the GP at ``query`` given ``cond``.
+    """Gaussian conditional of the GP at ``query`` given its ``values`` at
+    ``points`` (an (R, D) array).
 
-    Returns ``(mean, cov)``.  An empty conditioning set yields the prior
-    mean and prior covariance.
+    Returns ``(mean, cov)``.  No points yield the prior mean and prior
+    covariance.
     """
     Q = _as_points(query)
     if Q.shape[1] != hyper.dim:
         raise ValueError("query dimension does not match lengthscales")
-    m_q = prior_mean(Q, hyper, mean_fn)
+    P = _as_points(points)
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    if P.shape[0] != v.shape[0]:
+        raise ValueError("points and values must have equal length")
+    m_q = prior_mean(Q, hyper)
     if hyper.amplitude == 0.0:
         return m_q, np.zeros((Q.shape[0], Q.shape[0]))
     K_qq = kernel_matrix(Q, Q, hyper)
-    if len(cond) == 0:
+    if P.shape[0] == 0:
         return m_q, K_qq
-    m_c = prior_mean(cond.points, hyper, mean_fn)
-    factor = chol(kernel_matrix(cond.points, cond.points, hyper), base_jitter)
-    A = factor.solve_lower(kernel_matrix(cond.points, Q, hyper))
-    w = factor.solve_lower(cond.values - m_c)
+    factor = chol(kernel_matrix(P, P, hyper), base_jitter)
+    A = factor.solve_lower(kernel_matrix(P, Q, hyper))
+    w = factor.solve_lower(v - prior_mean(P, hyper))
     mean = m_q + A.T @ w
     cov = K_qq - A.T @ A
     return mean, cov
 
 
 def log_prior_density(values, points, hyper: GpHyper,
-                      mean_fn: MeanLike | None = None,
                       base_jitter: float = BASE_JITTER) -> float:
     """Multivariate normal log-density of ``values`` under the GP prior."""
     if hyper.amplitude == 0.0:
@@ -269,7 +242,7 @@ def log_prior_density(values, points, hyper: GpHyper,
     if P.shape[0] != v.shape[0]:
         raise ValueError("values and points must have equal length")
     factor = chol(kernel_matrix(P, P, hyper), base_jitter)
-    z = factor.solve_lower(v - prior_mean(P, hyper, mean_fn))
+    z = factor.solve_lower(v - prior_mean(P, hyper))
     n = v.shape[0]
     return -0.5 * (n * math.log(2.0 * math.pi) + factor.logdet() + float(z @ z))
 
@@ -431,6 +404,12 @@ class ConditionalSampler:
             raise ValueError("degenerate sampler has no factor")
         diag = self._ap[np.cumsum(np.arange(1, self._n + 1)) - 1]
         return 2.0 * float(np.sum(np.log(diag)))
+
+    def log_density(self) -> float:
+        """GP prior log density of the stored values (jitter included), from
+        the factor's diagonal and the whitened values; O(R)."""
+        w = self.whitened
+        return -0.5 * (self._n * math.log(2 * math.pi) + self.logdet() + float(w @ w))
 
     def copy(self) -> "ConditionalSampler":
         n = self._n

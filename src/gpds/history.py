@@ -19,8 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gp import ConditionalSampler, GpHyper, chol, kernel_matrix, prior_mean
-from .generate import DEFAULT_MAX_PROPOSALS, continue_sampler
+from .gp import ConditionalSampler, GpHyper, chol, kernel_matrix
 from .model import (
     BaseHyper,
     HyperPrior,
@@ -44,7 +43,6 @@ __all__ = [
     "delete_log_accept",
     "location_log_accept",
     "sweep",
-    "predictive_sample_history",
 ]
 
 
@@ -201,13 +199,17 @@ class HistoryChain:
     def n_rejections(self) -> int:
         return len(self.rej_rows)
 
+    @property
+    def g_data(self) -> np.ndarray:
+        return self.sampler.values[: self.n_data]
+
     def snapshot(self) -> LatentHistory:
         vals = self.sampler.values
         pts = self.sampler.points
         rows = np.asarray(self.rej_rows, dtype=int)
         return LatentHistory(
             data=self.data.copy(),
-            g_data=vals[: self.n_data].copy(),
+            g_data=self.g_data.copy(),
             rejections=pts[rows].copy() if rows.size else np.empty((0, self.data.shape[1])),
             g_rejections=vals[rows].copy() if rows.size else np.empty(0),
             theta=self.theta,
@@ -307,28 +309,21 @@ class HistoryChain:
             return False
         lp_cur = hyperprior_logpdf(self.theta, self.psi, priors)
         pts = self.sampler.points
-        vals = self.sampler.values
         base_new = base_logpdf(pts, psi_hat)
         if not np.all(np.isfinite(base_new)):
             return False
         base_old = base_logpdf(pts, self.psi)
-        n = len(self.sampler)
-        # GP prior density of the current values under both kernels; the
-        # current one comes straight from the maintained factor.
-        w = self.sampler.whitened
-        log_gp_cur = -0.5 * (n * math.log(2 * math.pi) + self.sampler.logdet()
-                             + float(w @ w))
+        # the current values under the proposed kernel, as the realisation
+        # the chain adopts on accept
         factor_hat = chol(kernel_matrix(pts, pts, theta_hat))
-        m_hat = prior_mean(pts, theta_hat)
-        w_hat = factor_hat.solve_lower(vals - m_hat)
-        log_gp_hat = -0.5 * (n * math.log(2 * math.pi) + factor_hat.logdet()
-                             + float(w_hat @ w_hat))
-        log_a = (lp_hat - lp_cur + log_gp_hat - log_gp_cur
+        proposal = ConditionalSampler(theta_hat, pts, self.sampler.values,
+                                      factor=factor_hat)
+        log_a = (lp_hat - lp_cur + proposal.log_density() - self.sampler.log_density()
                  + float(np.sum(base_new - base_old)))
         if math.log(rng.uniform()) < log_a:
             self.theta = theta_hat
             self.psi = psi_hat
-            self.sampler = ConditionalSampler(theta_hat, pts, vals, factor=factor_hat)
+            self.sampler = proposal
             return True
         return False
 
@@ -381,14 +376,3 @@ def sweep(chain: HistoryChain, config: SweepConfig,
         acc = chain.step_hyper(config.hyper_scales, config.priors, rng)
         c["hyper_acc"] += acc
         c["hyper_att"] += 1
-
-
-def predictive_sample_history(h: LatentHistory, n_samples: int,
-                              max_proposals: int = DEFAULT_MAX_PROPOSALS,
-                              rng: np.random.Generator | None = None) -> np.ndarray:
-    """Continue the rejection procedure forward; chain state is untouched."""
-    if n_samples == 0:
-        return np.empty((0, h.data.shape[1]))
-    trace = continue_sampler(HistoryChain(h).sampler, n_samples, h.psi, rng,
-                             max_proposals=max_proposals)
-    return trace.accepted

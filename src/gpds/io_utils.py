@@ -69,11 +69,17 @@ def read_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
 
 
 def read_data_csv(path: str | Path) -> np.ndarray:
-    """Read a data file with x1..xD columns."""
+    """Read a data file with x1..xD columns and at least one row, all finite."""
     names, arr = read_csv(path)
     expected = [f"x{i + 1}" for i in range(len(names))]
     if names != expected:
         raise ValueError(f"{path}: expected header {','.join(expected)}, got {','.join(names)}")
+    if arr.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
+    bad = ~np.all(np.isfinite(arr), axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: {int(bad.sum())} row(s) with non-finite values, "
+                         f"first data row {int(np.argmax(bad)) + 1}")
     return arr
 
 

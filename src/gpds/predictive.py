@@ -11,7 +11,7 @@ the intractable normaliser.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,29 +52,14 @@ class DensityGrid:
 
 @dataclass
 class DensityConfig:
-    """Model specification and budgets for the density chains."""
+    """Model specification and the chain options every density chain runs
+    with; each chain adds its own query grid or augmented datum."""
 
     theta0: GpHyper
     psi0: BaseHyper
+    chain_options: ChainOptions
     priors: HyperPrior | None = None
     sampler: str = "latent-history"  # or "exchange"
-    retained: int = 2000
-    burn_in: int = 500
-    thinning: int = 1
-    chain_options: ChainOptions | None = None
-
-    def options(self, **overrides) -> ChainOptions:
-        base = self.chain_options
-        total = self.burn_in + self.retained * self.thinning
-        kw = dict(total=total, burn_in=self.burn_in, thinning=self.thinning)
-        if base is not None:
-            for name in ("max_proposals", "zeta_insert", "walk_scales",
-                         "number_moves", "hmc_step_size", "hmc_leapfrog",
-                         "hmc_target", "crankshaft_eps", "n_extra_controls",
-                         "infer_hypers", "hyper_scales"):
-                kw[name] = getattr(base, name)
-        kw.update(overrides)
-        return ChainOptions(**kw)
 
     def run(self, data, opts: ChainOptions, rng) -> ChainResult:
         if self.sampler == "exchange":
@@ -122,7 +107,7 @@ def estimate_denominator(x, data: np.ndarray, config: DensityConfig,
     x = np.asarray(x, dtype=float).reshape(1, -1)
     data = np.atleast_2d(np.asarray(data, dtype=float))
     augmented = np.vstack([data, x])
-    opts = config.options(denominator_point=augmented.shape[0] - 1)
+    opts = replace(config.chain_options, denominator_point=augmented.shape[0] - 1)
     result = config.run(augmented, opts, rng)
     if result.denominator_terms is None or result.denominator_terms.size == 0:
         raise ValueError("augmented chain produced no denominator terms")
@@ -156,13 +141,15 @@ def density_grid(grid, data: np.ndarray, config: DensityConfig,
     if grid.shape[1] > 2:
         raise ValueError("density grids supported in 1-D and 2-D only")
     data = np.atleast_2d(np.asarray(data, dtype=float))
+    opts = config.chain_options
     if numerator_result is None:
-        opts = config.options(numerator_query=grid)
-        numerator_result = config.run(data, opts, rng)
+        numerator_result = config.run(data, replace(opts, numerator_query=grid), rng)
     draws = numerator_result.numerator_draws
     if not draws:
         raise ValueError("numerator chain recorded no draws")
     n_grid = grid.shape[0]
+    # each retained iteration of a denominator chain adds one term
+    n_denominator = len(range(opts.burn_in, opts.total, opts.thinning))
     if seed_seq is not None:
         children = seed_seq.spawn(n_grid)
         tasks = [(k, grid[k], data, config, children[k]) for k in range(n_grid)]
@@ -186,7 +173,7 @@ def density_grid(grid, data: np.ndarray, config: DensityConfig,
             x=grid[k], numerator=num, numerator_se=num_se,
             denominator=den, denominator_se=den_se,
             n_numerator=terms.shape[0],
-            n_denominator=config.retained,
+            n_denominator=n_denominator,
         ))
     integral = None
     if grid.shape[1] == 1:

@@ -35,6 +35,14 @@ class TestGenSynthetic:
                      "--seed", "0", "--out", str(out)]) == 0
         assert read_data_csv(out / "f2.csv").shape == (25, 2)
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_count_below_one_is_error(self, tmp_path, capsys, n):
+        out = tmp_path / "out"
+        assert main(["gen-synthetic", "--name", "f1", "--n", n,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --n must be >= 1, got {n}\n"
+        assert not out.exists()
+
 
 class TestFit:
     def fit_args(self, tmp_path, cfg_text, seed="5"):
@@ -268,6 +276,30 @@ class TestBadHyperparameters:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and line.split()[0] in err
+        assert not out.exists()
+
+
+class TestBadData:
+    # small budgets, so a run that should have been refused still ends
+    SMALL = ("total_iters = 4\nburn_in = 1\nmax_proposals = 200\n"
+             "pred_retained = 2\npred_burn_in = 1\ngrid = 0:1:2\n")
+
+    @pytest.mark.parametrize("command", ["fit", "predict-density"])
+    @pytest.mark.parametrize("rows, message", [
+        ("", "no data rows"),
+        ("0.2\nnan\n", "non-finite"),
+        ("0.2\n1.7\n", "outside the base density's support"),
+    ])
+    def test_is_error_before_output(self, tmp_path, capsys, command, rows, message):
+        cfg = write_cfg(tmp_path, self.SMALL)
+        data = tmp_path / "d.csv"
+        data.write_text("x1\n" + rows)
+        out = tmp_path / "o"
+        rc = main([command, "--config", str(cfg), "--data", str(data),
+                   "--out", str(out), "--seed", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not out.exists()
 
 

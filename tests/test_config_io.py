@@ -62,6 +62,9 @@ class TestConfigParsing:
         ("lengthscale_init", "0"), ("mean_const", "nan"), ("mean_const", "-inf"),
         ("crankshaft_eps", "0"), ("crankshaft_eps", "-0.5"),
         ("crankshaft_eps", "1.5"), ("crankshaft_eps", "nan"),
+        ("zeta_insert", "0"), ("zeta_insert", "1.5"), ("zeta_insert", "nan"),
+        ("hmc_target", "0"), ("hmc_target", "1"), ("hmc_target", "nan"),
+        ("hmc_step_size", "0"), ("hmc_step_size", "-0.2"), ("hmc_step_size", "nan"),
     ])
     def test_bad_hyperparameter_is_error(self, tmp_path, key, value):
         p = tmp_path / "run.cfg"
@@ -70,6 +73,21 @@ class TestConfigParsing:
             parse_config(p)
         with pytest.raises(ValueError, match=key):
             RunConfig(**{key: float(value)}).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("hmc_steps", 0), ("max_proposals", 0), ("pred_retained", 0),
+        ("grid_count", 0), ("geweke_thin", 0),
+        ("number_moves", -1), ("extra_controls", -1),
+    ])
+    def test_bad_count_is_error(self, tmp_path, key, value):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=key):
+            parse_config(p)
+
+    def test_boundary_tuning_values_accepted(self):
+        RunConfig(zeta_insert=1.0, number_moves=0, extra_controls=0,
+                  hmc_steps=1, max_proposals=1).validate()
 
     def test_crankshaft_eps_of_one_is_a_prior_proposal(self):
         RunConfig(crankshaft_eps=1.0).validate()
@@ -129,6 +147,17 @@ class TestCsvRoundTrip:
             read_data_csv(path)
         path.write_text("x1,x2\n1,2\n")
         assert read_data_csv(path).shape == (1, 2)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("", "no data rows"),
+        ("1,2\nnan,2\n", "non-finite"),
+        ("1,-inf\n", "non-finite"),
+    ])
+    def test_data_csv_rejects_empty_and_non_finite(self, tmp_path, rows, message):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            read_data_csv(path)
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "r.csv"

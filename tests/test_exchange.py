@@ -9,6 +9,7 @@ from scipy.stats import kstest
 
 import gpds.exchange
 from gpds.chain import ChainOptions, run_exchange_chain
+from gpds.generate import continue_sampler
 from gpds.exchange import (
     ExchangeState,
     _crankshaft,
@@ -17,7 +18,6 @@ from gpds.exchange import (
     exchange_step_hyper,
     exchange_step_prior,
     init_exchange_state,
-    predictive_sample_exchange,
 )
 from gpds.gp import (
     BASE_JITTER,
@@ -228,22 +228,26 @@ class TestExchangeStepHyper:
 
 
 class TestPredictiveSamplesExchange:
+    # predictive draws continue the rejection sampler from a copy of the
+    # state's sampler
+    @staticmethod
+    def draws(state, n, seed):
+        return continue_sampler(state.sampler.copy(), n, state.psi,
+                                np.random.default_rng(seed), 100_000).accepted
+
     def test_empty(self):
         state = make_state(np.random.default_rng(12))
-        out = predictive_sample_exchange(state, 0, rng=np.random.default_rng(0))
-        assert out.shape == (0, 1)
+        assert self.draws(state, 0, 0).shape == (0, 1)
 
     def test_determinism(self):
         state = make_state(np.random.default_rng(13))
-        a = predictive_sample_exchange(state, 5, 100_000, np.random.default_rng(1))
-        b = predictive_sample_exchange(state, 5, 100_000, np.random.default_rng(1))
-        assert np.array_equal(a, b)
+        assert np.array_equal(self.draws(state, 5, 1), self.draws(state, 5, 1))
 
     def test_state_not_mutated(self):
         state = make_state(np.random.default_rng(14))
         points, values = state.sampler.points.copy(), state.sampler.values.copy()
         packed = state.sampler.packed.copy()
-        predictive_sample_exchange(state, 10, 100_000, np.random.default_rng(2))
+        self.draws(state, 10, 2)
         assert np.array_equal(state.sampler.points, points)
         assert np.array_equal(state.sampler.values, values)
         assert np.array_equal(state.sampler.packed, packed)
@@ -254,8 +258,7 @@ class TestPredictiveSamplesExchange:
         state = ExchangeState(data=data, sampler=ConditionalSampler(theta, data, [40.0]),
                               controls=data, control_values=np.array([40.0]),
                               theta=theta, psi=BOX)
-        out = predictive_sample_exchange(state, 5000, 100_000,
-                                         np.random.default_rng(3))
+        out = self.draws(state, 5000, 3)
         assert kstest(out[:, 0], "uniform").pvalue > 0.01
 
 

@@ -8,7 +8,7 @@ from scipy.stats import chi2, kstest
 
 from gpds.generate import ProposalBudgetError, continue_sampler, draw_prior_dataset
 from gpds.gp import ConditionalSampler, GpHyper, IllConditionedCovariance
-from gpds.model import UniformBox, phi
+from gpds.model import UniformBox, base_sample, phi
 
 
 def frozen(mean_fn, dim=1):
@@ -32,10 +32,18 @@ class TestDrawPriorDataset:
         assert np.array_equal(acc_vals, trace.accepted_values)
 
     def test_flags_reconstruct_from_uniforms(self):
+        # each proposal draws its location, its function value's normal
+        # variate and its uniform, in that order, so replaying the stream
+        # recovers every proposal and every uniform
         theta = GpHyper(amplitude=1.2, lengthscales=[0.4])
-        trace = draw_prior_dataset(10, theta, BOX, np.random.default_rng(1),
-                                   keep_uniforms=True)
-        rebuilt = trace.uniforms < phi(trace.sampler.values)
+        trace = draw_prior_dataset(10, theta, BOX, np.random.default_rng(1))
+        replay = np.random.default_rng(1)
+        uniforms = np.empty(trace.proposal_count)
+        for i in range(trace.proposal_count):
+            assert np.array_equal(base_sample(BOX, replay), trace.sampler.points[i])
+            replay.standard_normal()
+            uniforms[i] = replay.uniform()
+        rebuilt = uniforms < phi(trace.sampler.values)
         assert np.array_equal(rebuilt, trace.accept_flags)
 
     def test_seed_determinism(self):

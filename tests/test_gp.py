@@ -10,7 +10,6 @@ from gpds.gp import (
     BASE_JITTER,
     CholeskyFactor,
     ConditionalSampler,
-    ConditioningSet,
     GpHyper,
     IllConditionedCovariance,
     chol,
@@ -117,14 +116,13 @@ class TestConditional:
     def test_empty_cond_returns_prior(self):
         hyper = GpHyper(amplitude=1.3, lengthscales=[0.6])
         query = np.array([[0.0], [0.5]])
-        mean, cov = conditional(query, ConditioningSet.empty(1), hyper)
+        mean, cov = conditional(query, np.empty((0, 1)), [], hyper)
         assert np.allclose(mean, 0.0)
         assert np.allclose(cov, kernel_matrix(query, query, hyper))
 
     def test_conditioning_on_query_point(self):
         hyper = GpHyper(amplitude=1.0, lengthscales=[1.0])
-        cond = ConditioningSet([[0.2]], [1.0])
-        mean, cov = conditional([[0.2]], cond, hyper)
+        mean, cov = conditional([[0.2]], [[0.2]], [1.0], hyper)
         assert mean[0] == pytest.approx(1.0, abs=1e-6)
         assert cov[0, 0] <= 2 * BASE_JITTER * 1.0**2 + 1e-12
 
@@ -134,7 +132,7 @@ class TestConditional:
         hyper = GpHyper(amplitude=1.0, lengthscales=[1.0])
         x1, x2 = 0.0, 0.8
         rho = kernel_matrix([x1], [x2], hyper)[0, 0]
-        mean, _ = conditional([[x2]], ConditioningSet([[x1]], [1.0]), hyper)
+        mean, _ = conditional([[x2]], [[x1]], [1.0], hyper)
         assert mean[0] == pytest.approx(rho, abs=1e-7)
 
     def test_against_brute_force_oracle(self):
@@ -152,8 +150,7 @@ class TestConditional:
             pts = _separated_points(rng, n_cond, dim, float(hyper.lengthscales.max()))
             vals = rng.normal(size=n_cond)
             query = rng.uniform(-1, 1, (3, dim))
-            cond = ConditioningSet(pts, vals)
-            mean, cov = conditional(query, cond, hyper)
+            mean, cov = conditional(query, pts, vals, hyper)
             factor = chol(kernel_matrix(pts, pts, hyper), BASE_JITTER)
             mean_o, cov_o = brute_force_conditional(query, pts, vals, hyper, factor.jitter)
             worst = max(worst, np.abs(mean - mean_o).max(), np.abs(cov - cov_o).max())
@@ -161,10 +158,10 @@ class TestConditional:
 
     def test_with_mean_function(self):
         hyper = GpHyper(amplitude=0.8, lengthscales=[0.5], mean=2.0)
-        mean, _ = conditional([[0.0]], ConditioningSet.empty(1), hyper)
+        mean, _ = conditional([[0.0]], np.empty((0, 1)), [], hyper)
         assert mean[0] == pytest.approx(2.0)
         mean_fn = lambda x: np.sin(x[:, 0])
-        mean, _ = conditional([[0.5]], ConditioningSet.empty(1), hyper, mean_fn=mean_fn)
+        mean, _ = conditional([[0.5]], np.empty((0, 1)), [], hyper.with_(mean=mean_fn))
         assert mean[0] == pytest.approx(math.sin(0.5))
 
 
@@ -177,28 +174,27 @@ class TestSampleConditional:
 
     def test_seed_determinism(self):
         hyper = GpHyper(amplitude=1.0, lengthscales=[0.4])
-        cond = ConditioningSet([[0.0]], [0.5])
-        a = ConditionalSampler(hyper, cond.points, cond.values).draw_batch(
+        a = ConditionalSampler(hyper, [[0.0]], [0.5]).draw_batch(
             [[0.3], [0.7]], np.random.default_rng(11))
-        b = ConditionalSampler(hyper, cond.points, cond.values).draw_batch(
+        b = ConditionalSampler(hyper, [[0.0]], [0.5]).draw_batch(
             [[0.3], [0.7]], np.random.default_rng(11))
         assert np.array_equal(a, b)
 
     @pytest.mark.slow
     def test_monte_carlo_moments_match_conditional(self):
         hyper = GpHyper(amplitude=1.0, lengthscales=[0.6])
-        cond = ConditioningSet([[0.0], [1.0]], [1.0, -0.5])
+        pts, vals = [[0.0], [1.0]], [1.0, -0.5]
         query = np.array([[0.3], [0.6]])
-        mean, cov = conditional(query, cond, hyper)
+        mean, cov = conditional(query, pts, vals, hyper)
         rng = np.random.default_rng(5)
         n = 100_000
-        sampler = ConditionalSampler(hyper, cond.points, cond.values)
+        sampler = ConditionalSampler(hyper, pts, vals)
         draws = np.empty((n, 2))
         for i in range(n):
             draws[i] = sampler.draw_batch(query, rng)
         # spot-check that samplers built afresh agree with the reused one
         for i in range(2_000):
-            draws[i] = ConditionalSampler(hyper, cond.points, cond.values).draw_batch(query, rng)
+            draws[i] = ConditionalSampler(hyper, pts, vals).draw_batch(query, rng)
         se_mean = np.sqrt(np.diag(cov) / n)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 3 * se_mean)
         emp_cov = np.cov(draws.T)
@@ -237,9 +233,8 @@ class TestRetrospectiveConsistency:
     def test_pinned_draws_vanish_at_pin(self):
         hyper = GpHyper(amplitude=1.0, lengthscales=[0.5], pin_location=[0.4])
         rng = np.random.default_rng(9)
-        cond = ConditioningSet([[0.0], [0.9]], [0.8, -1.1])
         jitter_scale = math.sqrt(BASE_JITTER)
-        sampler = ConditionalSampler(hyper, cond.points, cond.values)
+        sampler = ConditionalSampler(hyper, [[0.0], [0.9]], [0.8, -1.1])
         for _ in range(200):
             g = sampler.draw_batch([[0.4]], rng)
             assert abs(g[0]) < 6 * jitter_scale
@@ -311,7 +306,7 @@ class TestConditionalSampler:
         vals = np.array([cs.draw_append(p, rng) for p in pts])
         query = rng.uniform(-1, 1, (4, 2))
         m1, c1 = cs.mean_cov(query)
-        m2, c2 = conditional(query, ConditioningSet(pts, vals), hyper)
+        m2, c2 = conditional(query, pts, vals, hyper)
         assert np.abs(m1 - m2).max() < 1e-9
         assert np.abs(c1 - c2).max() < 1e-9
 
@@ -428,14 +423,13 @@ class TestPackedEngineAgainstOracle:
         assert np.abs(cs.lower_dot(v) - L @ v).max() < 1e-10
         assert np.abs(cs.lower_t_dot(v) - L.T @ v).max() < 1e-10
         assert np.abs(L @ cs.solve_lower(v) - v).max() < 1e-8
-        cond = ConditioningSet(P.copy(), vals.copy())
         q = rng.uniform(0, self.BOX, (3, 2))
         mu, var = cs.mean_var(q[0])
-        m_ref, c_ref = conditional(q[:1], cond, hyper)
+        m_ref, c_ref = conditional(q[:1], P, vals, hyper)
         assert mu == pytest.approx(m_ref[0], abs=1e-8)
         assert var == pytest.approx(c_ref[0, 0] + cs.jitter, abs=1e-8)
         mean, cov = cs.mean_cov(q)
-        m_ref, c_ref = conditional(q, cond, hyper)
+        m_ref, c_ref = conditional(q, P, vals, hyper)
         assert np.abs(mean - m_ref).max() < 1e-8
         assert np.abs(cov - c_ref).max() < 1e-8
 

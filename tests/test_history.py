@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import chi2, kstest
 
 from gpds.chain import _history_log_density
-from gpds.generate import draw_prior_dataset
+from gpds.generate import continue_sampler, draw_prior_dataset
 from gpds.gp import GpHyper, log_prior_density
 from gpds.history import (
     HistoryChain,
@@ -18,7 +18,6 @@ from gpds.history import (
     insert_log_accept,
     leapfrog,
     location_log_accept,
-    predictive_sample_history,
     sweep,
 )
 from gpds.model import (
@@ -393,28 +392,37 @@ class TestSweep:
 
 
 class TestPredictiveSamplesHistory:
+    # predictive draws continue the rejection sampler from a copy of the
+    # chain's sampler
+    @staticmethod
+    def draws(h, n, seed):
+        chain = HistoryChain(h)
+        return continue_sampler(chain.sampler.copy(), n, chain.psi,
+                                np.random.default_rng(seed)).accepted
+
     def test_empty_request(self):
         h = make_history(np.random.default_rng(20))
-        out = predictive_sample_history(h, 0, rng=np.random.default_rng(0))
-        assert out.shape == (0, 1)
+        assert self.draws(h, 0, 0).shape == (0, 1)
 
     def test_seed_determinism(self):
         h = make_history(np.random.default_rng(21))
-        a = predictive_sample_history(h, 5, rng=np.random.default_rng(1))
-        b = predictive_sample_history(h, 5, rng=np.random.default_rng(1))
-        assert np.array_equal(a, b)
+        assert np.array_equal(self.draws(h, 5, 1), self.draws(h, 5, 1))
 
     def test_state_not_mutated(self):
-        h = make_history(np.random.default_rng(22))
-        before = h.g_rejections.copy()
-        predictive_sample_history(h, 10, rng=np.random.default_rng(2))
-        assert np.array_equal(h.g_rejections, before)
+        chain = HistoryChain(make_history(np.random.default_rng(22)))
+        s = chain.sampler
+        before = (len(s), s.packed.copy(), s.whitened.copy(), s.values.copy())
+        continue_sampler(s.copy(), 10, chain.psi, np.random.default_rng(2))
+        assert len(s) == before[0]
+        assert np.array_equal(s.packed, before[1])
+        assert np.array_equal(s.whitened, before[2])
+        assert np.array_equal(s.values, before[3])
 
     def test_saturated_state_gives_base_samples(self):
         theta = GpHyper(amplitude=0.0, lengthscales=[1.0], mean=40.0)
         h = LatentHistory(data=[[0.5]], g_data=[40.0], rejections=np.empty((0, 1)),
                           g_rejections=[], theta=theta, psi=BOX)
-        out = predictive_sample_history(h, 5000, rng=np.random.default_rng(3))
+        out = self.draws(h, 5000, 3)
         assert kstest(out[:, 0], "uniform").pvalue > 0.01
 
     @pytest.mark.slow
@@ -425,7 +433,7 @@ class TestPredictiveSamplesHistory:
         h = LatentHistory(data=[[0.5]], g_data=[mean_fn(np.array([[0.5]]))[0]],
                           rejections=np.empty((0, 1)), g_rejections=[],
                           theta=theta, psi=BOX)
-        out = predictive_sample_history(h, 10_000, rng=np.random.default_rng(4))
+        out = self.draws(h, 10_000, 4)
         grid = np.linspace(0, 1, 4001)
         dens = phi(mean_fn(grid.reshape(-1, 1)))
         dens /= np.trapezoid(dens, grid)
@@ -445,6 +453,6 @@ class TestPredictiveSamplesHistory:
         h = LatentHistory(data=[[0.1]], g_data=[0.5],
                           rejections=anchors, g_rejections=np.full(9, -8.0),
                           theta=theta, psi=BOX)
-        out = predictive_sample_history(h, 250, rng=np.random.default_rng(5))
+        out = self.draws(h, 250, 5)
         inside = np.mean((out[:, 0] > 0.42) & (out[:, 0] < 0.58))
         assert inside < 0.08  # base mass there would be 0.16

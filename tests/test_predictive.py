@@ -1,14 +1,16 @@
 """Normalised predictive density estimation via the detailed-balance ratio."""
 import math
 from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from gpds.chain import ChainOptions, PosteriorDraw, _predictive_probe
+import gpds.predictive
+from gpds.chain import ChainOptions, PosteriorDraw, _predictive_probe, run_history_chain
 from gpds.generate import draw_prior_dataset
 from gpds.gp import GpHyper
-from gpds.model import UniformBox, phi
+from gpds.model import HyperWalkScales, UniformBox, phi
 from gpds.predictive import (
     DensityConfig,
     density_grid,
@@ -25,8 +27,9 @@ def frozen_theta(mean_fn):
 
 def frozen_config(mean_fn, retained=400, burn_in=50, sampler="latent-history"):
     return DensityConfig(theta0=frozen_theta(mean_fn), psi0=BOX, priors=None,
-                         sampler=sampler, retained=retained, burn_in=burn_in,
-                         chain_options=ChainOptions(total=1, burn_in=0,
+                         sampler=sampler,
+                         chain_options=ChainOptions(total=burn_in + retained,
+                                                    burn_in=burn_in,
                                                     infer_hypers=False))
 
 
@@ -53,7 +56,7 @@ class TestEstimateNumerator:
         rng = np.random.default_rng(0)
         data = rng.uniform(0, 1, (6, 1))
         grid = np.array([[0.25], [0.75]])
-        result = cfg.run(data, cfg.options(numerator_query=grid), rng)
+        result = cfg.run(data, replace(cfg.chain_options, numerator_query=grid), rng)
         for x in grid:
             num, se = estimate_numerator(result.numerator_draws, x)
             assert num == pytest.approx(1.0, abs=1e-12)  # pi(x) on the unit box
@@ -89,7 +92,7 @@ class TestEstimateNumerator:
         data = rng.uniform(0, 1, (5, 1))
         x = np.array([0.3])
         grid_x = np.array([[0.3]])
-        result = cfg.run(data, cfg.options(numerator_query=grid_x), rng)
+        result = cfg.run(data, replace(cfg.chain_options, numerator_query=grid_x), rng)
         num, se = estimate_numerator(result.numerator_draws, x)
 
         xs = np.linspace(0, 1, 8001)
@@ -117,7 +120,7 @@ class TestEstimateDenominator:
         data = rng.uniform(0, 1, (5, 1))
         x = np.array([0.6])
         grid_x = np.array([[0.6]])
-        result = cfg.run(data, cfg.options(numerator_query=grid_x), rng)
+        result = cfg.run(data, replace(cfg.chain_options, numerator_query=grid_x), rng)
         num, num_se = estimate_numerator(result.numerator_draws, x)
         den, den_se = estimate_denominator(x, data, cfg, rng)
         ratio = num / den
@@ -175,3 +178,34 @@ class TestDensityGrid:
             rng = np.random.default_rng(seq.spawn(1)[0])
             outs.append(density_grid(grid, data, cfg, rng, seed_seq=seq))
         assert np.array_equal(outs[0].ratios(), outs[1].ratios())
+
+    def test_chain_options_reach_every_chain(self, monkeypatch):
+        # every field but the per-chain query grid and augmented datum is
+        # passed through unchanged to the numerator and denominator chains
+        seen = []
+
+        def spy(data, theta0, psi0, opts, priors, rng):
+            seen.append(opts)
+            return run_history_chain(data, theta0, psi0, opts, priors, rng)
+
+        monkeypatch.setattr(gpds.predictive, "run_history_chain", spy)
+        given = ChainOptions(
+            total=9, burn_in=3, thinning=2, max_proposals=5000, zeta_insert=0.3,
+            walk_scales=np.array([0.05]), number_moves=2, hmc_step_size=0.1,
+            hmc_leapfrog=3, hmc_target=0.6, crankshaft_eps=0.7, n_extra_controls=1,
+            infer_hypers=False, hyper_scales=HyperWalkScales(log_amplitude=0.2),
+            record_predictive=True, record_rejections=True)
+        cfg = DensityConfig(theta0=GpHyper(amplitude=1.0, lengthscales=[0.5]),
+                            psi0=BOX, chain_options=given)
+        data = np.random.default_rng(8).uniform(0, 1, (4, 1))
+        grid = np.array([[0.5]])
+        out = density_grid(grid, data, cfg, np.random.default_rng(9))
+        assert out.estimates[0].n_denominator == 3
+        numerator, denominator = seen
+        assert numerator.numerator_query is grid and numerator.denominator_point is None
+        assert denominator.numerator_query is None and denominator.denominator_point == 4
+        for opts in seen:
+            for f in fields(ChainOptions):
+                if f.name not in ("numerator_query", "denominator_point"):
+                    assert np.array_equal(getattr(opts, f.name),
+                                          getattr(given, f.name)), f.name

@@ -91,6 +91,32 @@ def test_history_fit(tmp_path):
     assert digest(out / "predictive_samples.csv") == "4cf482772eabef88"
 
 
+def test_predict_density(tmp_path):
+    # values recorded before the density chains took a full ChainOptions
+    run(["gen-synthetic", "--name", "f1", "--n", "20", "--seed", "7",
+         "--out", str(tmp_path / "data")])
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("sampler = latent-history\npred_retained = 20\npred_burn_in = 10\n")
+    out = tmp_path / "pd"
+    run(["predict-density", "--config", str(cfg), "--data",
+         str(tmp_path / "data" / "f1.csv"), "--grid", "0:1:3", "--seed", "7",
+         "--out", str(out)])
+    names, grid = read_csv(out / "density_grid.csv")
+    assert names == ["x1", "estimate", "stderr_numerator", "stderr_denominator"]
+    assert grid.tolist() == [
+        [0.0, pytest.approx(1.0294440914731848, rel=1e-8),
+         pytest.approx(0.006287910322398165, rel=1e-8),
+         pytest.approx(0.0176955155895892, rel=1e-8)],
+        [0.5, pytest.approx(1.0078680961555777, rel=1e-8),
+         pytest.approx(0.003578297269802189, rel=1e-8),
+         pytest.approx(0.007194199237311305, rel=1e-8)],
+        [1.0, pytest.approx(0.9643666696806862, rel=1e-8),
+         pytest.approx(0.013286344947772272, rel=1e-8),
+         pytest.approx(0.005411520463008046, rel=1e-8)]]
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["integral"] == pytest.approx(1.0023867383662566, rel=1e-8)
+
+
 EXCHANGE_EXPECTED = {
     # uniform box: chain00 also takes a fantasy budget failure
     "uniform-box": {
