@@ -42,8 +42,7 @@ from .exchange import (
     init_exchange_state,
 )
 from .history import (
-    LatentHistory,
-    SweepConfig,
+    HistoryChain,
     ZetaSchedule,
     init_history,
     sweep,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .exchange import (
     exchange_step_prior,
     init_exchange_state,
 )
-from .history import HistoryChain, SweepConfig, ZetaSchedule, init_history, sweep
+from .history import HistoryChain, init_history, sweep
 from .model import (
     BaseHyper,
     GaussianBase,
@@ -97,7 +97,7 @@ class ChainResult:
     psi_sigma: np.ndarray | None
     log_density: np.ndarray
     predictive: np.ndarray | None
-    rejection_snapshots: list[np.ndarray]
+    rejections: list[np.ndarray]            # per retained step, when record_rejections
     numerator_draws: list[PosteriorDraw]
     denominator_terms: np.ndarray | None
     counters: Counter
@@ -150,7 +150,7 @@ class _Recorder:
     """The retained iterations of one chain run, recorded the same way for
     both samplers.  The state passed in is a :class:`HistoryChain` or an
     :class:`~gpds.exchange.ExchangeState`; both carry ``theta``, ``psi``,
-    ``sampler`` and ``g_data``."""
+    ``sampler``, ``g_data`` and the move counters ``diagnostics``."""
 
     def __init__(self, opts: ChainOptions, dim: int, gaussian_base: bool,
                  accept_keys: tuple[str, ...]):
@@ -160,16 +160,17 @@ class _Recorder:
         self.accept_keys = accept_keys
         self.t_start = time.perf_counter()
         self.rows: list[dict] = []
-        self.rejection_snapshots: list[np.ndarray] = []
+        self.rejections: list[np.ndarray] = []
         self.numerator_draws: list[PosteriorDraw] = []
         self.denom_terms: list[float] = []
 
     def add(self, it: int, state, m: int, log_density: float,
-            counters: Counter, before: Counter, rng: np.random.Generator) -> None:
+            before: Counter, rng: np.random.Generator) -> None:
         """Record iteration ``it``: the trace row with the acceptances since
         ``before``, then the predictive probe and then the denominator term,
         drawing from ``rng`` in that order."""
         opts = self.opts
+        counters = state.diagnostics
         rec = {
             "iteration": it,
             "m": m,
@@ -194,7 +195,7 @@ class _Recorder:
             self.denom_terms.append(min(1.0, phi(g_prime) / phi(g_aug)))
         self.rows.append(rec)
 
-    def result(self, state, counters: Counter, hmc_step: float | None) -> ChainResult:
+    def result(self, state, hmc_step: float | None) -> ChainResult:
         records, dim = self.rows, self.dim
         n = len(records)
         predictive = None
@@ -217,11 +218,11 @@ class _Recorder:
                        if n and self.gaussian_base else None),
             log_density=np.array([r["log_density"] for r in records]),
             predictive=predictive,
-            rejection_snapshots=self.rejection_snapshots,
+            rejections=self.rejections,
             numerator_draws=self.numerator_draws,
             denominator_terms=(np.asarray(self.denom_terms)
                                if self.denom_terms else None),
-            counters=counters,
+            counters=state.diagnostics,
             final_theta=state.theta,
             final_psi=state.psi,
             hmc_step_size=hmc_step,
@@ -234,43 +235,30 @@ def run_history_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
                       rng: np.random.Generator) -> ChainResult:
     """Latent-history MCMC with burn-in HMC step-size adaptation."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    dim = data.shape[1]
-    recorder = _Recorder(opts, dim, isinstance(psi0, GaussianBase),
+    walk = default_walk_scales(data) if opts.walk_scales is None else opts.walk_scales
+    # a private copy: burn-in adapts its hmc_step_size, and the caller's
+    # options may be shared with other chains
+    opts = replace(opts, walk_scales=walk)
+    recorder = _Recorder(opts, data.shape[1], isinstance(psi0, GaussianBase),
                          ("number_acc", "number_att", "loc_acc", "loc_att",
                           "hmc_acc", "hmc_att", "hyper_acc", "hyper_att"))
-    h = init_history(data, theta0, psi0, rng)
-    chain = HistoryChain(h)
-    walk = (default_walk_scales(data) if opts.walk_scales is None
-            else np.broadcast_to(np.asarray(opts.walk_scales, dtype=float), (dim,)).copy())
-    cfg = SweepConfig(
-        zeta=ZetaSchedule(opts.zeta_insert),
-        walk_scales=walk,
-        hmc_step_size=opts.hmc_step_size,
-        hmc_leapfrog=opts.hmc_leapfrog,
-        hyper_scales=opts.hyper_scales,
-        priors=priors,
-        number_moves=opts.number_moves,
-        enable_hyper=opts.infer_hypers and priors is not None,
-        enable_hmc=theta0.amplitude > 0,
-    )
-    counters = cfg.counters
+    chain = init_history(data, theta0, psi0, rng)
+    counters = chain.diagnostics
 
     for it in range(opts.total):
         before = Counter(counters)
-        sweep(chain, cfg, rng)
-        if it < opts.burn_in and cfg.enable_hmc and counters["hmc_att"] > before["hmc_att"]:
+        sweep(chain, opts, priors, rng)
+        if it < opts.burn_in and counters["hmc_att"] > before["hmc_att"]:
             acc = counters["hmc_acc"] - before["hmc_acc"]
-            cfg.hmc_step_size *= math.exp(0.05 * (acc - opts.hmc_target))
+            opts.hmc_step_size *= math.exp(0.05 * (acc - opts.hmc_target))
         if it < opts.burn_in or (it - opts.burn_in) % opts.thinning:
             continue
         if opts.record_rejections:
-            rows = np.asarray(chain.rej_rows, dtype=int)
-            recorder.rejection_snapshots.append(chain.sampler.points[rows].copy()
-                                                if rows.size else np.empty((0, dim)))
+            recorder.rejections.append(chain.rejections)
         recorder.add(it, chain, chain.n_rejections, _history_log_density(chain),
-                     counters, before, rng)
+                     before, rng)
 
-    return recorder.result(chain, counters, cfg.hmc_step_size)
+    return recorder.result(chain, opts.hmc_step_size)
 
 
 def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
@@ -299,7 +287,6 @@ def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
         if it < opts.burn_in or (it - opts.burn_in) % opts.thinning:
             continue
         recorder.add(it, state, len(state.sampler),
-                     float(np.sum(log_phi(state.g_data))),
-                     state.diagnostics, before, rng)
+                     float(np.sum(log_phi(state.g_data))), before, rng)
 
-    return recorder.result(state, state.diagnostics, None)
+    return recorder.result(state, None)

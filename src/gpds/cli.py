@@ -142,8 +142,8 @@ def _write_trace(path: Path, result, dim: int) -> None:
 def _write_rejections(path: Path, result, dim: int) -> None:
     header = ["iteration"] + [f"x{i + 1}" for i in range(dim)]
     rows = []
-    for it, snap in zip(result.iterations, result.rejection_snapshots):
-        for point in snap:
+    for it, rejections in zip(result.iterations, result.rejections):
+        for point in rejections:
             rows.append([it, *point])
     write_csv(path, header, np.asarray(rows) if rows else np.empty((0, dim + 1)))
 

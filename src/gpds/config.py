@@ -79,20 +79,23 @@ class RunConfig:
             raise ValueError("iteration counts must be >= 0")
         if self.total_iters and self.burn_in >= self.total_iters:
             raise ValueError("burn_in must be smaller than total_iters")
-        for name in ("amplitude_init", "lengthscale_init"):
+        # a zero or non-finite scale would not fail the run: it freezes a
+        # move, or makes every log prior nan so that the move always rejects
+        for name in ("amplitude_init", "lengthscale_init", "hmc_step_size",
+                     "walk_scale_frac", "hyper_walk_scale",
+                     "amp_log_prior_sigma", "ls_log_prior_sigma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not math.isfinite(self.mean_const):
-            raise ValueError(f"mean_const must be finite, got {self.mean_const}")
+        for name in ("mean_const", "amp_log_prior_mu", "ls_log_prior_mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.crankshaft_eps <= 1.0:
             raise ValueError(f"crankshaft_eps must be in (0, 1], got {self.crankshaft_eps}")
         if not 0.0 < self.zeta_insert <= 1.0:
             raise ValueError(f"zeta_insert must be in (0, 1], got {self.zeta_insert}")
         if not 0.0 < self.hmc_target < 1.0:
             raise ValueError(f"hmc_target must be in (0, 1), got {self.hmc_target}")
-        if not self.hmc_step_size > 0.0:
-            raise ValueError(f"hmc_step_size must be positive, got {self.hmc_step_size}")
         for name in ("hmc_steps", "max_proposals", "pred_retained", "grid_count",
                      "geweke_thin"):
             if getattr(self, name) < 1:
@@ -127,7 +130,6 @@ def parse_config(path: str | Path | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    types = {f.name: f.type for f in fields(RunConfig)}
     actual = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -60,16 +60,20 @@ class ExchangeState:
     function values are ``control_values``.  ``sampler`` is the current
     function: it is conditioned on the controls and on whatever has been
     learned about the function at fantasy locations since the last
-    accepted swap.  The moves update the state in place.
+    accepted swap, under the GP hyperparameters it holds (:attr:`theta`).
+    The moves update the state in place.
     """
 
     data: np.ndarray            # (N, D), fixed
     sampler: ConditionalSampler
     controls: np.ndarray        # (B, D), controls[:N] == data
     control_values: np.ndarray  # (B,)
-    theta: GpHyper
     psi: BaseHyper
     diagnostics: Counter = field(default_factory=Counter)
+
+    @property
+    def theta(self) -> GpHyper:
+        return self.sampler.hyper
 
     @property
     def n_data(self) -> int:
@@ -96,7 +100,6 @@ def init_exchange_state(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
         sampler=sampler,
         controls=controls.copy(),
         control_values=values,
-        theta=theta,
         psi=psi,
     )
 
@@ -147,17 +150,18 @@ def _propose(state: ExchangeState, theta: GpHyper, psi: BaseHyper, eps: float,
     return hat_values, trace
 
 
-def _swap(state: ExchangeState, theta: GpHyper, psi: BaseHyper,
-          hat_values: np.ndarray, trace: GenerativeTrace, rng: np.random.Generator,
-          move: str, log_prior_ratio: float = 0.0,
+def _swap(state: ExchangeState, psi: BaseHyper, hat_values: np.ndarray,
+          trace: GenerativeTrace, rng: np.random.Generator, move: str,
+          log_prior_ratio: float = 0.0,
           base_terms: tuple[float, ...] = ()) -> tuple[ExchangeState, bool]:
     """Evaluate the current function at the fantasies and accept the swap
     with probability exp(log_prior_ratio + swap ratio + sum(base_terms)).
 
     The state is updated in place and returned with the verdict.  On accept
-    the proposal (``theta``, ``psi``, ``hat_values`` and the sampler grown
-    in ``trace``) becomes the state; on reject the current function keeps
-    its values at the fantasies, appended to its sampler.
+    the proposal (``psi``, ``hat_values`` and the sampler grown in
+    ``trace``, which holds the proposed theta) becomes the state; on reject
+    the current function keeps its values at the fantasies, appended to
+    its sampler.
     """
     n = state.n_data
     g_fant = state.sampler.draw_batch(trace.accepted, rng)
@@ -171,7 +175,6 @@ def _swap(state: ExchangeState, theta: GpHyper, psi: BaseHyper,
         state.diagnostics[f"{move}_acc"] += 1
         state.sampler = trace.sampler
         state.control_values = hat_values
-        state.theta = theta
         state.psi = psi
     else:
         for x, g in zip(trace.accepted, g_fant):
@@ -188,7 +191,7 @@ def _step_function(state: ExchangeState, eps: float, max_proposals: int,
     except ProposalBudgetError:
         state.diagnostics["budget_failures"] += 1
         return state, False
-    return _swap(state, state.theta, state.psi, hat_values, trace, rng, "func")
+    return _swap(state, state.psi, hat_values, trace, rng, "func")
 
 
 def exchange_step_prior(state: ExchangeState,
@@ -240,7 +243,7 @@ def exchange_step_hyper(state: ExchangeState, proposal_scales: HyperWalkScales,
         state.diagnostics["budget_failures"] += 1
         return state, False
     fantasies = trace.accepted
-    return _swap(state, theta_hat, psi_hat, hat_values, trace, rng, "hyper",
+    return _swap(state, psi_hat, hat_values, trace, rng, "hyper",
                  lp_hat - lp_cur,
                  (float(np.sum(base_data_hat - base_logpdf(state.data, state.psi))),
                   float(np.sum(base_logpdf(fantasies, state.psi)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import ks_2samp
 
+from .chain import ChainOptions
 from .exchange import (
     ExchangeState,
     exchange_step_control,
@@ -24,7 +25,7 @@ from .exchange import (
 )
 from .generate import DEFAULT_MAX_PROPOSALS, continue_sampler, draw_prior_dataset
 from .gp import GpHyper
-from .history import HistoryChain, LatentHistory, SweepConfig, sweep
+from .history import HistoryChain, sweep
 from .model import BaseHyper, phi
 
 
@@ -61,62 +62,54 @@ def _make_report(forward: dict, successive: dict, threshold: float) -> GewekeRep
                         forward=forward, successive=successive)
 
 
-def _history_from_trace(trace, psi) -> LatentHistory:
+def _history_from_trace(trace, psi) -> HistoryChain:
     """The block this run of the sampler produced: its acceptances are the
     data, its rejections the latent history."""
     run = slice(len(trace.sampler) - trace.proposal_count, None)
     rej = ~trace.accept_flags
-    return LatentHistory(
-        data=trace.accepted,
-        g_data=trace.accepted_values,
-        rejections=trace.sampler.points[run][rej],
-        g_rejections=trace.sampler.values[run][rej],
-        theta=trace.sampler.hyper,
-        psi=psi,
-    )
+    return HistoryChain(trace.accepted, trace.accepted_values, trace.sampler.hyper,
+                        psi, trace.sampler.points[run][rej],
+                        trace.sampler.values[run][rej])
 
 
-def _history_stats(h: LatentHistory) -> dict[str, float]:
+def _history_stats(trace) -> dict[str, float]:
+    """The statistics of the block this run of the sampler produced."""
     return {
-        "n_rejections": float(h.n_rejections),
-        "mean_g_data": float(np.mean(h.g_data)),
-        "data_mean": float(np.mean(h.data)),
+        "n_rejections": float(np.count_nonzero(~trace.accept_flags)),
+        "mean_g_data": float(np.mean(trace.accepted_values)),
+        "data_mean": float(np.mean(trace.accepted)),
     }
 
 
 def run_geweke_history(theta: GpHyper, psi: BaseHyper, n_data: int = 3,
                        n_samples: int = 5000, thin: int = 5,
                        rng: np.random.Generator | None = None,
-                       sweep_config: SweepConfig | None = None,
                        corrupt_insert: bool = False,
                        threshold: float = 0.01,
                        max_proposals: int = DEFAULT_MAX_PROPOSALS) -> GewekeReport:
-    """Forward vs successive-conditional check of the latent-history moves."""
+    """Forward vs successive-conditional check of the latent-history moves
+    (number, location and HMC; the hyperparameters stay fixed)."""
     if n_samples < 10:
         raise ValueError("insufficient samples for a distribution comparison")
-    cfg = sweep_config if sweep_config is not None else SweepConfig()
-    cfg.corrupt_insert = corrupt_insert
+    opts = ChainOptions(total=0, burn_in=0, walk_scales=0.1)
     names = ("n_rejections", "mean_g_data", "data_mean")
     forward = {k: np.empty(n_samples) for k in names}
     for i in range(n_samples):
         trace = draw_prior_dataset(n_data, theta, psi, rng,
                                    max_proposals=max_proposals)
-        h = _history_from_trace(trace, psi)
-        for k, v in _history_stats(h).items():
+        for k, v in _history_stats(trace).items():
             forward[k][i] = v
     successive = {k: np.empty(n_samples) for k in names}
     trace = draw_prior_dataset(n_data, theta, psi, rng, max_proposals=max_proposals)
-    h = _history_from_trace(trace, psi)
     for i in range(n_samples):
         for _ in range(thin):
-            chain = HistoryChain(h)
-            sweep(chain, cfg, rng)
+            chain = _history_from_trace(trace, psi)
+            sweep(chain, opts, None, rng, corrupt_insert=corrupt_insert)
             # replace (data, rejections) with a block continued from the
             # chain's own sampler
             trace = continue_sampler(chain.sampler, chain.n_data, chain.psi, rng,
                                      max_proposals=max_proposals)
-            h = _history_from_trace(trace, chain.psi)
-        for k, v in _history_stats(h).items():
+        for k, v in _history_stats(trace).items():
             successive[k][i] = v
     return _make_report(forward, successive, threshold)
 
@@ -127,7 +120,7 @@ def _exchange_from_trace(trace, psi) -> ExchangeState:
         sampler=trace.sampler,
         controls=trace.accepted.copy(),
         control_values=trace.accepted_values.copy(),
-        theta=trace.sampler.hyper, psi=psi,
+        psi=psi,
     )
 
 

@@ -7,15 +7,16 @@ locations and function values of the rejected proposals.  It lives in a
 factor in place: insert or delete a single latent rejection, perturb
 rejection locations, update all function values jointly with Hamiltonian
 dynamics in the whitened space, and random-walk the hyperparameters.
-:func:`sweep` runs one iteration of those moves; :class:`LatentHistory`
-holds the state as plain arrays (:meth:`HistoryChain.snapshot`).
+:func:`sweep` runs one iteration of those moves with the tuning of a
+:class:`~gpds.chain.ChainOptions`; :func:`init_history` draws a starting
+state with no rejections.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -35,57 +36,18 @@ from .model import (
     propose_hypers,
 )
 
+if TYPE_CHECKING:
+    from .chain import ChainOptions
+
 __all__ = [
-    "LatentHistory",
+    "HistoryChain",
+    "init_history",
     "ZetaSchedule",
-    "SweepConfig",
     "insert_log_accept",
     "delete_log_accept",
     "location_log_accept",
     "sweep",
 ]
-
-
-@dataclass
-class LatentHistory:
-    """Latent state of the generative procedure for a fixed data set."""
-
-    data: np.ndarray          # (N, D), fixed
-    g_data: np.ndarray        # (N,)
-    rejections: np.ndarray    # (M, D)
-    g_rejections: np.ndarray  # (M,)
-    theta: GpHyper
-    psi: BaseHyper
-
-    def __post_init__(self):
-        self.data = np.atleast_2d(np.asarray(self.data, dtype=float))
-        self.g_data = np.atleast_1d(np.asarray(self.g_data, dtype=float))
-        rej = np.asarray(self.rejections, dtype=float)
-        self.rejections = rej.reshape(-1, self.data.shape[1])
-        self.g_rejections = np.asarray(self.g_rejections, dtype=float).reshape(-1)
-        if self.g_data.shape[0] != self.data.shape[0]:
-            raise ValueError("g_data length mismatch")
-        if self.g_rejections.shape[0] != self.rejections.shape[0]:
-            raise ValueError("g_rejections length mismatch")
-
-    @property
-    def n_data(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_rejections(self) -> int:
-        return self.rejections.shape[0]
-
-
-def init_history(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
-                 rng: np.random.Generator) -> LatentHistory:
-    """Initial state: no latent rejections, function drawn from the prior."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    sampler = ConditionalSampler(theta)
-    g = np.array([sampler.draw_append(x, rng) for x in data])
-    return LatentHistory(data=data, g_data=g,
-                         rejections=np.empty((0, data.shape[1])),
-                         g_rejections=np.empty(0), theta=theta, psi=psi)
 
 
 @dataclass(frozen=True)
@@ -182,18 +144,32 @@ class HistoryChain:
     Wraps a :class:`ConditionalSampler` whose rows are the data (first N,
     never touched) followed by the latent rejections, so individual moves
     reuse the incrementally maintained factor instead of refactorising.
-    ``rej_rows`` maps rejection slots to factor rows.
+    ``rej_rows`` maps rejection slots to factor rows.  The GP
+    hyperparameters are the sampler's (:attr:`theta`); ``diagnostics``
+    counts the attempts and acceptances of :func:`sweep`.
     """
 
-    def __init__(self, h: LatentHistory):
-        self.data = h.data
-        self.n_data = h.n_data
-        self.theta = h.theta
-        self.psi = h.psi
-        pts = np.vstack([h.data, h.rejections])
-        vals = np.concatenate([h.g_data, h.g_rejections])
-        self.sampler = ConditionalSampler(h.theta, pts, vals)
-        self.rej_rows = list(range(self.n_data, self.n_data + h.n_rejections))
+    def __init__(self, data: np.ndarray, g_data: np.ndarray, theta: GpHyper,
+                 psi: BaseHyper, rejections: np.ndarray | None = None,
+                 g_rejections: np.ndarray | None = None):
+        self.data = np.atleast_2d(np.asarray(data, dtype=float))
+        self.n_data = self.data.shape[0]
+        self.psi = psi
+        g_data = np.atleast_1d(np.asarray(g_data, dtype=float))
+        rej = np.asarray(() if rejections is None else rejections, dtype=float)
+        rej = rej.reshape(-1, self.data.shape[1])
+        g_rej = np.asarray(() if g_rejections is None else g_rejections,
+                           dtype=float).reshape(-1)
+        if g_data.shape[0] != self.n_data or g_rej.shape[0] != rej.shape[0]:
+            raise ValueError("each data point and rejection needs one function value")
+        self.sampler = ConditionalSampler(theta, np.vstack([self.data, rej]),
+                                          np.concatenate([g_data, g_rej]))
+        self.rej_rows = list(range(self.n_data, self.n_data + rej.shape[0]))
+        self.diagnostics: Counter = Counter()
+
+    @property
+    def theta(self) -> GpHyper:
+        return self.sampler.hyper
 
     @property
     def n_rejections(self) -> int:
@@ -203,18 +179,14 @@ class HistoryChain:
     def g_data(self) -> np.ndarray:
         return self.sampler.values[: self.n_data]
 
-    def snapshot(self) -> LatentHistory:
-        vals = self.sampler.values
-        pts = self.sampler.points
-        rows = np.asarray(self.rej_rows, dtype=int)
-        return LatentHistory(
-            data=self.data.copy(),
-            g_data=self.g_data.copy(),
-            rejections=pts[rows].copy() if rows.size else np.empty((0, self.data.shape[1])),
-            g_rejections=vals[rows].copy() if rows.size else np.empty(0),
-            theta=self.theta,
-            psi=self.psi,
-        )
+    @property
+    def rejections(self) -> np.ndarray:
+        """The rejection locations in slot order, as a copy."""
+        return self.sampler.points[np.asarray(self.rej_rows, dtype=int)]
+
+    @property
+    def g_rejections(self) -> np.ndarray:
+        return self.sampler.values[np.asarray(self.rej_rows, dtype=int)]
 
     # -- number move ------------------------------------------------------
     def step_number(self, zeta, rng: np.random.Generator,
@@ -321,58 +293,48 @@ class HistoryChain:
         log_a = (lp_hat - lp_cur + proposal.log_density() - self.sampler.log_density()
                  + float(np.sum(base_new - base_old)))
         if math.log(rng.uniform()) < log_a:
-            self.theta = theta_hat
             self.psi = psi_hat
             self.sampler = proposal
             return True
         return False
 
 
-@dataclass
-class SweepConfig:
-    """Move schedule and tuning for one full sweep.
+def init_history(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
+                 rng: np.random.Generator) -> HistoryChain:
+    """Initial state: no latent rejections, function drawn from the prior."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    sampler = ConditionalSampler(theta)
+    g = np.array([sampler.draw_append(x, rng) for x in data])
+    return HistoryChain(data, g, theta, psi)
 
-    ``counters`` accumulates per-move acceptance diagnostics across calls.
-    ``corrupt_insert`` is a testing hook that deliberately mis-computes the
-    insert ratio so validation harnesses can confirm they catch it.
+
+def sweep(chain: HistoryChain, opts: ChainOptions, priors: HyperPrior | None,
+          rng: np.random.Generator, corrupt_insert: bool = False) -> None:
+    """One full iteration in place, tuned by ``opts``: number moves,
+    location moves, HMC unless the GP is degenerate, and the hyperparameter
+    move when ``opts.infer_hypers`` is set and ``priors`` are given.
+
+    ``opts.walk_scales`` must be set (``run_history_chain`` fills in the
+    data-scaled default).  ``corrupt_insert`` is a testing hook that
+    deliberately mis-computes the insert ratio so validation harnesses can
+    confirm they catch it.
     """
-
-    zeta: ZetaSchedule = field(default_factory=ZetaSchedule)
-    walk_scales: np.ndarray | float = 0.1
-    hmc_step_size: float = 0.2
-    hmc_leapfrog: int = 10
-    hyper_scales: HyperWalkScales = field(default_factory=HyperWalkScales)
-    priors: HyperPrior | None = None
-    number_moves: int = 1
-    enable_number: bool = True
-    enable_locations: bool = True
-    enable_hmc: bool = True
-    enable_hyper: bool = False
-    corrupt_insert: bool = False
-    counters: Counter = field(default_factory=Counter)
-
-
-def sweep(chain: HistoryChain, config: SweepConfig,
-          rng: np.random.Generator) -> None:
-    """One full iteration in place: number moves, location moves, HMC and
-    the hyperparameter move, each as enabled in ``config``."""
-    c = config.counters
-    if config.enable_number:
-        for _ in range(config.number_moves):
-            acc = chain.step_number(config.zeta, rng,
-                                    corrupt_insert=config.corrupt_insert)
-            c["number_acc"] += acc
-            c["number_att"] += 1
-    if config.enable_locations and chain.n_rejections:
-        scales = np.broadcast_to(np.asarray(config.walk_scales, dtype=float),
+    c = chain.diagnostics
+    zeta = ZetaSchedule(opts.zeta_insert)
+    for _ in range(opts.number_moves):
+        acc = chain.step_number(zeta, rng, corrupt_insert=corrupt_insert)
+        c["number_acc"] += acc
+        c["number_att"] += 1
+    if chain.n_rejections:
+        scales = np.broadcast_to(np.asarray(opts.walk_scales, dtype=float),
                                  (chain.data.shape[1],)).copy()
         c["loc_att"] += chain.n_rejections
         c["loc_acc"] += chain.step_locations(scales, rng)
-    if config.enable_hmc and not chain.sampler.degenerate:
-        acc = chain.step_function_hmc(config.hmc_step_size, config.hmc_leapfrog, rng)
+    if not chain.sampler.degenerate:
+        acc = chain.step_function_hmc(opts.hmc_step_size, opts.hmc_leapfrog, rng)
         c["hmc_acc"] += acc
         c["hmc_att"] += 1
-    if config.enable_hyper and config.priors is not None:
-        acc = chain.step_hyper(config.hyper_scales, config.priors, rng)
+    if opts.infer_hypers and priors is not None:
+        acc = chain.step_hyper(opts.hyper_scales, priors, rng)
         c["hyper_acc"] += acc
         c["hyper_att"] += 1

@@ -278,6 +278,23 @@ class TestBadHyperparameters:
         assert err.startswith("error: ") and line.split()[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["walk_scale_frac = 0",
+                                      "amp_log_prior_sigma = 0"])
+    def test_fit_is_error_before_sampling(self, tmp_path, capsys, line):
+        # either would freeze a move of the chain instead of failing
+        main(["gen-synthetic", "--name", "f1", "--n", "20", "--seed", "1",
+              "--out", str(tmp_path / "data")])
+        cfg = write_cfg(tmp_path, line + "\ntotal_iters = 20\nburn_in = 5\n")
+        out = tmp_path / "fit"
+        capsys.readouterr()
+        rc = main(["fit", "--config", str(cfg), "--data",
+                   str(tmp_path / "data" / "f1.csv"), "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and line.split()[0] in err
+        assert not out.exists()
+
 
 class TestBadData:
     # small budgets, so a run that should have been refused still ends

@@ -65,6 +65,16 @@ class TestConfigParsing:
         ("zeta_insert", "0"), ("zeta_insert", "1.5"), ("zeta_insert", "nan"),
         ("hmc_target", "0"), ("hmc_target", "1"), ("hmc_target", "nan"),
         ("hmc_step_size", "0"), ("hmc_step_size", "-0.2"), ("hmc_step_size", "nan"),
+        ("hmc_step_size", "inf"),
+        ("walk_scale_frac", "0"), ("walk_scale_frac", "-0.1"), ("walk_scale_frac", "nan"),
+        ("walk_scale_frac", "inf"),
+        ("hyper_walk_scale", "0"), ("hyper_walk_scale", "nan"), ("hyper_walk_scale", "inf"),
+        ("amp_log_prior_sigma", "0"), ("amp_log_prior_sigma", "-0.5"),
+        ("amp_log_prior_sigma", "nan"), ("amp_log_prior_sigma", "inf"),
+        ("ls_log_prior_sigma", "0"), ("ls_log_prior_sigma", "-1"),
+        ("ls_log_prior_sigma", "nan"), ("ls_log_prior_sigma", "inf"),
+        ("amp_log_prior_mu", "nan"), ("amp_log_prior_mu", "-inf"),
+        ("ls_log_prior_mu", "nan"), ("ls_log_prior_mu", "inf"),
     ])
     def test_bad_hyperparameter_is_error(self, tmp_path, key, value):
         p = tmp_path / "run.cfg"

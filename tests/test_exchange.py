@@ -257,7 +257,7 @@ class TestPredictiveSamplesExchange:
         data = np.array([[0.5]])
         state = ExchangeState(data=data, sampler=ConditionalSampler(theta, data, [40.0]),
                               controls=data, control_values=np.array([40.0]),
-                              theta=theta, psi=BOX)
+                              psi=BOX)
         out = self.draws(state, 5000, 3)
         assert kstest(out[:, 0], "uniform").pvalue > 0.01
 

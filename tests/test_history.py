@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, kstest
 
-from gpds.chain import _history_log_density
+from gpds.chain import ChainOptions, _history_log_density
 from gpds.generate import continue_sampler, draw_prior_dataset
 from gpds.gp import GpHyper, log_prior_density
 from gpds.history import (
     HistoryChain,
-    LatentHistory,
-    SweepConfig,
     ZetaSchedule,
     delete_log_accept,
     init_history,
@@ -36,28 +34,48 @@ THETA = GpHyper(amplitude=1.3, lengthscales=[0.3])
 
 
 def make_history(rng, n=4, theta=THETA, psi=BOX):
+    """The chain state of one run of the generative sampler."""
     trace = draw_prior_dataset(n, theta, psi, rng)
     rej = ~trace.accept_flags
-    return LatentHistory(
-        data=trace.accepted, g_data=trace.accepted_values,
-        rejections=trace.sampler.points[rej], g_rejections=trace.sampler.values[rej],
-        theta=theta, psi=psi,
-    )
+    return HistoryChain(trace.accepted, trace.accepted_values, theta, psi,
+                        trace.sampler.points[rej], trace.sampler.values[rej])
 
 
-def history_logdensity(h: LatentHistory) -> float:
-    """The chain's log joint (what trace.csv writes) for the state h."""
-    return _history_log_density(HistoryChain(h))
+def sweep_options(**kw):
+    """Move tuning for direct sweeps; no iteration budget."""
+    return ChainOptions(total=0, burn_in=0, **{"walk_scales": 0.1, **kw})
+
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("g_data, rejections, g_rejections", [
+        ([0.1, 0.2], None, None),
+        ([0.1], [[0.3]], None),
+        ([0.1], [[0.3]], [0.2, 0.4]),
+        ([0.1, 0.2], [[0.3]], []),
+    ], ids=["extra-data-value", "missing-rejection-value", "extra-rejection-value",
+            "value-in-wrong-block"])
+    def test_value_count_must_match_points(self, g_data, rejections, g_rejections):
+        with pytest.raises(ValueError, match="function value"):
+            HistoryChain([[0.5]], g_data, THETA, BOX, rejections, g_rejections)
+
+    def test_arrays_round_trip(self):
+        chain = HistoryChain([[0.5], [0.6]], [0.1, 0.2], THETA, BOX,
+                             [[0.3], [0.9]], [-0.4, -0.5])
+        assert chain.n_data == 2 and chain.n_rejections == 2
+        assert chain.g_data.tolist() == [0.1, 0.2]
+        assert chain.rejections.tolist() == [[0.3], [0.9]]
+        assert chain.g_rejections.tolist() == [-0.4, -0.5]
+        assert chain.theta is THETA
 
 
 class TestHistoryLogdensity:
     def test_single_acceptance_at_zero(self):
         # the non-GP part of the joint for one accepted point at g=0 on the
         # unit box is log phi(0) + log pi = -ln 2
-        h = LatentHistory(data=[[0.4]], g_data=[0.0], rejections=np.empty((0, 1)),
-                          g_rejections=[], theta=THETA, psi=BOX)
+        h = HistoryChain([[0.4]], [0.0], THETA, BOX)
         gp_term = log_prior_density([0.0], [[0.4]], THETA)
-        assert history_logdensity(h) - gp_term == pytest.approx(-math.log(2), abs=1e-12)
+        assert _history_log_density(h) - gp_term == pytest.approx(-math.log(2), abs=1e-12)
 
     def test_rejection_permutation_invariance(self):
         rng = np.random.default_rng(0)
@@ -65,11 +83,9 @@ class TestHistoryLogdensity:
         while h.n_rejections < 2:
             h = make_history(rng, n=3)
         perm = np.random.default_rng(1).permutation(h.n_rejections)
-        h2 = LatentHistory(data=h.data, g_data=h.g_data,
-                           rejections=h.rejections[perm],
-                           g_rejections=h.g_rejections[perm],
-                           theta=h.theta, psi=h.psi)
-        assert history_logdensity(h2) == pytest.approx(history_logdensity(h), rel=1e-9)
+        h2 = HistoryChain(h.data, h.g_data, h.theta, h.psi,
+                          h.rejections[perm], h.g_rejections[perm])
+        assert _history_log_density(h2) == pytest.approx(_history_log_density(h), rel=1e-9)
 
     def test_monotone_in_link_terms(self):
         rng = np.random.default_rng(2)
@@ -79,20 +95,17 @@ class TestHistoryLogdensity:
         gp = log_prior_density(
             np.concatenate([h.g_data, h.g_rejections]),
             np.vstack([h.data, h.rejections]), h.theta)
-        link_only = history_logdensity(h) - gp
-        h2 = LatentHistory(data=h.data, g_data=h.g_data + 1.0,
-                           rejections=h.rejections,
-                           g_rejections=h.g_rejections - 1.0,
-                           theta=h.theta, psi=h.psi)
+        link_only = _history_log_density(h) - gp
+        h2 = HistoryChain(h.data, h.g_data + 1.0, h.theta, h.psi,
+                          h.rejections, h.g_rejections - 1.0)
         gp2 = log_prior_density(
             np.concatenate([h2.g_data, h2.g_rejections]),
             np.vstack([h2.data, h2.rejections]), h2.theta)
-        assert history_logdensity(h2) - gp2 > link_only
+        assert _history_log_density(h2) - gp2 > link_only
 
     def test_support_violation_is_minus_inf(self):
-        h = LatentHistory(data=[[1.4]], g_data=[0.0], rejections=np.empty((0, 1)),
-                          g_rejections=[], theta=THETA, psi=BOX)
-        assert history_logdensity(h) == -math.inf
+        h = HistoryChain([[1.4]], [0.0], THETA, BOX)
+        assert _history_log_density(h) == -math.inf
 
 
 class TestChainLogDensityAfterMoves:
@@ -110,7 +123,7 @@ class TestChainLogDensityAfterMoves:
             psi = GaussianBase([0.0, 0.5], [1.0, 0.7])
             priors = HyperPrior(base_mean=(np.zeros(2), np.ones(2)),
                                 log_base_sigma=(np.zeros(2), np.ones(2)))
-        chain = HistoryChain(make_history(rng, n=5, theta=theta, psi=psi))
+        chain = make_history(rng, n=5, theta=theta, psi=psi)
         zeta = ZetaSchedule(0.5)
         walk = np.full(theta.dim, 0.2)
         inserts = deletes = moved = hyper_acc = 0
@@ -128,13 +141,12 @@ class TestChainLogDensityAfterMoves:
             chain.step_number(zeta, rng)
             chain.step_locations(walk, rng)
         assert min(inserts, deletes, moved, hyper_acc) > 0
-        h = chain.snapshot()
-        pts = np.vstack([h.data, h.rejections])
-        vals = np.concatenate([h.g_data, h.g_rejections])
-        oracle = (log_prior_density(vals, pts, h.theta)
-                  + float(np.sum(log_phi(h.g_data)))
-                  + float(np.sum(log_one_minus_phi(h.g_rejections)))
-                  + float(np.sum(base_logpdf(pts, h.psi))))
+        pts = np.vstack([chain.data, chain.rejections])
+        vals = np.concatenate([chain.g_data, chain.g_rejections])
+        oracle = (log_prior_density(vals, pts, chain.theta)
+                  + float(np.sum(log_phi(chain.g_data)))
+                  + float(np.sum(log_one_minus_phi(chain.g_rejections)))
+                  + float(np.sum(base_logpdf(pts, chain.psi))))
         assert _history_log_density(chain) == pytest.approx(oracle, rel=1e-9)
 
 
@@ -175,7 +187,7 @@ class TestNumberMoveRatios:
 
     def test_step_number_grows_and_shrinks(self):
         rng = np.random.default_rng(4)
-        chain = HistoryChain(make_history(rng))
+        chain = make_history(rng)
         zeta = ZetaSchedule(0.5)
         sizes = {chain.n_rejections}
         for _ in range(60):
@@ -200,15 +212,13 @@ class TestLocationMoves:
 
     def test_step_locations_respects_support(self):
         rng = np.random.default_rng(5)
-        h = make_history(rng)
-        while h.n_rejections < 1:
-            h = make_history(rng)
-        chain = HistoryChain(h)
+        chain = make_history(rng)
+        while chain.n_rejections < 1:
+            chain = make_history(rng)
         for _ in range(30):
             chain.step_locations(np.array([0.5]), rng)
-            h = chain.snapshot()
-            assert np.all((h.rejections >= 0) & (h.rejections <= 1))
-            assert h.n_rejections == len(h.g_rejections)
+            assert np.all((chain.rejections >= 0) & (chain.rejections <= 1))
+            assert chain.n_rejections == len(chain.g_rejections)
 
 
 class TestHmc:
@@ -216,8 +226,7 @@ class TestHmc:
         # criterion: relative error < 1e-5 at 5 random latent states
         rng = np.random.default_rng(6)
         for _ in range(5):
-            h = make_history(rng, n=3)
-            chain = HistoryChain(h)
+            chain = make_history(rng, n=3)
             v = chain.sampler.whitened.copy()
             _, grad = chain._potential_grad(v)
             fd = np.empty_like(v)
@@ -232,8 +241,7 @@ class TestHmc:
 
     def test_energy_error_scales_quadratically(self):
         rng = np.random.default_rng(7)
-        h = make_history(rng, n=4)
-        chain = HistoryChain(h)
+        chain = make_history(rng, n=4)
         v0 = chain.sampler.whitened.copy()
         p0 = np.random.default_rng(8).standard_normal(v0.shape[0])
         _, _, dh1 = leapfrog(chain._potential_grad, v0, p0, 0.08, 50)
@@ -243,7 +251,7 @@ class TestHmc:
 
     def test_tiny_step_always_accepts(self):
         rng = np.random.default_rng(9)
-        chain = HistoryChain(make_history(rng, n=4))
+        chain = make_history(rng, n=4)
         accepted = 0
         for _ in range(20):
             accepted += chain.step_function_hmc(1e-5, 3, rng)
@@ -251,16 +259,15 @@ class TestHmc:
 
     def test_locations_and_count_unchanged(self):
         rng = np.random.default_rng(10)
-        h = make_history(rng, n=4)
-        chain = HistoryChain(h)
+        chain = make_history(rng, n=4)
+        data, rejections = chain.data.copy(), chain.rejections
         chain.step_function_hmc(0.3, 10, rng)
-        h2 = chain.snapshot()
-        assert np.array_equal(h2.data, h.data)
-        assert np.array_equal(h2.rejections, h.rejections)
+        assert np.array_equal(chain.data, data)
+        assert np.array_equal(chain.rejections, rejections)
 
     def test_invalid_arguments(self):
         rng = np.random.default_rng(11)
-        chain = HistoryChain(make_history(rng))
+        chain = make_history(rng)
         with pytest.raises(ValueError):
             chain.step_function_hmc(0.0, 10, rng)
         with pytest.raises(ValueError):
@@ -272,9 +279,7 @@ class TestHmc:
         # for g is N(g; 0, k) phi(g) up to normalisation.  Long HMC runs
         # must match the quadrature cdf.
         theta = GpHyper(amplitude=1.2, lengthscales=[0.5])
-        h = LatentHistory(data=[[0.5]], g_data=[0.1], rejections=np.empty((0, 1)),
-                          g_rejections=[], theta=theta, psi=BOX)
-        chain = HistoryChain(h)
+        chain = HistoryChain([[0.5]], [0.1], theta, BOX)
         rng = np.random.default_rng(12)
         samples = []
         for i in range(6000):
@@ -293,43 +298,40 @@ class TestHmc:
 class TestHyperMove:
     def test_identity_proposal_always_accepts(self):
         rng = np.random.default_rng(13)
-        h = make_history(rng)
+        chain = make_history(rng)
+        amplitude = chain.theta.amplitude
         zero = HyperWalkScales(log_amplitude=0.0, log_lengthscale=0.0,
                                base_mean=0.0, log_base_sigma=0.0, pin=0.0)
         priors = HyperPrior()
-        chain = HistoryChain(h)
         for _ in range(5):
             assert chain.step_hyper(zero, priors, rng)
-            assert chain.theta.amplitude == h.theta.amplitude
+            assert chain.theta.amplitude == amplitude
 
     def test_out_of_support_proposal_rejected(self, monkeypatch):
         rng = np.random.default_rng(14)
-        h = make_history(rng)
-        while h.n_rejections < 1:
-            h = make_history(rng)
+        chain = make_history(rng)
+        while chain.n_rejections < 1:
+            chain = make_history(rng)
         # force a proposal whose box excludes one rejection location
-        x = float(h.rejections[0, 0])
+        x = float(chain.rejections[0, 0])
         bad_box = UniformBox([x + 1e-6], [x + 2.0])
         monkeypatch.setattr("gpds.history.propose_hypers",
-                            lambda *a, **k: (h.theta, bad_box))
-        chain = HistoryChain(h)
+                            lambda *a, **k: (chain.theta, bad_box))
         assert not chain.step_hyper(HyperWalkScales(), HyperPrior(), rng)
-        assert chain.psi is h.psi
+        assert chain.psi is BOX
 
     def test_empty_rejection_product(self):
         rng = np.random.default_rng(15)
         trace = draw_prior_dataset(3, THETA, BOX, rng)
-        h = LatentHistory(data=trace.accepted, g_data=trace.accepted_values,
-                          rejections=np.empty((0, 1)), g_rejections=[],
-                          theta=THETA, psi=BOX)
-        acc = HistoryChain(h).step_hyper(HyperWalkScales(), HyperPrior(), rng)
+        chain = HistoryChain(trace.accepted, trace.accepted_values, THETA, BOX)
+        acc = chain.step_hyper(HyperWalkScales(), HyperPrior(), rng)
         assert isinstance(acc, bool) or acc in (True, False)
 
     def test_gaussian_base_moves(self):
         rng = np.random.default_rng(16)
         psi = GaussianBase([0.0], [1.0])
         theta = GpHyper(amplitude=1.0, lengthscales=[0.5])
-        chain = HistoryChain(make_history(rng, n=4, theta=theta, psi=psi))
+        chain = make_history(rng, n=4, theta=theta, psi=psi)
         priors = HyperPrior(base_mean=(np.zeros(1), np.ones(1)),
                             log_base_sigma=(np.zeros(1), np.ones(1)))
         changed = False
@@ -337,29 +339,54 @@ class TestHyperMove:
             changed = chain.step_hyper(HyperWalkScales(), priors, rng) or changed
         assert changed
 
+    def test_accepted_move_keeps_theta_on_the_sampler(self):
+        rng = np.random.default_rng(23)
+        chain = make_history(rng)
+        theta0 = chain.theta
+        for _ in range(50):
+            if chain.step_hyper(HyperWalkScales(), HyperPrior(), rng):
+                break
+        else:
+            pytest.fail("no hyper move accepted")
+        assert chain.theta is chain.sampler.hyper
+        assert chain.theta.amplitude != theta0.amplitude
+
 
 class TestSweep:
-    def test_all_moves_disabled_is_identity(self):
+    @pytest.mark.parametrize("number_moves, infer_hypers, priors, amplitude", [
+        (0, True, None, 1.3),
+        (3, False, HyperPrior(), 1.3),
+        (1, True, HyperPrior(), 1.3),
+        (2, True, None, 0.0),
+    ], ids=["no-number-moves", "hypers-off", "every-move", "degenerate-gp"])
+    def test_move_counts_follow_options(self, number_moves, infer_hypers, priors,
+                                        amplitude):
+        # number moves as configured; locations once per rejection; HMC
+        # unless the GP is degenerate; the hyper move only when inferring
+        # hyperparameters under given priors
         rng = np.random.default_rng(17)
-        h = make_history(rng)
-        cfg = SweepConfig(enable_number=False, enable_locations=False,
-                          enable_hmc=False, enable_hyper=False)
-        chain = HistoryChain(h)
-        sweep(chain, cfg, rng)
-        h2 = chain.snapshot()
-        assert np.array_equal(h2.g_data, h.g_data)
-        assert np.array_equal(h2.rejections, h.rejections)
+        chain = make_history(rng, n=4, theta=THETA.with_(amplitude=amplitude))
+        while chain.n_rejections < 1:
+            chain = make_history(rng, n=4, theta=THETA.with_(amplitude=amplitude))
+        m0 = chain.n_rejections
+        sweep(chain, sweep_options(number_moves=number_moves,
+                                   infer_hypers=infer_hypers), priors, rng)
+        c = chain.diagnostics
+        assert c["number_att"] == number_moves
+        if not number_moves:
+            assert chain.n_rejections == m0
+        assert c["loc_att"] == chain.n_rejections
+        assert c["hmc_att"] == (amplitude > 0)
+        assert c["hyper_att"] == (infer_hypers and priors is not None)
 
     def test_seed_determinism(self):
-        h0 = make_history(np.random.default_rng(18))
         out = []
         for _ in range(2):
             rng = np.random.default_rng(99)
-            chain = HistoryChain(h0)
-            cfg = SweepConfig()
+            chain = make_history(np.random.default_rng(18))
             for _ in range(20):
-                sweep(chain, cfg, rng)
-            out.append(chain.snapshot())
+                sweep(chain, sweep_options(), None, rng)
+            out.append(chain)
         assert np.array_equal(out[0].g_data, out[1].g_data)
         assert np.array_equal(out[0].rejections, out[1].rejections)
 
@@ -371,12 +398,12 @@ class TestSweep:
         theta = GpHyper(amplitude=0.0, lengthscales=[1.0], mean=0.0)
         rng = np.random.default_rng(19)
         data = rng.uniform(0, 1, (5, 1))
-        chain = HistoryChain(init_history(data, theta, BOX, rng))
-        cfg = SweepConfig(enable_hyper=False)
+        chain = init_history(data, theta, BOX, rng)
+        opts = sweep_options()
         n_sweeps, burn = 6000, 500
         ms = np.empty(n_sweeps - burn)
         for i in range(n_sweeps):
-            sweep(chain, cfg, rng)
+            sweep(chain, opts, None, rng)
             if i >= burn:
                 ms[i - burn] = chain.n_rejections
         p = 0.5
@@ -395,8 +422,7 @@ class TestPredictiveSamplesHistory:
     # predictive draws continue the rejection sampler from a copy of the
     # chain's sampler
     @staticmethod
-    def draws(h, n, seed):
-        chain = HistoryChain(h)
+    def draws(chain, n, seed):
         return continue_sampler(chain.sampler.copy(), n, chain.psi,
                                 np.random.default_rng(seed)).accepted
 
@@ -409,7 +435,7 @@ class TestPredictiveSamplesHistory:
         assert np.array_equal(self.draws(h, 5, 1), self.draws(h, 5, 1))
 
     def test_state_not_mutated(self):
-        chain = HistoryChain(make_history(np.random.default_rng(22)))
+        chain = make_history(np.random.default_rng(22))
         s = chain.sampler
         before = (len(s), s.packed.copy(), s.whitened.copy(), s.values.copy())
         continue_sampler(s.copy(), 10, chain.psi, np.random.default_rng(2))
@@ -420,8 +446,7 @@ class TestPredictiveSamplesHistory:
 
     def test_saturated_state_gives_base_samples(self):
         theta = GpHyper(amplitude=0.0, lengthscales=[1.0], mean=40.0)
-        h = LatentHistory(data=[[0.5]], g_data=[40.0], rejections=np.empty((0, 1)),
-                          g_rejections=[], theta=theta, psi=BOX)
+        h = HistoryChain([[0.5]], [40.0], theta, BOX)
         out = self.draws(h, 5000, 3)
         assert kstest(out[:, 0], "uniform").pvalue > 0.01
 
@@ -430,9 +455,7 @@ class TestPredictiveSamplesHistory:
         # chi-square of predictive draws against phi(m(x)) on the unit box
         mean_fn = lambda x: 1.5 * np.sin(6.0 * x[:, 0])
         theta = GpHyper(amplitude=0.0, lengthscales=[1.0], mean=mean_fn)
-        h = LatentHistory(data=[[0.5]], g_data=[mean_fn(np.array([[0.5]]))[0]],
-                          rejections=np.empty((0, 1)), g_rejections=[],
-                          theta=theta, psi=BOX)
+        h = HistoryChain([[0.5]], [mean_fn(np.array([[0.5]]))[0]], theta, BOX)
         out = self.draws(h, 10_000, 4)
         grid = np.linspace(0, 1, 4001)
         dens = phi(mean_fn(grid.reshape(-1, 1)))
@@ -450,9 +473,7 @@ class TestPredictiveSamplesHistory:
         # predictive mass there relative to the base density
         theta = GpHyper(amplitude=1.5, lengthscales=[0.1])
         anchors = np.linspace(0.4, 0.6, 9).reshape(-1, 1)
-        h = LatentHistory(data=[[0.1]], g_data=[0.5],
-                          rejections=anchors, g_rejections=np.full(9, -8.0),
-                          theta=theta, psi=BOX)
+        h = HistoryChain([[0.1]], [0.5], theta, BOX, anchors, np.full(9, -8.0))
         out = self.draws(h, 250, 5)
         inside = np.mean((out[:, 0] > 0.42) & (out[:, 0] < 0.58))
         assert inside < 0.08  # base mass there would be 0.16

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used by that module."""
+"""Every name a package module imports is used by that module, and every
+export list names what its module defines and the package re-exports."""
 import ast
 from pathlib import Path
 
@@ -41,3 +42,44 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """Names the module binds at top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def export_list(tree: ast.Module) -> list[str] | None:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def package_imports(module: str) -> set[str]:
+    """Names ``gpds/__init__.py`` imports from ``gpds.<module>``."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == module for alias in node.names}
+
+
+EXPORTING = [p for p in MODULES if export_list(ast.parse(p.read_text())) is not None]
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda p: p.name)
+def test_export_list_is_current(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    exported = export_list(tree)
+    missing = sorted(set(exported) - defined_names(tree))
+    assert not missing, f"{path.name}: __all__ lists undefined names {missing}"
+    unlisted = sorted(package_imports(path.stem) - set(exported))
+    assert not unlisted, f"{path.name}: the package imports {unlisted} but __all__ omits them"

@@ -209,3 +209,21 @@ class TestDensityGrid:
                 if f.name not in ("numerator_query", "denominator_point"):
                     assert np.array_equal(getattr(opts, f.name),
                                           getattr(given, f.name)), f.name
+
+    def test_chain_options_left_unchanged(self):
+        # burn-in adapts the HMC step size and the walk scales default to
+        # the data's spread, both on a private copy: DensityConfig shares
+        # one ChainOptions across every density chain
+        given = ChainOptions(total=12, burn_in=6, hmc_step_size=0.1)
+        before = replace(given)
+        theta = GpHyper(amplitude=1.0, lengthscales=[0.5])
+        cfg = DensityConfig(theta0=theta, psi0=BOX, chain_options=given)
+        data = np.random.default_rng(10).uniform(0, 1, (4, 1))
+        density_grid(np.array([[0.3], [0.7]]), data, cfg, np.random.default_rng(11))
+        for f in fields(ChainOptions):
+            assert np.array_equal(getattr(given, f.name),
+                                  getattr(before, f.name)), f.name
+        assert given.walk_scales is None
+        adapted = run_history_chain(data, theta, BOX, given, None,
+                                    np.random.default_rng(12)).hmc_step_size
+        assert adapted != given.hmc_step_size == 0.1

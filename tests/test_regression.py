@@ -91,6 +91,46 @@ def test_history_fit(tmp_path):
     assert digest(out / "predictive_samples.csv") == "4cf482772eabef88"
 
 
+
+def test_history_fit_gaussian_pinned(tmp_path):
+    # a Gaussian base, a pinned GP and a shared lengthscale: every hyper
+    # proposal walks psi, the pin and one lengthscale.  With the pin, every
+    # proposal lowers the GP log density of the current values by 65 or
+    # more, so all 20 are rejected and theta and psi keep their start values
+    run(["gen-synthetic", "--name", "f1", "--n", "50", "--seed", "8",
+         "--out", str(tmp_path / "data")])
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("base = gaussian\npin_enabled = true\nkernel = isotropic\n"
+                   "total_iters = 30\nburn_in = 10\nthinning = 1\n"
+                   "number_moves = 2\ninfer_hypers = true\n"
+                   "record_predictive = true\n")
+    out = tmp_path / "fit"
+    run(["fit", "--config", str(cfg), "--data", str(tmp_path / "data" / "f1.csv"),
+         "--seed", "8", "--out", str(out)])
+    names, trace = read_csv(out / "trace.csv")
+    col = {n: trace[:, i] for i, n in enumerate(names)}
+    assert col["m"].astype(int).tolist() == [7, 8, 8, 8, 9, 9, 11, 13, 13, 13,
+                                             12, 12, 12, 14, 16, 18, 20, 19, 21, 22]
+    assert {k: int(col[k].sum()) for k in names if k.endswith(("_acc", "_att"))} == {
+        "hmc_acc": 20, "hmc_att": 20, "hyper_acc": 0, "hyper_att": 20,
+        "loc_acc": 262, "loc_att": 265, "number_acc": 27, "number_att": 40}
+    assert col["log_density"].tolist() == pytest.approx([
+        447.036964394574, 446.7182570064668, 444.3498043502442,
+        446.6793450285149, 444.87549330996865, 446.6547716059406,
+        465.36272368790776, 489.52173870955335, 495.84872428673344,
+        488.57534750031203, 490.8013830010654, 492.73838766057315,
+        480.63478948637186, 490.2173672056957, 510.7977507660405,
+        533.069300497259, 547.4333053396732, 532.9667623603186,
+        537.7847301092044, 546.6095246714615], rel=1e-8)
+    assert col["amplitude"].tolist() == [1.0] * 20
+    assert col["ls1"].tolist() == [1.0] * 20
+    assert col["base_mean1"].tolist() == pytest.approx([0.43286219422853506] * 20,
+                                                       rel=1e-8)
+    assert col["base_sigma1"].tolist() == pytest.approx([0.2712982721795909] * 20,
+                                                        rel=1e-8)
+    assert digest(out / "rejections.csv") == "9c92feadbcc8579d"
+    assert digest(out / "predictive_samples.csv") == "0190be51194f7b2c"
+
 def test_predict_density(tmp_path):
     # values recorded before the density chains took a full ChainOptions
     run(["gen-synthetic", "--name", "f1", "--n", "20", "--seed", "7",
