@@ -94,7 +94,7 @@ def init_exchange_state(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
         extra = base_sample(psi, rng, size=n_extra_controls)
         controls = np.vstack([data, extra])
     sampler = ConditionalSampler(theta)
-    values = np.array([sampler.draw_append(x, rng) for x in controls])
+    values = sampler.draw_append_block(controls, rng.standard_normal(len(controls)))
     return ExchangeState(
         data=data,
         sampler=sampler,

@@ -7,17 +7,21 @@ and the one engine every sampler, move and estimator goes through:
 points row-packed (BLAS packed storage) and updates it in place: O(R^2)
 retrospective draws and appends, O((R - k) R) deletion of row k, so that
 rejection-sampling loops and MCMC moves do not refactorise the Gram matrix
-from scratch at every step.  It also holds the whitened coordinates used
-by the gradient-based function moves.
+from scratch at every step.  Draws at a block of k points
+(:meth:`ConditionalSampler.draw_append_block`) and multi-point conditionals
+solve against all k columns at once with one BLAS-3 call on the packed
+factor.  It also holds the whitened coordinates used by the gradient-based
+function moves.
 
 Jitter policy: a realisation's jitter is fixed when its factor is first
 built (``chol`` of the Gram matrix at the starting points, or
 ``BASE_JITTER * amplitude^2`` for an empty sampler), and growing the
-factor never changes it.  A sampler is the realisation: callers keep and
-grow it (or a :meth:`ConditionalSampler.copy`) instead of refactorising
-its points.  Only the batch draws (:meth:`ConditionalSampler.draw_batch`)
-factorise on their own, with their own jitter ladder, because their
-conditional covariance is a new matrix.
+factor, one point or one block at a time, never changes it.  A sampler is
+the realisation: callers keep and grow it (or a
+:meth:`ConditionalSampler.copy`) instead of refactorising its points.
+Only the batch draws (:meth:`ConditionalSampler.draw_batch`) factorise on
+their own, with their own jitter ladder, because their conditional
+covariance is a new matrix.
 
 Two free functions factorise from scratch, :func:`conditional` and
 :func:`log_prior_density`; nothing in the package calls them, they are the
@@ -32,6 +36,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import drot, dtpmv, dtpsv
+from scipy.linalg.lapack import dtfsm, dtpttf
 
 # Relative jitter ladder: start here, escalate x10 per retry, give up at the
 # cap.  Values are relative to the mean diagonal magnitude of the matrix
@@ -296,8 +301,12 @@ class ConditionalSampler:
     growing the capacity copies the R^2 / 2 stored entries.  Deleting row k
     unpacks the R - k - 1 rows below it, restores triangularity of the
     trailing block with a rank-one update and repacks them, which is
-    O((R - k) R).  :attr:`lower` is a dense O(R^2) copy of L, for the
-    multi-column paths (:meth:`mean_cov`, :meth:`draw_batch`) and tests.
+    O((R - k) R).
+
+    Solves with k right-hand sides (:meth:`draw_append_block`,
+    :meth:`mean_cov`, :meth:`draw_batch`) copy the packed entries once to
+    rectangular full packed form and make one BLAS-3 ``dtfsm`` call, which
+    reads the factor once instead of k times and needs no dense copy of it.
 
     With ``amplitude == 0`` the sampler is degenerate: draws equal the mean
     function and no factor is kept (appends are O(1)).  The mean is always
@@ -305,9 +314,10 @@ class ConditionalSampler:
 
     The jitter is fixed here, when the factor is first built: the jitter
     ``chol`` settles on for the starting points, or ``BASE_JITTER *
-    amplitude^2`` when there are none.  :meth:`append`, :meth:`draw_append`
-    and :meth:`delete` keep it, so one realisation has one jitter however
-    it grew.
+    amplitude^2`` when there are none.  :meth:`append`, :meth:`draw_append`,
+    :meth:`draw_append_block` (whose k x k conditional covariance gets this
+    same jitter on its diagonal) and :meth:`delete` keep it, so one
+    realisation has one jitter however it grew.
 
     ``factor``, when given, must be ``chol(kernel_matrix(points, points,
     hyper))``; it is adopted as is instead of being computed again.
@@ -363,14 +373,6 @@ class ConditionalSampler:
     def packed(self) -> np.ndarray:
         """The factor's R (R + 1) / 2 row-packed entries (a view)."""
         return self._ap[: _tri(self._n)]
-
-    @property
-    def lower(self) -> np.ndarray:
-        """Dense copy of the lower-triangular factor; O(R^2) time and memory."""
-        n = self._n
-        out = np.zeros((n, n))
-        out[np.tri(n, dtype=bool)] = self.packed
-        return out
 
     @property
     def prior_mean_vec(self) -> np.ndarray:
@@ -453,13 +455,14 @@ class ConditionalSampler:
         a = self.solve_lower(kernel_matrix(self.points, x.reshape(1, -1), self.hyper)[:, 0])
         return m, m + float(a @ self.whitened), kxx + self.jitter - float(a @ a), a
 
-    def _pivot(self, var: float) -> float:
-        """New diagonal entry of the factor for conditional variance ``var``.
+    def _pivot_floor(self) -> float:
+        """Smallest squared pivot the factor takes: jitter scale, so that it
+        stays valid even for coincident locations."""
+        return min(self.jitter, 1e-12) if self.jitter > 0 else 1e-15
 
-        Numerical floor: keep the pivot at jitter scale so the factor stays
-        valid even for coincident locations.
-        """
-        return math.sqrt(max(var, min(self.jitter, 1e-12) if self.jitter > 0 else 1e-15))
+    def _pivot(self, var: float) -> float:
+        """New diagonal entry of the factor for conditional variance ``var``."""
+        return math.sqrt(max(var, self._pivot_floor()))
 
     def _push(self, x: np.ndarray, m: float, value: float,
               a: np.ndarray | None = None, d: float = 0.0, w: float = 0.0) -> None:
@@ -513,12 +516,84 @@ class ConditionalSampler:
             g = m + 0.0 * rng.standard_normal()
             self._push(x, m, g)
             return g
+        return self._draw_push(x, rng.standard_normal())
+
+    def _draw_push(self, x: np.ndarray, z: float) -> float:
+        """Record x at the value whose whitened coordinate is z; O(R^2)."""
         m, mu, var, a = self._condition(x)
         d = self._pivot(var)
-        z = rng.standard_normal()
         g = mu + d * z
         self._push(x, m, g, a, d, z)
         return g
+
+    def _cross_solve(self, X: np.ndarray) -> np.ndarray:
+        """``A = L^-1 k(points, X)`` for the k rows of X; O(R^2 k).
+
+        The packed factor is copied once to rectangular full packed form
+        (row-packed L is column-packed L^T) for one BLAS-3 ``dtfsm`` solve
+        of all k columns.  That R^2 / 2 copy is freed on return.
+        """
+        arf, _ = dtpttf(self._n, self.packed, transr="N", uplo="U")
+        # k(X, points) is C-ordered, so its transpose is Fortran-ordered and
+        # the solve overwrites it instead of copying it
+        return dtfsm(1.0, arf, kernel_matrix(X, self.points, self.hyper).T,
+                     transr="N", side="L", uplo="U", trans="T", overwrite_b=1)
+
+    def draw_append_block(self, X, z) -> np.ndarray:
+        """Draw jointly at the k rows of X and record them in that order;
+        returns the k values.
+
+        The whitened coordinates of the new rows are ``z``, so the result
+        is that of k :meth:`draw_append` calls whose standard normals are
+        ``z``, up to rounding: one block solve ``A = L^-1 k(points, X)``
+        and a Cholesky ``M`` of the k x k conditional covariance (plus the
+        sampler's fixed jitter) give the new factor rows ``[A^T, M]`` and
+        the values ``mean + M z``.  When that Cholesky fails or one of its
+        pivots falls below the floor the sequential appends would clamp
+        to, the points are appended one at a time instead, with the same
+        ``z``.  O(R^2 k + R k^2 + k^3).
+        """
+        X = _as_points(X)
+        z = np.asarray(z, dtype=float).reshape(-1)
+        k = X.shape[0]
+        if z.shape[0] != k:
+            raise ValueError("need one standard normal per point")
+        m = prior_mean(X, self.hyper)
+        if self.degenerate:
+            for x, mi in zip(X, m):
+                self._push(x, mi, mi)
+            return m
+        n = self._n
+        cov = kernel_matrix(X, X, self.hyper)
+        cov[np.diag_indices(k)] += self.jitter
+        mu = m.copy()
+        if n:
+            A = self._cross_solve(X)
+            mu += A.T @ self.whitened
+            cov -= A.T @ A
+        try:
+            M = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            M = None
+        if M is None or np.any(np.diag(M) ** 2 < self._pivot_floor()):
+            return np.array([self._draw_push(x, zi) for x, zi in zip(X, z)])
+        g = mu + M @ z
+        self._grow(n + k)
+        self._pts[n : n + k] = X
+        self._vals[n : n + k] = g
+        self._m[n : n + k] = m
+        rows = np.hstack([A.T, M]) if n else M
+        self._ap[_tri(n) : _tri(n + k)] = rows[np.tri(k, n + k, n, dtype=bool)]
+        self._w[n : n + k] = z
+        self._n = n + k
+        return g
+
+    def truncate(self, n: int) -> None:
+        """Keep the first n points and drop the rest; O(1), because the
+        factor's leading rows do not depend on the rows after them."""
+        if not 0 <= n <= self._n:
+            raise IndexError("row count out of range")
+        self._n = n
 
     def mean_cov(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Joint conditional mean and covariance at a batch of points."""
@@ -529,8 +604,7 @@ class ConditionalSampler:
         K_qq = kernel_matrix(X, X, self.hyper)
         if self._n == 0:
             return m_q, K_qq
-        A = solve_triangular(self.lower, kernel_matrix(self.points, X, self.hyper),
-                             lower=True, check_finite=False)
+        A = self._cross_solve(X)
         return m_q + A.T @ self.whitened, K_qq - A.T @ A
 
     def draw_batch(self, X, rng: np.random.Generator) -> np.ndarray:

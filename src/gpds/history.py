@@ -303,8 +303,7 @@ def init_history(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
                  rng: np.random.Generator) -> HistoryChain:
     """Initial state: no latent rejections, function drawn from the prior."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    sampler = ConditionalSampler(theta)
-    g = np.array([sampler.draw_append(x, rng) for x in data])
+    g = ConditionalSampler(theta).draw_append_block(data, rng.standard_normal(len(data)))
     return HistoryChain(data, g, theta, psi)
 
 

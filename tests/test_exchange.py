@@ -283,7 +283,8 @@ def assert_fresh_build(state):
     assert s.hyper is state.theta
     assert np.array_equal(s.points[: len(state.controls)], state.controls)
     assert np.array_equal(s.values[: len(state.controls)], state.control_values)
-    lower = s.lower
+    lower = np.zeros((len(s), len(s)))
+    lower[np.tri(len(s), dtype=bool)] = s.packed
     gram = kernel_matrix(s.points, s.points, s.hyper) + s.jitter * np.eye(len(s))
     assert np.allclose(lower @ lower.T, gram, rtol=0, atol=1e-10)
     resid = s.values - prior_mean(s.points, s.hyper)
@@ -361,6 +362,16 @@ class TestBookkeepingAudit:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(ConditionalSampler, op, spy)
+        # a block of k proposals is k draws, made at sizes len(self) ...
+        # len(self) + k - 1
+        original_block = ConditionalSampler.draw_append_block
+
+        def spy_block(self, X, *args, **kwargs):
+            k = len(np.atleast_2d(X))
+            events.extend(("proposal", len(self) + i) for i in range(k))
+            return original_block(self, X, *args, **kwargs)
+
+        monkeypatch.setattr(ConditionalSampler, "draw_append_block", spy_block)
         rng = np.random.default_rng(15)
         state = make_state(rng, n=3)
         for _ in range(10):

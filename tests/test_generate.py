@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, kstest
 
-from gpds.generate import ProposalBudgetError, continue_sampler, draw_prior_dataset
+from gpds.generate import (
+    DEFAULT_MAX_PROPOSALS,
+    ProposalBudgetError,
+    continue_sampler,
+    draw_prior_dataset,
+)
 from gpds.gp import ConditionalSampler, GpHyper, IllConditionedCovariance
-from gpds.model import UniformBox, base_sample, phi
+from gpds.model import GaussianBase, UniformBox, base_sample, phi
 
 
 def frozen(mean_fn, dim=1):
@@ -204,3 +209,111 @@ class TestDegenerateScaling:
         trace = draw_prior_dataset(10_000, theta, BOX, np.random.default_rng(14))
         assert time.perf_counter() - t0 < 10.0
         assert trace.accepted.shape[0] == 10_000
+
+
+def sequential_run(sampler, n_more, psi, rng, max_proposals=DEFAULT_MAX_PROPOSALS):
+    """The rejection sampler one proposal at a time, each drawn with
+    ``draw_append``: the reference for the blocked ``continue_sampler``.
+    Returns (accepted points, accepted values, accept flags, budget hit)."""
+    accepted, values, flags = [], [], []
+    while len(accepted) < n_more:
+        if len(flags) >= max_proposals:
+            break
+        x = base_sample(psi, rng)
+        g = sampler.draw_append(x, rng)
+        ok = rng.uniform() < phi(g)
+        flags.append(ok)
+        if ok:
+            accepted.append(x)
+            values.append(g)
+    dim = sampler.hyper.dim
+    return (np.array(accepted).reshape(-1, dim), np.array(values), np.array(flags, bool),
+            len(accepted) < n_more)
+
+
+def grown(theta, n, seed):
+    """A sampler holding n prior draws on the unit box."""
+    sampler = ConditionalSampler(theta)
+    rng = np.random.default_rng(seed)
+    sampler.draw_append_block(rng.uniform(0, 1, (n, theta.dim)), rng.standard_normal(n))
+    return sampler
+
+
+class TestBlockedMatchesSequential:
+    """Blocked proposals leave the run as it is one proposal at a time:
+    the same proposals, decisions and generator end state, and values
+    equal up to rounding."""
+
+    @pytest.fixture
+    def block_calls(self, monkeypatch):
+        calls = {"blocks": 0, "truncations": 0}
+        for op, key in (("draw_append_block", "blocks"), ("truncate", "truncations")):
+            original = getattr(ConditionalSampler, op)
+
+            def spy(self, *args, _original=original, _key=key):
+                calls[_key] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(ConditionalSampler, op, spy)
+        return calls
+
+    def check(self, sampler, n, psi, seed, max_proposals=DEFAULT_MAX_PROPOSALS):
+        start = len(sampler)
+        blocked, seq = sampler.copy(), sampler.copy()
+        rng, seq_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            trace = continue_sampler(blocked, n, psi, rng, max_proposals)
+            budget_hit = False
+        except ProposalBudgetError as err:
+            trace, budget_hit = err.trace, True
+        points, values, flags, seq_budget_hit = sequential_run(seq, n, psi, seq_rng,
+                                                               max_proposals)
+        assert budget_hit == seq_budget_hit
+        assert trace.proposal_count == len(flags) == len(blocked) - start
+        assert np.array_equal(trace.accept_flags, flags)
+        assert np.array_equal(trace.accepted, points)
+        assert np.array_equal(blocked.points, seq.points)
+        assert rng.bit_generator.state == seq_rng.bit_generator.state
+        # relative to the values' scale: a value near zero is a difference
+        # of larger terms
+        scale = max(np.abs(seq.values).max(initial=0.0), 1e-300)
+        assert np.abs(trace.accepted_values - values).max(initial=0.0) <= 1e-8 * scale
+        assert np.abs(blocked.values - seq.values).max(initial=0.0) <= 1e-8 * scale
+        return trace
+
+    def test_large_run(self, block_calls):
+        theta = GpHyper(amplitude=1.0, lengthscales=[0.2], mean=5.0)
+        self.check(ConditionalSampler(theta), 600, BOX, seed=40)
+        assert block_calls["blocks"] >= 9 and block_calls["truncations"] == 1
+
+    # on both sides of the row count where _min_block steps up
+    @pytest.mark.parametrize("rows", [150, 400])
+    def test_one_point_probes_from_a_grown_sampler(self, block_calls, rows):
+        theta = GpHyper(amplitude=1.0, lengthscales=[0.3], mean=-2.0)
+        sampler = grown(theta, rows, seed=41)
+        for seed in range(12):
+            self.check(sampler, 1, BOX, seed)
+        # the probes that reject early go on in blocks, cut at the acceptance
+        assert block_calls["blocks"] >= 2 and block_calls["truncations"] >= 2
+
+    def test_budget_exhaustion(self, block_calls):
+        theta = GpHyper(amplitude=1.0, lengthscales=[0.3], mean=-4.0)
+        trace = self.check(ConditionalSampler(theta), 50, BOX, seed=42, max_proposals=200)
+        assert trace.proposal_count == len(trace.sampler) == 200
+        # 64 + 64 + 64 + 8 proposals, the last block cut to the budget left
+        assert block_calls["blocks"] == 4 and block_calls["truncations"] == 0
+
+    def test_gaussian_base_ard_2d(self, block_calls):
+        theta = GpHyper(amplitude=1.2, lengthscales=[0.3, 0.6], mean=0.5)
+        psi = GaussianBase(mean=[0.5, 0.5], sigma=[0.3, 0.2])
+        self.check(ConditionalSampler(theta), 150, psi, seed=43)
+        assert block_calls["blocks"] >= 2
+
+    def test_pinned_kernel(self, block_calls):
+        theta = GpHyper(amplitude=1.0, lengthscales=[0.3], pin_location=[0.5], mean=1.0)
+        self.check(grown(theta, 20, seed=44), 200, BOX, seed=45)
+        assert block_calls["blocks"] >= 2
+
+    def test_amplitude_zero(self, block_calls):
+        self.check(ConditionalSampler(frozen(0.3)), 100, BOX, seed=46)
+        assert block_calls["blocks"] >= 2

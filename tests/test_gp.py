@@ -29,6 +29,14 @@ def _separated_points(rng, n, dim, scale):
     return pts
 
 
+def dense_lower(cs: ConditionalSampler) -> np.ndarray:
+    """The sampler's factor L, unpacked to a dense lower triangle."""
+    n = len(cs)
+    out = np.zeros((n, n))
+    out[np.tri(n, dtype=bool)] = cs.packed
+    return out
+
+
 def brute_force_conditional(query, cond_pts, cond_vals, hyper, jitter):
     """Independent oracle: explicit joint-covariance partitioning with a
     dense inverse (no Cholesky, no shared code path)."""
@@ -343,7 +351,7 @@ class TestConditionalSampler:
         cs = ConditionalSampler(hyper, pts, rng.normal(size=5))
         new_vals = rng.normal(size=5)
         cs.set_values(new_vals)
-        assert np.allclose(cs.lower @ cs.whitened, new_vals - cs.prior_mean_vec)
+        assert np.allclose(dense_lower(cs) @ cs.whitened, new_vals - cs.prior_mean_vec)
         cs.set_whitened(np.zeros(5))
         assert np.allclose(cs.values, cs.prior_mean_vec)
 
@@ -356,6 +364,100 @@ class TestConditionalSampler:
         rebuilt = factor.lower @ factor.lower.T
         target = mat + factor.jitter * np.eye(6)
         assert np.linalg.norm(rebuilt - target) / np.linalg.norm(target) < 1e-10
+
+
+class TestDrawAppendBlock:
+    """The block draw against k sequential draw_append calls that take the
+    same standard normals."""
+
+    HYPER = GpHyper(amplitude=1.2, lengthscales=[0.3, 0.6], mean=0.5)
+
+    @staticmethod
+    def sequential(cs, X, z):
+        """draw_append at each row of X, fed the normals z in turn."""
+        normals = iter(z)
+
+        class Feed:
+            def standard_normal(self):
+                return next(normals)
+
+        return np.array([cs.draw_append(x, Feed()) for x in X])
+
+    @pytest.mark.parametrize("start, k", [(0, 1), (0, 40), (30, 5), (90, 64)])
+    def test_matches_sequential(self, start, k):
+        rng = np.random.default_rng(start + k)
+        base = ConditionalSampler(self.HYPER)
+        self.sequential(base, rng.uniform(0, 1, (start, 2)), rng.standard_normal(start))
+        X, z = rng.uniform(0, 1, (k, 2)), rng.standard_normal(k)
+        block, seq = base.copy(), base.copy()
+        g = block.draw_append_block(X, z)
+        g_seq = self.sequential(seq, X, z)
+        assert len(block) == start + k
+        assert np.abs(g - g_seq).max() < 1e-8 * np.abs(g_seq).max()
+        assert np.array_equal(block.points, seq.points)
+        assert np.array_equal(block.values[:start], seq.values[:start])
+        assert np.array_equal(block.values[start:], g)
+        assert np.array_equal(block.whitened[start:], z)
+        assert np.abs(block.packed - seq.packed).max() < 1e-9
+        assert block.jitter == seq.jitter
+        L = dense_lower(block)
+        target = kernel_matrix(X, X, self.HYPER) + block.jitter * np.eye(k)
+        assert np.abs((L @ L.T)[start:, start:] - target).max() < 1e-10
+
+    @pytest.mark.parametrize("X", [[[0.2], [0.2]], [[0.2 + 2e-9]]],
+                             ids=["coincident", "near"])
+    def test_pivot_floor_falls_back_to_sequential(self, monkeypatch, X):
+        # a factor built without jitter, queried at (or 2e-8 lengthscales
+        # from) its own point: the conditional variance is zero, which
+        # fails the block's Cholesky, or about 4e-16, which passes it with
+        # a pivot below the floor
+        hyper = GpHyper(amplitude=1.0, lengthscales=[0.1])
+        pts = np.array([[0.2]])
+        factor = chol(kernel_matrix(pts, pts, hyper), base_jitter=0.0)
+        assert factor.jitter == 0.0
+        base = ConditionalSampler(hyper, pts, [0.3], factor=factor)
+        X = np.array(X)
+        z = np.random.default_rng(31).standard_normal(len(X))
+        single = []
+        original = ConditionalSampler._draw_push
+
+        def spy(self, x, zi):
+            single.append(zi)
+            return original(self, x, zi)
+
+        monkeypatch.setattr(ConditionalSampler, "_draw_push", spy)
+        block, seq = base.copy(), base.copy()
+        g = block.draw_append_block(X, z)
+        assert single == list(z)
+        g_seq = self.sequential(seq, X, z)
+        assert np.array_equal(g, g_seq)
+        assert np.array_equal(block.values, seq.values)
+        assert np.array_equal(block.packed, seq.packed)
+        assert np.array_equal(block.whitened, seq.whitened)
+
+    def test_degenerate_records_the_mean(self):
+        hyper = GpHyper(amplitude=0.0, lengthscales=[1.0], mean=lambda x: 2 * x[:, 0])
+        cs = ConditionalSampler(hyper)
+        g = cs.draw_append_block([[0.1], [0.4]], [5.0, -5.0])
+        assert np.array_equal(g, [0.2, 0.8])
+        assert np.array_equal(cs.values, [0.2, 0.8])
+
+    def test_one_normal_per_point(self):
+        with pytest.raises(ValueError):
+            ConditionalSampler(self.HYPER).draw_append_block(np.zeros((3, 2)), [0.0, 1.0])
+
+    def test_truncate_keeps_the_leading_factor(self):
+        rng = np.random.default_rng(32)
+        cs = ConditionalSampler(self.HYPER)
+        cs.draw_append_block(rng.uniform(0, 1, (20, 2)), rng.standard_normal(20))
+        packed = cs.packed.copy()
+        cs.truncate(12)
+        assert len(cs) == 12
+        assert np.array_equal(cs.packed, packed[: 12 * 13 // 2])
+        ref = ConditionalSampler(self.HYPER, cs.points, cs.values)
+        assert np.abs(dense_lower(cs) - dense_lower(ref)).max() < 1e-10
+        with pytest.raises(IndexError):
+            cs.truncate(13)
 
 
 class TestGpHyperValidation:
@@ -411,7 +513,7 @@ class TestPackedEngineAgainstOracle:
         hyper = self.HYPER
         P, vals = cs.points, cs.values
         n = len(cs)
-        L = cs.lower
+        L = dense_lower(cs)
         target = kernel_matrix(P, P, hyper) + cs.jitter * np.eye(n)
         assert np.abs(L @ L.T - target).max() < 1e-10
         m = np.full(n, 0.4)
@@ -479,6 +581,16 @@ class TestPackedEngineAgainstOracle:
                         "set_whitened", "copy"}
         assert cs._pts.shape[0] == 512
 
+    def test_block_draws_past_capacity(self):
+        rng = np.random.default_rng(6)
+        cs = ConditionalSampler(self.HYPER)
+        for k in (1, 50, 64, 3, 64):
+            g = cs.draw_append_block(rng.uniform(0, self.BOX, (k, 2)),
+                                     rng.standard_normal(k))
+            assert np.array_equal(cs.values[-k:], g)
+            self.check(cs, rng)
+        assert cs._pts.shape[0] == 256
+
     def test_delete_every_position_matches_rebuild(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, self.BOX, (70, 2))
@@ -488,7 +600,7 @@ class TestPackedEngineAgainstOracle:
             cs.delete(row)
             keep = np.delete(np.arange(70), row)
             ref = ConditionalSampler(self.HYPER, pts[keep], vals[keep])
-            assert np.abs(cs.lower - ref.lower).max() < 1e-10
+            assert np.abs(dense_lower(cs) - dense_lower(ref)).max() < 1e-10
             assert np.abs(cs.whitened - ref.whitened).max() < 1e-8
 
     def test_degenerate_sampler(self):
