@@ -11,10 +11,11 @@ Every move is one proposal (:func:`_propose`: the proposed function's
 values at the controls, then its fantasies, grown on one sampler) and one
 swap (:func:`_swap`).  Bookkeeping rule: anything learned about a function
 must be kept while that function is part of the Markov state, and the
-state's :class:`ConditionalSampler` is where it is kept.  A rejected swap
-therefore appends the current function's values at the fantasies to that
-sampler; an accepted swap discards the old function entirely and adopts
-the proposal's grown sampler.  Neither refactorises anything.
+state's :class:`ConditionalSampler` is where it is kept.  The swap
+therefore draws the current function at the fantasies by growing that
+sampler (one block, with the sampler's own jitter), where a rejected swap
+leaves the values; an accepted swap discards the old function entirely and
+adopts the proposal's grown sampler.  Neither refactorises anything.
 """
 from __future__ import annotations
 
@@ -160,11 +161,14 @@ def _swap(state: ExchangeState, psi: BaseHyper, hat_values: np.ndarray,
     The state is updated in place and returned with the verdict.  On accept
     the proposal (``psi``, ``hat_values`` and the sampler grown in
     ``trace``, which holds the proposed theta) becomes the state; on reject
-    the current function keeps its values at the fantasies, appended to
-    its sampler.
+    the current function keeps its values at the fantasies, which were
+    drawn onto its sampler.
     """
     n = state.n_data
-    g_fant = state.sampler.draw_batch(trace.accepted, rng)
+    k = len(trace.accepted)
+    # a degenerate function is its mean: no normals are drawn for it
+    z = np.zeros(k) if state.sampler.degenerate else rng.standard_normal(k)
+    g_fant = state.sampler.draw_append_block(trace.accepted, z)
     log_a = log_prior_ratio + _swap_log_ratio(
         log_phi(hat_values[:n]), log_phi(state.g_data),
         log_phi(g_fant), log_phi(trace.accepted_values))
@@ -176,9 +180,6 @@ def _swap(state: ExchangeState, psi: BaseHyper, hat_values: np.ndarray,
         state.sampler = trace.sampler
         state.control_values = hat_values
         state.psi = psi
-    else:
-        for x, g in zip(trace.accepted, g_fant):
-            state.sampler.append(x, g)
     return state, accepted
 
 

@@ -5,9 +5,12 @@ pinned to zero at a reference location), jittered Cholesky factorisation
 and the one engine every sampler, move and estimator goes through:
 :class:`ConditionalSampler`.  It keeps the Cholesky factor of the R known
 points row-packed (BLAS packed storage) and updates it in place: O(R^2)
-retrospective draws and appends, O((R - k) R) deletion of row k, so that
-rejection-sampling loops and MCMC moves do not refactorise the Gram matrix
-from scratch at every step.  Draws at a block of k points
+retrospective draws and appends, O((R - k) R) deletion of row k (one QR
+call of the trailing block), so that rejection-sampling loops and MCMC
+moves do not refactorise the Gram matrix from scratch at every step.  A
+proposed point is conditioned once: :meth:`ConditionalSampler.draw_append`
+records it, and a rejected proposal is dropped again with the O(1)
+:meth:`ConditionalSampler.truncate`.  Draws at a block of k points
 (:meth:`ConditionalSampler.draw_append_block`) and multi-point conditionals
 solve against all k columns at once with one BLAS-3 call on the packed
 factor.  It also holds the whitened coordinates used by the gradient-based
@@ -19,9 +22,10 @@ built (``chol`` of the Gram matrix at the starting points, or
 factor, one point or one block at a time, never changes it.  A sampler is
 the realisation: callers keep and grow it (or a
 :meth:`ConditionalSampler.copy`) instead of refactorising its points.
-Only the batch draws (:meth:`ConditionalSampler.draw_batch`) factorise on
-their own, with their own jitter ladder, because their conditional
-covariance is a new matrix.
+:meth:`ConditionalSampler.draw_batch`, which serves just the predictive
+probe's query points, is the one draw that factorises on its own, with its
+own jitter ladder, because its conditional covariance is a new matrix that
+is not recorded.
 
 Two free functions factorise from scratch, :func:`conditional` and
 :func:`log_prior_density`; nothing in the package calls them, they are the
@@ -35,8 +39,8 @@ from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import drot, dtpmv, dtpsv
-from scipy.linalg.lapack import dtfsm, dtpttf
+from scipy.linalg.blas import dtpmv, dtpsv, dtrsv
+from scipy.linalg.lapack import dtfsm, dtpqrt, dtpttf
 
 # Relative jitter ladder: start here, escalate x10 per retry, give up at the
 # cap.  Values are relative to the mean diagonal magnitude of the matrix
@@ -252,27 +256,6 @@ def log_prior_density(values, points, hyper: GpHyper,
     return -0.5 * (n * math.log(2.0 * math.pi) + factor.logdet() + float(z @ z))
 
 
-def _chol_update(L: np.ndarray, u: np.ndarray) -> None:
-    """In-place rank-one update: after the call, L L^T equals old L L^T + u u^T.
-
-    Standard sequence of Givens rotations, each applied to a column of L
-    and to u by BLAS ``drot`` in place; u is destroyed.  L must be
-    Fortran-ordered (contiguous columns) and u contiguous, or the rotations
-    would land in copies.
-    """
-    if not (L.flags.f_contiguous and u.flags.c_contiguous):
-        raise ValueError("L must be Fortran-ordered and u contiguous")
-    n = L.shape[0]
-    for k in range(n):
-        lkk = L[k, k]
-        uk = u[k]
-        r = math.hypot(lkk, uk)
-        L[k, k] = r
-        if k + 1 < n:
-            drot(L[k + 1:, k], u[k + 1:], lkk / r, uk / r,
-                 overwrite_x=1, overwrite_y=1)
-
-
 def _tri(n: int) -> int:
     """Length of the row-packed lower triangle of an n x n matrix."""
     return n * (n + 1) // 2
@@ -299,8 +282,8 @@ class ConditionalSampler:
     are single packed BLAS calls (``dtpsv``, ``dtpmv``) that read R^2 / 2
     contiguous doubles.  Appending a point writes R + 1 contiguous entries;
     growing the capacity copies the R^2 / 2 stored entries.  Deleting row k
-    unpacks the R - k - 1 rows below it, restores triangularity of the
-    trailing block with a rank-one update and repacks them, which is
+    moves the R - k - 1 rows below it up one row and refactorises their
+    trailing block with one LAPACK QR call (:meth:`delete`), which is
     O((R - k) R).
 
     Solves with k right-hand sides (:meth:`draw_append_block`,
@@ -494,9 +477,16 @@ class ConditionalSampler:
         return mu, max(var, 0.0)
 
     def draw(self, x, rng: np.random.Generator) -> float:
-        """Sample a single function value (without recording it)."""
-        mu, var = self.mean_var(x)
-        return mu + math.sqrt(var) * rng.standard_normal()
+        """Sample a single function value without recording it; O(R^2).
+
+        The conditioned row is written just past the last row, where
+        :meth:`draw_append` keeps it, so a draw and a draw-and-record give
+        the same value from the same standard normal.
+        """
+        n = self._n
+        g = self._draw_push(np.asarray(x, dtype=float).reshape(-1), rng.standard_normal())
+        self._n = n
+        return g
 
     def append(self, x, value: float) -> None:
         """Record a known (location, value) pair; O(R^2)."""
@@ -509,17 +499,19 @@ class ConditionalSampler:
         self._push(x, m, value, a, d, (value - mu) / d)
 
     def draw_append(self, x, rng: np.random.Generator) -> float:
-        """Draw at x and record the result; the solve is shared, O(R^2)."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if self.degenerate:
-            m = self._point_mean(x)
-            g = m + 0.0 * rng.standard_normal()
-            self._push(x, m, g)
-            return g
-        return self._draw_push(x, rng.standard_normal())
+        """Draw at x and record the result: :meth:`draw`, then keep the row
+        it wrote; O(R^2)."""
+        g = self.draw(x, rng)
+        self._n += 1
+        return g
 
     def _draw_push(self, x: np.ndarray, z: float) -> float:
-        """Record x at the value whose whitened coordinate is z; O(R^2)."""
+        """Record x at the value whose whitened coordinate is z (a
+        degenerate sampler records its mean); O(R^2)."""
+        if self.degenerate:
+            m = self._point_mean(x)
+            self._push(x, m, m)
+            return m
         m, mu, var, a = self._condition(x)
         d = self._pivot(var)
         g = mu + d * z
@@ -618,7 +610,17 @@ class ConditionalSampler:
         return mean + factor.lower @ rng.standard_normal(X.shape[0])
 
     def delete(self, row: int) -> None:
-        """Remove the point at ``row``; O((R - row) R)."""
+        """Remove the point at ``row``; O((R - row) R).
+
+        The t rows below it are ``[C, u, B]`` (leading columns, the removed
+        column, the t x t trailing block).  They move up one row as
+        ``[C, L']`` with ``L' L'^T = B B^T + u u^T``: ``L'^T`` is the R of
+        one LAPACK ``dtpqrt`` of ``B^T`` stacked on ``u^T`` (O(t^2), and it
+        cannot fail, because B is nonsingular), with its diagonal made
+        positive.  Their whitened coordinates become
+        ``L'^-1 (B w_tail + u w_row)``, one ``dtrsv``: that is the residuals
+        minus ``C w_head``, and the rows above keep their whitened values.
+        """
         n = self._n
         if not 0 <= row < n:
             raise IndexError("row out of range")
@@ -629,21 +631,28 @@ class ConditionalSampler:
         t = n - 1 - row  # rows below the deleted one
         if self.degenerate or not t:
             return
-        # unpack the rows below `row`, restore triangularity of their
-        # trailing block with a rank-one update by column `row`, then repack
-        # them one row up without that column
-        stored = np.tri(t, n, row + 1, dtype=bool)
-        tail = np.zeros((t, n), order="F")
-        tail[stored] = self._ap[_tri(row + 1) : _tri(n)]
-        block = tail[:, row + 1 :]
-        _chol_update(block, tail[:, row].copy())
-        stored[:, row] = False
-        self._ap[_tri(row) : _tri(n - 1)] = tail[stored]
-        resid = self._vals[row : n - 1] - self._m[row : n - 1]
-        if row:
-            resid = resid - tail[:, :row] @ self._w[:row]
-        self._w[row : n - 1] = solve_triangular(block, resid, lower=True,
-                                                check_finite=False)
+        ap = self._ap
+        w = self._w
+        bt = np.zeros((t, t), order="F")  # B^T, upper triangular
+        u = np.empty(t)
+        # old row j (packed at _tri(j)) moves up to _tri(j - 1) = _tri(j) - j,
+        # over the entries of row j - 1, which were read before it
+        for i, j in enumerate(range(row + 1, n)):
+            s = _tri(j)
+            u[i] = ap[s + row]
+            bt[: i + 1, i] = ap[s + row + 1 : s + j + 1]
+            ap[s - j : s - j + row] = ap[s : s + row]
+        rhs = bt.T @ w[row + 1 : n] + u * w[row]
+        # LAPACK block size, timed one call at a time on 1 BLAS thread: one
+        # block (nb = t) for tails up to 16 rows, the common case (fastest of
+        # nb = 1, 4, 8, t up to t = 9, within 10 % at t = 16); 16 above, the
+        # fastest of 1 to 64 for t = 50 to 400
+        r, _, _, _ = dtpqrt(0, min(t, 16), bt, u[None, :], overwrite_a=1, overwrite_b=1)
+        r *= np.sign(np.diag(r))[:, None]  # a positive diagonal
+        for i, j in enumerate(range(row + 1, n)):
+            s = _tri(j) - j + row
+            ap[s : s + i + 1] = r[: i + 1, i]
+        w[row : n - 1] = dtrsv(r, rhs, lower=0, trans=1, overwrite_x=1)
 
     def set_values(self, values) -> None:
         """Replace all function values (locations unchanged); O(R^2)."""

@@ -10,6 +10,14 @@ dynamics in the whitened space, and random-walk the hyperparameters.
 :func:`sweep` runs one iteration of those moves with the tuning of a
 :class:`~gpds.chain.ChainOptions`; :func:`init_history` draws a starting
 state with no rejections.
+
+Each proposed point is conditioned on the GP once: an insertion or a
+relocation draws its function value with
+:meth:`~gpds.gp.ConditionalSampler.draw_append`, which records it as the
+last factor row.  An accepted insertion keeps that row, an accepted
+relocation deletes the old row, and a rejected proposal drops the new row
+again with the O(1) :meth:`~gpds.gp.ConditionalSampler.truncate`, which
+leaves the factor exactly as it was.
 """
 from __future__ import annotations
 
@@ -194,16 +202,16 @@ class HistoryChain:
         m, n = self.n_rejections, self.n_data
         if rng.uniform() < zeta(m, n):
             x_plus = base_sample(self.psi, rng)
-            g_plus = self.sampler.draw(x_plus, rng)
+            g_plus = self.sampler.draw_append(x_plus, rng)
             log_a = insert_log_accept(m, n, zeta, g_plus)
             if corrupt_insert:
                 # testing hook: flip the sign of the squashed-value term
                 log_a = (log_a - float(log_one_minus_phi(g_plus))
                          + math.log1p(phi(g_plus)))
             if math.log(rng.uniform()) < log_a:
-                self.sampler.append(x_plus, g_plus)
                 self.rej_rows.append(len(self.sampler) - 1)
                 return True
+            self.sampler.truncate(len(self.sampler) - 1)
             return False
         k = int(rng.integers(m))
         g_minus = float(self.sampler.values[self.rej_rows[k]])
@@ -220,28 +228,30 @@ class HistoryChain:
 
     # -- location moves ---------------------------------------------------
     def step_locations(self, walk_scales: np.ndarray, rng: np.random.Generator) -> int:
-        """One symmetric-walk proposal per rejection; returns acceptances."""
+        """One symmetric-walk proposal per rejection; returns acceptances.
+
+        The proposal is drawn onto the end of the factor; on accept the old
+        row is deleted, so the moved rejection ends up last.
+        """
         accepted = 0
-        vals = self.sampler.values
-        pts = self.sampler.points
+        sampler = self.sampler
         for slot in range(self.n_rejections):
             row = self.rej_rows[slot]
-            x_old = pts[row].copy()
-            g_old = float(vals[row])
+            x_old = sampler.points[row].copy()
+            g_old = float(sampler.values[row])
             x_new = x_old + walk_scales * rng.standard_normal(x_old.shape[0])
             lp_new = float(base_logpdf(x_new, self.psi))
             if not np.isfinite(lp_new):
                 continue
-            g_new = self.sampler.draw(x_new, rng)
+            g_new = sampler.draw_append(x_new, rng)
             lp_old = float(base_logpdf(x_old, self.psi))
             log_a = location_log_accept(lp_new, lp_old, g_new, g_old)
             if math.log(rng.uniform()) < log_a:
                 self._remove_slot(slot)
-                self.sampler.append(x_new, g_new)
-                self.rej_rows.insert(slot, len(self.sampler) - 1)
+                self.rej_rows.insert(slot, len(sampler) - 1)
                 accepted += 1
-                vals = self.sampler.values
-                pts = self.sampler.points
+            else:
+                sampler.truncate(len(sampler) - 1)
         return accepted
 
     # -- function move (HMC in whitened coordinates) ----------------------

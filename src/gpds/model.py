@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -74,6 +75,10 @@ class UniformBox:
     def dim(self) -> int:
         return self.lower.shape[0]
 
+    @cached_property
+    def log_volume(self) -> float:
+        return float(np.sum(np.log(self.upper - self.lower)))
+
     @classmethod
     def unit(cls, dim: int = 1) -> "UniformBox":
         return cls(np.zeros(dim), np.ones(dim))
@@ -108,7 +113,9 @@ def base_sample(hyper: BaseHyper, rng: np.random.Generator, size: int | None = N
     """Draw from the base density: a (D,) point, or (size, D) when given."""
     n = 1 if size is None else size
     if isinstance(hyper, UniformBox):
-        out = rng.uniform(hyper.lower, hyper.upper, size=(n, hyper.dim))
+        # what rng.uniform(lower, upper, (n, D)) computes, draw for draw,
+        # without its per-call checks of the bounds
+        out = hyper.lower + (hyper.upper - hyper.lower) * rng.random((n, hyper.dim))
     elif isinstance(hyper, GaussianBase):
         out = hyper.mean + hyper.sigma * rng.standard_normal((n, hyper.dim))
     else:
@@ -123,13 +130,17 @@ def base_logpdf(x, hyper: BaseHyper):
     (returns an (n,) array).
     """
     x = np.asarray(x, dtype=float)
+    if isinstance(hyper, UniformBox) and x.shape == hyper.lower.shape:
+        # one point, the latent-history moves' case: no batch arrays
+        inside = ((x >= hyper.lower) & (x <= hyper.upper)).all()
+        return -hyper.log_volume if inside else -math.inf
     single = x.ndim <= 1
     pts = np.atleast_2d(x)
     if pts.shape[1] != hyper.dim:
         raise ValueError("point dimension does not match base density")
     if isinstance(hyper, UniformBox):
         inside = np.all((pts >= hyper.lower) & (pts <= hyper.upper), axis=1)
-        val = np.where(inside, -np.sum(np.log(hyper.upper - hyper.lower)), -np.inf)
+        val = np.where(inside, -hyper.log_volume, -np.inf)
     elif isinstance(hyper, GaussianBase):
         z = (pts - hyper.mean) / hyper.sigma
         val = -0.5 * np.sum(z * z, axis=1) - np.sum(np.log(hyper.sigma)) \

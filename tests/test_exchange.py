@@ -353,27 +353,30 @@ class TestBookkeepingAudit:
         # every retrospective draw for a live function must condition on at
         # least as much knowledge as the previous draw for that function:
         # record the size of the conditioning set at each draw of a move
+        rng = np.random.default_rng(15)
+        state = make_state(rng, n=3)
         events = []
-        for op, kind in (("draw_append", "proposal"), ("draw_batch", "current")):
-            original = getattr(ConditionalSampler, op)
+        original = ConditionalSampler.draw_append
 
-            def spy(self, *args, _original=original, _kind=kind, **kwargs):
-                events.append((_kind, len(self)))
-                return _original(self, *args, **kwargs)
+        def spy(self, *args, **kwargs):
+            events.append(("proposal", len(self)))
+            return original(self, *args, **kwargs)
 
-            monkeypatch.setattr(ConditionalSampler, op, spy)
-        # a block of k proposals is k draws, made at sizes len(self) ...
-        # len(self) + k - 1
+        monkeypatch.setattr(ConditionalSampler, "draw_append", spy)
+        # the current function is drawn at the fantasies in one block on
+        # its own sampler; a block of k proposals is k draws, made at sizes
+        # len(self) ... len(self) + k - 1
         original_block = ConditionalSampler.draw_append_block
 
         def spy_block(self, X, *args, **kwargs):
-            k = len(np.atleast_2d(X))
-            events.extend(("proposal", len(self) + i) for i in range(k))
+            if self is state.sampler:
+                events.append(("current", len(self)))
+            else:
+                k = len(np.atleast_2d(X))
+                events.extend(("proposal", len(self) + i) for i in range(k))
             return original_block(self, X, *args, **kwargs)
 
         monkeypatch.setattr(ConditionalSampler, "draw_append_block", spy_block)
-        rng = np.random.default_rng(15)
-        state = make_state(rng, n=3)
         for _ in range(10):
             del events[:]
             n_cond_entry = len(state.sampler)

@@ -16,7 +16,6 @@ from gpds.gp import (
     conditional,
     kernel_matrix,
     log_prior_density,
-    _chol_update,
 )
 
 
@@ -344,6 +343,28 @@ class TestConditionalSampler:
         _, var = cs.mean_var([0.5])
         assert var <= 3 * cs.jitter
 
+    @pytest.mark.parametrize("amplitude", [1.3, 0.0])
+    def test_draw_records_nothing_and_draw_append_keeps_its_value(self, amplitude):
+        hyper = GpHyper(amplitude=amplitude, lengthscales=[0.4, 0.6])
+        rng = np.random.default_rng(24)
+        cs = ConditionalSampler(hyper)
+        for p in rng.uniform(0, 1, (64, 2)):  # fills the buffer: draw must grow it
+            cs.draw_append(p, rng)
+        fields = ("points", "values") + (() if cs.degenerate else ("packed", "whitened"))
+        before = {f: getattr(cs, f).copy() for f in fields}
+        x = np.array([0.3, 0.7])
+        mu, var = cs.mean_var(x)
+        state = rng.bit_generator.state
+        g = cs.draw(x, rng)
+        assert len(cs) == 64
+        for f in fields:
+            assert np.array_equal(getattr(cs, f), before[f])
+        rng.bit_generator.state = state
+        assert g == pytest.approx(mu + math.sqrt(var) * rng.standard_normal(), abs=1e-12)
+        rng.bit_generator.state = state
+        assert cs.draw_append(x, rng) == g
+        assert len(cs) == 65 and cs.values[64] == g
+
     def test_set_values_updates_whitened(self):
         hyper = GpHyper(amplitude=1.0, lengthscales=[0.4])
         rng = np.random.default_rng(22)
@@ -482,20 +503,153 @@ class TestGpHyperValidation:
             GpHyper(amplitude=0.0, lengthscales=[1.0], pin_location=[0.0])
 
 
-class TestCholUpdate:
-    def test_rank_one_update_matches_refactorisation(self):
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(30, 30))
-        L = np.asfortranarray(np.linalg.cholesky(a @ a.T / 30 + np.eye(30)))
-        u = rng.normal(size=30)
-        expected = np.linalg.cholesky(L @ L.T + np.outer(u, u))
-        _chol_update(L, u.copy())
-        assert np.abs(L - expected).max() < 1e-12
+class TestDelete:
+    """``delete`` against the from-scratch oracle: the Cholesky factor of
+    the Gram matrix the remaining rows stand for.
 
-    def test_c_ordered_factor_rejected(self):
-        # drot would rotate copies of the strided columns and lose the update
-        with pytest.raises(ValueError):
-            _chol_update(np.eye(3), np.ones(3))
+    That matrix is ``kernel_matrix + jitter I`` plus, on the diagonal, any
+    excess of a pivot clamped at ``_pivot_floor``, read off the factor
+    before the delete.  Where the Gram matrix is near-singular, the factor
+    is compared by its product and the whitened values by their residual,
+    because the oracle's own entries are then no more accurate than that.
+    """
+
+    @staticmethod
+    def gram(cs: ConditionalSampler) -> np.ndarray:
+        """The matrix the sampler's factor stands for."""
+        L = dense_lower(cs)
+        K = kernel_matrix(cs.points, cs.points, cs.hyper) + cs.jitter * np.eye(len(cs))
+        excess = np.diag(L @ L.T) - np.diag(K)
+        return K + np.diag(excess)
+
+    def delete_and_check(self, cs: ConditionalSampler, row: int,
+                         forward: bool = True) -> ConditionalSampler:
+        G = self.gram(cs)
+        keep = np.delete(np.arange(len(cs)), row)
+        resid = (cs.values - cs.prior_mean_vec)[keep]
+        # rounding in the whitened values scales with |L| |w|, before and after
+        scale = (np.abs(dense_lower(cs)) @ np.abs(cs.whitened))[keep]
+        head = (cs.points[:row].copy(), cs.packed[: row * (row + 1) // 2].copy(),
+                cs.whitened[:row].copy())
+        out = cs.copy()
+        out.delete(row)
+        G = G[np.ix_(keep, keep)]
+        L = dense_lower(out)
+        assert np.all(np.diag(L) > 0)
+        assert np.abs(L @ L.T - G).max() < 1e-13 * np.abs(G).max()
+        w = out.whitened
+        scale += np.abs(L) @ np.abs(w)
+        assert np.all(np.abs(L @ w - resid) <= 1e-13 * scale)
+        assert np.array_equal(out.points, cs.points[keep])
+        assert np.array_equal(out.values, cs.values[keep])
+        # the rows above the deleted one are left as they were
+        for a, b in zip(head, (out.points[:row], out.packed[: row * (row + 1) // 2],
+                               out.whitened[:row])):
+            assert np.array_equal(a, b)
+        if forward:
+            oracle = chol(G, 0.0)
+            assert np.abs(L - oracle.lower).max() < 1e-10 * np.abs(oracle.lower).max()
+            w_ref = oracle.solve_lower(resid)
+            assert np.abs(w - w_ref).max() < 1e-8 * max(1.0, np.abs(w_ref).max())
+        return out
+
+    def test_rank_one_restore_matches_refactorisation(self):
+        # deleting row 0 restores the whole trailing 29 x 29 block from a
+        # dense column u
+        rng = np.random.default_rng(8)
+        hyper = GpHyper(amplitude=1.1, lengthscales=[0.8, 1.7])
+        pts = _separated_points(rng, 30, 2, 0.6)
+        cs = ConditionalSampler(hyper, pts, rng.normal(size=30))
+        assert np.all(dense_lower(cs)[1:, 0] != 0)
+        out = self.delete_and_check(cs, 0)
+        ref = chol(kernel_matrix(pts[1:], pts[1:], hyper) + cs.jitter * np.eye(29), 0.0)
+        assert np.abs(dense_lower(out) - ref.lower).max() < 1e-12
+
+    def test_update_lands_in_the_packed_buffer(self):
+        # the restored rows are written into the sampler's own storage: a
+        # copy taken before is untouched, and growing afterwards conditions
+        # on the restored factor
+        rng = np.random.default_rng(9)
+        hyper = GpHyper(amplitude=0.9, lengthscales=[0.5])
+        pts = _separated_points(rng, 12, 1, 0.4)
+        cs = ConditionalSampler(hyper, pts, rng.normal(size=12))
+        before = cs.copy()
+        packed = cs.packed.copy()
+        cs.delete(4)
+        assert np.array_equal(before.packed, packed)
+        assert not np.array_equal(cs.packed, packed[: 11 * 12 // 2])
+        x = pts[7] + 0.05
+        keep = np.delete(np.arange(12), 4)
+        ref = ConditionalSampler(hyper, pts[keep], cs.values)
+        assert cs.mean_var(x) == pytest.approx(ref.mean_var(x), rel=1e-10)
+        cs.append(x, 0.3)
+        self.delete_and_check(cs, len(cs) - 2)
+
+    def test_every_row_position(self):
+        # a history-chain layout: data rows first, then the rejections;
+        # covers the first row, the first rejection row and the last row
+        rng = np.random.default_rng(10)
+        hyper = GpHyper(amplitude=1.3, lengthscales=[0.6], mean=0.4)
+        n_data, n_rej = 9, 7
+        pts = _separated_points(rng, n_data + n_rej, 1, 0.5)
+        cs = ConditionalSampler(hyper, pts[:n_data], rng.normal(size=n_data))
+        cs.draw_append_block(pts[n_data:], rng.standard_normal(n_rej))
+        for row in range(len(cs)):
+            self.delete_and_check(cs, row)
+        # one after another down to a single point
+        while len(cs) > 1:
+            cs = self.delete_and_check(cs, int(rng.integers(len(cs))))
+
+    def test_near_coincident_points_at_the_pivot_floor(self):
+        # a factor adopted without jitter has the smallest floor; a point
+        # 1e-9 or 1e-10 away from a stored one is clamped to it
+        rng = np.random.default_rng(11)
+        hyper = GpHyper(amplitude=1.3, lengthscales=[0.3])
+        pts = np.linspace(0.0, 3.0, 8)[:, None]
+        factor = chol(kernel_matrix(pts, pts, hyper), 0.0)
+        assert factor.jitter == 0.0
+        cs = ConditionalSampler(hyper, pts, rng.normal(size=8), factor=factor)
+        for x, g in ((pts[3] + 1e-9, 0.3), ([1.7], 0.1), (pts[5] - 1e-10, -0.2),
+                     ([2.5], 0.0)):
+            cs.append(x, g)
+        d2 = np.diag(dense_lower(cs)) ** 2
+        assert d2[[8, 10]] == pytest.approx(cs._pivot_floor(), rel=1e-12)
+        for row in range(len(cs)):
+            self.delete_and_check(cs, row, forward=False)
+
+    def test_pinned_kernel_with_a_point_at_the_pin(self):
+        # the point at the pin has prior variance 0: its pivot is the
+        # jitter's square root and its column below is exactly 0, so
+        # deleting it leaves the trailing block's QR with nothing to rotate
+        rng = np.random.default_rng(12)
+        hyper = GpHyper(amplitude=1.0, lengthscales=[0.4], pin_location=[0.5])
+        pts = np.array([[0.1], [0.3], [0.5], [0.8], [0.95], [0.62]])
+        cs = ConditionalSampler(hyper)
+        cs.draw_append_block(pts, rng.standard_normal(6))
+        L = dense_lower(cs)
+        assert L[2, 2] == pytest.approx(math.sqrt(cs.jitter))
+        assert np.all(L[3:, 2] == 0.0)
+        for row in range(len(cs)):
+            self.delete_and_check(cs, row)
+
+    def test_amplitude_below_the_jitter_floor(self):
+        # amplitude 1e-3: the jitter 1e-14 is below the 1e-12 floor cap,
+        # so the floor is the jitter itself
+        rng = np.random.default_rng(13)
+        hyper = GpHyper(amplitude=1e-3, lengthscales=[0.3])
+        cs = ConditionalSampler(hyper)
+        cs.draw_append_block(_separated_points(rng, 12, 1, 0.25), rng.standard_normal(12))
+        assert cs.jitter < 1e-12 and cs._pivot_floor() == cs.jitter
+        for row in range(len(cs)):
+            self.delete_and_check(cs, row)
+
+    def test_two_dimensional_ard(self):
+        rng = np.random.default_rng(14)
+        hyper = GpHyper(amplitude=0.8, lengthscales=[0.3, 1.5], mean=-0.1)
+        cs = ConditionalSampler(hyper)
+        cs.draw_append_block(_separated_points(rng, 14, 2, 0.3), rng.standard_normal(14))
+        for row in range(len(cs)):
+            self.delete_and_check(cs, row)
 
 
 class TestPackedEngineAgainstOracle:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, kstest
 
+import gpds.history
 from gpds.chain import ChainOptions, _history_log_density
 from gpds.generate import continue_sampler, draw_prior_dataset
-from gpds.gp import GpHyper, log_prior_density
+from gpds.gp import ConditionalSampler, GpHyper, kernel_matrix, log_prior_density
 from gpds.history import (
     HistoryChain,
     ZetaSchedule,
@@ -24,6 +25,7 @@ from gpds.model import (
     HyperWalkScales,
     UniformBox,
     base_logpdf,
+    base_sample,
     log_one_minus_phi,
     log_phi,
     phi,
@@ -219,6 +221,139 @@ class TestLocationMoves:
             chain.step_locations(np.array([0.5]), rng)
             assert np.all((chain.rejections >= 0) & (chain.rejections <= 1))
             assert chain.n_rejections == len(chain.g_rejections)
+
+
+class TestOneConditioningPerProposal:
+    """An inserted or relocated point is conditioned on the GP once: it is
+    drawn straight onto the factor, an accepted insert keeps that row, an
+    accepted relocation deletes the old one, and a rejected proposal is
+    truncated away, leaving the state exactly as it was."""
+
+    BASES = {
+        "box": (THETA, BOX),
+        "gaussian": (GpHyper(amplitude=1.1, lengthscales=[0.6, 0.9]),
+                     GaussianBase([0.0, 0.5], [1.0, 0.7])),
+    }
+
+    def make_chain(self, base, rng, n_data=40, n_rej=24):
+        """A chain whose sampler is full: the next append grows its buffers."""
+        theta, psi = self.BASES[base]
+        data = base_sample(psi, rng, size=n_data)
+        rej = base_sample(psi, rng, size=n_rej)
+        sampler = ConditionalSampler(theta)
+        g = sampler.draw_append_block(np.vstack([data, rej]),
+                                      rng.standard_normal(n_data + n_rej))
+        chain = HistoryChain(data, g[:n_data], theta, psi, rej, g[n_data:])
+        chain.sampler = sampler
+        assert len(sampler) == sampler._pts.shape[0]
+        return chain
+
+    @staticmethod
+    def count_calls(monkeypatch, ratio=None):
+        """Count ``_condition`` calls and the proposals that reach their
+        acceptance ratio; ``ratio`` replaces that ratio's value."""
+        counts = {"condition": 0, "insert_log_accept": 0, "location_log_accept": 0}
+        condition = ConditionalSampler._condition
+
+        def spy_condition(self, x):
+            counts["condition"] += 1
+            return condition(self, x)
+
+        monkeypatch.setattr(ConditionalSampler, "_condition", spy_condition)
+        for name in ("insert_log_accept", "location_log_accept"):
+            original = getattr(gpds.history, name)
+
+            def spy_ratio(*args, _original=original, _name=name):
+                counts[_name] += 1
+                value = _original(*args)
+                return value if ratio is None else ratio
+
+            monkeypatch.setattr(gpds.history, name, spy_ratio)
+        return counts
+
+    @staticmethod
+    def snapshot(chain):
+        s = chain.sampler
+        return (s.points.copy(), s.values.copy(), s.packed.copy(),
+                s.whitened.copy(), list(chain.rej_rows))
+
+    @staticmethod
+    def assert_factor_of_state(s):
+        target = kernel_matrix(s.points, s.points, s.hyper) + s.jitter * np.eye(len(s))
+        L = np.zeros((len(s), len(s)))
+        L[np.tri(len(s), dtype=bool)] = s.packed
+        assert np.abs(L @ L.T - target).max() < 1e-10
+        assert np.abs(L @ s.whitened - (s.values - s.prior_mean_vec)).max() < 1e-8
+
+    @pytest.mark.parametrize("base", ["box", "gaussian"])
+    def test_one_conditioning_per_proposal(self, base, monkeypatch):
+        rng = np.random.default_rng(41)
+        chain = self.make_chain(base, rng)
+        counts = self.count_calls(monkeypatch)
+        zeta = ZetaSchedule(0.5)
+        walk = np.full(chain.data.shape[1], 0.3)
+        attempts = inserts = moved = 0
+        for _ in range(15):
+            for _ in range(3):
+                m = chain.n_rejections
+                chain.step_number(zeta, rng)
+                inserts += chain.n_rejections > m
+            attempts += chain.n_rejections
+            moved += chain.step_locations(walk, rng)
+        proposals = counts["insert_log_accept"] + counts["location_log_accept"]
+        assert counts["condition"] == proposals
+        assert inserts > 0 and moved > 0
+        assert counts["insert_log_accept"] > inserts  # some inserts rejected
+        assert counts["location_log_accept"] > moved  # some relocations rejected
+        if base == "box":
+            # a relocation outside the box is rejected before any conditioning
+            assert counts["location_log_accept"] < attempts
+        self.assert_factor_of_state(chain.sampler)
+
+    @pytest.mark.parametrize("base", ["box", "gaussian"])
+    def test_rejected_proposals_leave_the_state_unchanged(self, base, monkeypatch):
+        rng = np.random.default_rng(42)
+        chain = self.make_chain(base, rng)
+        counts = self.count_calls(monkeypatch, ratio=-math.inf)
+        walk = np.full(chain.data.shape[1], 0.05)
+        before = self.snapshot(chain)
+        for _ in range(4):
+            assert not chain.step_number(ZetaSchedule(1.0), rng)  # always inserts
+            assert chain.step_locations(walk, rng) == 0
+            for a, b in zip(before, self.snapshot(chain)):
+                assert np.array_equal(a, b)
+        assert counts["insert_log_accept"] == 4
+        assert counts["location_log_accept"] > 0
+        assert chain.sampler._pts.shape[0] > len(chain.sampler)  # the buffers grew
+
+    @pytest.mark.parametrize("base", ["box", "gaussian"])
+    def test_accepted_relocations_past_capacity(self, base, monkeypatch):
+        # every relocation accepted, the first one growing the buffers: each
+        # moved rejection ends up last, at its proposed location and value
+        rng = np.random.default_rng(43)
+        chain = self.make_chain(base, rng)
+        counts = self.count_calls(monkeypatch, ratio=math.inf)
+        draws, values = [], []
+        draw_append = ConditionalSampler.draw_append
+
+        def spy_draw(self, x, rng_):
+            draws.append(np.array(x, dtype=float))
+            values.append(draw_append(self, x, rng_))
+            return values[-1]
+
+        monkeypatch.setattr(ConditionalSampler, "draw_append", spy_draw)
+        walk = np.full(chain.data.shape[1], 0.02)
+        data, g_data = chain.data.copy(), chain.g_data.copy()
+        moved = chain.step_locations(walk, rng)
+        assert moved == counts["location_log_accept"] == counts["condition"] == len(draws)
+        assert moved > 20
+        s = chain.sampler
+        assert len(s) == 40 + 24
+        assert np.array_equal(s.points[-moved:], np.array(draws))
+        assert np.array_equal(s.values[-moved:], values)
+        assert np.array_equal(s.points[:40], data) and np.array_equal(chain.g_data, g_data)
+        assert sorted(chain.rej_rows) == list(range(40, 64))
+        self.assert_factor_of_state(s)
 
 
 class TestHmc:

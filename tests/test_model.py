@@ -119,6 +119,31 @@ class TestBaseDensities:
         total = np.trapezoid(np.trapezoid(dens, ys, axis=1), xs)
         assert total == pytest.approx(1.0, abs=1e-3)
 
+    def test_box_sample_is_generator_uniform(self):
+        # the same draws and the same generator state as rng.uniform, on a
+        # box that is neither unit-sized nor at the origin
+        box = UniformBox([-1.5, 0.25], [2.0, 0.75])
+        for size in (None, 1, 1000):
+            ours, ref = np.random.default_rng(4), np.random.default_rng(4)
+            got = base_sample(box, ours, size=size)
+            want = ref.uniform(box.lower, box.upper, size=(1 if size is None else size, 2))
+            assert np.array_equal(got, want[0] if size is None else want)
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("x", [
+        [-1.5, 0.25], [2.0, 0.75], [-1.5, 0.75], [0.3, 0.5],
+        [-1.5000001, 0.5], [0.3, 0.7500001], [5.0, -5.0],
+        [math.nan, 0.5], [0.3, math.nan],
+    ], ids=["lower-corner", "upper-corner", "mixed-corner", "inside",
+            "below-lower", "above-upper", "far-outside", "nan-first", "nan-second"])
+    def test_box_logpdf_of_one_point_matches_the_batch(self, x):
+        box = UniformBox([-1.5, 0.25], [2.0, 0.75])
+        one = base_logpdf(np.array(x), box)
+        batch = base_logpdf(np.array([x, [0.0, 0.5]]), box)
+        assert type(one) is float
+        assert one == batch[0]
+        assert batch[1] == pytest.approx(-math.log(3.5 * 0.5), rel=1e-15)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             base_logpdf([0.1, 0.2], UniformBox.unit(1))
