@@ -231,7 +231,7 @@ def cmd_sample_prior(cfg: RunConfig, out: Path, n: int | None = None) -> None:
     # unnormalised density grid through the realised function's conditional
     # mean, from the sampler the run grew (no refactorisation)
     grid = _prior_grid(psi, cfg.grid_count)
-    mean, _ = trace.sampler.mean_cov(grid)
+    mean = trace.sampler.mean(grid)
     dens = unnormalized_density(grid, mean, psi)
     header = [f"x{i + 1}" for i in range(dim)] + ["unnormalized_density"]
     write_csv(out / "density_grid.csv", header, np.column_stack([grid, dens]))

@@ -36,9 +36,24 @@ def _min_block(r: int) -> int:
     :meth:`~ConditionalSampler.draw_append` calls (1 BLAS thread, 2-vCPU
     Xeon) breaks even at k = 3-4 up to 300 rows, where call overhead rules
     both, and at k = 7-9 from 400 rows to 2000, where the block's copy of
-    the factor to RFP form costs about seven one-point solves.
+    the factor to RFP form costs about seven one-point solves.  Blocks
+    range from this size up to :func:`_max_block`, which grows with r.
     """
     return 4 if r < 384 else 8
+
+
+def _max_block(r: int) -> int:
+    """Largest block drawn jointly at a sampler of r rows:
+    ``max(MAX_BLOCK, r // 8)``.
+
+    Every block copies the whole r^2 / 2 factor to RFP form before its
+    solve.  From 520 rows on, a block of r / 8 proposals spreads that copy
+    over r / 8 solve columns, and a run to R rows makes O(log R) copies
+    past that point instead of O(R / 64).  The block's temporaries (the
+    r x k cross-covariance and solve) stay within a quarter of the factor's
+    size.
+    """
+    return max(MAX_BLOCK, r // 8)
 
 
 @dataclass
@@ -83,8 +98,10 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
     proposal draws its location, its standard normal and its uniform, in
     that order.
 
-    Proposals are drawn in blocks of up to :data:`MAX_BLOCK`, sized to the
-    acceptances still needed at the run's acceptance rate so far, and the
+    Proposals are drawn in blocks of up to :func:`_max_block` of the
+    sampler's row count at the block's start (:data:`MAX_BLOCK` below 520
+    rows, an eighth of the rows from there), sized to the acceptances
+    still needed at the run's acceptance rate so far, and the
     function is sampled at a block's proposals jointly, by
     :meth:`~ConditionalSampler.draw_append_block`; a block too small to
     pay for its solve (:func:`_min_block`) is proposed one point at a
@@ -131,7 +148,8 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
         # enough proposals for the acceptances still needed at the run's
         # acceptance rate so far, smoothed as (accepted + 1) / (proposals + 2)
         rate = (len(accepted) + 1) / (len(flags) + 2)
-        k = min(math.ceil(remaining / rate), MAX_BLOCK, max_proposals - len(flags))
+        k = min(math.ceil(remaining / rate), _max_block(len(sampler)),
+                max_proposals - len(flags))
         if k < _min_block(len(sampler)):
             x = base_sample(psi, rng)
             g = sampler.draw_append(x, rng)

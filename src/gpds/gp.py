@@ -10,11 +10,13 @@ call of the trailing block), so that rejection-sampling loops and MCMC
 moves do not refactorise the Gram matrix from scratch at every step.  A
 proposed point is conditioned once: :meth:`ConditionalSampler.draw_append`
 records it, and a rejected proposal is dropped again with the O(1)
-:meth:`ConditionalSampler.truncate`.  Draws at a block of k points
-(:meth:`ConditionalSampler.draw_append_block`) and multi-point conditionals
-solve against all k columns at once with one BLAS-3 call on the packed
-factor.  It also holds the whitened coordinates used by the gradient-based
-function moves.
+:meth:`ConditionalSampler.truncate`.  Joint draws at a block of k points
+(:meth:`ConditionalSampler.draw_append_block`,
+:meth:`ConditionalSampler.draw_batch`) solve against all k columns at once
+with one BLAS-3 call on the packed factor; the conditional mean at any
+number of points (:meth:`ConditionalSampler.mean`) takes one packed solve.
+It also holds the whitened coordinates used by the gradient-based function
+moves.
 
 Jitter policy: a realisation's jitter is fixed when its factor is first
 built (``chol`` of the Gram matrix at the starting points, or
@@ -114,8 +116,23 @@ class GpHyper:
 
 
 def _se_matrix(X: np.ndarray, Y: np.ndarray, amplitude: float, lengthscales: np.ndarray) -> np.ndarray:
-    diff = (X[:, None, :] - Y[None, :, :]) / lengthscales
-    return amplitude**2 * np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
+    """``amplitude^2 exp(-|(x - y) / lengthscales|^2 / 2)`` for every pair of
+    rows, summed one dimension at a time in the (n, m) output, with one
+    (n, m) scratch buffer from the second dimension on."""
+    out = np.subtract.outer(X[:, 0], Y[:, 0])
+    out /= lengthscales[0]
+    out *= out
+    if X.shape[1] > 1:
+        diff = np.empty_like(out)
+        for d in range(1, X.shape[1]):
+            np.subtract.outer(X[:, d], Y[:, d], out=diff)
+            diff /= lengthscales[d]
+            diff *= diff
+            out += diff
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= amplitude**2
+    return out
 
 
 def kernel_matrix(X, Y, hyper: GpHyper) -> np.ndarray:
@@ -287,9 +304,11 @@ class ConditionalSampler:
     O((R - k) R).
 
     Solves with k right-hand sides (:meth:`draw_append_block`,
-    :meth:`mean_cov`, :meth:`draw_batch`) copy the packed entries once to
-    rectangular full packed form and make one BLAS-3 ``dtfsm`` call, which
-    reads the factor once instead of k times and needs no dense copy of it.
+    :meth:`draw_batch`) copy the packed entries once to rectangular full
+    packed form and make one BLAS-3 ``dtfsm`` call, which reads the factor
+    once instead of k times and needs no dense copy of it.  The mean alone
+    (:meth:`mean`) needs no such solve: ``k(X, points) L^-T w`` is one packed
+    ``dtpsv`` and a matrix-vector product.
 
     With ``amplitude == 0`` the sampler is degenerate: draws equal the mean
     function and no factor is kept (appends are O(1)).  The mean is always
@@ -463,19 +482,6 @@ class ConditionalSampler:
             self._w[n] = w
         self._n = n + 1
 
-    def mean_var(self, x) -> tuple[float, float]:
-        """Conditional mean and variance at a single point.
-
-        The variance includes the diagonal jitter so that a draw followed
-        by :meth:`append` is exactly consistent with the stored factor; at
-        a duplicated location it therefore bottoms out at jitter scale.
-        """
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if self.degenerate:
-            return self._point_mean(x), 0.0
-        _, mu, var, _ = self._condition(x)
-        return mu, max(var, 0.0)
-
     def draw(self, x, rng: np.random.Generator) -> float:
         """Sample a single function value without recording it; O(R^2).
 
@@ -531,6 +537,21 @@ class ConditionalSampler:
         return dtfsm(1.0, arf, kernel_matrix(X, self.points, self.hyper).T,
                      transr="N", side="L", uplo="U", trans="T", overwrite_b=1)
 
+    def _joint(self, X: np.ndarray, jitter: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """Prior mean, conditional mean and conditional covariance (plus
+        ``jitter`` on its diagonal) of a non-degenerate sampler at the k rows
+        of X, and ``A = L^-1 k(points, X)`` (None without points);
+        O(R^2 k + R k^2)."""
+        m = prior_mean(X, self.hyper)
+        cov = kernel_matrix(X, X, self.hyper)
+        cov[np.diag_indices(X.shape[0])] += jitter
+        if not self._n:
+            return m, m, cov, None
+        A = self._cross_solve(X)
+        cov -= A.T @ A
+        return m, m + A.T @ self.whitened, cov, A
+
     def draw_append_block(self, X, z) -> np.ndarray:
         """Draw jointly at the k rows of X and record them in that order;
         returns the k values.
@@ -539,30 +560,25 @@ class ConditionalSampler:
         is that of k :meth:`draw_append` calls whose standard normals are
         ``z``, up to rounding: one block solve ``A = L^-1 k(points, X)``
         and a Cholesky ``M`` of the k x k conditional covariance (plus the
-        sampler's fixed jitter) give the new factor rows ``[A^T, M]`` and
-        the values ``mean + M z``.  When that Cholesky fails or one of its
-        pivots falls below the floor the sequential appends would clamp
-        to, the points are appended one at a time instead, with the same
-        ``z``.  O(R^2 k + R k^2 + k^3).
+        sampler's fixed jitter) give the new factor rows ``[A^T, M]``,
+        written row by row into the packed buffer, and the values
+        ``mean + M z``.  When that Cholesky fails or one of its pivots falls
+        below the floor the sequential appends would clamp to, the points
+        are appended one at a time instead, with the same ``z``.
+        O(R^2 k + R k^2 + k^3).
         """
         X = _as_points(X)
         z = np.asarray(z, dtype=float).reshape(-1)
         k = X.shape[0]
         if z.shape[0] != k:
             raise ValueError("need one standard normal per point")
-        m = prior_mean(X, self.hyper)
         if self.degenerate:
+            m = prior_mean(X, self.hyper)
             for x, mi in zip(X, m):
                 self._push(x, mi, mi)
             return m
         n = self._n
-        cov = kernel_matrix(X, X, self.hyper)
-        cov[np.diag_indices(k)] += self.jitter
-        mu = m.copy()
-        if n:
-            A = self._cross_solve(X)
-            mu += A.T @ self.whitened
-            cov -= A.T @ A
+        m, mu, cov, A = self._joint(X, self.jitter)
         try:
             M = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
@@ -574,8 +590,12 @@ class ConditionalSampler:
         self._pts[n : n + k] = X
         self._vals[n : n + k] = g
         self._m[n : n + k] = m
-        rows = np.hstack([A.T, M]) if n else M
-        self._ap[_tri(n) : _tri(n + k)] = rows[np.tri(k, n + k, n, dtype=bool)]
+        ap = self._ap
+        for i in range(k):
+            s = _tri(n + i)
+            if n:
+                ap[s : s + n] = A[:, i]  # a contiguous column of A
+            ap[s + n : s + n + i + 1] = M[i, : i + 1]
         self._w[n : n + k] = z
         self._n = n + k
         return g
@@ -587,24 +607,23 @@ class ConditionalSampler:
             raise IndexError("row count out of range")
         self._n = n
 
-    def mean_cov(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Joint conditional mean and covariance at a batch of points."""
+    def mean(self, X) -> np.ndarray:
+        """Conditional mean at a batch of points, ``m(X) + k(X, points)
+        alpha`` with ``alpha = L^-T w``: one packed solve, whatever the
+        number of points, so O(R^2 + R k)."""
         X = _as_points(X)
-        m_q = prior_mean(X, self.hyper)
-        if self.degenerate:
-            return m_q, np.zeros((X.shape[0], X.shape[0]))
-        K_qq = kernel_matrix(X, X, self.hyper)
-        if self._n == 0:
-            return m_q, K_qq
-        A = self._cross_solve(X)
-        return m_q + A.T @ self.whitened, K_qq - A.T @ A
+        m = prior_mean(X, self.hyper)
+        if self.degenerate or not self._n:
+            return m
+        alpha = self._packed_blas(dtpsv, self.whitened, trans=0)
+        return m + kernel_matrix(X, self.points, self.hyper) @ alpha
 
     def draw_batch(self, X, rng: np.random.Generator) -> np.ndarray:
         """Jointly sample function values at a batch of points (no record)."""
         X = _as_points(X)
-        mean, cov = self.mean_cov(X)
         if self.degenerate:
-            return mean
+            return prior_mean(X, self.hyper)
+        _, mean, cov, _ = self._joint(X, 0.0)
         cov = 0.5 * (cov + cov.T)
         factor = chol(cov)
         return mean + factor.lower @ rng.standard_normal(X.shape[0])

@@ -8,7 +8,9 @@ from scipy.stats import chi2, kstest
 
 from gpds.generate import (
     DEFAULT_MAX_PROPOSALS,
+    MAX_BLOCK,
     ProposalBudgetError,
+    _max_block,
     continue_sampler,
     draw_prior_dataset,
 )
@@ -246,12 +248,16 @@ class TestBlockedMatchesSequential:
 
     @pytest.fixture
     def block_calls(self, monkeypatch):
-        calls = {"blocks": 0, "truncations": 0}
+        """Counts of blocks and truncations, and each block's (rows at its
+        start, size)."""
+        calls = {"blocks": 0, "truncations": 0, "sizes": []}
         for op, key in (("draw_append_block", "blocks"), ("truncate", "truncations")):
             original = getattr(ConditionalSampler, op)
 
             def spy(self, *args, _original=original, _key=key):
                 calls[_key] += 1
+                if _key == "blocks":
+                    calls["sizes"].append((len(self), len(args[0])))
                 return _original(self, *args)
 
             monkeypatch.setattr(ConditionalSampler, op, spy)
@@ -284,7 +290,18 @@ class TestBlockedMatchesSequential:
     def test_large_run(self, block_calls):
         theta = GpHyper(amplitude=1.0, lengthscales=[0.2], mean=5.0)
         self.check(ConditionalSampler(theta), 600, BOX, seed=40)
-        assert block_calls["blocks"] >= 9 and block_calls["truncations"] == 1
+        # every block within the cap at the rows it started from
+        assert all(k <= _max_block(r) for r, k in block_calls["sizes"])
+        assert block_calls["truncations"] == 1
+
+    def test_blocks_grow_past_the_step(self, block_calls):
+        # past 520 rows the cap is an eighth of the rows: blocks wider than
+        # MAX_BLOCK run and still match the one-at-a-time run
+        theta = GpHyper(amplitude=1.0, lengthscales=[0.2], mean=5.0)
+        self.check(ConditionalSampler(theta), 1200, BOX, seed=47)
+        sizes = block_calls["sizes"]
+        assert all(k <= _max_block(r) for r, k in sizes)
+        assert max(k for _, k in sizes) > MAX_BLOCK
 
     # on both sides of the row count where _min_block steps up
     @pytest.mark.parametrize("rows", [150, 400])

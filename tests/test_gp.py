@@ -36,6 +36,31 @@ def dense_lower(cs: ConditionalSampler) -> np.ndarray:
     return out
 
 
+def oracle_draw(cs: ConditionalSampler, query, state) -> np.ndarray:
+    """What ``cs.draw_batch(query, rng)`` draws when rng is in ``state``:
+    the from-scratch conditional mean plus the jittered Cholesky factor of
+    the conditional covariance times the same standard normals."""
+    mean, cov = conditional(query, cs.points, cs.values, cs.hyper)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return mean + chol(0.5 * (cov + cov.T)).lower @ rng.standard_normal(len(mean))
+
+
+def check_draw_batch(cs: ConditionalSampler, query, rng, tol: float) -> None:
+    """``draw_batch`` against :func:`oracle_draw` from the same generator
+    state."""
+    state = rng.bit_generator.state
+    g = cs.draw_batch(query, rng)
+    assert np.abs(g - oracle_draw(cs, query, state)).max() < tol
+
+
+def broadcast_se(X, Y, amplitude, lengthscales):
+    """The squared-exponential kernel from one (n, m, D) difference tensor:
+    the reference for the in-place ``_se_matrix``."""
+    diff = (X[:, None, :] - Y[None, :, :]) / lengthscales
+    return amplitude**2 * np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
+
+
 def brute_force_conditional(query, cond_pts, cond_vals, hyper, jitter):
     """Independent oracle: explicit joint-covariance partitioning with a
     dense inverse (no Cholesky, no shared code path)."""
@@ -76,6 +101,26 @@ class TestCovariance:
         hyper = GpHyper(amplitude=1.0, lengthscales=[1.0, 1.0])
         with pytest.raises(ValueError):
             kernel_matrix([0.0], [1.0], hyper)
+
+    @pytest.mark.parametrize("dim, pin", [(1, False), (2, False), (1, True)],
+                             ids=["1d", "2d-ard", "pinned"])
+    def test_in_place_kernel_matches_broadcast(self, dim, pin):
+        rng = np.random.default_rng(4 + dim)
+        amp = 1.3
+        ls = rng.uniform(0.1, 2.0, dim)
+        X, Y = rng.uniform(-1, 1, (70, dim)), rng.uniform(-1, 1, (90, dim))
+        x0 = rng.uniform(-1, 1, dim)
+        hyper = GpHyper(amplitude=amp, lengthscales=ls,
+                        pin_location=x0 if pin else None)
+        ref = broadcast_se(X, Y, amp, ls)
+        if pin:
+            ref -= np.outer(broadcast_se(X, x0[None], amp, ls),
+                            broadcast_se(Y, x0[None], amp, ls)) / amp**2
+        out = kernel_matrix(X, Y, hyper)
+        if dim == 1:
+            assert np.array_equal(out, ref)
+        else:
+            assert np.abs(out - ref).max() <= 1e-15 * amp**2
 
     def test_psd_on_random_point_sets(self):
         rng = np.random.default_rng(1)
@@ -312,10 +357,9 @@ class TestConditionalSampler:
         pts = rng.uniform(-1, 1, (8, 2))
         vals = np.array([cs.draw_append(p, rng) for p in pts])
         query = rng.uniform(-1, 1, (4, 2))
-        m1, c1 = cs.mean_cov(query)
-        m2, c2 = conditional(query, pts, vals, hyper)
-        assert np.abs(m1 - m2).max() < 1e-9
-        assert np.abs(c1 - c2).max() < 1e-9
+        m2, _ = conditional(query, pts, vals, hyper)
+        assert np.abs(cs.mean(query) - m2).max() < 1e-9
+        check_draw_batch(cs, query, rng, 1e-9)
 
     def test_delete_matches_rebuild(self):
         hyper = GpHyper(amplitude=0.9, lengthscales=[0.5])
@@ -328,20 +372,21 @@ class TestConditionalSampler:
         keep = [0, 1, 3, 4, 6]
         ref = ConditionalSampler(hyper, pts[keep], vals[keep])
         q = np.array([[0.42], [0.9]])
-        m1, c1 = cs.mean_cov(q)
-        m2, c2 = ref.mean_cov(q)
-        assert np.abs(m1 - m2).max() < 1e-9
-        assert np.abs(c1 - c2).max() < 1e-9
+        assert np.abs(cs.mean(q) - ref.mean(q)).max() < 1e-9
+        assert np.array_equal(cs.points, ref.points)
+        check_draw_batch(cs, q, rng, 1e-9)
 
     def test_duplicate_point_variance_at_jitter_scale(self):
+        # a duplicate's pivot is the root of its conditional variance, jitter
+        # included, which bottoms out at jitter scale
         hyper = GpHyper(amplitude=2.0, lengthscales=[0.5])
         cs = ConditionalSampler(hyper)
         cs.append([0.5], 1.0)
-        _, var = cs.mean_var([0.5])
-        assert var <= 3 * cs.jitter
-        cs.append([0.5], 1.0)  # duplicates allowed
-        _, var = cs.mean_var([0.5])
-        assert var <= 3 * cs.jitter
+        for n in (1, 2):  # duplicates allowed
+            _, cov = conditional([[0.5]], cs.points, cs.values, hyper)
+            assert cov[0, 0] + cs.jitter <= 3 * cs.jitter
+            cs.append([0.5], 1.0)
+            assert dense_lower(cs)[n, n] ** 2 <= 3 * cs.jitter
 
     @pytest.mark.parametrize("amplitude", [1.3, 0.0])
     def test_draw_records_nothing_and_draw_append_keeps_its_value(self, amplitude):
@@ -353,14 +398,17 @@ class TestConditionalSampler:
         fields = ("points", "values") + (() if cs.degenerate else ("packed", "whitened"))
         before = {f: getattr(cs, f).copy() for f in fields}
         x = np.array([0.3, 0.7])
-        mu, var = cs.mean_var(x)
+        mean, cov = conditional(x[None], cs.points, cs.values, hyper)
+        mu, var = mean[0], cov[0, 0] + cs.jitter
         state = rng.bit_generator.state
         g = cs.draw(x, rng)
         assert len(cs) == 64
         for f in fields:
             assert np.array_equal(getattr(cs, f), before[f])
         rng.bit_generator.state = state
-        assert g == pytest.approx(mu + math.sqrt(var) * rng.standard_normal(), abs=1e-12)
+        # the oracle refactorises 64 close points, which moves the value by
+        # a few 1e-12
+        assert g == pytest.approx(mu + math.sqrt(var) * rng.standard_normal(), abs=1e-9)
         rng.bit_generator.state = state
         assert cs.draw_append(x, rng) == g
         assert len(cs) == 65 and cs.values[64] == g
@@ -387,6 +435,44 @@ class TestConditionalSampler:
         assert np.linalg.norm(rebuilt - target) / np.linalg.norm(target) < 1e-10
 
 
+class TestMean:
+    """``mean`` against the from-scratch oracle's conditional mean."""
+
+    @pytest.mark.parametrize("hyper", [
+        GpHyper(amplitude=1.1, lengthscales=[0.3, 0.7], mean=0.3),
+        GpHyper(amplitude=0.9, lengthscales=[0.2], pin_location=[0.4], mean=1.2),
+    ], ids=["2d-ard", "pinned"])
+    def test_matches_oracle(self, hyper):
+        rng = np.random.default_rng(33)
+        cs = ConditionalSampler(hyper)
+        n = 80
+        cs.draw_append_block(rng.uniform(0, 1, (n, hyper.dim)), rng.standard_normal(n))
+        query = rng.uniform(0, 1, (200, hyper.dim))
+        # the oracle's jitter is relative to the Gram matrix's mean diagonal,
+        # which a pin lowers; give it the sampler's absolute jitter, which
+        # moves a mean at 80 close points by up to 7e-6
+        scale = np.mean(np.diag(kernel_matrix(cs.points, cs.points, hyper)))
+        m_ref, _ = conditional(query, cs.points, cs.values, hyper,
+                               base_jitter=cs.jitter / scale)
+        assert np.abs(cs.mean(query) - m_ref).max() < 1e-9 * np.abs(m_ref).max()
+
+    def test_empty_sampler_is_the_prior_mean(self):
+        hyper = GpHyper(amplitude=1.1, lengthscales=[0.3], pin_location=[0.5], mean=2.0)
+        query = np.linspace(0, 1, 7)[:, None]
+        m_ref, _ = conditional(query, np.empty((0, 1)), [], hyper)
+        assert np.array_equal(ConditionalSampler(hyper).mean(query), m_ref)
+
+    def test_degenerate_sampler_is_the_mean_function(self):
+        hyper = GpHyper(amplitude=0.0, lengthscales=[1.0, 1.0], mean=lambda x: x[:, 0] - x[:, 1])
+        rng = np.random.default_rng(34)
+        cs = ConditionalSampler(hyper)
+        cs.draw_append_block(rng.uniform(0, 1, (5, 2)), rng.standard_normal(5))
+        query = rng.uniform(0, 1, (6, 2))
+        m_ref, _ = conditional(query, cs.points, cs.values, hyper)
+        assert np.array_equal(cs.mean(query), m_ref)
+        assert np.array_equal(cs.mean(query), query[:, 0] - query[:, 1])
+
+
 class TestDrawAppendBlock:
     """The block draw against k sequential draw_append calls that take the
     same standard normals."""
@@ -404,7 +490,9 @@ class TestDrawAppendBlock:
 
         return np.array([cs.draw_append(x, Feed()) for x in X])
 
-    @pytest.mark.parametrize("start, k", [(0, 1), (0, 40), (30, 5), (90, 64)])
+    # (520, 100): a block wider than MAX_BLOCK, as continue_sampler draws
+    # past 520 rows
+    @pytest.mark.parametrize("start, k", [(0, 1), (0, 40), (30, 5), (90, 64), (520, 100)])
     def test_matches_sequential(self, start, k):
         rng = np.random.default_rng(start + k)
         base = ConditionalSampler(self.HYPER)
@@ -579,10 +667,11 @@ class TestDelete:
         assert np.array_equal(before.packed, packed)
         assert not np.array_equal(cs.packed, packed[: 11 * 12 // 2])
         x = pts[7] + 0.05
-        keep = np.delete(np.arange(12), 4)
-        ref = ConditionalSampler(hyper, pts[keep], cs.values)
-        assert cs.mean_var(x) == pytest.approx(ref.mean_var(x), rel=1e-10)
+        mean, cov = conditional(x[None], cs.points, cs.values, hyper)
         cs.append(x, 0.3)
+        d = dense_lower(cs)[-1, -1]
+        assert d**2 == pytest.approx(cov[0, 0] + cs.jitter, rel=1e-10)
+        assert cs.whitened[-1] == pytest.approx((0.3 - mean[0]) / d, rel=1e-10)
         self.delete_and_check(cs, len(cs) - 2)
 
     def test_every_row_position(self):
@@ -680,14 +769,15 @@ class TestPackedEngineAgainstOracle:
         assert np.abs(cs.lower_t_dot(v) - L.T @ v).max() < 1e-10
         assert np.abs(L @ cs.solve_lower(v) - v).max() < 1e-8
         q = rng.uniform(0, self.BOX, (3, 2))
-        mu, var = cs.mean_var(q[0])
-        m_ref, c_ref = conditional(q[:1], P, vals, hyper)
-        assert mu == pytest.approx(m_ref[0], abs=1e-8)
-        assert var == pytest.approx(c_ref[0, 0] + cs.jitter, abs=1e-8)
-        mean, cov = cs.mean_cov(q)
         m_ref, c_ref = conditional(q, P, vals, hyper)
-        assert np.abs(mean - m_ref).max() < 1e-8
-        assert np.abs(cov - c_ref).max() < 1e-8
+        assert np.abs(cs.mean(q) - m_ref).max() < 1e-8
+        # the draws take their normals from their own generator, so the
+        # operation sequence does not depend on them
+        draws = np.random.default_rng(n)
+        z = np.random.default_rng(n).standard_normal()
+        assert cs.draw(q[0], draws) == pytest.approx(
+            m_ref[0] + math.sqrt(c_ref[0, 0] + cs.jitter) * z, abs=1e-8)
+        check_draw_batch(cs, q, draws, 1e-8)
 
     def check_copy_independent(self, cs: ConditionalSampler, rng) -> None:
         before = (cs.points.copy(), cs.values.copy(), cs.packed.copy(),
@@ -768,9 +858,8 @@ class TestPackedEngineAgainstOracle:
         cs.delete(len(cs) - 1)
         cs.set_values(np.full(len(cs), 0.7))
         assert len(cs) == 69 and np.all(cs.values == 0.7)
-        assert cs.mean_var([0.2, 0.3]) == (0.7, 0.0)
-        mean, cov = cs.mean_cov(rng.uniform(0, 1, (4, 2)))
-        assert np.all(mean == 0.7) and np.all(cov == 0.0)
+        assert cs.draw([0.2, 0.3], rng) == 0.7
+        assert np.all(cs.mean(rng.uniform(0, 1, (4, 2))) == 0.7)
         assert np.all(cs.draw_batch(rng.uniform(0, 1, (4, 2)), rng) == 0.7)
         dup = cs.copy()
         dup.append([0.1, 0.1], 0.7)
