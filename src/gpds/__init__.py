@@ -18,7 +18,6 @@ from .model import (
     BaseHyper,
     GaussianBase,
     HyperPrior,
-    HyperWalkScales,
     UniformBox,
     base_logpdf,
     base_sample,
@@ -43,7 +42,6 @@ from .exchange import (
 )
 from .history import (
     HistoryChain,
-    ZetaSchedule,
     init_history,
     sweep,
 )
@@ -53,7 +51,6 @@ from .predictive import (
     DensityGrid,
     density_grid,
     estimate_denominator,
-    estimate_numerator,
 )
 
 __version__ = "0.1.0"

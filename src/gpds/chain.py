@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .model import (
     BaseHyper,
     GaussianBase,
     HyperPrior,
-    HyperWalkScales,
     base_logpdf,
     base_sample,
     log_one_minus_phi,
@@ -56,7 +55,7 @@ class ChainOptions:
     n_extra_controls: int = 0
     # hyperparameters
     infer_hypers: bool = True
-    hyper_scales: HyperWalkScales = field(default_factory=HyperWalkScales)
+    hyper_walk_scale: float = 0.1  # every coordinate of the random walk
     # recording
     record_predictive: bool = False
     record_rejections: bool = False
@@ -68,6 +67,8 @@ class ChainOptions:
             raise ValueError("invalid iteration counts")
         if self.total and self.burn_in >= self.total:
             raise ValueError("burn_in must be smaller than total")
+        if not 0.0 < self.zeta_insert <= 1.0:
+            raise ValueError(f"zeta_insert must be in (0, 1], got {self.zeta_insert}")
 
 
 @dataclass
@@ -277,13 +278,13 @@ def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
     for it in range(opts.total):
         before = Counter(state.diagnostics)
         if opts.crankshaft_eps >= 1.0:
-            state, _ = exchange_step_prior(state, opts.max_proposals, rng)
+            state, _ = exchange_step_prior(state, opts.max_proposals, rng=rng)
         else:
             state, _ = exchange_step_control(state, opts.crankshaft_eps,
-                                             opts.max_proposals, rng)
+                                             opts.max_proposals, rng=rng)
         if opts.infer_hypers and priors is not None:
-            state, _ = exchange_step_hyper(state, opts.hyper_scales, priors,
-                                           opts.max_proposals, rng)
+            state, _ = exchange_step_hyper(state, opts.hyper_walk_scale, priors,
+                                           opts.max_proposals, rng=rng)
         if it < opts.burn_in or (it - opts.burn_in) % opts.thinning:
             continue
         recorder.add(it, state, len(state.sampler),

@@ -24,7 +24,6 @@ from .model import (
     BaseHyper,
     GaussianBase,
     HyperPrior,
-    HyperWalkScales,
     UniformBox,
     base_logpdf,
     unnormalized_density,
@@ -96,13 +95,7 @@ def build_chain_options(cfg: RunConfig, data: np.ndarray, **overrides) -> ChainO
         crankshaft_eps=cfg.crankshaft_eps,
         n_extra_controls=cfg.extra_controls,
         infer_hypers=cfg.infer_hypers,
-        hyper_scales=HyperWalkScales(
-            log_amplitude=cfg.hyper_walk_scale,
-            log_lengthscale=cfg.hyper_walk_scale,
-            base_mean=cfg.hyper_walk_scale,
-            log_base_sigma=cfg.hyper_walk_scale,
-            pin=cfg.hyper_walk_scale,
-        ),
+        hyper_walk_scale=cfg.hyper_walk_scale,
         record_predictive=cfg.record_predictive,
         record_rejections=True,
     )
@@ -331,11 +324,9 @@ def cmd_predict_density(cfg: RunConfig, data_path: Path, out: Path,
             burn_in=cfg.pred_burn_in, thinning=cfg.pred_thinning,
             record_predictive=False, record_rejections=False),
     )
-    seq = np.random.SeedSequence(cfg.seed)
-    rng = np.random.default_rng(seq.spawn(1)[0])
     t0 = time.perf_counter()
-    result = density_grid(grid, data, dconf, rng, workers=cfg.workers,
-                          seed_seq=seq)
+    result = density_grid(grid, data, dconf, np.random.SeedSequence(cfg.seed),
+                          workers=cfg.workers)
     out.mkdir(parents=True, exist_ok=True)
     header = [f"x{i + 1}" for i in range(dim)]
     header += ["estimate", "stderr_numerator", "stderr_denominator"]

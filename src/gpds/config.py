@@ -96,11 +96,11 @@ class RunConfig:
             raise ValueError(f"zeta_insert must be in (0, 1], got {self.zeta_insert}")
         if not 0.0 < self.hmc_target < 1.0:
             raise ValueError(f"hmc_target must be in (0, 1), got {self.hmc_target}")
-        for name in ("hmc_steps", "max_proposals", "pred_retained", "grid_count",
-                     "geweke_thin"):
+        for name in ("hmc_steps", "max_proposals", "pred_retained", "pred_thinning",
+                     "grid_count", "geweke_thin"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("number_moves", "extra_controls"):
+        for name in ("number_moves", "extra_controls", "pred_burn_in"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 

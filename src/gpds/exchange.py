@@ -35,7 +35,6 @@ from .generate import (
 from .model import (
     BaseHyper,
     HyperPrior,
-    HyperWalkScales,
     base_logpdf,
     base_sample,
     hyperprior_logpdf,
@@ -196,15 +195,15 @@ def _step_function(state: ExchangeState, eps: float, max_proposals: int,
 
 
 def exchange_step_prior(state: ExchangeState,
-                        max_proposals: int = DEFAULT_MAX_PROPOSALS,
-                        rng: np.random.Generator | None = None) -> tuple[ExchangeState, bool]:
+                        max_proposals: int = DEFAULT_MAX_PROPOSALS, *,
+                        rng: np.random.Generator) -> tuple[ExchangeState, bool]:
     """Independence proposal: draw the new function from the GP prior."""
     return _step_function(state, 1.0, max_proposals, rng)
 
 
 def exchange_step_control(state: ExchangeState, step_scale: float,
-                          max_proposals: int = DEFAULT_MAX_PROPOSALS,
-                          rng: np.random.Generator | None = None) -> tuple[ExchangeState, bool]:
+                          max_proposals: int = DEFAULT_MAX_PROPOSALS, *,
+                          rng: np.random.Generator) -> tuple[ExchangeState, bool]:
     """Perturbative proposal through the control-point values.
 
     The crankshaft update is reversible with respect to the GP prior at the
@@ -216,11 +215,12 @@ def exchange_step_control(state: ExchangeState, step_scale: float,
     return _step_function(state, step_scale, max_proposals, rng)
 
 
-def exchange_step_hyper(state: ExchangeState, proposal_scales: HyperWalkScales,
+def exchange_step_hyper(state: ExchangeState, walk_scale: float,
                         priors: HyperPrior,
-                        max_proposals: int = DEFAULT_MAX_PROPOSALS,
-                        rng: np.random.Generator | None = None) -> tuple[ExchangeState, bool]:
-    """Propose swapping (function, theta, psi) as a triplet.
+                        max_proposals: int = DEFAULT_MAX_PROPOSALS, *,
+                        rng: np.random.Generator) -> tuple[ExchangeState, bool]:
+    """Propose swapping (function, theta, psi) as a triplet, with (theta,
+    psi) from the random walk at step ``walk_scale``.
 
     The new function is drawn from the GP prior under the proposed theta and
     fantasies are generated under the proposed psi, so the acceptance ratio
@@ -228,8 +228,8 @@ def exchange_step_hyper(state: ExchangeState, proposal_scales: HyperWalkScales,
     base-density ratios at the data and the fantasies.
     """
     state.diagnostics["hyper_att"] += 1
-    theta_hat, psi_hat = propose_hypers(state.theta, state.psi,
-                                        proposal_scales, priors, rng)
+    theta_hat, psi_hat = propose_hypers(state.theta, state.psi, walk_scale,
+                                        priors, rng)
     lp_hat = hyperprior_logpdf(theta_hat, psi_hat, priors)
     if not np.isfinite(lp_hat):
         return state, False

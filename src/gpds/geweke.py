@@ -82,8 +82,8 @@ def _history_stats(trace) -> dict[str, float]:
 
 
 def run_geweke_history(theta: GpHyper, psi: BaseHyper, n_data: int = 3,
-                       n_samples: int = 5000, thin: int = 5,
-                       rng: np.random.Generator | None = None,
+                       n_samples: int = 5000, thin: int = 5, *,
+                       rng: np.random.Generator,
                        corrupt_insert: bool = False,
                        threshold: float = 0.01,
                        max_proposals: int = DEFAULT_MAX_PROPOSALS) -> GewekeReport:
@@ -144,8 +144,8 @@ def _exchange_stats(state: ExchangeState) -> dict[str, float]:
 
 
 def run_geweke_exchange(theta: GpHyper, psi: BaseHyper, n_data: int = 3,
-                        n_samples: int = 5000, thin: int = 5,
-                        rng: np.random.Generator | None = None,
+                        n_samples: int = 5000, thin: int = 5, *,
+                        rng: np.random.Generator,
                         crankshaft_eps: float = 0.5,
                         threshold: float = 0.01,
                         max_proposals: int = DEFAULT_MAX_PROPOSALS) -> GewekeReport:
@@ -171,10 +171,10 @@ def run_geweke_exchange(theta: GpHyper, psi: BaseHyper, n_data: int = 3,
     for i in range(n_samples):
         for _ in range(thin):
             if flip:
-                state, _ = exchange_step_prior(state, max_proposals, rng)
+                state, _ = exchange_step_prior(state, max_proposals, rng=rng)
             else:
                 state, _ = exchange_step_control(state, crankshaft_eps,
-                                                 max_proposals, rng)
+                                                 max_proposals, rng=rng)
             flip = not flip
             state = exchange_data_refresh(state, rng, max_proposals)
         for k, v in _exchange_stats(state).items():

@@ -673,15 +673,6 @@ class ConditionalSampler:
             ap[s : s + i + 1] = r[: i + 1, i]
         w[row : n - 1] = dtrsv(r, rhs, lower=0, trans=1, overwrite_x=1)
 
-    def set_values(self, values) -> None:
-        """Replace all function values (locations unchanged); O(R^2)."""
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        if values.shape[0] != self._n:
-            raise ValueError("value count mismatch")
-        self._vals[: self._n] = values
-        if not self.degenerate:
-            self._w[: self._n] = self.solve_lower(values - self.prior_mean_vec)
-
     def set_whitened(self, v: np.ndarray) -> None:
         """Replace values via their whitened coordinates g = L v + m."""
         if self.degenerate:

@@ -4,10 +4,12 @@ The chain state is everything the sampler would have produced on its way
 to the observed data: the function values at the data, plus the number,
 locations and function values of the rejected proposals.  It lives in a
 :class:`HistoryChain`, whose moves update one incrementally maintained
-factor in place: insert or delete a single latent rejection, perturb
-rejection locations, update all function values jointly with Hamiltonian
-dynamics in the whitened space, and random-walk the hyperparameters.
-:func:`sweep` runs one iteration of those moves with the tuning of a
+factor in place: insert or delete a single latent rejection (an insertion
+is proposed with the fixed probability ``zeta_insert``, always when there
+are no rejections), perturb rejection locations, update all function
+values jointly with Hamiltonian dynamics in the whitened space, and
+random-walk the hyperparameters at one step scale.  :func:`sweep` runs one
+iteration of those moves with the tuning of a
 :class:`~gpds.chain.ChainOptions`; :func:`init_history` draws a starting
 state with no rejections.
 
@@ -23,8 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .gp import ConditionalSampler, GpHyper, chol, kernel_matrix
 from .model import (
     BaseHyper,
     HyperPrior,
-    HyperWalkScales,
     base_logpdf,
     base_sample,
     hyperprior_logpdf,
@@ -50,7 +50,6 @@ if TYPE_CHECKING:
 __all__ = [
     "HistoryChain",
     "init_history",
-    "ZetaSchedule",
     "insert_log_accept",
     "delete_log_accept",
     "location_log_accept",
@@ -58,48 +57,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ZetaSchedule:
-    """Insert-probability schedule for the number move.
-
-    An empty history always proposes an insertion; otherwise insertion is
-    chosen with the fixed probability ``insert_prob``.
-    """
-
-    insert_prob: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.insert_prob <= 1.0:
-            raise ValueError("insert_prob must be in (0, 1]")
-
-    def __call__(self, m: int, n: int) -> float:
-        return 1.0 if m == 0 else self.insert_prob
-
-
 # ---------------------------------------------------------------------------
 # Acceptance-ratio helpers (pure, log scale)
 # ---------------------------------------------------------------------------
 
-def insert_log_accept(m: int, n: int, zeta: Callable[[int, int], float],
-                      g_plus: float) -> float:
+def _insert_prob(m: int, zeta_insert: float) -> float:
+    """Probability that the number move at m rejections proposes an
+    insertion: 1 for an empty history, else ``zeta_insert``."""
+    return 1.0 if m == 0 else zeta_insert
+
+
+def insert_log_accept(m: int, n: int, zeta_insert: float, g_plus: float) -> float:
     """Log acceptance ratio for inserting one latent rejection at value g_plus."""
-    one_minus_zeta = 1.0 - zeta(m + 1, n)
+    one_minus_zeta = 1.0 - zeta_insert
     if one_minus_zeta <= 0.0:
         return -np.inf
     return (math.log(one_minus_zeta) + math.log(m + n)
             + float(log_one_minus_phi(g_plus))
-            - math.log(zeta(m, n)) - math.log(m + 1))
+            - math.log(_insert_prob(m, zeta_insert)) - math.log(m + 1))
 
 
-def delete_log_accept(m: int, n: int, zeta: Callable[[int, int], float],
-                      g_minus: float) -> float:
+def delete_log_accept(m: int, n: int, zeta_insert: float, g_minus: float) -> float:
     """Log acceptance ratio for deleting the rejection whose value is g_minus."""
     if m < 1:
         raise ValueError("cannot delete from an empty history")
-    one_minus_zeta = 1.0 - zeta(m, n)
+    one_minus_zeta = 1.0 - zeta_insert
     if one_minus_zeta <= 0.0:
         return np.inf
-    return (math.log(zeta(m - 1, n)) + math.log(m)
+    return (math.log(_insert_prob(m - 1, zeta_insert)) + math.log(m)
             - math.log(one_minus_zeta) - math.log(m + n - 1)
             - float(log_one_minus_phi(g_minus)))
 
@@ -197,13 +182,13 @@ class HistoryChain:
         return self.sampler.values[np.asarray(self.rej_rows, dtype=int)]
 
     # -- number move ------------------------------------------------------
-    def step_number(self, zeta, rng: np.random.Generator,
+    def step_number(self, zeta_insert: float, rng: np.random.Generator,
                     corrupt_insert: bool = False) -> bool:
         m, n = self.n_rejections, self.n_data
-        if rng.uniform() < zeta(m, n):
+        if rng.uniform() < _insert_prob(m, zeta_insert):
             x_plus = base_sample(self.psi, rng)
             g_plus = self.sampler.draw_append(x_plus, rng)
-            log_a = insert_log_accept(m, n, zeta, g_plus)
+            log_a = insert_log_accept(m, n, zeta_insert, g_plus)
             if corrupt_insert:
                 # testing hook: flip the sign of the squashed-value term
                 log_a = (log_a - float(log_one_minus_phi(g_plus))
@@ -215,7 +200,7 @@ class HistoryChain:
             return False
         k = int(rng.integers(m))
         g_minus = float(self.sampler.values[self.rej_rows[k]])
-        log_a = delete_log_accept(m, n, zeta, g_minus)
+        log_a = delete_log_accept(m, n, zeta_insert, g_minus)
         if math.log(rng.uniform()) < log_a:
             self._remove_slot(k)
             return True
@@ -283,9 +268,9 @@ class HistoryChain:
         return False
 
     # -- hyperparameter move ----------------------------------------------
-    def step_hyper(self, scales: HyperWalkScales, priors: HyperPrior,
+    def step_hyper(self, scale: float, priors: HyperPrior,
                    rng: np.random.Generator) -> bool:
-        theta_hat, psi_hat = propose_hypers(self.theta, self.psi, scales, priors, rng)
+        theta_hat, psi_hat = propose_hypers(self.theta, self.psi, scale, priors, rng)
         lp_hat = hyperprior_logpdf(theta_hat, psi_hat, priors)
         if not np.isfinite(lp_hat):
             return False
@@ -319,9 +304,11 @@ def init_history(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
 
 def sweep(chain: HistoryChain, opts: ChainOptions, priors: HyperPrior | None,
           rng: np.random.Generator, corrupt_insert: bool = False) -> None:
-    """One full iteration in place, tuned by ``opts``: number moves,
-    location moves, HMC unless the GP is degenerate, and the hyperparameter
-    move when ``opts.infer_hypers`` is set and ``priors`` are given.
+    """One full iteration in place, tuned by ``opts``: ``opts.number_moves``
+    number moves at insert probability ``opts.zeta_insert``, location moves,
+    HMC unless the GP is degenerate, and the hyperparameter walk at step
+    ``opts.hyper_walk_scale`` when ``opts.infer_hypers`` is set and
+    ``priors`` are given.
 
     ``opts.walk_scales`` must be set (``run_history_chain`` fills in the
     data-scaled default).  ``corrupt_insert`` is a testing hook that
@@ -329,9 +316,8 @@ def sweep(chain: HistoryChain, opts: ChainOptions, priors: HyperPrior | None,
     confirm they catch it.
     """
     c = chain.diagnostics
-    zeta = ZetaSchedule(opts.zeta_insert)
     for _ in range(opts.number_moves):
-        acc = chain.step_number(zeta, rng, corrupt_insert=corrupt_insert)
+        acc = chain.step_number(opts.zeta_insert, rng, corrupt_insert=corrupt_insert)
         c["number_acc"] += acc
         c["number_att"] += 1
     if chain.n_rejections:
@@ -344,6 +330,6 @@ def sweep(chain: HistoryChain, opts: ChainOptions, priors: HyperPrior | None,
         c["hmc_acc"] += acc
         c["hmc_att"] += 1
     if opts.infer_hypers and priors is not None:
-        acc = chain.step_hyper(opts.hyper_scales, priors, rng)
+        acc = chain.step_hyper(opts.hyper_walk_scale, priors, rng)
         c["hyper_acc"] += acc
         c["hyper_att"] += 1

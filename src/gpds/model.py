@@ -1,4 +1,5 @@
-"""Base densities, the logistic link and hyperparameter priors.
+"""Base densities, the logistic link, hyperparameter priors and the
+hyperparameter random walk.
 
 The modelled density is proportional to ``phi(g(x)) * pi(x | psi)`` where
 ``g`` is a GP draw, ``phi`` the logistic squashing function and ``pi`` a
@@ -157,7 +158,7 @@ def unnormalized_density(x, g_at_x, hyper: BaseHyper):
 
 
 # ---------------------------------------------------------------------------
-# Hyperparameter priors and proposals
+# Hyperparameter priors and the random-walk proposal
 # ---------------------------------------------------------------------------
 
 def _normal_logpdf(x, mu, sigma):
@@ -242,38 +243,25 @@ def hyperprior_logpdf(theta: GpHyper, psi: BaseHyper, priors: HyperPrior) -> flo
     return lp + lp2 if np.isfinite(lp2) else -np.inf
 
 
-@dataclass(frozen=True)
-class HyperWalkScales:
-    """Random-walk proposal scales for hyperparameter moves.
-
-    Amplitude, lengthscales and base sigmas walk in log space (symmetric,
-    so the proposal ratio is exactly one); base means and the pin location
-    walk linearly.
-    """
-
-    log_amplitude: float = 0.1
-    log_lengthscale: float = 0.1
-    base_mean: float = 0.05
-    log_base_sigma: float = 0.1
-    pin: float = 0.1
-
-
-def propose_hypers(theta: GpHyper, psi: BaseHyper, scales: HyperWalkScales,
+def propose_hypers(theta: GpHyper, psi: BaseHyper, scale: float,
                    priors: HyperPrior, rng: np.random.Generator) -> tuple[GpHyper, BaseHyper]:
-    """Symmetric random-walk proposal for (theta, psi)."""
-    amp = math.exp(math.log(theta.amplitude) + scales.log_amplitude * rng.standard_normal())
+    """Symmetric random-walk proposal for (theta, psi), every coordinate at
+    step ``scale``: amplitude, lengthscales and base sigmas walk in log
+    space, base means and the pin location linearly, so the proposal ratio
+    is exactly one."""
+    amp = math.exp(math.log(theta.amplitude) + scale * rng.standard_normal())
     if priors.isotropic:
-        step = scales.log_lengthscale * rng.standard_normal()
+        step = scale * rng.standard_normal()
         ls = theta.lengthscales * math.exp(step)
     else:
-        ls = theta.lengthscales * np.exp(scales.log_lengthscale * rng.standard_normal(theta.dim))
+        ls = theta.lengthscales * np.exp(scale * rng.standard_normal(theta.dim))
     pin = theta.pin_location
     if priors.pin and pin is not None:
-        pin = pin + scales.pin * rng.standard_normal(theta.dim)
+        pin = pin + scale * rng.standard_normal(theta.dim)
     theta_hat = GpHyper(amplitude=amp, lengthscales=ls, pin_location=pin, mean=theta.mean)
     if isinstance(psi, GaussianBase):
-        mu = psi.mean + scales.base_mean * rng.standard_normal(psi.dim)
-        sd = psi.sigma * np.exp(scales.log_base_sigma * rng.standard_normal(psi.dim))
+        mu = psi.mean + scale * rng.standard_normal(psi.dim)
+        sd = psi.sigma * np.exp(scale * rng.standard_normal(psi.dim))
         psi_hat: BaseHyper = GaussianBase(mean=mu, sigma=sd)
     else:
         psi_hat = psi
@@ -281,23 +269,21 @@ def propose_hypers(theta: GpHyper, psi: BaseHyper, scales: HyperWalkScales,
 
 
 def walk_logpdf(theta_to: GpHyper, psi_to: BaseHyper, theta_from: GpHyper,
-                psi_from: BaseHyper, scales: HyperWalkScales, priors: HyperPrior) -> float:
+                psi_from: BaseHyper, scale: float, priors: HyperPrior) -> float:
     """Log proposal density of the walk; used to verify symmetry in tests."""
     out = float(_normal_logpdf(math.log(theta_to.amplitude),
-                               math.log(theta_from.amplitude), scales.log_amplitude))
+                               math.log(theta_from.amplitude), scale))
     if priors.isotropic:
         out += float(_normal_logpdf(math.log(theta_to.lengthscales[0]),
-                                    math.log(theta_from.lengthscales[0]),
-                                    scales.log_lengthscale))
+                                    math.log(theta_from.lengthscales[0]), scale))
     else:
         out += float(np.sum(_normal_logpdf(np.log(theta_to.lengthscales),
-                                           np.log(theta_from.lengthscales),
-                                           scales.log_lengthscale)))
+                                           np.log(theta_from.lengthscales), scale)))
     if priors.pin and theta_to.pin_location is not None:
         out += float(np.sum(_normal_logpdf(theta_to.pin_location,
-                                           theta_from.pin_location, scales.pin)))
+                                           theta_from.pin_location, scale)))
     if isinstance(psi_to, GaussianBase):
-        out += float(np.sum(_normal_logpdf(psi_to.mean, psi_from.mean, scales.base_mean)))
+        out += float(np.sum(_normal_logpdf(psi_to.mean, psi_from.mean, scale)))
         out += float(np.sum(_normal_logpdf(np.log(psi_to.sigma),
-                                           np.log(psi_from.sigma), scales.log_base_sigma)))
+                                           np.log(psi_from.sigma), scale)))
     return out

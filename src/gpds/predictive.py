@@ -6,7 +6,9 @@ sides gives the predictive density as a ratio of two expectations: the
 numerator is estimated along the main chain (which already produces a
 predictive sample x' per retained step), the denominator along a fresh
 chain whose data set is augmented with x.  Neither expectation involves
-the intractable normaliser.
+the intractable normaliser.  :func:`density_grid` estimates both at every
+point of a grid, from one numerator chain and one
+:func:`estimate_denominator` chain per point.
 """
 from __future__ import annotations
 
@@ -39,8 +41,9 @@ class DensityEstimate:
 
 @dataclass
 class DensityGrid:
-    """Predictive density estimates on a lattice; 1-D grids also carry the
-    trapezoid integral of the ratio estimates."""
+    """Predictive density estimates on a lattice; 1-D grids of two or more
+    points also carry the trapezoid integral of the ratio estimates (None
+    otherwise)."""
 
     points: np.ndarray
     estimates: list[DensityEstimate]
@@ -76,26 +79,9 @@ def _mean_se(terms: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def estimate_numerator(chain_samples: list[PosteriorDraw], x) -> tuple[float, float]:
-    """Posterior-mean of pi(x | psi) * min(1, phi(g(x)) / phi(g(x'))).
-
-    ``x`` must be one of the query points registered when the chain ran
-    (the draws carry the jointly evaluated function values there).  With a
-    single draw the standard error is reported as NaN.
-    """
-    if not chain_samples:
-        raise ValueError("empty sample set")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    query = chain_samples[0].query
-    idx = np.where(np.all(np.isclose(query, x), axis=1))[0]
-    if idx.size == 0:
-        raise ValueError("x is not among the registered query points")
-    k = int(idx[0])
-    terms = np.array([_numerator_term(d, k) for d in chain_samples])
-    return _mean_se(terms)
-
-
 def _numerator_term(d: PosteriorDraw, k: int) -> float:
+    """pi(x | psi) * min(1, phi(g(x)) / phi(g(x'))) at query point k of one
+    retained draw; the numerator is the mean of these terms."""
     pi_x = math.exp(base_logpdf(d.query[k], d.psi))
     return pi_x * min(1.0, phi(d.g_query[k]) / phi(d.g_pred))
 
@@ -122,18 +108,17 @@ def _denominator_task(args) -> tuple[int, float, float]:
 
 
 def density_grid(grid, data: np.ndarray, config: DensityConfig,
-                 rng: np.random.Generator,
-                 numerator_result: ChainResult | None = None,
-                 workers: int = 1,
-                 seed_seq: np.random.SeedSequence | None = None) -> DensityGrid:
+                 seed_seq: np.random.SeedSequence, workers: int = 1) -> DensityGrid:
     """Predictive density estimates at each grid point.
 
-    One chain on the plain data supplies every numerator; each grid point
-    runs its own augmented chain for the denominator.  A pre-computed
-    ``numerator_result`` (from a chain run with ``numerator_query=grid``)
-    can be reused.  Supplying ``seed_seq`` makes the per-point denominator
-    chains independently seeded, so results do not depend on ``workers``.
-    Grids above two dimensions are refused.
+    One chain on the plain data, run with ``numerator_query=grid``,
+    supplies every numerator; each grid point runs its own augmented chain
+    for the denominator.  The chains draw from the children of
+    ``seed_seq.spawn(1 + len(grid))``: the first seeds the numerator chain,
+    child k + 1 the denominator at grid point k, so results do not depend
+    on ``workers``.  1-D grids of two or more points also carry the
+    trapezoid integral of the ratios.  Grids above two dimensions are
+    refused.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 0:
@@ -142,28 +127,22 @@ def density_grid(grid, data: np.ndarray, config: DensityConfig,
         raise ValueError("density grids supported in 1-D and 2-D only")
     data = np.atleast_2d(np.asarray(data, dtype=float))
     opts = config.chain_options
-    if numerator_result is None:
-        numerator_result = config.run(data, replace(opts, numerator_query=grid), rng)
-    draws = numerator_result.numerator_draws
+    n_grid = grid.shape[0]
+    children = seed_seq.spawn(1 + n_grid)
+    draws = config.run(data, replace(opts, numerator_query=grid),
+                       np.random.default_rng(children[0])).numerator_draws
     if not draws:
         raise ValueError("numerator chain recorded no draws")
-    n_grid = grid.shape[0]
     # each retained iteration of a denominator chain adds one term
     n_denominator = len(range(opts.burn_in, opts.total, opts.thinning))
-    if seed_seq is not None:
-        children = seed_seq.spawn(n_grid)
-        tasks = [(k, grid[k], data, config, children[k]) for k in range(n_grid)]
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    tasks = [(k, grid[k], data, config, children[1 + k]) for k in range(n_grid)]
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                denom = {k: (den, se) for k, den, se in pool.map(_denominator_task, tasks)}
-        else:
-            denom = {k: (den, se) for k, den, se in map(_denominator_task, tasks)}
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            denom = {k: (den, se) for k, den, se in pool.map(_denominator_task, tasks)}
     else:
-        denom = {}
-        for k in range(n_grid):
-            denom[k] = estimate_denominator(grid[k], data, config, rng)
+        denom = {k: (den, se) for k, den, se in map(_denominator_task, tasks)}
     estimates = []
     for k in range(n_grid):
         terms = np.array([_numerator_term(d, k) for d in draws])
@@ -176,7 +155,7 @@ def density_grid(grid, data: np.ndarray, config: DensityConfig,
             n_denominator=n_denominator,
         ))
     integral = None
-    if grid.shape[1] == 1:
+    if grid.shape[1] == 1 and n_grid > 1:
         order = np.argsort(grid[:, 0])
         xs = grid[order, 0]
         ys = np.array([estimates[i].ratio for i in order])

@@ -189,6 +189,20 @@ class TestPredictDensity:
         meta = json.loads((out / "meta.json").read_text())
         assert "integral" in meta
 
+    def test_one_point_grid_has_no_integral(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "pred_retained = 5\npred_burn_in = 2\n")
+        data_dir = tmp_path / "data"
+        main(["gen-synthetic", "--name", "f1", "--n", "5",
+              "--seed", "1", "--out", str(data_dir)])
+        out = tmp_path / "pd"
+        capsys.readouterr()
+        assert main(["predict-density", "--config", str(cfg),
+                     "--data", str(data_dir / "f1.csv"), "--out", str(out),
+                     "--seed", "6", "--grid", "0:1:1"]) == 0
+        assert "integral" not in capsys.readouterr().out
+        assert read_csv(out / "density_grid.csv")[1].shape == (1, 4)
+        assert json.loads((out / "meta.json").read_text())["integral"] is None
+
     def test_grid_dimension_mismatch_is_error(self, tmp_path):
         data_dir = tmp_path / "data"
         main(["gen-synthetic", "--name", "f2", "--n", "10",

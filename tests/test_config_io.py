@@ -86,8 +86,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key, value", [
         ("hmc_steps", 0), ("max_proposals", 0), ("pred_retained", 0),
-        ("grid_count", 0), ("geweke_thin", 0),
-        ("number_moves", -1), ("extra_controls", -1),
+        ("pred_thinning", 0), ("grid_count", 0), ("geweke_thin", 0),
+        ("number_moves", -1), ("extra_controls", -1), ("pred_burn_in", -1),
     ])
     def test_bad_count_is_error(self, tmp_path, key, value):
         p = tmp_path / "run.cfg"

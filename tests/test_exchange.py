@@ -19,6 +19,7 @@ from gpds.exchange import (
     exchange_step_prior,
     init_exchange_state,
 )
+from gpds.geweke import run_geweke_exchange, run_geweke_history
 from gpds.gp import (
     BASE_JITTER,
     ConditionalSampler,
@@ -27,7 +28,7 @@ from gpds.gp import (
     kernel_matrix,
     prior_mean,
 )
-from gpds.model import GaussianBase, HyperPrior, HyperWalkScales, UniformBox, log_phi
+from gpds.model import GaussianBase, HyperPrior, UniformBox, log_phi
 
 BOX = UniformBox.unit(1)
 THETA = GpHyper(amplitude=1.3, lengthscales=[0.3])
@@ -63,7 +64,7 @@ class TestExchangeStepPrior:
         for _ in range(30):
             sampler = state.sampler
             n_before = len(sampler)
-            state, accepted = exchange_step_prior(state, 100_000, rng)
+            state, accepted = exchange_step_prior(state, 100_000, rng=rng)
             if not accepted:
                 rejected_seen = True
                 # grown in place, not rebuilt
@@ -83,7 +84,7 @@ class TestExchangeStepPrior:
         continue_sampler = gpds.exchange.continue_sampler
         monkeypatch.setattr(gpds.exchange, "continue_sampler", spy)
         for _ in range(50):
-            state, accepted = exchange_step_prior(state, 100_000, rng)
+            state, accepted = exchange_step_prior(state, 100_000, rng=rng)
             if accepted:
                 # proposal sampler: controls first, then every proposal of
                 # the fantasy loop, N of them accepted; all control values
@@ -103,7 +104,7 @@ class TestExchangeStepPrior:
         rng = np.random.default_rng(2)
         state = make_state(rng, n=3)
         for _ in range(10):
-            state, _ = exchange_step_prior(state, 100_000, rng)
+            state, _ = exchange_step_prior(state, 100_000, rng=rng)
             assert np.array_equal(state.g_data, state.control_values[:3])
             assert np.array_equal(state.controls[:3], state.data)
 
@@ -112,10 +113,28 @@ class TestExchangeStepPrior:
         theta = GpHyper(amplitude=0.3, lengthscales=[0.3], mean=-7.0)
         state = make_state(rng, n=3, theta=theta)
         points_before = state.sampler.points.copy()
-        state2, accepted = exchange_step_prior(state, 40, rng)
+        state2, accepted = exchange_step_prior(state, 40, rng=rng)
         assert not accepted
         assert np.array_equal(state2.sampler.points, points_before)
         assert state2.diagnostics["budget_failures"] == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda state: exchange_step_prior(state, 100_000),
+    lambda state: exchange_step_control(state, 0.5),
+    lambda state: exchange_step_hyper(state, 0.1, HyperPrior()),
+    lambda state: run_geweke_history(THETA, BOX, n_samples=10, thin=1),
+    lambda state: run_geweke_exchange(THETA, BOX, n_samples=10, thin=1),
+], ids=["step_prior", "step_control", "step_hyper", "geweke_history",
+        "geweke_exchange"])
+def test_missing_rng_is_refused_at_the_call(call):
+    state = make_state(np.random.default_rng(19))
+    before = (state.sampler, state.control_values.copy(), dict(state.diagnostics))
+    with pytest.raises(TypeError, match="rng"):
+        call(state)
+    assert state.sampler is before[0]
+    assert np.array_equal(state.control_values, before[1])
+    assert dict(state.diagnostics) == before[2]
 
 
 class TestCrankshaft:
@@ -156,16 +175,16 @@ class TestCrankshaft:
         rng = np.random.default_rng(7)
         state = make_state(rng)
         with pytest.raises(ValueError):
-            exchange_step_control(state, 0.0, 1000, rng)
+            exchange_step_control(state, 0.0, 1000, rng=rng)
         with pytest.raises(ValueError):
-            exchange_step_control(state, 1.5, 1000, rng)
+            exchange_step_control(state, 1.5, 1000, rng=rng)
 
     def test_control_step_runs_with_extra_controls(self):
         rng = np.random.default_rng(8)
         state = make_state(rng, n=3, n_extra_controls=4)
         assert state.controls.shape[0] == 7
         for _ in range(5):
-            state, _ = exchange_step_control(state, 0.4, 100_000, rng)
+            state, _ = exchange_step_control(state, 0.4, 100_000, rng=rng)
             assert state.controls.shape[0] == 7
             assert np.array_equal(state.controls[:3], state.data)
 
@@ -174,9 +193,8 @@ class TestExchangeStepHyper:
     def test_identity_proposal_always_accepts(self):
         rng = np.random.default_rng(9)
         state = make_state(rng, n=3)
-        zero = HyperWalkScales(0.0, 0.0, 0.0, 0.0, 0.0)
         amplitude = state.theta.amplitude
-        state2, accepted = exchange_step_hyper(state, zero, HyperPrior(), 100_000, rng)
+        state2, accepted = exchange_step_hyper(state, 0.0, HyperPrior(), 100_000, rng=rng)
         assert accepted
         assert state2.theta.amplitude == amplitude
 
@@ -188,8 +206,8 @@ class TestExchangeStepHyper:
         monkeypatch.setattr("gpds.exchange.propose_hypers",
                             lambda *a, **k: (state.theta, bad_box))
         psi = state.psi
-        state2, accepted = exchange_step_hyper(state, HyperWalkScales(),
-                                               HyperPrior(), 100_000, rng)
+        state2, accepted = exchange_step_hyper(state, 0.1, HyperPrior(), 100_000,
+                                               rng=rng)
         assert not accepted
         assert state2.psi is psi
 
@@ -211,7 +229,7 @@ class TestExchangeStepHyper:
 
         continue_sampler = gpds.exchange.continue_sampler
         monkeypatch.setattr(gpds.exchange, "continue_sampler", spy)
-        exchange_step_hyper(state, HyperWalkScales(), HyperPrior(), 100_000, rng)
+        exchange_step_hyper(state, 0.1, HyperPrior(), 100_000, rng=rng)
         (trace,) = traces
         assert len(trace.sampler) == 3 + trace.proposal_count
         assert np.all(trace.sampler.values == 0.7)
@@ -221,8 +239,7 @@ class TestExchangeStepHyper:
         state = make_state(rng, n=3)
         amps = {state.theta.amplitude}
         for _ in range(40):
-            state, _ = exchange_step_hyper(state, HyperWalkScales(),
-                                           HyperPrior(), 100_000, rng)
+            state, _ = exchange_step_hyper(state, 0.1, HyperPrior(), 100_000, rng=rng)
             amps.add(state.theta.amplitude)
         assert len(amps) > 1
 
@@ -303,12 +320,12 @@ class TestStateSampler:
         verdicts = []
         for i in range(40):
             if i % 4 == 3:
-                state, ok = exchange_step_hyper(state, HyperWalkScales(),
-                                                HyperPrior(), 100_000, rng)
+                state, ok = exchange_step_hyper(state, 0.1, HyperPrior(), 100_000,
+                                                rng=rng)
             elif i % 2:
-                state, ok = exchange_step_control(state, 0.5, 100_000, rng)
+                state, ok = exchange_step_control(state, 0.5, 100_000, rng=rng)
             else:
-                state, ok = exchange_step_prior(state, 100_000, rng)
+                state, ok = exchange_step_prior(state, 100_000, rng=rng)
             verdicts.append(ok)
             assert_fresh_build(state)
         assert any(verdicts) and not all(verdicts)
@@ -380,7 +397,7 @@ class TestBookkeepingAudit:
         for _ in range(10):
             del events[:]
             n_cond_entry = len(state.sampler)
-            state, accepted = exchange_step_prior(state, 100_000, rng)
+            state, accepted = exchange_step_prior(state, 100_000, rng=rng)
             prop_sizes = [n for kind, n in events if kind == "proposal"]
             # the proposal's conditioning grows by one per retrospective draw
             assert len(prop_sizes) >= 3

@@ -413,16 +413,22 @@ class TestConditionalSampler:
         assert cs.draw_append(x, rng) == g
         assert len(cs) == 65 and cs.values[64] == g
 
-    def test_set_values_updates_whitened(self):
-        hyper = GpHyper(amplitude=1.0, lengthscales=[0.4])
+    def test_set_whitened_updates_values(self):
+        hyper = GpHyper(amplitude=1.0, lengthscales=[0.4], mean=0.3)
         rng = np.random.default_rng(22)
         pts = rng.uniform(0, 1, (5, 1))
         cs = ConditionalSampler(hyper, pts, rng.normal(size=5))
-        new_vals = rng.normal(size=5)
-        cs.set_values(new_vals)
-        assert np.allclose(dense_lower(cs) @ cs.whitened, new_vals - cs.prior_mean_vec)
+        packed = cs.packed.copy()
+        v = rng.normal(size=5)
+        cs.set_whitened(v)
+        assert np.array_equal(cs.whitened, v)
+        assert np.allclose(cs.values, dense_lower(cs) @ v + 0.3)
+        assert np.allclose(cs.solve_lower(cs.values - cs.prior_mean_vec), v)
+        assert np.array_equal(cs.packed, packed)  # the factor is untouched
         cs.set_whitened(np.zeros(5))
         assert np.allclose(cs.values, cs.prior_mean_vec)
+        with pytest.raises(ValueError):
+            cs.set_whitened(np.zeros(4))
 
     def test_cholesky_factor_invariant(self):
         rng = np.random.default_rng(23)
@@ -784,7 +790,7 @@ class TestPackedEngineAgainstOracle:
                   cs.whitened.copy())
         dup = cs.copy()
         dup.append(rng.uniform(0, self.BOX, 2), 0.5)
-        dup.set_values(rng.normal(size=len(dup)))
+        dup.set_whitened(rng.normal(size=len(dup)))
         dup.delete(0)
         for a, b in zip(before, (cs.points, cs.values, cs.packed, cs.whitened)):
             assert np.array_equal(a, b)
@@ -799,9 +805,9 @@ class TestPackedEngineAgainstOracle:
         cs = ConditionalSampler(self.HYPER)
         seen = set()
         while len(cs) <= 260:
-            op = rng.choice(["append", "draw_append", "delete", "set_values",
-                             "set_whitened", "copy"],
-                            p=[0.3, 0.35, 0.15, 0.07, 0.07, 0.06])
+            op = rng.choice(["append", "draw_append", "delete", "set_whitened",
+                             "copy"],
+                            p=[0.3, 0.35, 0.15, 0.14, 0.06])
             n = len(cs)
             if op == "append":
                 cs.append(rng.uniform(0, self.BOX, 2), rng.normal())
@@ -810,8 +816,6 @@ class TestPackedEngineAgainstOracle:
             elif op == "delete" and n >= 3:
                 row = [0, int(rng.integers(1, n - 1)), n - 1][int(rng.integers(3))]
                 cs.delete(row)
-            elif op == "set_values" and n:
-                cs.set_values(rng.normal(size=n))
             elif op == "set_whitened" and n:
                 cs.set_whitened(rng.normal(size=n))
             elif op == "copy" and n:
@@ -821,8 +825,7 @@ class TestPackedEngineAgainstOracle:
             seen.add(str(op))
             if n > 1:
                 self.check(cs, rng)
-        assert seen == {"append", "draw_append", "delete", "set_values",
-                        "set_whitened", "copy"}
+        assert seen == {"append", "draw_append", "delete", "set_whitened", "copy"}
         assert cs._pts.shape[0] == 512
 
     def test_block_draws_past_capacity(self):
@@ -856,7 +859,6 @@ class TestPackedEngineAgainstOracle:
         cs.append([0.5, 0.5], 0.7)
         cs.delete(0)
         cs.delete(len(cs) - 1)
-        cs.set_values(np.full(len(cs), 0.7))
         assert len(cs) == 69 and np.all(cs.values == 0.7)
         assert cs.draw([0.2, 0.3], rng) == 0.7
         assert np.all(cs.mean(rng.uniform(0, 1, (4, 2))) == 0.7)

@@ -11,7 +11,7 @@ from gpds.generate import continue_sampler, draw_prior_dataset
 from gpds.gp import ConditionalSampler, GpHyper, kernel_matrix, log_prior_density
 from gpds.history import (
     HistoryChain,
-    ZetaSchedule,
+    _insert_prob,
     delete_log_accept,
     init_history,
     insert_log_accept,
@@ -22,7 +22,6 @@ from gpds.history import (
 from gpds.model import (
     GaussianBase,
     HyperPrior,
-    HyperWalkScales,
     UniformBox,
     base_logpdf,
     base_sample,
@@ -126,7 +125,7 @@ class TestChainLogDensityAfterMoves:
             priors = HyperPrior(base_mean=(np.zeros(2), np.ones(2)),
                                 log_base_sigma=(np.zeros(2), np.ones(2)))
         chain = make_history(rng, n=5, theta=theta, psi=psi)
-        zeta = ZetaSchedule(0.5)
+        zeta = 0.5
         walk = np.full(theta.dim, 0.2)
         inserts = deletes = moved = hyper_acc = 0
         for _ in range(40):
@@ -137,7 +136,7 @@ class TestChainLogDensityAfterMoves:
                 deletes += chain.n_rejections < m
             moved += chain.step_locations(walk, rng)
             chain.step_function_hmc(0.2, 10, rng)
-            hyper_acc += chain.step_hyper(HyperWalkScales(), priors, rng)
+            hyper_acc += chain.step_hyper(0.1, priors, rng)
         # end on incremental updates of the last adopted factor
         for _ in range(5):
             chain.step_number(zeta, rng)
@@ -154,18 +153,15 @@ class TestChainLogDensityAfterMoves:
 
 class TestNumberMoveRatios:
     def test_insert_example(self):
-        zeta = ZetaSchedule(0.5)
-        a = math.exp(insert_log_accept(0, 1, zeta, 0.0))
+        a = math.exp(insert_log_accept(0, 1, 0.5, 0.0))
         assert a == pytest.approx(0.25, rel=1e-12)
 
     def test_delete_example_is_reciprocal(self):
-        zeta = ZetaSchedule(0.5)
-        a = math.exp(delete_log_accept(1, 1, zeta, 0.0))
+        a = math.exp(delete_log_accept(1, 1, 0.5, 0.0))
         assert a == pytest.approx(4.0, rel=1e-12)
 
     def test_certain_acceptance_cannot_be_rejection(self):
-        zeta = ZetaSchedule(0.5)
-        assert math.exp(insert_log_accept(3, 5, zeta, 40.0)) < 1e-10
+        assert math.exp(insert_log_accept(3, 5, 0.5, 40.0)) < 1e-10
 
     def test_insert_delete_reciprocity(self):
         # criterion: product of insert and matching delete ratios is 1
@@ -175,22 +171,29 @@ class TestNumberMoveRatios:
             m = int(rng.integers(0, 50))
             n = int(rng.integers(1, 50))
             g = float(rng.normal(scale=2.0))
-            zeta = ZetaSchedule(float(rng.uniform(0.05, 0.95)))
+            zeta = float(rng.uniform(0.05, 0.95))
             total = insert_log_accept(m, n, zeta, g) + delete_log_accept(m + 1, n, zeta, g)
             worst = max(worst, abs(total))
         assert worst < 1e-12
 
     def test_zeta_forces_insert_at_zero(self):
-        zeta = ZetaSchedule(0.3)
-        assert zeta(0, 10) == 1.0
-        assert zeta(1, 10) == 0.3
-        with pytest.raises(ValueError):
-            ZetaSchedule(0.0)
+        assert _insert_prob(0, 0.3) == 1.0
+        assert _insert_prob(1, 0.3) == 0.3
+        with pytest.raises(ValueError, match="zeta_insert"):
+            ChainOptions(total=1, burn_in=0, zeta_insert=0.0)
+        # an empty history proposes an insertion whatever zeta_insert is: a
+        # deletion there would fail to pick a slot
+        rng = np.random.default_rng(6)
+        trace = draw_prior_dataset(4, THETA, BOX, rng)
+        chain = HistoryChain(trace.accepted, trace.accepted_values, THETA, BOX)
+        while not chain.step_number(1e-9, rng):
+            assert chain.n_rejections == 0
+        assert chain.n_rejections == 1
 
     def test_step_number_grows_and_shrinks(self):
         rng = np.random.default_rng(4)
         chain = make_history(rng)
-        zeta = ZetaSchedule(0.5)
+        zeta = 0.5
         sizes = {chain.n_rejections}
         for _ in range(60):
             chain.step_number(zeta, rng)
@@ -290,7 +293,7 @@ class TestOneConditioningPerProposal:
         rng = np.random.default_rng(41)
         chain = self.make_chain(base, rng)
         counts = self.count_calls(monkeypatch)
-        zeta = ZetaSchedule(0.5)
+        zeta = 0.5
         walk = np.full(chain.data.shape[1], 0.3)
         attempts = inserts = moved = 0
         for _ in range(15):
@@ -318,7 +321,7 @@ class TestOneConditioningPerProposal:
         walk = np.full(chain.data.shape[1], 0.05)
         before = self.snapshot(chain)
         for _ in range(4):
-            assert not chain.step_number(ZetaSchedule(1.0), rng)  # always inserts
+            assert not chain.step_number(1.0, rng)  # always inserts
             assert chain.step_locations(walk, rng) == 0
             for a, b in zip(before, self.snapshot(chain)):
                 assert np.array_equal(a, b)
@@ -435,11 +438,9 @@ class TestHyperMove:
         rng = np.random.default_rng(13)
         chain = make_history(rng)
         amplitude = chain.theta.amplitude
-        zero = HyperWalkScales(log_amplitude=0.0, log_lengthscale=0.0,
-                               base_mean=0.0, log_base_sigma=0.0, pin=0.0)
         priors = HyperPrior()
         for _ in range(5):
-            assert chain.step_hyper(zero, priors, rng)
+            assert chain.step_hyper(0.0, priors, rng)
             assert chain.theta.amplitude == amplitude
 
     def test_out_of_support_proposal_rejected(self, monkeypatch):
@@ -452,14 +453,14 @@ class TestHyperMove:
         bad_box = UniformBox([x + 1e-6], [x + 2.0])
         monkeypatch.setattr("gpds.history.propose_hypers",
                             lambda *a, **k: (chain.theta, bad_box))
-        assert not chain.step_hyper(HyperWalkScales(), HyperPrior(), rng)
+        assert not chain.step_hyper(0.1, HyperPrior(), rng)
         assert chain.psi is BOX
 
     def test_empty_rejection_product(self):
         rng = np.random.default_rng(15)
         trace = draw_prior_dataset(3, THETA, BOX, rng)
         chain = HistoryChain(trace.accepted, trace.accepted_values, THETA, BOX)
-        acc = chain.step_hyper(HyperWalkScales(), HyperPrior(), rng)
+        acc = chain.step_hyper(0.1, HyperPrior(), rng)
         assert isinstance(acc, bool) or acc in (True, False)
 
     def test_gaussian_base_moves(self):
@@ -471,15 +472,17 @@ class TestHyperMove:
                             log_base_sigma=(np.zeros(1), np.ones(1)))
         changed = False
         for _ in range(30):
-            changed = chain.step_hyper(HyperWalkScales(), priors, rng) or changed
+            changed = chain.step_hyper(0.1, priors, rng) or changed
         assert changed
+        # the accepted walk moved both base parameters, not only theta
+        assert chain.psi.mean[0] != 0.0 and chain.psi.sigma[0] != 1.0
 
     def test_accepted_move_keeps_theta_on_the_sampler(self):
         rng = np.random.default_rng(23)
         chain = make_history(rng)
         theta0 = chain.theta
         for _ in range(50):
-            if chain.step_hyper(HyperWalkScales(), HyperPrior(), rng):
+            if chain.step_hyper(0.1, HyperPrior(), rng):
                 break
         else:
             pytest.fail("no hyper move accepted")

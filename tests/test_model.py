@@ -8,7 +8,6 @@ from gpds.gp import GpHyper
 from gpds.model import (
     GaussianBase,
     HyperPrior,
-    HyperWalkScales,
     UniformBox,
     base_logpdf,
     base_sample,
@@ -216,15 +215,15 @@ class TestHyperPrior:
 class TestHyperWalk:
     def test_symmetric_proposal_logpdf(self):
         rng = np.random.default_rng(4)
-        scales = HyperWalkScales()
+        scale = 0.1
         priors = HyperPrior(base_mean=(np.zeros(1), np.ones(1)),
                             log_base_sigma=(np.zeros(1), np.ones(1)))
         theta = GpHyper(amplitude=1.3, lengthscales=[0.6])
         psi = GaussianBase([0.2], [1.1])
         for _ in range(20):
-            theta_hat, psi_hat = propose_hypers(theta, psi, scales, priors, rng)
-            fwd = walk_logpdf(theta_hat, psi_hat, theta, psi, scales, priors)
-            rev = walk_logpdf(theta, psi, theta_hat, psi_hat, scales, priors)
+            theta_hat, psi_hat = propose_hypers(theta, psi, scale, priors, rng)
+            fwd = walk_logpdf(theta_hat, psi_hat, theta, psi, scale, priors)
+            rev = walk_logpdf(theta, psi, theta_hat, psi_hat, scale, priors)
             assert abs(fwd - rev) < 1e-12
 
     def test_isotropic_walk_keeps_lengthscales_tied(self):
@@ -232,8 +231,7 @@ class TestHyperWalk:
         priors = HyperPrior(isotropic=True)
         theta = GpHyper(amplitude=1.0, lengthscales=[0.5, 0.5])
         for _ in range(10):
-            theta_hat, _ = propose_hypers(theta, UniformBox.unit(2),
-                                          HyperWalkScales(), priors, rng)
+            theta_hat, _ = propose_hypers(theta, UniformBox.unit(2), 0.1, priors, rng)
             assert theta_hat.lengthscales[0] == pytest.approx(theta_hat.lengthscales[1])
 
     def test_proposals_stay_positive(self):
@@ -241,9 +239,6 @@ class TestHyperWalk:
         priors = HyperPrior()
         theta = GpHyper(amplitude=0.01, lengthscales=[0.01])
         for _ in range(50):
-            theta_hat, _ = propose_hypers(theta, UniformBox.unit(1),
-                                          HyperWalkScales(log_amplitude=2.0,
-                                                          log_lengthscale=2.0),
-                                          priors, rng)
+            theta_hat, _ = propose_hypers(theta, UniformBox.unit(1), 2.0, priors, rng)
             assert theta_hat.amplitude > 0
             assert np.all(theta_hat.lengthscales > 0)

@@ -7,16 +7,11 @@ import numpy as np
 import pytest
 
 import gpds.predictive
-from gpds.chain import ChainOptions, PosteriorDraw, _predictive_probe, run_history_chain
+from gpds.chain import ChainOptions, _predictive_probe, run_history_chain
 from gpds.generate import draw_prior_dataset
 from gpds.gp import GpHyper
-from gpds.model import HyperWalkScales, UniformBox, phi
-from gpds.predictive import (
-    DensityConfig,
-    density_grid,
-    estimate_denominator,
-    estimate_numerator,
-)
+from gpds.model import UniformBox, phi
+from gpds.predictive import DensityConfig, density_grid, estimate_denominator
 
 BOX = UniformBox.unit(1)
 
@@ -51,35 +46,30 @@ class TestPredictiveProbe:
 
 
 class TestEstimateNumerator:
+    """The numerator half of ``density_grid``: one chain on the plain data,
+    averaged at every grid point."""
+
     def test_constant_phi_gives_base_density(self):
         cfg = frozen_config(0.0, retained=50)
-        rng = np.random.default_rng(0)
-        data = rng.uniform(0, 1, (6, 1))
-        grid = np.array([[0.25], [0.75]])
-        result = cfg.run(data, replace(cfg.chain_options, numerator_query=grid), rng)
-        for x in grid:
-            num, se = estimate_numerator(result.numerator_draws, x)
-            assert num == pytest.approx(1.0, abs=1e-12)  # pi(x) on the unit box
-            assert se == pytest.approx(0.0, abs=1e-12)
+        data = np.random.default_rng(0).uniform(0, 1, (6, 1))
+        out = density_grid([[0.25], [0.75]], data, cfg, np.random.SeedSequence(0))
+        for est in out.estimates:
+            assert est.n_numerator == 50
+            assert est.numerator == pytest.approx(1.0, abs=1e-12)  # pi(x) on the unit box
+            assert est.numerator_se == pytest.approx(0.0, abs=1e-12)
 
     def test_single_draw_flags_undefined_stderr(self):
-        draw = PosteriorDraw(theta=frozen_theta(0.0), psi=BOX,
-                             x_pred=np.array([0.5]), g_pred=0.0,
-                             query=np.array([[0.3]]), g_query=np.array([0.0]))
-        num, se = estimate_numerator([draw], [0.3])
-        assert num == pytest.approx(1.0)
-        assert math.isnan(se)
+        cfg = frozen_config(0.0, retained=1, burn_in=2)
+        data = np.random.default_rng(1).uniform(0, 1, (3, 1))
+        (est,) = density_grid([[0.3]], data, cfg, np.random.SeedSequence(1)).estimates
+        assert est.n_numerator == 1
+        assert est.numerator == pytest.approx(1.0)
+        assert math.isnan(est.numerator_se)
 
     def test_empty_sample_set_raises(self):
-        with pytest.raises(ValueError):
-            estimate_numerator([], [0.3])
-
-    def test_unregistered_point_raises(self):
-        draw = PosteriorDraw(theta=frozen_theta(0.0), psi=BOX,
-                             x_pred=np.array([0.5]), g_pred=0.0,
-                             query=np.array([[0.3]]), g_query=np.array([0.0]))
-        with pytest.raises(ValueError):
-            estimate_numerator([draw], [0.9])
+        cfg = frozen_config(0.0, retained=0, burn_in=0)
+        with pytest.raises(ValueError, match="no draws"):
+            density_grid([[0.3]], np.zeros((3, 1)) + 0.5, cfg, np.random.SeedSequence(2))
 
     @pytest.mark.slow
     def test_frozen_function_matches_quadrature(self):
@@ -88,19 +78,16 @@ class TestEstimateNumerator:
         # pi(x) * integral f(x') min(1, phi(g(x)) / phi(g(x'))) dx'
         mean_fn = lambda x: 1.2 * np.sin(5.0 * x[:, 0]) - 0.3
         cfg = frozen_config(mean_fn, retained=1500, burn_in=100)
-        rng = np.random.default_rng(1)
-        data = rng.uniform(0, 1, (5, 1))
-        x = np.array([0.3])
+        data = np.random.default_rng(1).uniform(0, 1, (5, 1))
         grid_x = np.array([[0.3]])
-        result = cfg.run(data, replace(cfg.chain_options, numerator_query=grid_x), rng)
-        num, se = estimate_numerator(result.numerator_draws, x)
+        (est,) = density_grid(grid_x, data, cfg, np.random.SeedSequence(1)).estimates
 
         xs = np.linspace(0, 1, 8001)
         phis = phi(mean_fn(xs.reshape(-1, 1)))
         f = phis / np.trapezoid(phis, xs)
         phi_x = phi(mean_fn(grid_x))[0]
         oracle = np.trapezoid(f * np.minimum(1.0, phi_x / phis), xs)
-        assert abs(num - oracle) < 3 * se
+        assert abs(est.numerator - oracle) < 3 * est.numerator_se
 
 
 class TestEstimateDenominator:
@@ -116,68 +103,87 @@ class TestEstimateDenominator:
     def test_frozen_function_ratio_matches_truth(self):
         mean_fn = lambda x: 1.5 * np.cos(4.0 * x[:, 0])
         cfg = frozen_config(mean_fn, retained=1500, burn_in=100)
-        rng = np.random.default_rng(3)
-        data = rng.uniform(0, 1, (5, 1))
-        x = np.array([0.6])
+        data = np.random.default_rng(3).uniform(0, 1, (5, 1))
         grid_x = np.array([[0.6]])
-        result = cfg.run(data, replace(cfg.chain_options, numerator_query=grid_x), rng)
-        num, num_se = estimate_numerator(result.numerator_draws, x)
-        den, den_se = estimate_denominator(x, data, cfg, rng)
-        ratio = num / den
+        (est,) = density_grid(grid_x, data, cfg, np.random.SeedSequence(3)).estimates
         xs = np.linspace(0, 1, 8001)
         phis = phi(mean_fn(xs.reshape(-1, 1)))
         truth = phi(mean_fn(grid_x))[0] / np.trapezoid(phis, xs)
-        se = ratio * math.hypot(num_se / num, den_se / den)
-        assert abs(ratio - truth) < 3 * se + 1e-9
+        se = est.ratio * math.hypot(est.numerator_se / est.numerator,
+                                    est.denominator_se / est.denominator)
+        assert abs(est.ratio - truth) < 3 * se + 1e-9
 
 
 class TestDensityGrid:
     def test_constant_phi_collapses_to_base(self):
         cfg = frozen_config(0.0, retained=80)
-        rng = np.random.default_rng(4)
-        data = rng.uniform(0, 1, (6, 1))
+        data = np.random.default_rng(4).uniform(0, 1, (6, 1))
         grid = np.linspace(0, 1, 7).reshape(-1, 1)
-        out = density_grid(grid, data, cfg, rng)
+        out = density_grid(grid, data, cfg, np.random.SeedSequence(4))
         assert np.allclose(out.ratios(), 1.0, atol=1e-12)
         assert out.integral == pytest.approx(1.0, abs=1e-12)
 
     def test_single_point_grid(self):
+        # one point has no trapezoid integral
         cfg = frozen_config(0.0, retained=40)
-        rng = np.random.default_rng(5)
-        data = rng.uniform(0, 1, (4, 1))
-        out = density_grid(np.array([[0.5]]), data, cfg, rng)
+        data = np.random.default_rng(5).uniform(0, 1, (4, 1))
+        out = density_grid(np.array([[0.5]]), data, cfg, np.random.SeedSequence(5))
         assert len(out.estimates) == 1
         assert out.estimates[0].n_numerator == 40
+        assert out.integral is None
 
     def test_rejects_high_dimensional_grids(self):
         cfg = frozen_config(0.0)
         with pytest.raises(ValueError):
             density_grid(np.zeros((4, 3)), np.zeros((3, 3)), cfg,
-                         np.random.default_rng(0))
+                         np.random.SeedSequence(0))
 
     def test_empty_grid_rejected(self):
         cfg = frozen_config(0.0)
         with pytest.raises(ValueError):
             density_grid(np.empty((0, 1)), np.zeros((3, 1)), cfg,
-                         np.random.default_rng(0))
+                         np.random.SeedSequence(0))
 
     def test_exchange_backend_runs(self):
         cfg = frozen_config(0.0, retained=30, burn_in=10, sampler="exchange")
-        rng = np.random.default_rng(6)
-        data = rng.uniform(0, 1, (4, 1))
-        out = density_grid(np.array([[0.3], [0.7]]), data, cfg, rng)
+        data = np.random.default_rng(6).uniform(0, 1, (4, 1))
+        out = density_grid(np.array([[0.3], [0.7]]), data, cfg,
+                           np.random.SeedSequence(6))
         assert np.allclose(out.ratios(), 1.0, atol=1e-12)
 
     def test_seeded_grid_independent_of_worker_count(self):
-        cfg = frozen_config(lambda x: np.sin(3 * x[:, 0]), retained=30, burn_in=10)
+        theta = GpHyper(amplitude=1.0, lengthscales=[0.5])
+        cfg = DensityConfig(theta0=theta, psi0=BOX,
+                            chain_options=ChainOptions(total=12, burn_in=4,
+                                                       infer_hypers=False))
         data = np.random.default_rng(7).uniform(0, 1, (4, 1))
         grid = np.array([[0.2], [0.8]])
-        outs = []
-        for _ in range(2):
-            seq = np.random.SeedSequence(123)
-            rng = np.random.default_rng(seq.spawn(1)[0])
-            outs.append(density_grid(grid, data, cfg, rng, seed_seq=seq))
-        assert np.array_equal(outs[0].ratios(), outs[1].ratios())
+        outs = [density_grid(grid, data, cfg, np.random.SeedSequence(123), workers=w)
+                for w in (1, 1, 2)]
+        for out in outs[1:]:
+            for a, b in zip(outs[0].estimates, out.estimates):
+                assert (a.numerator, a.denominator) == (b.numerator, b.denominator)
+
+    def test_seed_children_are_numerator_then_points(self):
+        # child 0 of the seed sequence drives the numerator chain, child
+        # k + 1 the denominator chain at grid point k
+        theta = GpHyper(amplitude=1.0, lengthscales=[0.5])
+        cfg = DensityConfig(theta0=theta, psi0=BOX,
+                            chain_options=ChainOptions(total=8, burn_in=2,
+                                                       infer_hypers=False))
+        data = np.random.default_rng(13).uniform(0, 1, (4, 1))
+        grid = np.array([[0.2], [0.8]])
+        out = density_grid(grid, data, cfg, np.random.SeedSequence(5))
+        children = np.random.SeedSequence(5).spawn(3)
+        numerator = cfg.run(data, replace(cfg.chain_options, numerator_query=grid),
+                            np.random.default_rng(children[0]))
+        for k, est in enumerate(out.estimates):
+            den, _ = estimate_denominator(grid[k], data, cfg,
+                                          np.random.default_rng(children[1 + k]))
+            terms = [gpds.predictive._numerator_term(d, k)
+                     for d in numerator.numerator_draws]
+            assert est.denominator == den
+            assert est.numerator == np.mean(terms)
 
     def test_chain_options_reach_every_chain(self, monkeypatch):
         # every field but the per-chain query grid and augmented datum is
@@ -193,13 +199,13 @@ class TestDensityGrid:
             total=9, burn_in=3, thinning=2, max_proposals=5000, zeta_insert=0.3,
             walk_scales=np.array([0.05]), number_moves=2, hmc_step_size=0.1,
             hmc_leapfrog=3, hmc_target=0.6, crankshaft_eps=0.7, n_extra_controls=1,
-            infer_hypers=False, hyper_scales=HyperWalkScales(log_amplitude=0.2),
+            infer_hypers=False, hyper_walk_scale=0.2,
             record_predictive=True, record_rejections=True)
         cfg = DensityConfig(theta0=GpHyper(amplitude=1.0, lengthscales=[0.5]),
                             psi0=BOX, chain_options=given)
         data = np.random.default_rng(8).uniform(0, 1, (4, 1))
         grid = np.array([[0.5]])
-        out = density_grid(grid, data, cfg, np.random.default_rng(9))
+        out = density_grid(grid, data, cfg, np.random.SeedSequence(9))
         assert out.estimates[0].n_denominator == 3
         numerator, denominator = seen
         assert numerator.numerator_query is grid and numerator.denominator_point is None
@@ -219,7 +225,7 @@ class TestDensityGrid:
         theta = GpHyper(amplitude=1.0, lengthscales=[0.5])
         cfg = DensityConfig(theta0=theta, psi0=BOX, chain_options=given)
         data = np.random.default_rng(10).uniform(0, 1, (4, 1))
-        density_grid(np.array([[0.3], [0.7]]), data, cfg, np.random.default_rng(11))
+        density_grid(np.array([[0.3], [0.7]]), data, cfg, np.random.SeedSequence(11))
         for f in fields(ChainOptions):
             assert np.array_equal(getattr(given, f.name),
                                   getattr(before, f.name)), f.name
