@@ -396,7 +396,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpds",
         description="Gaussian process density sampler: generation, "
-                    "inference and predictive density estimation.",
+                    "inference and predictive density estimation.  Its "
+                    "matrices are at most a few hundred rows wide, so it runs "
+                    "fastest with BLAS on one thread: set "
+                    "OPENBLAS_NUM_THREADS=1 (and OMP_NUM_THREADS=1, "
+                    "MKL_NUM_THREADS=1) before starting it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

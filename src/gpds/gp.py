@@ -10,7 +10,10 @@ call of the trailing block), so that rejection-sampling loops and MCMC
 moves do not refactorise the Gram matrix from scratch at every step.  A
 proposed point is conditioned once: :meth:`ConditionalSampler.draw_append`
 records it, and a rejected proposal is dropped again with the O(1)
-:meth:`ConditionalSampler.truncate`.  Joint draws at a block of k points
+:meth:`ConditionalSampler.truncate`.  Dropping many rows at once, anywhere
+past a prefix, is one :meth:`ConditionalSampler.compact`: the kept rows past
+the prefix are refactorised together with one Cholesky of their Schur
+complement, O(R k^2) for k kept rows.  Joint draws at a block of k points
 (:meth:`ConditionalSampler.draw_append_block`,
 :meth:`ConditionalSampler.draw_batch`) solve against all k columns at once
 with one BLAS-3 call on the packed factor; the conditional mean at any
@@ -42,7 +45,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtpmv, dtpsv, dtrsv
-from scipy.linalg.lapack import dtfsm, dtpqrt, dtpttf
+from scipy.linalg.lapack import dpotrf, dtfsm, dtpqrt, dtpttf
 
 # Relative jitter ladder: start here, escalate x10 per retry, give up at the
 # cap.  Values are relative to the mean diagonal magnitude of the matrix
@@ -301,7 +304,9 @@ class ConditionalSampler:
     growing the capacity copies the R^2 / 2 stored entries.  Deleting row k
     moves the R - k - 1 rows below it up one row and refactorises their
     trailing block with one LAPACK QR call (:meth:`delete`), which is
-    O((R - k) R).
+    O((R - k) R).  Keeping a prefix and a chosen set of later rows
+    (:meth:`compact`) moves the kept rows' leading entries and refactorises
+    the rest of them from their Schur complement.
 
     Solves with k right-hand sides (:meth:`draw_append_block`,
     :meth:`draw_batch`) copy the packed entries once to rectangular full
@@ -318,7 +323,8 @@ class ConditionalSampler:
     ``chol`` settles on for the starting points, or ``BASE_JITTER *
     amplitude^2`` when there are none.  :meth:`append`, :meth:`draw_append`,
     :meth:`draw_append_block` (whose k x k conditional covariance gets this
-    same jitter on its diagonal) and :meth:`delete` keep it, so one
+    same jitter on its diagonal), :meth:`compact` (likewise) and
+    :meth:`delete` keep it, so one
     realisation has one jitter however it grew.
 
     ``factor``, when given, must be ``chol(kernel_matrix(points, points,
@@ -606,6 +612,65 @@ class ConditionalSampler:
         if not 0 <= n <= self._n:
             raise IndexError("row count out of range")
         self._n = n
+
+    def compact(self, prefix: int, rows) -> None:
+        """Keep rows ``[0, prefix)`` and then ``rows`` (increasing, each in
+        ``[prefix, R)``), in that order, and drop every other row;
+        O(k^2 R + k^3) for k kept rows past the prefix.
+
+        Kept rows already in place (``rows[i] == prefix + i``) join the
+        prefix p untouched.  The p leading entries of every later kept row,
+        ``L_pp^-1 k(points[:p], x)``, do not depend on the rows after p, so
+        they are gathered as A (k x p).  The rest of the new factor is the
+        Cholesky M of the Schur complement ``K(X, X) + jitter I - A A^T``
+        (one LAPACK ``dpotrf``), the new rows are ``[A, M]``, and their
+        whitened values are ``M^-1 (g - m - A w_head)``, one ``dtrsv``.
+        When that Cholesky fails or one of its pivots falls below the
+        floor, the dropped rows are removed one by one with :meth:`delete`
+        instead, which cannot fail and keeps the same order.
+        """
+        kept = np.asarray(rows, dtype=np.intp).tolist()  # few: checked in Python
+        n = self._n
+        if not 0 <= prefix <= n:
+            raise IndexError("prefix out of range")
+        if kept and (kept[0] < prefix or kept[-1] >= n
+                     or any(b <= a for a, b in zip(kept, kept[1:]))):
+            raise IndexError("rows must increase within [prefix, R)")
+        p = prefix
+        while p - prefix < len(kept) and kept[p - prefix] == p:
+            p += 1
+        tail = np.array(kept[p - prefix :], dtype=np.intp)
+        t = tail.size
+        if not t:
+            self._n = p
+            return
+        X = self._pts[tail]
+        g = self._vals[tail]
+        m = self._m[tail]
+        if not self.degenerate:
+            ap = self._ap
+            A = ap[(tail * (tail + 1) // 2)[:, None] + np.arange(p)]
+            # K(X, X) is symmetric: its transpose is a Fortran-ordered view
+            # of the same matrix, which LAPACK factorises in place
+            S = kernel_matrix(X, X, self.hyper).T
+            S[np.diag_indices(t)] += self.jitter
+            S -= A @ A.T
+            M, info = dpotrf(S, lower=1, clean=1, overwrite_a=1)
+            if info or M.diagonal().min() ** 2 < self._pivot_floor():
+                # delete the dropped rows from the bottom up
+                for row in np.setdiff1d(np.arange(p, n), tail)[::-1]:
+                    self.delete(int(row))
+                return
+            w_tail = dtrsv(M, g - m - A @ self._w[:p], lower=1, overwrite_x=1)
+            for i in range(t):
+                s = _tri(p + i)
+                ap[s : s + p] = A[i]
+                ap[s + p : s + p + i + 1] = M[i, : i + 1]
+            self._w[p : p + t] = w_tail
+        self._pts[p : p + t] = X
+        self._vals[p : p + t] = g
+        self._m[p : p + t] = m
+        self._n = p + t
 
     def mean(self, X) -> np.ndarray:
         """Conditional mean at a batch of points, ``m(X) + k(X, points)

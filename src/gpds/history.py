@@ -13,13 +13,17 @@ iteration of those moves with the tuning of a
 :class:`~gpds.chain.ChainOptions`; :func:`init_history` draws a starting
 state with no rejections.
 
-Each proposed point is conditioned on the GP once: an insertion or a
-relocation draws its function value with
-:meth:`~gpds.gp.ConditionalSampler.draw_append`, which records it as the
-last factor row.  An accepted insertion keeps that row, an accepted
-relocation deletes the old row, and a rejected proposal drops the new row
-again with the O(1) :meth:`~gpds.gp.ConditionalSampler.truncate`, which
-leaves the factor exactly as it was.
+An insertion is conditioned on the GP once: it draws its function value
+with :meth:`~gpds.gp.ConditionalSampler.draw_append`, which records it as
+the last factor row, and a rejected insertion drops that row again with
+the O(1) :meth:`~gpds.gp.ConditionalSampler.truncate`.  Given the function
+the rejection locations are conditionally independent, so one location
+sweep moves them all in one block: the walk proposals inside the base
+support are drawn jointly onto the factor with
+:meth:`~gpds.gp.ConditionalSampler.draw_append_block`, each is accepted or
+rejected on its own, and one
+:meth:`~gpds.gp.ConditionalSampler.compact` keeps the unmoved rejections
+and the accepted proposals and drops the rest.
 """
 from __future__ import annotations
 
@@ -89,13 +93,13 @@ def delete_log_accept(m: int, n: int, zeta_insert: float, g_minus: float) -> flo
             - float(log_one_minus_phi(g_minus)))
 
 
-def location_log_accept(log_pi_new: float, log_pi_old: float,
-                        g_new: float, g_old: float) -> float:
-    """Log acceptance ratio for moving one rejection (symmetric walk)."""
-    if not np.isfinite(log_pi_new):
-        return -np.inf
-    return (log_pi_new - log_pi_old
-            + float(log_one_minus_phi(g_new)) - float(log_one_minus_phi(g_old)))
+def location_log_accept(log_pi_new, log_pi_old, g_new, g_old):
+    """Log acceptance ratio for moving a rejection (symmetric walk), element
+    by element over arrays; -inf where the proposal is outside the support."""
+    log_pi_new = np.asarray(log_pi_new, dtype=float)
+    ratio = (log_pi_new - log_pi_old
+             + log_one_minus_phi(g_new) - log_one_minus_phi(g_old))
+    return np.where(np.isfinite(log_pi_new), ratio, -np.inf)[()]
 
 
 def leapfrog(potential_grad, v0: np.ndarray, p0: np.ndarray,
@@ -135,11 +139,11 @@ class HistoryChain:
     """The latent-history Markov state, updated in place by its moves.
 
     Wraps a :class:`ConditionalSampler` whose rows are the data (first N,
-    never touched) followed by the latent rejections, so individual moves
-    reuse the incrementally maintained factor instead of refactorising.
-    ``rej_rows`` maps rejection slots to factor rows.  The GP
-    hyperparameters are the sampler's (:attr:`theta`); ``diagnostics``
-    counts the attempts and acceptances of :func:`sweep`.
+    never touched) followed by the latent rejections (rows N to R - 1, in
+    slot order), so individual moves reuse the incrementally maintained factor
+    instead of refactorising.  The GP hyperparameters are the sampler's
+    (:attr:`theta`); ``diagnostics`` counts the attempts and acceptances of
+    :func:`sweep`.
     """
 
     def __init__(self, data: np.ndarray, g_data: np.ndarray, theta: GpHyper,
@@ -157,7 +161,6 @@ class HistoryChain:
             raise ValueError("each data point and rejection needs one function value")
         self.sampler = ConditionalSampler(theta, np.vstack([self.data, rej]),
                                           np.concatenate([g_data, g_rej]))
-        self.rej_rows = list(range(self.n_data, self.n_data + rej.shape[0]))
         self.diagnostics: Counter = Counter()
 
     @property
@@ -166,7 +169,7 @@ class HistoryChain:
 
     @property
     def n_rejections(self) -> int:
-        return len(self.rej_rows)
+        return len(self.sampler) - self.n_data
 
     @property
     def g_data(self) -> np.ndarray:
@@ -175,11 +178,11 @@ class HistoryChain:
     @property
     def rejections(self) -> np.ndarray:
         """The rejection locations in slot order, as a copy."""
-        return self.sampler.points[np.asarray(self.rej_rows, dtype=int)]
+        return self.sampler.points[self.n_data :].copy()
 
     @property
     def g_rejections(self) -> np.ndarray:
-        return self.sampler.values[np.asarray(self.rej_rows, dtype=int)]
+        return self.sampler.values[self.n_data :]
 
     # -- number move ------------------------------------------------------
     def step_number(self, zeta_insert: float, rng: np.random.Generator,
@@ -194,50 +197,48 @@ class HistoryChain:
                 log_a = (log_a - float(log_one_minus_phi(g_plus))
                          + math.log1p(phi(g_plus)))
             if math.log(rng.uniform()) < log_a:
-                self.rej_rows.append(len(self.sampler) - 1)
                 return True
             self.sampler.truncate(len(self.sampler) - 1)
             return False
-        k = int(rng.integers(m))
-        g_minus = float(self.sampler.values[self.rej_rows[k]])
-        log_a = delete_log_accept(m, n, zeta_insert, g_minus)
+        row = n + int(rng.integers(m))
+        log_a = delete_log_accept(m, n, zeta_insert, float(self.sampler.values[row]))
         if math.log(rng.uniform()) < log_a:
-            self._remove_slot(k)
+            self.sampler.delete(row)
             return True
         return False
 
-    def _remove_slot(self, k: int) -> None:
-        row = self.rej_rows.pop(k)
-        self.sampler.delete(row)
-        self.rej_rows = [r - 1 if r > row else r for r in self.rej_rows]
-
     # -- location moves ---------------------------------------------------
     def step_locations(self, walk_scales: np.ndarray, rng: np.random.Generator) -> int:
-        """One symmetric-walk proposal per rejection; returns acceptances.
+        """One symmetric-walk proposal per rejection, all in one block;
+        returns the number accepted.
 
-        The proposal is drawn onto the end of the factor; on accept the old
-        row is deleted, so the moved rejection ends up last.
+        Given the function the rejections move independently, so the
+        proposals are drawn at once (one standard normal per coordinate),
+        those outside the base support are rejected before any
+        conditioning, and the function is drawn jointly at the rest onto
+        the end of the factor.  Each proposal is then accepted on its own
+        ratio, and one :meth:`~gpds.gp.ConditionalSampler.compact` keeps the
+        unmoved rejections, followed by the moved ones at their new
+        locations and values, both in slot order.
         """
-        accepted = 0
         sampler = self.sampler
-        for slot in range(self.n_rejections):
-            row = self.rej_rows[slot]
-            x_old = sampler.points[row].copy()
-            g_old = float(sampler.values[row])
-            x_new = x_old + walk_scales * rng.standard_normal(x_old.shape[0])
-            lp_new = float(base_logpdf(x_new, self.psi))
-            if not np.isfinite(lp_new):
-                continue
-            g_new = sampler.draw_append(x_new, rng)
-            lp_old = float(base_logpdf(x_old, self.psi))
-            log_a = location_log_accept(lp_new, lp_old, g_new, g_old)
-            if math.log(rng.uniform()) < log_a:
-                self._remove_slot(slot)
-                self.rej_rows.insert(slot, len(sampler) - 1)
-                accepted += 1
-            else:
-                sampler.truncate(len(sampler) - 1)
-        return accepted
+        nd, r = self.n_data, len(sampler)
+        x_old = sampler.points[nd:]
+        x_new = x_old + walk_scales * rng.standard_normal(x_old.shape)
+        lp_new = base_logpdf(x_new, self.psi)
+        live = np.flatnonzero(np.isfinite(lp_new))
+        if not live.size:
+            return 0
+        log_pi_old = base_logpdf(x_old[live], self.psi)
+        g_old = sampler.values[nd + live]
+        g_new = sampler.draw_append_block(x_new[live], rng.standard_normal(live.size))
+        log_a = location_log_accept(lp_new[live], log_pi_old, g_new, g_old)
+        moved = np.log(rng.uniform(size=live.size)) < log_a
+        stay = np.ones(r - nd, dtype=bool)
+        stay[live[moved]] = False
+        sampler.compact(nd, np.concatenate([nd + np.flatnonzero(stay),
+                                            r + np.flatnonzero(moved)]))
+        return int(np.count_nonzero(moved))
 
     # -- function move (HMC in whitened coordinates) ----------------------
     # Factor rows 0..N-1 are always the data (deletes and appends only ever
@@ -305,8 +306,10 @@ def init_history(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
 def sweep(chain: HistoryChain, opts: ChainOptions, priors: HyperPrior | None,
           rng: np.random.Generator, corrupt_insert: bool = False) -> None:
     """One full iteration in place, tuned by ``opts``: ``opts.number_moves``
-    number moves at insert probability ``opts.zeta_insert``, location moves,
-    HMC unless the GP is degenerate, and the hyperparameter walk at step
+    number moves at insert probability ``opts.zeta_insert``, one location
+    proposal per rejection (:meth:`HistoryChain.step_locations`: one joint
+    draw and one factor compaction for them all), HMC unless the GP is
+    degenerate, and the hyperparameter walk at step
     ``opts.hyper_walk_scale`` when ``opts.infer_hypers`` is set and
     ``priors`` are given.
 

@@ -132,7 +132,7 @@ def base_logpdf(x, hyper: BaseHyper):
     """
     x = np.asarray(x, dtype=float)
     if isinstance(hyper, UniformBox) and x.shape == hyper.lower.shape:
-        # one point, the latent-history moves' case: no batch arrays
+        # one point, the predictive numerator's case: no batch arrays
         inside = ((x >= hyper.lower) & (x <= hyper.upper)).all()
         return -hyper.log_volume if inside else -math.inf
     single = x.ndim <= 1

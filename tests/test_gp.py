@@ -747,6 +747,156 @@ class TestDelete:
             self.delete_and_check(cs, row)
 
 
+class TestCompact:
+    """``compact`` against the from-scratch oracle: the Cholesky factor of
+    the jittered Gram matrix at the kept points, and a dense solve for their
+    whitened values."""
+
+    HYPER = GpHyper(amplitude=1.2, lengthscales=[0.5, 0.8], mean=0.3)
+
+    def sampler(self, rng, n=30, hyper=HYPER):
+        cs = ConditionalSampler(hyper)
+        cs.draw_append_block(_separated_points(rng, n, hyper.dim, 0.4),
+                             rng.standard_normal(n))
+        return cs
+
+    @staticmethod
+    def compact_and_check(cs: ConditionalSampler, prefix: int, rows) -> ConditionalSampler:
+        keep = np.concatenate([np.arange(prefix), np.asarray(rows, dtype=int)])
+        out = cs.copy()
+        out.compact(prefix, rows)
+        assert np.array_equal(out.points, cs.points[keep])
+        assert np.array_equal(out.values, cs.values[keep])
+        assert np.array_equal(out.prior_mean_vec, cs.prior_mean_vec[keep])
+        assert out.jitter == cs.jitter
+        # the prefix keeps its factor rows and whitened values untouched
+        head = prefix * (prefix + 1) // 2
+        assert np.array_equal(out.packed[:head], cs.packed[:head])
+        assert np.array_equal(out.whitened[:prefix], cs.whitened[:prefix])
+        if not len(out):
+            return out
+        P = out.points
+        oracle = chol(kernel_matrix(P, P, out.hyper) + out.jitter * np.eye(len(P)), 0.0)
+        L = dense_lower(out)
+        assert np.abs(L - oracle.lower).max() < 1e-10 * np.abs(oracle.lower).max()
+        w_ref = np.linalg.solve(oracle.lower, out.values - out.prior_mean_vec)
+        assert np.abs(out.whitened - w_ref).max() < 1e-8 * max(1.0, np.abs(w_ref).max())
+        return out
+
+    def test_random_kept_subsets(self):
+        rng = np.random.default_rng(40)
+        cs = self.sampler(rng)
+        for _ in range(25):
+            prefix = int(rng.integers(0, 31))
+            tail = np.arange(prefix, 30)
+            rows = np.sort(rng.choice(tail, size=int(rng.integers(0, tail.size + 1)),
+                                      replace=False))
+            self.compact_and_check(cs, prefix, rows)
+
+    def test_prefix_zero(self):
+        rng = np.random.default_rng(41)
+        cs = self.sampler(rng)
+        self.compact_and_check(cs, 0, [1, 4, 5, 17, 29])
+        self.compact_and_check(cs, 0, np.arange(30))  # every row kept, a no-op
+
+    def test_no_kept_rows_is_a_truncation(self):
+        rng = np.random.default_rng(42)
+        cs = self.sampler(rng)
+        out = self.compact_and_check(cs, 12, [])
+        ref = cs.copy()
+        ref.truncate(12)
+        for a, b in ((out.packed, ref.packed), (out.whitened, ref.whitened)):
+            assert np.array_equal(a, b)
+        assert len(self.compact_and_check(cs, 0, [])) == 0
+
+    def test_in_place_rows_join_the_prefix(self):
+        # rows 10 and 11 stay where they are: only the rows after them move
+        rng = np.random.default_rng(43)
+        cs = self.sampler(rng)
+        out = self.compact_and_check(cs, 10, [10, 11, 14, 20])
+        assert np.array_equal(out.packed[: 12 * 13 // 2], cs.packed[: 12 * 13 // 2])
+        assert np.array_equal(out.whitened[:12], cs.whitened[:12])
+
+    def test_a_moved_tail(self):
+        # the latent-history layout: the rejections after the data keep some
+        # old rows, then take rows drawn past them
+        rng = np.random.default_rng(44)
+        cs = self.sampler(rng, n=20)
+        cs.draw_append_block(rng.uniform(0, 8, (6, 2)), rng.standard_normal(6))
+        self.compact_and_check(cs, 14, [15, 17, 18, 20, 23, 25])
+
+    def test_degenerate_sampler(self):
+        hyper = GpHyper(amplitude=0.0, lengthscales=[1.0], mean=lambda x: 2 * x[:, 0])
+        cs = ConditionalSampler(hyper)
+        pts = np.linspace(0, 1, 9)[:, None]
+        cs.draw_append_block(pts, np.zeros(9))
+        cs.compact(3, [4, 7, 8])
+        assert np.array_equal(cs.points, pts[[0, 1, 2, 4, 7, 8]])
+        assert np.array_equal(cs.values, 2 * pts[[0, 1, 2, 4, 7, 8], 0])
+
+    def test_pinned_kernel(self):
+        rng = np.random.default_rng(45)
+        hyper = GpHyper(amplitude=1.0, lengthscales=[0.4], pin_location=[0.5], mean=0.7)
+        cs = ConditionalSampler(hyper)
+        pts = np.array([[0.1], [0.3], [0.8], [0.5], [0.95], [0.62], [1.4], [0.0]])
+        cs.draw_append_block(pts, rng.standard_normal(8))
+        for prefix, rows in ((2, [3, 5, 6]), (0, [2, 3, 7]), (1, [4, 5, 6, 7])):
+            self.compact_and_check(cs, prefix, rows)
+
+    def test_bad_rows_are_refused(self):
+        cs = self.sampler(np.random.default_rng(46), n=10)
+        for prefix, rows in ((3, [5, 4]), (3, [2, 5]), (3, [5, 10]), (3, [6, 6]),
+                             (11, [])):
+            with pytest.raises(IndexError):
+                cs.copy().compact(prefix, rows)
+
+    def test_failed_cholesky_falls_back_to_delete(self, monkeypatch):
+        # the Schur complement's Cholesky reported as failed: the dropped
+        # rows are deleted one by one instead, with the same result
+        rng = np.random.default_rng(47)
+        cs = self.sampler(rng)
+        prefix, rows = 8, [9, 12, 13, 20, 26, 29]
+        deleted = cs.copy()
+        for row in sorted(set(range(prefix, 30)) - set(rows), reverse=True):
+            deleted.delete(row)
+        calls = []
+        original = ConditionalSampler.delete
+
+        def spy(self, row):
+            calls.append(row)
+            return original(self, row)
+
+        monkeypatch.setattr("gpds.gp.dpotrf", lambda a, **kw: (a, 1))
+        monkeypatch.setattr(ConditionalSampler, "delete", spy)
+        out = self.compact_and_check(cs, prefix, rows)
+        assert calls == sorted(set(range(prefix, 30)) - set(rows), reverse=True)
+        for a, b in ((out.packed, deleted.packed), (out.whitened, deleted.whitened)):
+            assert np.array_equal(a, b)
+
+    def test_pivot_below_the_floor_falls_back_to_delete(self, monkeypatch):
+        # a factor adopted without jitter, with a point 2e-9 lengthscales
+        # from a stored one: its Schur pivot is at rounding level, below the
+        # floor, so the dropped row is deleted instead
+        hyper = GpHyper(amplitude=1.0, lengthscales=[0.1])
+        pts = np.array([[0.2], [0.5]])
+        factor = chol(kernel_matrix(pts, pts, hyper), base_jitter=0.0)
+        cs = ConditionalSampler(hyper, pts, [0.3, -0.1], factor=factor)
+        cs.append([0.9], 0.4)
+        cs.append([0.2 + 2e-10], 0.3)
+        calls = []
+        original = ConditionalSampler.delete
+        monkeypatch.setattr(ConditionalSampler, "delete",
+                            lambda self, row: (calls.append(row), original(self, row)))
+        ref = cs.copy()
+        cs.compact(1, [3])
+        assert calls == [2, 1]
+        ref.delete(2)
+        ref.delete(1)
+        assert np.array_equal(cs.points, pts[[0]].tolist() + [[0.2 + 2e-10]])
+        assert np.array_equal(cs.packed, ref.packed)
+        assert np.array_equal(cs.whitened, ref.whitened)
+
+
 class TestPackedEngineAgainstOracle:
     """Random operation sequences on the incremental engine, checked after
     every operation against a from-scratch factorisation of the same points.

@@ -226,11 +226,65 @@ class TestLocationMoves:
             assert chain.n_rejections == len(chain.g_rejections)
 
 
+class TestLocationStationarity:
+    """The location move alone, under a frozen function (amplitude 0, mean
+    1.5 sin 6x, unit box): each rejection's location must keep the law
+    pi(x) (1 - phi(m(x))).  The chain starts in that law, so a wrong
+    location ratio shows up as a chi-square misfit of the thinned
+    locations.  The Geweke test's data-block statistics cannot see such an
+    error; this test can, as its corrupted twin shows."""
+
+    @staticmethod
+    def mean_fn(x):
+        return 1.5 * np.sin(6.0 * x[:, 0])
+
+    def chi2_pvalue(self, seed, n_rej=20, sweeps=12_000, thin=40):
+        rng = np.random.default_rng(seed)
+        theta = GpHyper(amplitude=0.0, lengthscales=[1.0], mean=self.mean_fn)
+        rej = []
+        while len(rej) < n_rej:  # rejection-sample the target
+            x = rng.uniform(0, 1, (1, 1))
+            if rng.uniform() < 1 - phi(self.mean_fn(x))[0]:
+                rej.append(x[0])
+        rej = np.array(rej)
+        data = np.array([[0.5]])
+        chain = HistoryChain(data, self.mean_fn(data), theta, BOX, rej, self.mean_fn(rej))
+        walk = np.array([0.1])
+        kept = []
+        for i in range(sweeps):
+            chain.step_locations(walk, rng)
+            if i % thin == thin - 1:
+                kept.append(chain.rejections[:, 0])
+        xs = np.concatenate(kept)
+        grid = np.linspace(0, 1, 4001)
+        dens = 1 - phi(self.mean_fn(grid[:, None]))
+        cdf = np.concatenate([[0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(grid))])
+        cdf /= cdf[-1]
+        edges = np.linspace(0, 1, 21)
+        expected = xs.size * np.diff(np.interp(edges, grid, cdf))
+        counts, _ = np.histogram(xs, edges)
+        return chi2.sf(np.sum((counts - expected) ** 2 / expected), df=19)
+
+    @pytest.mark.slow
+    def test_frozen_function_locations_keep_their_law(self):
+        assert self.chi2_pvalue(seed=24) > 0.01
+
+    @pytest.mark.slow
+    def test_corrupted_location_ratio_is_caught(self, monkeypatch):
+        # the ratio without its (1 - phi) terms targets pi(x) alone
+        original = gpds.history.location_log_accept
+        monkeypatch.setattr(gpds.history, "location_log_accept",
+                            lambda lp_new, lp_old, g_new, g_old:
+                            original(lp_new, lp_old, 0.0 * g_new, 0.0 * g_old))
+        assert self.chi2_pvalue(seed=24) < 0.01
+
+
 class TestOneConditioningPerProposal:
-    """An inserted or relocated point is conditioned on the GP once: it is
-    drawn straight onto the factor, an accepted insert keeps that row, an
-    accepted relocation deletes the old one, and a rejected proposal is
-    truncated away, leaving the state exactly as it was."""
+    """Every proposed point is conditioned on the GP once.  An insertion is
+    drawn straight onto the factor, kept on accept and truncated away on
+    reject.  A location sweep draws all its in-support proposals in one
+    block and compacts the factor once: rejected proposals leave the state
+    exactly as it was, and moved rejections follow the unmoved ones."""
 
     BASES = {
         "box": (THETA, BOX),
@@ -253,23 +307,34 @@ class TestOneConditioningPerProposal:
 
     @staticmethod
     def count_calls(monkeypatch, ratio=None):
-        """Count ``_condition`` calls and the proposals that reach their
-        acceptance ratio; ``ratio`` replaces that ratio's value."""
-        counts = {"condition": 0, "insert_log_accept": 0, "location_log_accept": 0}
+        """Spy on the conditioning calls and the acceptance ratios: count
+        ``_condition`` calls, record the points of each ``draw_append_block``
+        call and the values it drew, and count the ratios computed (one per
+        insertion, one per in-support relocation); ``ratio`` replaces every
+        ratio's value."""
+        counts = {"condition": 0, "insert_log_accept": 0, "location_log_accept": 0,
+                  "blocks": [], "block_values": []}
         condition = ConditionalSampler._condition
+        draw_append_block = ConditionalSampler.draw_append_block
 
         def spy_condition(self, x):
             counts["condition"] += 1
             return condition(self, x)
 
+        def spy_block(self, X, z):
+            counts["blocks"].append(np.array(X, dtype=float))
+            counts["block_values"].append(draw_append_block(self, X, z))
+            return counts["block_values"][-1]
+
         monkeypatch.setattr(ConditionalSampler, "_condition", spy_condition)
+        monkeypatch.setattr(ConditionalSampler, "draw_append_block", spy_block)
         for name in ("insert_log_accept", "location_log_accept"):
             original = getattr(gpds.history, name)
 
             def spy_ratio(*args, _original=original, _name=name):
-                counts[_name] += 1
                 value = _original(*args)
-                return value if ratio is None else ratio
+                counts[_name] += np.size(value)
+                return value if ratio is None else np.full(np.shape(value), ratio)[()]
 
             monkeypatch.setattr(gpds.history, name, spy_ratio)
         return counts
@@ -277,8 +342,7 @@ class TestOneConditioningPerProposal:
     @staticmethod
     def snapshot(chain):
         s = chain.sampler
-        return (s.points.copy(), s.values.copy(), s.packed.copy(),
-                s.whitened.copy(), list(chain.rej_rows))
+        return (s.points.copy(), s.values.copy(), s.packed.copy(), s.whitened.copy())
 
     @staticmethod
     def assert_factor_of_state(s):
@@ -296,21 +360,29 @@ class TestOneConditioningPerProposal:
         zeta = 0.5
         walk = np.full(chain.data.shape[1], 0.3)
         attempts = inserts = moved = 0
+        inside = []
         for _ in range(15):
             for _ in range(3):
                 m = chain.n_rejections
                 chain.step_number(zeta, rng)
                 inserts += chain.n_rejections > m
             attempts += chain.n_rejections
+            blocks = len(counts["blocks"])
             moved += chain.step_locations(walk, rng)
-        proposals = counts["insert_log_accept"] + counts["location_log_accept"]
-        assert counts["condition"] == proposals
+            # one block per sweep, over in-support proposals only
+            assert len(counts["blocks"]) == blocks + 1
+            X = counts["blocks"][-1]
+            assert np.all(np.isfinite(base_logpdf(X, chain.psi)))
+            inside.append(len(X))
+        # insertions are conditioned one at a time; relocations only in blocks
+        assert counts["condition"] == counts["insert_log_accept"]
+        assert counts["location_log_accept"] == sum(inside)
         assert inserts > 0 and moved > 0
         assert counts["insert_log_accept"] > inserts  # some inserts rejected
         assert counts["location_log_accept"] > moved  # some relocations rejected
         if base == "box":
             # a relocation outside the box is rejected before any conditioning
-            assert counts["location_log_accept"] < attempts
+            assert sum(inside) < attempts
         self.assert_factor_of_state(chain.sampler)
 
     @pytest.mark.parametrize("base", ["box", "gaussian"])
@@ -327,35 +399,32 @@ class TestOneConditioningPerProposal:
                 assert np.array_equal(a, b)
         assert counts["insert_log_accept"] == 4
         assert counts["location_log_accept"] > 0
+        assert len(counts["blocks"]) == 4
         assert chain.sampler._pts.shape[0] > len(chain.sampler)  # the buffers grew
 
     @pytest.mark.parametrize("base", ["box", "gaussian"])
     def test_accepted_relocations_past_capacity(self, base, monkeypatch):
-        # every relocation accepted, the first one growing the buffers: each
-        # moved rejection ends up last, at its proposed location and value
+        # every relocation accepted, the block draw growing the buffers:
+        # each moved rejection ends up after the unmoved ones, in slot
+        # order, at its proposed location and value
         rng = np.random.default_rng(43)
         chain = self.make_chain(base, rng)
         counts = self.count_calls(monkeypatch, ratio=math.inf)
-        draws, values = [], []
-        draw_append = ConditionalSampler.draw_append
-
-        def spy_draw(self, x, rng_):
-            draws.append(np.array(x, dtype=float))
-            values.append(draw_append(self, x, rng_))
-            return values[-1]
-
-        monkeypatch.setattr(ConditionalSampler, "draw_append", spy_draw)
         walk = np.full(chain.data.shape[1], 0.02)
         data, g_data = chain.data.copy(), chain.g_data.copy()
+        rejections = chain.rejections
         moved = chain.step_locations(walk, rng)
-        assert moved == counts["location_log_accept"] == counts["condition"] == len(draws)
+        assert moved == counts["location_log_accept"] == len(counts["blocks"][0])
+        assert counts["condition"] == 0
         assert moved > 20
         s = chain.sampler
         assert len(s) == 40 + 24
-        assert np.array_equal(s.points[-moved:], np.array(draws))
-        assert np.array_equal(s.values[-moved:], values)
+        assert np.array_equal(s.points[-moved:], counts["blocks"][0])
+        assert np.array_equal(s.values[-moved:], counts["block_values"][0])
         assert np.array_equal(s.points[:40], data) and np.array_equal(chain.g_data, g_data)
-        assert sorted(chain.rej_rows) == list(range(40, 64))
+        # the unmoved rejections are the proposals that left the support
+        unmoved = chain.rejections[: 24 - moved]
+        assert all(any(np.array_equal(u, r) for r in rejections) for u in unmoved)
         self.assert_factor_of_state(s)
 
 
