@@ -87,18 +87,19 @@ class PosteriorDraw:
 
 @dataclass
 class ChainResult:
-    """Thinned records of one chain run."""
+    """The retained iterations of one chain run as the tables ``gpds fit``
+    writes, plus what the estimators and the run summary need.
 
-    iterations: np.ndarray
-    m_counts: np.ndarray                    # latent rejections (history) or sampler size (exchange)
-    accept: dict[str, np.ndarray]
-    amplitude: np.ndarray
-    lengthscales: np.ndarray
-    psi_mean: np.ndarray | None
-    psi_sigma: np.ndarray | None
-    log_density: np.ndarray
-    predictive: np.ndarray | None
-    rejections: list[np.ndarray]            # per retained step, when record_rejections
+    ``trace`` has one row per retained iteration, its columns named by
+    ``trace_columns``.  ``rejections`` (the latent rejections, when
+    ``record_rejections``) and ``predictive`` (the predictive samples) have
+    one row per point, laid out as ``[iteration, x1..xD]``.
+    """
+
+    trace_columns: list[str]
+    trace: np.ndarray
+    rejections: np.ndarray
+    predictive: np.ndarray
     numerator_draws: list[PosteriorDraw]
     denominator_terms: np.ndarray | None
     counters: Counter
@@ -147,46 +148,65 @@ def _predictive_probe(sampler, psi, opts, rng, counters):
     return x_pred, draw
 
 
+def _tagged(it: int, points: np.ndarray) -> np.ndarray:
+    """Rows ``[it, x1..xD]``, one per point."""
+    points = np.atleast_2d(points)
+    return np.column_stack([np.full(points.shape[0], float(it)), points])
+
+
 class _Recorder:
     """The retained iterations of one chain run, recorded the same way for
     both samplers.  The state passed in is a :class:`HistoryChain` or an
     :class:`~gpds.exchange.ExchangeState`; both carry ``theta``, ``psi``,
-    ``sampler``, ``g_data`` and the move counters ``diagnostics``."""
+    ``sampler``, ``g_data`` and the move counters ``diagnostics``.
+
+    The trace's columns are fixed here: ``iteration``, ``m`` (latent
+    rejections, or the exchange sampler's size), the sorted move counters
+    ``accept_keys`` (their counts in that iteration alone),
+    ``log_density``, ``amplitude``, ``ls1..D`` and, for a Gaussian base,
+    ``base_mean1..D`` and ``base_sigma1..D``.  Each retained iteration
+    appends one row."""
 
     def __init__(self, opts: ChainOptions, dim: int, gaussian_base: bool,
                  accept_keys: tuple[str, ...]):
         self.opts = opts
-        self.dim = dim
         self.gaussian_base = gaussian_base
-        self.accept_keys = accept_keys
+        self.accept_keys = sorted(accept_keys)
+        axes = range(1, dim + 1)
+        self.columns = ["iteration", "m", *self.accept_keys, "log_density",
+                        "amplitude", *(f"ls{i}" for i in axes)]
+        if gaussian_base:
+            self.columns += [*(f"base_mean{i}" for i in axes),
+                             *(f"base_sigma{i}" for i in axes)]
         self.t_start = time.perf_counter()
-        self.rows: list[dict] = []
-        self.rejections: list[np.ndarray] = []
+        self.trace: list[list[float]] = []
+        # each list starts with an empty table, so it stacks to one
+        # [iteration, x1..xD] table even when nothing is recorded
+        self.rejections = [np.empty((0, dim + 1))]
+        self.predictive = [np.empty((0, dim + 1))]
         self.numerator_draws: list[PosteriorDraw] = []
         self.denom_terms: list[float] = []
 
     def add(self, it: int, state, m: int, log_density: float,
-            before: Counter, rng: np.random.Generator) -> None:
+            before: Counter, rng: np.random.Generator,
+            rejections: np.ndarray | None = None) -> None:
         """Record iteration ``it``: the trace row with the acceptances since
-        ``before``, then the predictive probe and then the denominator term,
-        drawing from ``rng`` in that order."""
+        ``before`` and the ``rejections`` given, then the predictive probe
+        and then the denominator term, drawing from ``rng`` in that order."""
         opts = self.opts
         counters = state.diagnostics
-        rec = {
-            "iteration": it,
-            "m": m,
-            "log_density": log_density,
-            "amplitude": state.theta.amplitude,
-            "lengthscales": state.theta.lengthscales.copy(),
-            "accept": {k: counters[k] - before[k] for k in self.accept_keys},
-        }
+        row = [it, m, *(counters[k] - before[k] for k in self.accept_keys),
+               log_density, state.theta.amplitude, *state.theta.lengthscales]
         if self.gaussian_base:
-            rec["psi_mean"] = state.psi.mean.copy()
-            rec["psi_sigma"] = state.psi.sigma.copy()
+            row += [*state.psi.mean, *state.psi.sigma]
+        self.trace.append(row)
+        if rejections is not None:
+            self.rejections.append(_tagged(it, rejections))
         if opts.record_predictive or opts.numerator_query is not None:
             x_pred, draw = _predictive_probe(state.sampler, state.psi, opts,
                                              rng, counters)
-            rec["predictive"] = x_pred
+            if x_pred is not None:
+                self.predictive.append(_tagged(it, x_pred))
             if draw is not None:
                 self.numerator_draws.append(draw)
         if opts.denominator_point is not None:
@@ -194,32 +214,13 @@ class _Recorder:
             x_prime = base_sample(state.psi, rng)
             g_prime = state.sampler.draw(x_prime, rng)
             self.denom_terms.append(min(1.0, phi(g_prime) / phi(g_aug)))
-        self.rows.append(rec)
 
     def result(self, state, hmc_step: float | None) -> ChainResult:
-        records, dim = self.rows, self.dim
-        n = len(records)
-        predictive = None
-        if any("predictive" in r for r in records):
-            predictive = np.full((n, dim), np.nan)
-            for i, r in enumerate(records):
-                if r["predictive"] is not None:
-                    predictive[i] = r["predictive"]
         return ChainResult(
-            iterations=np.array([r["iteration"] for r in records], dtype=int),
-            m_counts=np.array([r["m"] for r in records], dtype=int),
-            accept={k: np.array([r["accept"][k] for r in records], dtype=int)
-                    for k in (sorted(self.accept_keys) if n else ())},
-            amplitude=np.array([r["amplitude"] for r in records]),
-            lengthscales=(np.vstack([r["lengthscales"] for r in records])
-                          if n else np.empty((0, dim))),
-            psi_mean=(np.vstack([r["psi_mean"] for r in records])
-                      if n and self.gaussian_base else None),
-            psi_sigma=(np.vstack([r["psi_sigma"] for r in records])
-                       if n and self.gaussian_base else None),
-            log_density=np.array([r["log_density"] for r in records]),
-            predictive=predictive,
-            rejections=self.rejections,
+            trace_columns=self.columns,
+            trace=np.array(self.trace, dtype=float).reshape(-1, len(self.columns)),
+            rejections=np.vstack(self.rejections),
+            predictive=np.vstack(self.predictive),
             numerator_draws=self.numerator_draws,
             denominator_terms=(np.asarray(self.denom_terms)
                                if self.denom_terms else None),
@@ -254,10 +255,9 @@ def run_history_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
             opts.hmc_step_size *= math.exp(0.05 * (acc - opts.hmc_target))
         if it < opts.burn_in or (it - opts.burn_in) % opts.thinning:
             continue
-        if opts.record_rejections:
-            recorder.rejections.append(chain.rejections)
         recorder.add(it, chain, chain.n_rejections, _history_log_density(chain),
-                     before, rng)
+                     before, rng,
+                     chain.rejections if opts.record_rejections else None)
 
     return recorder.result(chain, opts.hmc_step_size)
 
@@ -269,8 +269,7 @@ def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
     control points, or a prior draw when crankshaft_eps >= 1) per iteration,
     interleaved 1:1 with a hyperparameter move when enabled."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    dim = data.shape[1]
-    recorder = _Recorder(opts, dim, isinstance(psi0, GaussianBase),
+    recorder = _Recorder(opts, data.shape[1], isinstance(psi0, GaussianBase),
                          ("func_acc", "func_att", "hyper_acc", "hyper_att"))
     state = init_exchange_state(data, theta0, psi0, rng,
                                 n_extra_controls=opts.n_extra_controls)

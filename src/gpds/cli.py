@@ -113,50 +113,13 @@ def _write_samples(path: Path, samples: np.ndarray) -> None:
     write_csv(path, header, samples.reshape(-1, dim))
 
 
-def _write_trace(path: Path, result, dim: int) -> None:
-    cols = ["iteration", "m"]
-    accept_keys = sorted(result.accept)
-    cols += accept_keys
-    cols += ["log_density", "amplitude"]
-    cols += [f"ls{i + 1}" for i in range(dim)]
-    parts = [result.iterations, result.m_counts]
-    parts += [result.accept[k] for k in accept_keys]
-    parts += [result.log_density, result.amplitude]
-    parts += [result.lengthscales[:, i] for i in range(dim)]
-    if result.psi_mean is not None:
-        cols += [f"base_mean{i + 1}" for i in range(dim)]
-        cols += [f"base_sigma{i + 1}" for i in range(dim)]
-        parts += [result.psi_mean[:, i] for i in range(dim)]
-        parts += [result.psi_sigma[:, i] for i in range(dim)]
-    rows = np.column_stack(parts) if result.iterations.size else np.empty((0, len(cols)))
-    write_csv(path, cols, rows)
-
-
-def _write_rejections(path: Path, result, dim: int) -> None:
-    header = ["iteration"] + [f"x{i + 1}" for i in range(dim)]
-    rows = []
-    for it, rejections in zip(result.iterations, result.rejections):
-        for point in rejections:
-            rows.append([it, *point])
-    write_csv(path, header, np.asarray(rows) if rows else np.empty((0, dim + 1)))
-
-
-def _write_predictive(path: Path, result, dim: int) -> None:
-    header = ["iteration"] + [f"x{i + 1}" for i in range(dim)]
-    rows = []
-    if result.predictive is not None:
-        for it, point in zip(result.iterations, result.predictive):
-            if np.all(np.isfinite(point)):
-                rows.append([it, *point])
-    write_csv(path, header, np.asarray(rows) if rows else np.empty((0, dim + 1)))
-
-
 def _acceptance_summary(counters) -> dict:
-    out = {}
-    for move in ("number", "loc", "hmc", "hyper", "func"):
-        att = counters.get(f"{move}_att", 0)
-        if att:
-            out[move] = counters.get(f"{move}_acc", 0) / att
+    """Acceptance rate of every move that was attempted, plus the number of
+    proposal-budget failures."""
+    moves = [key.removesuffix("_att") for key, att in counters.items()
+             if key.endswith("_att") and att]
+    out = {move: counters.get(f"{move}_acc", 0) / counters[f"{move}_att"]
+           for move in moves}
     out["budget_failures"] = counters.get("budget_failures", 0)
     return out
 
@@ -279,17 +242,18 @@ def cmd_fit(cfg: RunConfig, data_path: Path, out: Path, chains: int = 1) -> None
             results = dict(pool.map(_run_one_chain, tasks))
     else:
         results = dict(map(_run_one_chain, tasks))
+    points = ["iteration"] + [f"x{i + 1}" for i in range(dim)]  # rejections, predictive
     summaries = {}
     for k in range(chains):
         result = results[k]
         chain_dir = out if chains == 1 else out / f"chain{k:02d}"
         chain_dir.mkdir(parents=True, exist_ok=True)
-        _write_trace(chain_dir / "trace.csv", result, dim)
-        _write_rejections(chain_dir / "rejections.csv", result, dim)
-        _write_predictive(chain_dir / "predictive_samples.csv", result, dim)
+        write_csv(chain_dir / "trace.csv", result.trace_columns, result.trace)
+        write_csv(chain_dir / "rejections.csv", points, result.rejections)
+        write_csv(chain_dir / "predictive_samples.csv", points, result.predictive)
         summaries[f"chain{k:02d}"] = {
             "acceptance": _acceptance_summary(result.counters),
-            "retained": int(result.iterations.size),
+            "retained": int(result.trace.shape[0]),
             "final_amplitude": result.final_theta.amplitude,
             "hmc_step_size": result.hmc_step_size,
             "wall_time_s": result.wall_time,

@@ -22,15 +22,16 @@ It also holds the whitened coordinates used by the gradient-based function
 moves.
 
 Jitter policy: a realisation's jitter is fixed when its factor is first
-built (``chol`` of the Gram matrix at the starting points, or
-``BASE_JITTER * amplitude^2`` for an empty sampler), and growing the
-factor, one point or one block at a time, never changes it.  A sampler is
-the realisation: callers keep and grow it (or a
-:meth:`ConditionalSampler.copy`) instead of refactorising its points.
-:meth:`ConditionalSampler.draw_batch`, which serves just the predictive
-probe's query points, is the one draw that factorises on its own, with its
-own jitter ladder, because its conditional covariance is a new matrix that
-is not recorded.
+built, and growing the factor, one point or one block at a time, never
+changes it; :meth:`ConditionalSampler.draw_batch`, which serves the
+predictive probe's query points, draws with it too.  A sampler grown from
+empty starts at ``BASE_JITTER * amplitude^2``.  One built from points
+starts at the level ``chol`` settles on for their Gram matrix, which is
+relative to its mean diagonal: under a pinned kernel the pin lowers that
+diagonal, so a pinned realisation rebuilt from its points takes a smaller
+jitter than the one it was grown with.  A sampler is the realisation:
+callers keep and grow it (or a :meth:`ConditionalSampler.copy`) instead
+of refactorising its points.
 
 Two free functions factorise from scratch, :func:`conditional` and
 :func:`log_prior_density`; nothing in the package calls them, they are the
@@ -322,9 +323,9 @@ class ConditionalSampler:
     The jitter is fixed here, when the factor is first built: the jitter
     ``chol`` settles on for the starting points, or ``BASE_JITTER *
     amplitude^2`` when there are none.  :meth:`append`, :meth:`draw_append`,
-    :meth:`draw_append_block` (whose k x k conditional covariance gets this
-    same jitter on its diagonal), :meth:`compact` (likewise) and
-    :meth:`delete` keep it, so one
+    :meth:`draw_append_block` and :meth:`draw_batch` (whose k x k
+    conditional covariance gets this same jitter on its diagonal),
+    :meth:`compact` (likewise) and :meth:`delete` keep it, so one
     realisation has one jitter however it grew.
 
     ``factor``, when given, must be ``chol(kernel_matrix(points, points,
@@ -543,20 +544,14 @@ class ConditionalSampler:
         return dtfsm(1.0, arf, kernel_matrix(X, self.points, self.hyper).T,
                      transr="N", side="L", uplo="U", trans="T", overwrite_b=1)
 
-    def _joint(self, X: np.ndarray, jitter: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        """Prior mean, conditional mean and conditional covariance (plus
-        ``jitter`` on its diagonal) of a non-degenerate sampler at the k rows
-        of X, and ``A = L^-1 k(points, X)`` (None without points);
-        O(R^2 k + R k^2)."""
-        m = prior_mean(X, self.hyper)
-        cov = kernel_matrix(X, X, self.hyper)
-        cov[np.diag_indices(X.shape[0])] += jitter
-        if not self._n:
-            return m, m, cov, None
-        A = self._cross_solve(X)
-        cov -= A.T @ A
-        return m, m + A.T @ self.whitened, cov, A
+    def _block_chol(self, S: np.ndarray) -> np.ndarray | None:
+        """Lower Cholesky factor of the Fortran-ordered k x k block S (one
+        LAPACK ``dpotrf``, in place), or None when it fails or one of its
+        pivots falls below the floor a one-row append would clamp to."""
+        M, info = dpotrf(S, lower=1, clean=1, overwrite_a=1)
+        if info or M.diagonal().min(initial=np.inf) ** 2 < self._pivot_floor():
+            return None
+        return M
 
     def draw_append_block(self, X, z) -> np.ndarray:
         """Draw jointly at the k rows of X and record them in that order;
@@ -578,18 +573,23 @@ class ConditionalSampler:
         k = X.shape[0]
         if z.shape[0] != k:
             raise ValueError("need one standard normal per point")
+        m = prior_mean(X, self.hyper)
         if self.degenerate:
-            m = prior_mean(X, self.hyper)
             for x, mi in zip(X, m):
                 self._push(x, mi, mi)
             return m
         n = self._n
-        m, mu, cov, A = self._joint(X, self.jitter)
-        try:
-            M = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            M = None
-        if M is None or np.any(np.diag(M) ** 2 < self._pivot_floor()):
+        # K(X, X) is symmetric: its transpose is a Fortran-ordered view of
+        # the same matrix, which LAPACK factorises in place
+        S = kernel_matrix(X, X, self.hyper).T
+        S[np.diag_indices(k)] += self.jitter
+        mu = m
+        if n:
+            A = self._cross_solve(X)
+            S -= A.T @ A
+            mu = m + A.T @ self.whitened
+        M = self._block_chol(S)
+        if M is None:
             return np.array([self._draw_push(x, zi) for x, zi in zip(X, z)])
         g = mu + M @ z
         self._grow(n + k)
@@ -655,8 +655,8 @@ class ConditionalSampler:
             S = kernel_matrix(X, X, self.hyper).T
             S[np.diag_indices(t)] += self.jitter
             S -= A @ A.T
-            M, info = dpotrf(S, lower=1, clean=1, overwrite_a=1)
-            if info or M.diagonal().min() ** 2 < self._pivot_floor():
+            M = self._block_chol(S)
+            if M is None:
                 # delete the dropped rows from the bottom up
                 for row in np.setdiff1d(np.arange(p, n), tail)[::-1]:
                     self.delete(int(row))
@@ -684,14 +684,18 @@ class ConditionalSampler:
         return m + kernel_matrix(X, self.points, self.hyper) @ alpha
 
     def draw_batch(self, X, rng: np.random.Generator) -> np.ndarray:
-        """Jointly sample function values at a batch of points (no record)."""
+        """Jointly sample function values at a batch of points without
+        recording them: :meth:`draw_append_block` with fresh standard
+        normals, then :meth:`truncate`, as :meth:`draw` is
+        :meth:`draw_append` without keeping the row.  A degenerate sampler
+        returns its mean and draws no normals."""
         X = _as_points(X)
         if self.degenerate:
             return prior_mean(X, self.hyper)
-        _, mean, cov, _ = self._joint(X, 0.0)
-        cov = 0.5 * (cov + cov.T)
-        factor = chol(cov)
-        return mean + factor.lower @ rng.standard_normal(X.shape[0])
+        n = self._n
+        g = self.draw_append_block(X, rng.standard_normal(X.shape[0]))
+        self.truncate(n)
+        return g
 
     def delete(self, row: int) -> None:
         """Remove the point at ``row``; O((R - row) R).

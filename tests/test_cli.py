@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from gpds import cli
+from gpds.chain import ChainOptions, run_exchange_chain, run_history_chain
 from gpds.cli import main
-from gpds.gp import IllConditionedCovariance
+from gpds.gp import GpHyper, IllConditionedCovariance
 from gpds.io_utils import read_csv, read_data_csv
+from gpds.model import GaussianBase, HyperPrior
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -84,6 +86,32 @@ class TestFit:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["config_hash"]
 
+    def test_zero_iterations_header_has_counter_columns(self, tmp_path):
+        # a run with no retained iteration writes the header of any other run
+        args, out = self.fit_args(tmp_path, "total_iters = 0\nburn_in = 0\n")
+        assert main(args) == 0
+        names, _ = read_csv(out / "trace.csv")
+        assert names == ["iteration", "m", "hmc_acc", "hmc_att", "hyper_acc",
+                         "hyper_att", "loc_acc", "loc_att", "number_acc",
+                         "number_att", "log_density", "amplitude", "ls1"]
+
+    @pytest.mark.parametrize("sampler, infer, moves", [
+        ("latent-history", "true", {"number", "loc", "hmc", "hyper"}),
+        ("latent-history", "false", {"number", "loc", "hmc"}),
+        ("exchange", "true", {"func", "hyper"}),
+        ("exchange", "false", {"func"}),
+    ])
+    def test_acceptance_lists_the_attempted_moves(self, tmp_path, sampler,
+                                                  infer, moves):
+        args, out = self.fit_args(
+            tmp_path, f"sampler = {sampler}\ninfer_hypers = {infer}\n"
+                      "total_iters = 8\nburn_in = 2\nthinning = 1\n")
+        assert main(args) == 0
+        acceptance = json.loads((out / "meta.json").read_text())["summary"][
+            "chain00"]["acceptance"]
+        assert set(acceptance) == moves | {"budget_failures"}
+        assert all(0.0 <= acceptance[move] <= 1.0 for move in moves)
+
     def test_exchange_sampler_fit(self, tmp_path):
         args, out = self.fit_args(
             tmp_path,
@@ -139,6 +167,49 @@ class TestFit:
                      "--seed", "2"]) == 0
         names, _ = read_csv(out / "trace.csv")
         assert "base_mean1" in names and "base_sigma2" in names
+
+
+class TestChainTables:
+    """A chain run returns the tables ``fit`` writes: the trace with its
+    column names, and the rejections and predictive samples as
+    ``[iteration, x1..xD]`` rows."""
+
+    @pytest.mark.parametrize("run, moves", [
+        (run_history_chain, ["hmc", "hyper", "loc", "number"]),
+        (run_exchange_chain, ["func", "hyper"]),
+    ])
+    def test_layout(self, run, moves):
+        rng = np.random.default_rng(4)
+        data = rng.normal(0.5, 0.2, (10, 2))
+        psi = GaussianBase(data.mean(axis=0), data.std(axis=0))
+        theta = GpHyper(amplitude=1.0, lengthscales=[1.0, 1.0])
+        opts = ChainOptions(total=11, burn_in=4, thinning=2,
+                            record_predictive=True, record_rejections=True)
+        result = run(data, theta, psi, opts,
+                     HyperPrior.for_data(data, gaussian_base=True), rng)
+        assert result.trace_columns == [
+            "iteration", "m", *(f"{m}_{s}" for m in moves for s in ("acc", "att")),
+            "log_density", "amplitude", "ls1", "ls2", "base_mean1", "base_mean2",
+            "base_sigma1", "base_sigma2"]
+        retained = [4, 6, 8, 10]
+        assert result.trace.shape == (len(retained), len(result.trace_columns))
+        assert result.trace[:, 0].tolist() == retained
+        col = dict(zip(result.trace_columns, result.trace.T))
+        # the last retained iteration is the last one run
+        assert col["base_sigma2"][-1] == result.final_psi.sigma[1]
+        assert col["amplitude"][-1] == result.final_theta.amplitude
+        for table in (result.rejections, result.predictive):
+            assert table.ndim == 2 and table.shape[1] == 3
+            assert set(table[:, 0]) <= set(retained)
+        # at most one predictive sample per retained iteration
+        its = result.predictive[:, 0].tolist()
+        assert its and len(its) == len(set(its))
+        if run is run_history_chain:
+            # every retained iteration's latent rejections, m of them
+            counts = [int(np.sum(result.rejections[:, 0] == it)) for it in retained]
+            assert counts == col["m"].astype(int).tolist()
+        else:
+            assert result.rejections.shape == (0, 3)
 
 
 class TestSamplePrior:

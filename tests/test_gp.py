@@ -38,12 +38,14 @@ def dense_lower(cs: ConditionalSampler) -> np.ndarray:
 
 def oracle_draw(cs: ConditionalSampler, query, state) -> np.ndarray:
     """What ``cs.draw_batch(query, rng)`` draws when rng is in ``state``:
-    the from-scratch conditional mean plus the jittered Cholesky factor of
-    the conditional covariance times the same standard normals."""
+    the from-scratch conditional mean plus the Cholesky factor of the
+    conditional covariance, with the sampler's own jitter on its diagonal,
+    times the same standard normals."""
     mean, cov = conditional(query, cs.points, cs.values, cs.hyper)
+    cov[np.diag_indices(len(mean))] += cs.jitter
     rng = np.random.default_rng()
     rng.bit_generator.state = state
-    return mean + chol(0.5 * (cov + cov.T)).lower @ rng.standard_normal(len(mean))
+    return mean + chol(cov, 0.0).lower @ rng.standard_normal(len(mean))
 
 
 def check_draw_batch(cs: ConditionalSampler, query, rng, tol: float) -> None:

@@ -148,17 +148,17 @@ def test_predict_density(tmp_path):
     names, grid = read_csv(out / "density_grid.csv")
     assert names == ["x1", "estimate", "stderr_numerator", "stderr_denominator"]
     assert grid.tolist() == [
-        [0.0, pytest.approx(1.0094796781666933, rel=1e-8),
-         pytest.approx(0.010360350680078394, rel=1e-8),
+        [0.0, pytest.approx(1.0094800282848415, rel=1e-8),
+         pytest.approx(0.010360434411730336, rel=1e-8),
          pytest.approx(0.015508929423171306, rel=1e-8)],
-        [0.5, pytest.approx(1.0099774306818285, rel=1e-8),
-         pytest.approx(0.003433700435348395, rel=1e-8),
+        [0.5, pytest.approx(1.0099801082891022, rel=1e-8),
+         pytest.approx(0.003433774711656388, rel=1e-8),
          pytest.approx(0.0064035034353066, rel=1e-8)],
-        [1.0, pytest.approx(0.9938587822021018, rel=1e-8),
-         pytest.approx(0.006692669083910768, rel=1e-8),
+        [1.0, pytest.approx(0.9938577995355574, rel=1e-8),
+         pytest.approx(0.0066937104619178385, rel=1e-8),
          pytest.approx(0.012536027202334507, rel=1e-8)]]
     meta = json.loads((out / "meta.json").read_text())
-    assert meta["integral"] == pytest.approx(1.005823330433113, rel=1e-8)
+    assert meta["integral"] == pytest.approx(1.0058245110996509, rel=1e-8)
 
 
 EXCHANGE_EXPECTED = {
