@@ -211,8 +211,8 @@ class _Recorder:
                 self.numerator_draws.append(draw)
         if opts.denominator_point is not None:
             g_aug = float(state.g_data[opts.denominator_point])
-            x_prime = base_sample(state.psi, rng)
-            g_prime = state.sampler.draw(x_prime, rng)
+            x_prime = base_sample(state.psi, rng.random(state.psi.dim))
+            g_prime = state.sampler.draw(x_prime, rng.standard_normal())
             self.denom_terms.append(min(1.0, phi(g_prime) / phi(g_aug)))
 
     def result(self, state, hmc_step: float | None) -> ChainResult:

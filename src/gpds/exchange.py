@@ -91,7 +91,7 @@ def init_exchange_state(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
     data = np.atleast_2d(np.asarray(data, dtype=float))
     controls = data
     if n_extra_controls > 0:
-        extra = base_sample(psi, rng, size=n_extra_controls)
+        extra = base_sample(psi, rng.random((n_extra_controls, psi.dim)))
         controls = np.vstack([data, extra])
     sampler = ConditionalSampler(theta)
     values = sampler.draw_append_block(controls, rng.standard_normal(len(controls)))
@@ -233,9 +233,13 @@ def exchange_step_hyper(state: ExchangeState, walk_scale: float,
     lp_hat = hyperprior_logpdf(theta_hat, psi_hat, priors)
     if not np.isfinite(lp_hat):
         return state, False
-    base_data_hat = base_logpdf(state.data, psi_hat)
-    if not np.all(np.isfinite(base_data_hat)):
-        return state, False
+    # an unproposed psi (a box) has base ratios of exactly 0: the data and
+    # the fantasies lie in its support
+    moves_psi = psi_hat is not state.psi
+    if moves_psi:
+        base_data_hat = base_logpdf(state.data, psi_hat)
+        if not np.all(np.isfinite(base_data_hat)):
+            return state, False
     lp_cur = hyperprior_logpdf(state.theta, state.psi, priors)
     try:
         hat_values, trace = _propose(state, theta_hat, psi_hat, 1.0,
@@ -243,9 +247,11 @@ def exchange_step_hyper(state: ExchangeState, walk_scale: float,
     except ProposalBudgetError:
         state.diagnostics["budget_failures"] += 1
         return state, False
-    fantasies = trace.accepted
+    base_terms = ()
+    if moves_psi:
+        fantasies = trace.accepted
+        base_terms = (float(np.sum(base_data_hat - base_logpdf(state.data, state.psi))),
+                      float(np.sum(base_logpdf(fantasies, state.psi)
+                                   - base_logpdf(fantasies, psi_hat))))
     return _swap(state, psi_hat, hat_values, trace, rng, "hyper",
-                 lp_hat - lp_cur,
-                 (float(np.sum(base_data_hat - base_logpdf(state.data, state.psi))),
-                  float(np.sum(base_logpdf(fantasies, state.psi)
-                               - base_logpdf(fantasies, psi_hat)))))
+                 lp_hat - lp_cur, base_terms)

@@ -8,11 +8,16 @@ squashed function value.  Every proposal is appended to the realisation's
 what makes the accepted points exact draws from a single consistent
 function.
 
-The function is sampled at a block of proposals at a time, jointly, which
-is the same draw as sampling it at each proposal in turn.  The random
-stream is unchanged by the blocking: a run makes the same proposals and
-the same accept decisions as one that samples one proposal at a time, and
-its function values equal that run's up to rounding.
+Each proposal is one row of D + 2 uniforms from ``Generator.random``: its
+location from the first D (:func:`~gpds.model.base_sample`), the standard
+normal of its function value from the next
+(:func:`~gpds.model.normal_from_uniform`) and its accept uniform from the
+last.  A block of k proposals is one ``rng.random((k, D + 2))`` call, and
+the function is sampled at the block jointly, which is the same draw as
+sampling it at each proposal in turn.  The random stream is therefore
+unchanged by the blocking: a run makes the same proposals and the same
+accept decisions as one that draws one row at a time, and its function
+values equal that run's up to rounding.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gp import ConditionalSampler, GpHyper
-from .model import BaseHyper, base_sample, phi
+from .model import BaseHyper, base_sample, normal_from_uniform, phi
 
 DEFAULT_MAX_PROPOSALS = 1_000_000
 MAX_BLOCK = 64
@@ -95,8 +100,9 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
     :meth:`~ConditionalSampler.copy` to leave a realisation untouched.
     Returns once ``n_more`` proposals have been accepted; raises
     :class:`ProposalBudgetError` if ``max_proposals`` is hit first.  Each
-    proposal draws its location, its standard normal and its uniform, in
-    that order.
+    proposal is one row of ``rng.random((k, D + 2))``: its location from
+    columns 0..D-1, its standard normal from column D and its uniform from
+    column D + 1 (see the module docstring).
 
     Proposals are drawn in blocks of up to :func:`_max_block` of the
     sampler's row count at the block's start (:data:`MAX_BLOCK` below 520
@@ -104,79 +110,79 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
     still needed at the run's acceptance rate so far, and the
     function is sampled at a block's proposals jointly, by
     :meth:`~ConditionalSampler.draw_append_block`; a block too small to
-    pay for its solve (:func:`_min_block`) is proposed one point at a
-    time.  When the last acceptance needed falls inside a block, the
-    proposals after it are truncated from the sampler (which marginalises
-    values nobody looked at) and the generator is rewound and replayed up
-    to it.  The run therefore consumes the random stream exactly as a run
-    that proposes one point at a time: the proposal count, the accept
-    decisions, the accepted points and the generator's end state are the
-    same, and the function values equal up to rounding (a decision could
-    differ only for a uniform within rounding distance of ``phi(g)``).
+    pay for its solve (:func:`_min_block`) is one proposal, drawn as
+    ``rng.random((1, D + 2))`` with :meth:`~ConditionalSampler.draw_append`.
+    When the last acceptance needed falls inside a block, the proposals
+    after it are truncated from the sampler (which marginalises values
+    nobody looked at), and the generator is restored to its state before
+    the block and draws ``rng.random((used, D + 2))`` again for the rows
+    used, which works for every bit generator.  The run therefore
+    consumes the random stream exactly as a run that draws one row at a
+    time: the proposal count, the accept decisions, the accepted points
+    and the generator's end state are the same, and the function values
+    equal up to rounding (a decision could differ only for a uniform
+    within rounding distance of ``phi(g)``).
     """
     if n_more < 0:
         raise ValueError("n_more must be >= 0")
     if max_proposals < n_more:
         raise ValueError("max_proposals must be at least the number of samples")
     dim = sampler.hyper.dim
+    width = dim + 2
+    # one entry per block: its accept flags, and its accepted points and
+    # values when it has any
     accepted: list[np.ndarray] = []
-    accepted_values: list[float] = []
-    flags: list[bool] = []
+    accepted_values: list[np.ndarray] = []
+    flags: list[np.ndarray] = []
+    n_accepted = n_proposed = 0
 
     def _trace() -> GenerativeTrace:
         return GenerativeTrace(
-            accepted=np.array(accepted).reshape(len(accepted), dim),
-            accepted_values=np.asarray(accepted_values, dtype=float),
+            accepted=np.concatenate([np.empty((0, dim)), *accepted]),
+            accepted_values=np.concatenate([np.empty(0), *accepted_values]),
             sampler=sampler,
-            accept_flags=np.asarray(flags, dtype=bool),
-            proposal_count=len(flags),
+            accept_flags=np.concatenate([np.empty(0, dtype=bool), *flags]),
+            proposal_count=n_proposed,
         )
 
-    def _record(x: np.ndarray, g: float, ok: bool) -> None:
-        flags.append(ok)
-        if ok:
-            accepted.append(x)
-            accepted_values.append(g)
-
-    while len(accepted) < n_more:
-        if len(flags) >= max_proposals:
+    while n_accepted < n_more:
+        if n_proposed >= max_proposals:
             raise ProposalBudgetError(
                 f"{max_proposals} proposals produced only "
-                f"{len(accepted)}/{n_more} acceptances", _trace()
+                f"{n_accepted}/{n_more} acceptances", _trace()
             )
-        remaining = n_more - len(accepted)
+        remaining = n_more - n_accepted
         # enough proposals for the acceptances still needed at the run's
         # acceptance rate so far, smoothed as (accepted + 1) / (proposals + 2)
-        rate = (len(accepted) + 1) / (len(flags) + 2)
-        k = min(math.ceil(remaining / rate), _max_block(len(sampler)),
-                max_proposals - len(flags))
-        if k < _min_block(len(sampler)):
-            x = base_sample(psi, rng)
-            g = sampler.draw_append(x, rng)
-            _record(x, g, rng.uniform() < phi(g))
-            continue
-        start = rng.bit_generator.state
-        xs = np.empty((k, dim))
-        z = np.empty(k)
-        u = np.empty(k)
-        for i in range(k):
-            xs[i] = base_sample(psi, rng)
-            z[i] = rng.standard_normal()
-            u[i] = rng.uniform()
-        g = sampler.draw_append_block(xs, z)
-        ok = u < phi(g)
-        hits = np.flatnonzero(ok)
-        used = k
-        if len(hits) >= remaining and hits[remaining - 1] < k - 1:
-            used = int(hits[remaining - 1]) + 1
-            sampler.truncate(len(sampler) - (k - used))
+        rate = (n_accepted + 1) / (n_proposed + 2)
+        r = len(sampler)
+        k = min(math.ceil(remaining / rate), _max_block(r), max_proposals - n_proposed)
+        if k < _min_block(r):
+            k = 1
+        start = rng.bit_generator.state if k > 1 else None
+        u = rng.random((k, width))
+        xs = base_sample(psi, u[:, :dim])
+        z = normal_from_uniform(u[:, dim])
+        if k == 1:
+            g = np.array([sampler.draw_append(xs[0], z[0])])
+        else:
+            g = sampler.draw_append_block(xs, z)
+        ok = u[:, dim + 1] < phi(g)
+        hits = int(np.count_nonzero(ok))
+        if hits > remaining or (hits == remaining and not ok[-1]):
+            # the last acceptance needed falls before the block's end
+            used = int(np.flatnonzero(ok)[remaining - 1]) + 1
+            sampler.truncate(r + used)
             rng.bit_generator.state = start
-            for _ in range(used):
-                base_sample(psi, rng)
-                rng.standard_normal()
-                rng.uniform()
-        for i in range(used):
-            _record(xs[i], float(g[i]), bool(ok[i]))
+            rng.random((used, width))
+            xs, g, ok = xs[:used], g[:used], ok[:used]
+            hits = remaining
+        if hits:
+            accepted.append(xs[ok])
+            accepted_values.append(g[ok])
+        flags.append(ok)
+        n_accepted += hits
+        n_proposed += len(ok)
     return _trace()
 
 

@@ -489,15 +489,17 @@ class ConditionalSampler:
             self._w[n] = w
         self._n = n + 1
 
-    def draw(self, x, rng: np.random.Generator) -> float:
-        """Sample a single function value without recording it; O(R^2).
+    def draw(self, x, z: float) -> float:
+        """Sample a single function value without recording it: the one
+        whose whitened coordinate is the standard normal z (a degenerate
+        sampler gives its mean and ignores z); O(R^2).
 
         The conditioned row is written just past the last row, where
         :meth:`draw_append` keeps it, so a draw and a draw-and-record give
-        the same value from the same standard normal.
+        the same value from the same z.
         """
         n = self._n
-        g = self._draw_push(np.asarray(x, dtype=float).reshape(-1), rng.standard_normal())
+        g = self._draw_push(np.asarray(x, dtype=float).reshape(-1), z)
         self._n = n
         return g
 
@@ -511,10 +513,10 @@ class ConditionalSampler:
         d = self._pivot(var)
         self._push(x, m, value, a, d, (value - mu) / d)
 
-    def draw_append(self, x, rng: np.random.Generator) -> float:
-        """Draw at x and record the result: :meth:`draw`, then keep the row
-        it wrote; O(R^2)."""
-        g = self.draw(x, rng)
+    def draw_append(self, x, z: float) -> float:
+        """Draw at x from the standard normal z and record the result:
+        :meth:`draw`, then keep the row it wrote; O(R^2)."""
+        g = self.draw(x, z)
         self._n += 1
         return g
 

@@ -189,8 +189,8 @@ class HistoryChain:
                     corrupt_insert: bool = False) -> bool:
         m, n = self.n_rejections, self.n_data
         if rng.uniform() < _insert_prob(m, zeta_insert):
-            x_plus = base_sample(self.psi, rng)
-            g_plus = self.sampler.draw_append(x_plus, rng)
+            x_plus = base_sample(self.psi, rng.random(self.psi.dim))
+            g_plus = self.sampler.draw_append(x_plus, rng.standard_normal())
             log_a = insert_log_accept(m, n, zeta_insert, g_plus)
             if corrupt_insert:
                 # testing hook: flip the sign of the squashed-value term
@@ -277,17 +277,21 @@ class HistoryChain:
             return False
         lp_cur = hyperprior_logpdf(self.theta, self.psi, priors)
         pts = self.sampler.points
-        base_new = base_logpdf(pts, psi_hat)
-        if not np.all(np.isfinite(base_new)):
-            return False
-        base_old = base_logpdf(pts, self.psi)
+        # an unproposed psi (a box) has a base ratio of exactly 0: every
+        # point lies in its support
+        base_ratio = 0.0
+        if psi_hat is not self.psi:
+            base_new = base_logpdf(pts, psi_hat)
+            if not np.all(np.isfinite(base_new)):
+                return False
+            base_ratio = float(np.sum(base_new - base_logpdf(pts, self.psi)))
         # the current values under the proposed kernel, as the realisation
         # the chain adopts on accept
         factor_hat = chol(kernel_matrix(pts, pts, theta_hat))
         proposal = ConditionalSampler(theta_hat, pts, self.sampler.values,
                                       factor=factor_hat)
         log_a = (lp_hat - lp_cur + proposal.log_density() - self.sampler.log_density()
-                 + float(np.sum(base_new - base_old)))
+                 + base_ratio)
         if math.log(rng.uniform()) < log_a:
             self.psi = psi_hat
             self.sampler = proposal

@@ -15,11 +15,12 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.special import expit, log_expit
+from scipy.special import erfinv, expit, log_expit
 
 from .gp import GpHyper
 
 LOG_2PI = math.log(2.0 * math.pi)
+SQRT2 = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +111,34 @@ class GaussianBase:
 BaseHyper = Union[UniformBox, GaussianBase]
 
 
-def base_sample(hyper: BaseHyper, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw from the base density: a (D,) point, or (size, D) when given."""
-    n = 1 if size is None else size
+def normal_from_uniform(u):
+    """Standard normal quantiles of uniforms from ``Generator.random``,
+    elementwise.
+
+    Those uniforms are ``k 2^-53`` for k in ``[0, 2^53)``; each is read as
+    the midpoint of its cell, ``(k + 1/2) 2^-53``, which is never 0 or 1,
+    so every result is finite (``|z| < 8.3``) and the law of z is exactly
+    symmetric about 0.  It is computed as ``sqrt(2) erfinv(2u - 1 + 2^-53)``,
+    exact up to the ``erfinv`` because that argument is representable for
+    every cell; ``ndtri(u + 2^-54)`` would round the top cells' midpoints,
+    the last one to 1 (z = inf).
+    """
+    return SQRT2 * erfinv(2.0 * u - (1.0 - 2.0 ** -53))
+
+
+def base_sample(hyper: BaseHyper, u) -> np.ndarray:
+    """Draws from the base density, one per row of ``u``: uniforms from
+    ``Generator.random`` of shape (..., D), mapped elementwise to
+    ``lower + (upper - lower) u`` for a box (what ``rng.uniform(lower,
+    upper)`` computes from them) and to ``mean + sigma``
+    :func:`normal_from_uniform` ``(u)`` for a Gaussian.  The caller draws
+    the uniforms, so a block of proposals takes them in one generator call.
+    """
     if isinstance(hyper, UniformBox):
-        # what rng.uniform(lower, upper, (n, D)) computes, draw for draw,
-        # without its per-call checks of the bounds
-        out = hyper.lower + (hyper.upper - hyper.lower) * rng.random((n, hyper.dim))
-    elif isinstance(hyper, GaussianBase):
-        out = hyper.mean + hyper.sigma * rng.standard_normal((n, hyper.dim))
-    else:
-        raise TypeError(f"unknown base density {type(hyper)!r}")
-    return out[0] if size is None else out
+        return hyper.lower + (hyper.upper - hyper.lower) * u
+    if isinstance(hyper, GaussianBase):
+        return hyper.mean + hyper.sigma * normal_from_uniform(u)
+    raise TypeError(f"unknown base density {type(hyper)!r}")
 
 
 def base_logpdf(x, hyper: BaseHyper):

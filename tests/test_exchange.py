@@ -190,12 +190,32 @@ class TestCrankshaft:
 
 
 class TestExchangeStepHyper:
-    def test_identity_proposal_always_accepts(self):
+    def test_identity_proposal_is_a_prior_function_move(self, monkeypatch):
+        # at walk scale 0 the proposed (theta, psi) is the current one, so
+        # the swap gets neither a hyperprior nor a base-density term: it is
+        # the prior move's swap of a fresh function and fantasies, accepted
+        # or not on their squashed values alone.  A box psi is never
+        # proposed, so its base densities are not evaluated at all.
         rng = np.random.default_rng(9)
         state = make_state(rng, n=3)
-        amplitude = state.theta.amplitude
-        state2, accepted = exchange_step_hyper(state, 0.0, HyperPrior(), 100_000, rng=rng)
-        assert accepted
+        amplitude, psi = state.theta.amplitude, state.psi
+        swaps = []
+        original = gpds.exchange._swap
+
+        def spy(*args):
+            swaps.append(args)
+            return original(*args)
+
+        def no_base_logpdf(*args):
+            raise AssertionError("base_logpdf evaluated for an unproposed psi")
+
+        monkeypatch.setattr(gpds.exchange, "_swap", spy)
+        monkeypatch.setattr(gpds.exchange, "base_logpdf", no_base_logpdf)
+        state2, _ = exchange_step_hyper(state, 0.0, HyperPrior(), 100_000, rng=rng)
+        ((_, psi_hat, _, trace, _, move, log_prior_ratio, base_terms),) = swaps
+        assert move == "hyper" and psi_hat is psi
+        assert log_prior_ratio == 0.0 and base_terms == ()
+        assert trace.sampler.hyper.amplitude == amplitude
         assert state2.theta.amplitude == amplitude
 
     def test_support_violation_rejected(self, monkeypatch):

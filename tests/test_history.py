@@ -295,8 +295,8 @@ class TestOneConditioningPerProposal:
     def make_chain(self, base, rng, n_data=40, n_rej=24):
         """A chain whose sampler is full: the next append grows its buffers."""
         theta, psi = self.BASES[base]
-        data = base_sample(psi, rng, size=n_data)
-        rej = base_sample(psi, rng, size=n_rej)
+        data = base_sample(psi, rng.random((n_data, psi.dim)))
+        rej = base_sample(psi, rng.random((n_rej, psi.dim)))
         sampler = ConditionalSampler(theta)
         g = sampler.draw_append_block(np.vstack([data, rej]),
                                       rng.standard_normal(n_data + n_rej))
@@ -511,6 +511,18 @@ class TestHyperMove:
         for _ in range(5):
             assert chain.step_hyper(0.0, priors, rng)
             assert chain.theta.amplitude == amplitude
+
+    def test_box_base_densities_are_not_evaluated(self, monkeypatch):
+        # a box psi is never proposed, and every point lies in its support,
+        # so its base-density ratio is exactly 0 and is skipped
+        def no_base_logpdf(*args):
+            raise AssertionError("base_logpdf evaluated for an unproposed psi")
+
+        rng = np.random.default_rng(13)
+        chain = make_history(rng)
+        monkeypatch.setattr("gpds.history.base_logpdf", no_base_logpdf)
+        accepted = [chain.step_hyper(0.1, HyperPrior(), rng) for _ in range(20)]
+        assert any(accepted) and chain.psi is BOX
 
     def test_out_of_support_proposal_rejected(self, monkeypatch):
         rng = np.random.default_rng(14)

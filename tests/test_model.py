@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import kstest
 
 from gpds.gp import GpHyper
 from gpds.model import (
@@ -16,6 +18,7 @@ from gpds.model import (
     log_one_minus_phi_grad,
     log_phi,
     log_phi_grad,
+    normal_from_uniform,
     phi,
     propose_hypers,
     psi_logprior,
@@ -86,14 +89,14 @@ class TestBaseDensities:
     def test_gaussian_sample_mean(self):
         g = GaussianBase([2.0, -1.0], [0.5, 2.0])
         rng = np.random.default_rng(0)
-        draws = base_sample(g, rng, size=100_000)
+        draws = base_sample(g, rng.random((100_000, 2)))
         se = g.sigma / math.sqrt(100_000)
         assert np.all(np.abs(draws.mean(axis=0) - g.mean) < 3 * se)
 
     def test_box_sample_in_support(self):
         box = UniformBox([-1.0, 2.0], [1.0, 3.0])
         rng = np.random.default_rng(1)
-        draws = base_sample(box, rng, size=1000)
+        draws = base_sample(box, rng.random((1000, 2)))
         assert np.all(draws >= box.lower) and np.all(draws <= box.upper)
 
     @pytest.mark.parametrize("hyper", [
@@ -119,14 +122,13 @@ class TestBaseDensities:
         assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_box_sample_is_generator_uniform(self):
-        # the same draws and the same generator state as rng.uniform, on a
-        # box that is neither unit-sized nor at the origin
+        # from rng.random, the same draws and the same generator state as
+        # rng.uniform, on a box that is neither unit-sized nor at the origin
         box = UniformBox([-1.5, 0.25], [2.0, 0.75])
-        for size in (None, 1, 1000):
+        for shape in ((2,), (1, 2), (1000, 2)):
             ours, ref = np.random.default_rng(4), np.random.default_rng(4)
-            got = base_sample(box, ours, size=size)
-            want = ref.uniform(box.lower, box.upper, size=(1 if size is None else size, 2))
-            assert np.array_equal(got, want[0] if size is None else want)
+            got = base_sample(box, ours.random(shape))
+            assert np.array_equal(got, ref.uniform(box.lower, box.upper, size=shape))
             assert ours.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("x", [
@@ -152,6 +154,38 @@ class TestBaseDensities:
             UniformBox([1.0], [1.0])
         with pytest.raises(ValueError):
             GaussianBase([0.0], [0.0])
+
+
+class TestNormalFromUniform:
+    """Uniforms from Generator.random are k 2^-53, k in [0, 2^53)."""
+
+    CELL = 2.0 ** -53
+
+    def test_extreme_cells_are_finite_and_mirror(self):
+        last = 2 ** 53 - 1
+        k = np.array([0, 1, 2 ** 52 - 1, 2 ** 52, last - 1, last], dtype=np.int64)
+        z = normal_from_uniform(k * self.CELL)
+        assert np.all(np.isfinite(z)) and np.all(np.abs(z) < 8.3)
+        assert np.array_equal(z, -normal_from_uniform((last - k) * self.CELL))
+        assert z[0] < z[1] < z[2] < 0 < z[3] < z[4] < z[5]
+
+    def test_exactly_symmetric_and_the_midpoint_quantile(self):
+        k = np.random.default_rng(0).integers(0, 2 ** 53, 100_000, dtype=np.int64)
+        u = k * self.CELL
+        z = normal_from_uniform(u)
+        assert np.array_equal(z, -normal_from_uniform((2 ** 53 - 1 - k) * self.CELL))
+        # ndtri of the midpoint, where u + 2^-54 is exact (below 1/2)
+        low = u < 0.5
+        assert np.abs(z[low] - ndtri(u[low] + 2.0 ** -54)).max() < 1e-9
+
+    def test_standard_normal_law(self):
+        z = normal_from_uniform(np.random.default_rng(1).random(20_000))
+        assert kstest(z, "norm").pvalue > 0.01
+
+    def test_gaussian_base_sample_is_its_quantile(self):
+        g = GaussianBase([2.0, -1.0], [0.5, 2.0])
+        u = np.random.default_rng(2).random((5, 2))
+        assert np.array_equal(base_sample(g, u), g.mean + g.sigma * normal_from_uniform(u))
 
 
 class TestUnnormalizedDensity:
