@@ -67,8 +67,9 @@ class ChainOptions:
             raise ValueError("invalid iteration counts")
         if self.total and self.burn_in >= self.total:
             raise ValueError("burn_in must be smaller than total")
-        if not 0.0 < self.zeta_insert <= 1.0:
-            raise ValueError(f"zeta_insert must be in (0, 1], got {self.zeta_insert}")
+        if not 0.0 < self.zeta_insert < 1.0:
+            # at 1 no deletion is ever proposed, so no insertion is accepted
+            raise ValueError(f"zeta_insert must be in (0, 1), got {self.zeta_insert}")
 
 
 @dataclass

@@ -92,8 +92,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.crankshaft_eps <= 1.0:
             raise ValueError(f"crankshaft_eps must be in (0, 1], got {self.crankshaft_eps}")
-        if not 0.0 < self.zeta_insert <= 1.0:
-            raise ValueError(f"zeta_insert must be in (0, 1], got {self.zeta_insert}")
+        if not 0.0 < self.zeta_insert < 1.0:
+            # at 1 no deletion is ever proposed, so no insertion is accepted
+            raise ValueError(f"zeta_insert must be in (0, 1), got {self.zeta_insert}")
         if not 0.0 < self.hmc_target < 1.0:
             raise ValueError(f"hmc_target must be in (0, 1), got {self.hmc_target}")
         for name in ("hmc_steps", "max_proposals", "pred_retained", "pred_thinning",

@@ -38,8 +38,8 @@ def _min_block(r: int) -> int:
     ones are drawn one proposal at a time.
 
     One :meth:`~ConditionalSampler.draw_append_block` of k points against k
-    :meth:`~ConditionalSampler.draw_append` calls (1 BLAS thread, 2-vCPU
-    Xeon) breaks even at k = 3-4 up to 300 rows, where call overhead rules
+    blocks of one point, each a single packed solve (1 BLAS thread, 2-vCPU
+    Xeon), breaks even at k = 3-4 up to 300 rows, where call overhead rules
     both, and at k = 7-9 from 400 rows to 2000, where the block's copy of
     the factor to RFP form costs about seven one-point solves.  Blocks
     range from this size up to :func:`_max_block`, which grows with r.
@@ -109,9 +109,10 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
     rows, an eighth of the rows from there), sized to the acceptances
     still needed at the run's acceptance rate so far, and the
     function is sampled at a block's proposals jointly, by
-    :meth:`~ConditionalSampler.draw_append_block`; a block too small to
-    pay for its solve (:func:`_min_block`) is one proposal, drawn as
-    ``rng.random((1, D + 2))`` with :meth:`~ConditionalSampler.draw_append`.
+    :meth:`~ConditionalSampler.draw_append_block`, one call per block; a
+    block too small to pay for its solve (:func:`_min_block`) is one
+    proposal, drawn as ``rng.random((1, D + 2))``, for which that call is
+    the one-point solve of :meth:`~ConditionalSampler.draw_append`.
     When the last acceptance needed falls inside a block, the proposals
     after it are truncated from the sampler (which marginalises values
     nobody looked at), and the generator is restored to its state before
@@ -163,10 +164,7 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
         u = rng.random((k, width))
         xs = base_sample(psi, u[:, :dim])
         z = normal_from_uniform(u[:, dim])
-        if k == 1:
-            g = np.array([sampler.draw_append(xs[0], z[0])])
-        else:
-            g = sampler.draw_append_block(xs, z)
+        g = sampler.draw_append_block(xs, z)
         ok = u[:, dim + 1] < phi(g)
         hits = int(np.count_nonzero(ok))
         if hits > remaining or (hits == remaining and not ok[-1]):

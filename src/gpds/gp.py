@@ -7,17 +7,21 @@ and the one engine every sampler, move and estimator goes through:
 points row-packed (BLAS packed storage) and updates it in place: O(R^2)
 retrospective draws and appends, O((R - k) R) deletion of row k (one QR
 call of the trailing block), so that rejection-sampling loops and MCMC
-moves do not refactorise the Gram matrix from scratch at every step.  A
-proposed point is conditioned once: :meth:`ConditionalSampler.draw_append`
-records it, and a rejected proposal is dropped again with the O(1)
+moves do not refactorise the Gram matrix from scratch at every step.
+Every way of adding points (one or a block, drawn or known, and the build
+from a point set) is one routine: condition the new points on the known
+ones, factorise the Schur complement of their covariance, write their
+rows.  One point is one packed solve; joint draws at a block of k points
+(:meth:`ConditionalSampler.draw_append_block`,
+:meth:`ConditionalSampler.draw_batch`) solve against all k columns at once
+with one BLAS-3 call on the packed factor.  A proposed point is
+conditioned once: :meth:`ConditionalSampler.draw_append` records it, and a
+rejected proposal is dropped again with the O(1)
 :meth:`ConditionalSampler.truncate`.  Dropping many rows at once, anywhere
 past a prefix, is one :meth:`ConditionalSampler.compact`: the kept rows past
 the prefix are refactorised together with one Cholesky of their Schur
-complement, O(R k^2) for k kept rows.  Joint draws at a block of k points
-(:meth:`ConditionalSampler.draw_append_block`,
-:meth:`ConditionalSampler.draw_batch`) solve against all k columns at once
-with one BLAS-3 call on the packed factor; the conditional mean at any
-number of points (:meth:`ConditionalSampler.mean`) takes one packed solve.
+complement, O(R k^2) for k kept rows.  The conditional mean at any number
+of points (:meth:`ConditionalSampler.mean`) takes one packed solve.
 It also holds the whitened coordinates used by the gradient-based function
 moves.
 
@@ -301,18 +305,20 @@ class ConditionalSampler:
     entries ``L[i, :i + 1]`` at offset i (i + 1) / 2.  That is BLAS
     upper-packed storage of L^T, so solves and products with L and L^T
     are single packed BLAS calls (``dtpsv``, ``dtpmv``) that read R^2 / 2
-    contiguous doubles.  Appending a point writes R + 1 contiguous entries;
-    growing the capacity copies the R^2 / 2 stored entries.  Deleting row k
-    moves the R - k - 1 rows below it up one row and refactorises their
-    trailing block with one LAPACK QR call (:meth:`delete`), which is
-    O((R - k) R).  Keeping a prefix and a chosen set of later rows
+    contiguous doubles.  Appending k points writes their k R + k (k + 1) / 2
+    contiguous entries; growing the capacity copies the R^2 / 2 stored
+    entries.  Deleting row k moves the R - k - 1 rows below it up one row
+    and refactorises their trailing block with one LAPACK QR call
+    (:meth:`delete`), which is O((R - k) R).  Keeping a prefix and a chosen set of later rows
     (:meth:`compact`) moves the kept rows' leading entries and refactorises
     the rest of them from their Schur complement.
 
-    Solves with k right-hand sides (:meth:`draw_append_block`,
-    :meth:`draw_batch`) copy the packed entries once to rectangular full
-    packed form and make one BLAS-3 ``dtfsm`` call, which reads the factor
-    once instead of k times and needs no dense copy of it.  The mean alone
+    Every addition of points (the build from ``points`` and every draw or
+    append) goes through :meth:`_add_rows`.  One point is one packed
+    ``dtpsv`` and a scalar pivot.  k points copy the packed entries once to
+    rectangular full packed form for one BLAS-3 ``dtfsm`` call, which reads
+    the factor once instead of k times and needs no dense copy of it, and
+    take one k x k Cholesky.  The mean alone
     (:meth:`mean`) needs no such solve: ``k(X, points) L^-T w`` is one packed
     ``dtpsv`` and a matrix-vector product.
 
@@ -322,11 +328,12 @@ class ConditionalSampler:
 
     The jitter is fixed here, when the factor is first built: the jitter
     ``chol`` settles on for the starting points, or ``BASE_JITTER *
-    amplitude^2`` when there are none.  :meth:`append`, :meth:`draw_append`,
-    :meth:`draw_append_block` and :meth:`draw_batch` (whose k x k
-    conditional covariance gets this same jitter on its diagonal),
-    :meth:`compact` (likewise) and :meth:`delete` keep it, so one
-    realisation has one jitter however it grew.
+    amplitude^2`` when there are none.  Every later addition of points
+    (:meth:`draw`, :meth:`draw_append`, :meth:`append`,
+    :meth:`draw_append_block` and :meth:`draw_batch`, whose conditional
+    covariance gets this same jitter on its diagonal), :meth:`compact`
+    (likewise) and :meth:`delete` keep it, so one realisation has one
+    jitter however it grew.
 
     ``factor``, when given, must be ``chol(kernel_matrix(points, points,
     hyper))``; it is adopted as is instead of being computed again.
@@ -346,26 +353,19 @@ class ConditionalSampler:
         self._pts = np.empty((cap, dim))
         self._vals = np.empty(cap)
         self._m = np.empty(cap)
-        self._n = n
-        self._pts[:n] = pts
-        self._vals[:n] = vals
-        if n:
-            self._m[:n] = prior_mean(pts, hyper)
+        self._n = 0
         if self.degenerate:
             self._ap = None
             self._w = None
             self.jitter = 0.0
-            return
-        self._ap = np.empty(_tri(cap))
-        self._w = np.empty(cap)
-        if n:
-            if factor is None:
-                factor = chol(kernel_matrix(pts, pts, hyper))
-            self._ap[: _tri(n)] = factor.lower[np.tri(n, dtype=bool)]
-            self.jitter = factor.jitter
-            self._w[:n] = factor.solve_lower(vals - self._m[:n])
         else:
-            self.jitter = BASE_JITTER * hyper.amplitude**2
+            self._ap = np.empty(_tri(cap))
+            self._w = np.empty(cap)
+            if n and factor is None:
+                factor = chol(kernel_matrix(pts, pts, hyper))
+            self.jitter = factor.jitter if n else BASE_JITTER * hyper.amplitude**2
+        if n:
+            self._add_rows(pts, values=vals, M=None if self.degenerate else factor.lower)
 
     def __len__(self) -> int:
         return self._n
@@ -450,44 +450,10 @@ class ConditionalSampler:
             self._ap = _resized(self._ap, _tri(new_cap), _tri(n))
             self._w = _resized(self._w, new_cap, n)
 
-    def _point_mean(self, x: np.ndarray) -> float:
-        return float(prior_mean(x.reshape(1, -1), self.hyper)[0])
-
-    def _condition(self, x: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-        """Prior mean, conditional mean, conditional variance (jitter
-        included, not floored) and ``a = L^-1 k(points, x)`` at one point
-        of a non-degenerate sampler; O(R^2)."""
-        m = self._point_mean(x)
-        kxx = float(kernel_diag(x.reshape(1, -1), self.hyper)[0])
-        if self._n == 0:
-            return m, m, kxx + self.jitter, np.empty(0)
-        a = self.solve_lower(kernel_matrix(self.points, x.reshape(1, -1), self.hyper)[:, 0])
-        return m, m + float(a @ self.whitened), kxx + self.jitter - float(a @ a), a
-
     def _pivot_floor(self) -> float:
         """Smallest squared pivot the factor takes: jitter scale, so that it
         stays valid even for coincident locations."""
         return min(self.jitter, 1e-12) if self.jitter > 0 else 1e-15
-
-    def _pivot(self, var: float) -> float:
-        """New diagonal entry of the factor for conditional variance ``var``."""
-        return math.sqrt(max(var, self._pivot_floor()))
-
-    def _push(self, x: np.ndarray, m: float, value: float,
-              a: np.ndarray | None = None, d: float = 0.0, w: float = 0.0) -> None:
-        """Record (x, value) with prior mean m and, unless degenerate, the
-        new factor row ``[a, d]`` and whitened coordinate w."""
-        n = self._n
-        self._grow(n + 1)
-        self._pts[n] = x
-        self._vals[n] = value
-        self._m[n] = m
-        if not self.degenerate:
-            row = self._ap[_tri(n) : _tri(n + 1)]
-            row[:n] = a
-            row[n] = d
-            self._w[n] = w
-        self._n = n + 1
 
     def draw(self, x, z: float) -> float:
         """Sample a single function value without recording it: the one
@@ -499,38 +465,19 @@ class ConditionalSampler:
         the same value from the same z.
         """
         n = self._n
-        g = self._draw_push(np.asarray(x, dtype=float).reshape(-1), z)
+        self._add_rows(_as_points(x), (z,))
         self._n = n
-        return g
+        return float(self._vals[n])
 
     def append(self, x, value: float) -> None:
         """Record a known (location, value) pair; O(R^2)."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if self.degenerate:
-            self._push(x, self._point_mean(x), value)
-            return
-        m, mu, var, a = self._condition(x)
-        d = self._pivot(var)
-        self._push(x, m, value, a, d, (value - mu) / d)
+        self._add_rows(_as_points(x), values=(value,))
 
     def draw_append(self, x, z: float) -> float:
         """Draw at x from the standard normal z and record the result:
         :meth:`draw`, then keep the row it wrote; O(R^2)."""
         g = self.draw(x, z)
         self._n += 1
-        return g
-
-    def _draw_push(self, x: np.ndarray, z: float) -> float:
-        """Record x at the value whose whitened coordinate is z (a
-        degenerate sampler records its mean); O(R^2)."""
-        if self.degenerate:
-            m = self._point_mean(x)
-            self._push(x, m, m)
-            return m
-        m, mu, var, a = self._condition(x)
-        d = self._pivot(var)
-        g = mu + d * z
-        self._push(x, m, g, a, d, z)
         return g
 
     def _cross_solve(self, X: np.ndarray) -> np.ndarray:
@@ -555,58 +502,110 @@ class ConditionalSampler:
             return None
         return M
 
+    def _add_rows(self, X: np.ndarray, z=None, values=None,
+                  M: np.ndarray | None = None) -> None:
+        """Record the k rows of X after the R known points, at the values
+        whose whitened coordinates are z or at the known ``values`` (a
+        degenerate sampler records ``values``, else its mean).
+        O(R^2 k + R k^2 + k^3).
+
+        Condition: ``A = L^-1 k(points, X)``, one packed ``dtpsv`` for one
+        point, one ``dtfsm`` for more.  Factorise ``K(X, X) + jitter I -
+        A^T A`` as M, unless M is given (a build from points): for one point
+        a scalar pivot clamped to :meth:`_pivot_floor`, which cannot fail;
+        for more one :meth:`_block_chol`, and when that fails the points
+        are added one at a time instead.  Write the rows ``[A^T, M]`` with
+        the values ``mean + M z``, or whiten the known values with one
+        triangular solve.
+        """
+        n, k = self._n, X.shape[0]
+        if not k:
+            return
+        m = prior_mean(X, self.hyper)
+        if self.degenerate:
+            self._write_rows(n, X, m, m if values is None else values)
+            return
+        w_head = self._w[:n]
+        if k == 1 and M is None:
+            # scalar arithmetic: one packed solve and one clamped pivot
+            a = kernel_matrix(X, self._pts[:n], self.hyper)[0]
+            if n:
+                a = dtpsv(n, self._ap, a, lower=0, trans=1, overwrite_x=1)
+            mu = float(m[0]) + float(a @ w_head)
+            d = math.sqrt(max(float(kernel_diag(X, self.hyper)[0]) + self.jitter
+                              - float(a @ a), self._pivot_floor()))
+            if values is None:
+                g, w = mu + d * z[0], z
+            else:
+                g = values[0]
+                w = (g - mu) / d
+            self._write_rows(n, X, m, g, a, d, w)
+            return
+        A = self._cross_solve(X) if n else np.empty((0, k))
+        if M is None:
+            # K(X, X) is symmetric: its transpose is a Fortran-ordered view
+            # of the same matrix, which LAPACK factorises in place
+            S = kernel_matrix(X, X, self.hyper).T
+            S[np.diag_indices(k)] += self.jitter
+            S -= A.T @ A
+            M = self._block_chol(S)
+            if M is None:
+                for i in range(k):
+                    self._add_rows(X[i : i + 1], z[i : i + 1])
+                return
+        mu = m + A.T @ w_head
+        if values is None:
+            values, w = mu + M @ z, z
+        else:
+            w = solve_triangular(M, values - mu, lower=True, check_finite=False)
+        self._write_rows(n, X, m, values, A.T, M, w)
+
+    def _write_rows(self, p: int, X: np.ndarray, m: np.ndarray, g,
+                    lead: np.ndarray | None = None, M=None, w=None) -> None:
+        """Make the k rows of X, with prior means m and values g, rows
+        ``p .. p + k - 1`` and the last ones; unless degenerate, their
+        factor rows are ``[lead, M]`` (k x p and lower-triangular k x k)
+        and their whitened coordinates w.  The k rows go into the packed
+        buffer with one masked assignment; one row is its own packed form."""
+        k = X.shape[0]
+        self._grow(p + k)
+        self._pts[p : p + k] = X
+        self._vals[p : p + k] = g
+        self._m[p : p + k] = m
+        if not self.degenerate:
+            seg = self._ap[_tri(p) : _tri(p + k)]
+            if k == 1:  # one row is its own packed form
+                seg[:p] = lead
+                seg[p:] = M
+            else:
+                rows = np.empty((k, p + k))
+                rows[:, :p] = lead
+                rows[:, p:] = M
+                seg[:] = rows[np.tri(k, p + k, p, dtype=bool)]
+            self._w[p : p + k] = w
+        self._n = p + k
+
     def draw_append_block(self, X, z) -> np.ndarray:
         """Draw jointly at the k rows of X and record them in that order;
         returns the k values.
 
         The whitened coordinates of the new rows are ``z``, so the result
         is that of k :meth:`draw_append` calls whose standard normals are
-        ``z``, up to rounding: one block solve ``A = L^-1 k(points, X)``
-        and a Cholesky ``M`` of the k x k conditional covariance (plus the
-        sampler's fixed jitter) give the new factor rows ``[A^T, M]``,
-        written row by row into the packed buffer, and the values
-        ``mean + M z``.  When that Cholesky fails or one of its pivots falls
-        below the floor the sequential appends would clamp to, the points
-        are appended one at a time instead, with the same ``z``.
-        O(R^2 k + R k^2 + k^3).
+        ``z``, up to rounding, and at k = 1 it is that call.  One block
+        solve ``A = L^-1 k(points, X)`` and a Cholesky ``M`` of the k x k
+        conditional covariance (plus the sampler's fixed jitter) give the
+        new factor rows ``[A^T, M]`` and the values ``mean + M z``.  When
+        that Cholesky fails or one of its pivots falls below the floor the
+        sequential appends would clamp to, the points are appended one at
+        a time instead, with the same ``z``.  O(R^2 k + R k^2 + k^3).
         """
         X = _as_points(X)
         z = np.asarray(z, dtype=float).reshape(-1)
-        k = X.shape[0]
-        if z.shape[0] != k:
+        if z.shape[0] != X.shape[0]:
             raise ValueError("need one standard normal per point")
-        m = prior_mean(X, self.hyper)
-        if self.degenerate:
-            for x, mi in zip(X, m):
-                self._push(x, mi, mi)
-            return m
         n = self._n
-        # K(X, X) is symmetric: its transpose is a Fortran-ordered view of
-        # the same matrix, which LAPACK factorises in place
-        S = kernel_matrix(X, X, self.hyper).T
-        S[np.diag_indices(k)] += self.jitter
-        mu = m
-        if n:
-            A = self._cross_solve(X)
-            S -= A.T @ A
-            mu = m + A.T @ self.whitened
-        M = self._block_chol(S)
-        if M is None:
-            return np.array([self._draw_push(x, zi) for x, zi in zip(X, z)])
-        g = mu + M @ z
-        self._grow(n + k)
-        self._pts[n : n + k] = X
-        self._vals[n : n + k] = g
-        self._m[n : n + k] = m
-        ap = self._ap
-        for i in range(k):
-            s = _tri(n + i)
-            if n:
-                ap[s : s + n] = A[:, i]  # a contiguous column of A
-            ap[s + n : s + n + i + 1] = M[i, : i + 1]
-        self._w[n : n + k] = z
-        self._n = n + k
-        return g
+        self._add_rows(X, z)
+        return self._vals[n : self._n].copy()
 
     def truncate(self, n: int) -> None:
         """Keep the first n points and drop the rest; O(1), because the
@@ -649,9 +648,9 @@ class ConditionalSampler:
         X = self._pts[tail]
         g = self._vals[tail]
         m = self._m[tail]
+        A = M = w_tail = None
         if not self.degenerate:
-            ap = self._ap
-            A = ap[(tail * (tail + 1) // 2)[:, None] + np.arange(p)]
+            A = self._ap[(tail * (tail + 1) // 2)[:, None] + np.arange(p)]
             # K(X, X) is symmetric: its transpose is a Fortran-ordered view
             # of the same matrix, which LAPACK factorises in place
             S = kernel_matrix(X, X, self.hyper).T
@@ -664,15 +663,7 @@ class ConditionalSampler:
                     self.delete(int(row))
                 return
             w_tail = dtrsv(M, g - m - A @ self._w[:p], lower=1, overwrite_x=1)
-            for i in range(t):
-                s = _tri(p + i)
-                ap[s : s + p] = A[i]
-                ap[s + p : s + p + i + 1] = M[i, : i + 1]
-            self._w[p : p + t] = w_tail
-        self._pts[p : p + t] = X
-        self._vals[p : p + t] = g
-        self._m[p : p + t] = m
-        self._n = p + t
+        self._write_rows(p, X, m, g, A, M, w_tail)
 
     def mean(self, X) -> np.ndarray:
         """Conditional mean at a batch of points, ``m(X) + k(X, points)

@@ -73,10 +73,7 @@ def _insert_prob(m: int, zeta_insert: float) -> float:
 
 def insert_log_accept(m: int, n: int, zeta_insert: float, g_plus: float) -> float:
     """Log acceptance ratio for inserting one latent rejection at value g_plus."""
-    one_minus_zeta = 1.0 - zeta_insert
-    if one_minus_zeta <= 0.0:
-        return -np.inf
-    return (math.log(one_minus_zeta) + math.log(m + n)
+    return (math.log(1.0 - zeta_insert) + math.log(m + n)
             + float(log_one_minus_phi(g_plus))
             - math.log(_insert_prob(m, zeta_insert)) - math.log(m + 1))
 
@@ -85,11 +82,8 @@ def delete_log_accept(m: int, n: int, zeta_insert: float, g_minus: float) -> flo
     """Log acceptance ratio for deleting the rejection whose value is g_minus."""
     if m < 1:
         raise ValueError("cannot delete from an empty history")
-    one_minus_zeta = 1.0 - zeta_insert
-    if one_minus_zeta <= 0.0:
-        return np.inf
     return (math.log(_insert_prob(m - 1, zeta_insert)) + math.log(m)
-            - math.log(one_minus_zeta) - math.log(m + n - 1)
+            - math.log(1.0 - zeta_insert) - math.log(m + n - 1)
             - float(log_one_minus_phi(g_minus)))
 
 

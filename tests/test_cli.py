@@ -364,9 +364,10 @@ class TestBadHyperparameters:
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["walk_scale_frac = 0",
-                                      "amp_log_prior_sigma = 0"])
+                                      "amp_log_prior_sigma = 0",
+                                      "zeta_insert = 1"])
     def test_fit_is_error_before_sampling(self, tmp_path, capsys, line):
-        # either would freeze a move of the chain instead of failing
+        # each would freeze a move of the chain instead of failing
         main(["gen-synthetic", "--name", "f1", "--n", "20", "--seed", "1",
               "--out", str(tmp_path / "data")])
         cfg = write_cfg(tmp_path, line + "\ntotal_iters = 20\nburn_in = 5\n")

@@ -62,7 +62,8 @@ class TestConfigParsing:
         ("lengthscale_init", "0"), ("mean_const", "nan"), ("mean_const", "-inf"),
         ("crankshaft_eps", "0"), ("crankshaft_eps", "-0.5"),
         ("crankshaft_eps", "1.5"), ("crankshaft_eps", "nan"),
-        ("zeta_insert", "0"), ("zeta_insert", "1.5"), ("zeta_insert", "nan"),
+        ("zeta_insert", "0"), ("zeta_insert", "1"), ("zeta_insert", "1.5"),
+        ("zeta_insert", "nan"),
         ("hmc_target", "0"), ("hmc_target", "1"), ("hmc_target", "nan"),
         ("hmc_step_size", "0"), ("hmc_step_size", "-0.2"), ("hmc_step_size", "nan"),
         ("hmc_step_size", "inf"),
@@ -96,7 +97,7 @@ class TestConfigParsing:
             parse_config(p)
 
     def test_boundary_tuning_values_accepted(self):
-        RunConfig(zeta_insert=1.0, number_moves=0, extra_controls=0,
+        RunConfig(zeta_insert=0.999, number_moves=0, extra_controls=0,
                   hmc_steps=1, max_proposals=1).validate()
 
     def test_crankshaft_eps_of_one_is_a_prior_proposal(self):

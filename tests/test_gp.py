@@ -414,6 +414,28 @@ class TestConditionalSampler:
         assert cs.draw_append(x, z) == g
         assert len(cs) == 65 and cs.values[64] == g
 
+    def test_build_from_points_matches_appends_and_factor(self):
+        # unpinned, so a build from points starts at the same jitter as an
+        # empty sampler: BASE_JITTER * amplitude^2
+        hyper = GpHyper(amplitude=1.3, lengthscales=[0.4, 0.6], mean=0.2)
+        rng = np.random.default_rng(25)
+        pts = _separated_points(rng, 30, 2, 0.4)
+        vals = rng.normal(size=30)
+        built = ConditionalSampler(hyper, pts, vals)
+        grown = ConditionalSampler(hyper)
+        for p, v in zip(pts, vals):
+            grown.append(p, v)
+        factor = chol(kernel_matrix(pts, pts, hyper))
+        adopted = ConditionalSampler(hyper, pts, vals, factor=factor)
+        assert built.jitter == adopted.jitter == factor.jitter
+        assert grown.jitter == pytest.approx(built.jitter, rel=1e-12)
+        for other in (grown, adopted):
+            assert np.array_equal(built.points, other.points)
+            assert np.array_equal(built.values, other.values)
+            assert np.abs(built.packed - other.packed).max() < 1e-12
+            assert np.abs(built.whitened - other.whitened).max() < 1e-12
+        assert np.array_equal(built.packed, factor.lower[np.tri(30, dtype=bool)])
+
     def test_set_whitened_updates_values(self):
         hyper = GpHyper(amplitude=1.0, lengthscales=[0.4], mean=0.3)
         rng = np.random.default_rng(22)
@@ -514,13 +536,14 @@ class TestDrawAppendBlock:
         target = kernel_matrix(X, X, self.HYPER) + block.jitter * np.eye(k)
         assert np.abs((L @ L.T)[start:, start:] - target).max() < 1e-10
 
-    @pytest.mark.parametrize("X", [[[0.2], [0.2]], [[0.2 + 2e-9]]],
+    @pytest.mark.parametrize("X", [[[0.2], [0.2]], [[0.2 + 2e-9], [0.7]]],
                              ids=["coincident", "near"])
     def test_pivot_floor_falls_back_to_sequential(self, monkeypatch, X):
         # a factor built without jitter, queried at (or 2e-8 lengthscales
         # from) its own point: the conditional variance is zero, which
         # fails the block's Cholesky, or about 4e-16, which passes it with
-        # a pivot below the floor
+        # a pivot below the floor (the near block's second point is far
+        # from both)
         hyper = GpHyper(amplitude=1.0, lengthscales=[0.1])
         pts = np.array([[0.2]])
         factor = chol(kernel_matrix(pts, pts, hyper), base_jitter=0.0)
@@ -528,22 +551,48 @@ class TestDrawAppendBlock:
         base = ConditionalSampler(hyper, pts, [0.3], factor=factor)
         X = np.array(X)
         z = np.random.default_rng(31).standard_normal(len(X))
-        single = []
-        original = ConditionalSampler._draw_push
+        blocks, single = [], []
+        original = ConditionalSampler._add_rows
 
-        def spy(self, x, zi):
-            single.append(zi)
-            return original(self, x, zi)
+        def spy(self, X, z=None, values=None, M=None):
+            (single if len(X) == 1 else blocks).extend(z)
+            return original(self, X, z, values, M)
 
-        monkeypatch.setattr(ConditionalSampler, "_draw_push", spy)
+        monkeypatch.setattr(ConditionalSampler, "_add_rows", spy)
         block, seq = base.copy(), base.copy()
         g = block.draw_append_block(X, z)
-        assert single == list(z)
+        # the block was tried once, then each point added on its own
+        assert blocks == list(z) and single == list(z)
         g_seq = self.sequential(seq, X, z)
         assert np.array_equal(g, g_seq)
         assert np.array_equal(block.values, seq.values)
         assert np.array_equal(block.packed, seq.packed)
         assert np.array_equal(block.whitened, seq.whitened)
+
+    def test_one_point_is_the_one_point_draw(self):
+        rng = np.random.default_rng(35)
+        base = ConditionalSampler(self.HYPER)
+        base.draw_append_block(rng.uniform(0, 1, (30, 2)), rng.standard_normal(30))
+        x, z = rng.uniform(0, 1, 2), rng.standard_normal()
+        block, one = base.copy(), base.copy()
+        g = block.draw_append_block([x], [z])
+        assert one.draw(x, z) == g[0] and len(one) == 30
+        assert one.draw_append(x, z) == g[0]
+        for a, b in [(block.points, one.points), (block.values, one.values),
+                     (block.packed, one.packed), (block.whitened, one.whitened)]:
+            assert np.array_equal(a, b)
+
+    def test_empty_block_is_a_no_op(self):
+        rng = np.random.default_rng(36)
+        cs = ConditionalSampler(self.HYPER)
+        cs.draw_append_block(rng.uniform(0, 1, (5, 2)), rng.standard_normal(5))
+        before = cs.copy()
+        g = cs.draw_append_block(np.empty((0, 2)), [])
+        assert g.shape == (0,) and len(cs) == 5
+        for a, b in [(cs.points, before.points), (cs.values, before.values),
+                     (cs.packed, before.packed), (cs.whitened, before.whitened)]:
+            assert np.array_equal(a, b)
+        assert cs.draw_batch(np.empty((0, 2)), rng).shape == (0,)
 
     def test_degenerate_records_the_mean(self):
         hyper = GpHyper(amplitude=0.0, lengthscales=[1.0], mean=lambda x: 2 * x[:, 0])

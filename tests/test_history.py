@@ -179,8 +179,9 @@ class TestNumberMoveRatios:
     def test_zeta_forces_insert_at_zero(self):
         assert _insert_prob(0, 0.3) == 1.0
         assert _insert_prob(1, 0.3) == 0.3
-        with pytest.raises(ValueError, match="zeta_insert"):
-            ChainOptions(total=1, burn_in=0, zeta_insert=0.0)
+        for zeta in (0.0, 1.0):  # at 1 no insertion could be accepted
+            with pytest.raises(ValueError, match="zeta_insert"):
+                ChainOptions(total=1, burn_in=0, zeta_insert=zeta)
         # an empty history proposes an insertion whatever zeta_insert is: a
         # deletion there would fail to pick a slot
         rng = np.random.default_rng(6)
@@ -308,25 +309,31 @@ class TestOneConditioningPerProposal:
     @staticmethod
     def count_calls(monkeypatch, ratio=None):
         """Spy on the conditioning calls and the acceptance ratios: count
-        ``_condition`` calls, record the points of each ``draw_append_block``
-        call and the values it drew, and count the ratios computed (one per
-        insertion, one per in-support relocation); ``ratio`` replaces every
-        ratio's value."""
-        counts = {"condition": 0, "insert_log_accept": 0, "location_log_accept": 0,
-                  "blocks": [], "block_values": []}
-        condition = ConditionalSampler._condition
+        the conditionings (``_add_rows`` calls) made inside and outside
+        ``draw_append_block``, record the points of each block and the
+        values it drew, and count the ratios computed (one per insertion,
+        one per in-support relocation); ``ratio`` replaces every ratio's
+        value."""
+        counts = {"condition": 0, "block_condition": 0, "insert_log_accept": 0,
+                  "location_log_accept": 0, "blocks": [], "block_values": []}
+        add_rows = ConditionalSampler._add_rows
         draw_append_block = ConditionalSampler.draw_append_block
+        in_block = []
 
-        def spy_condition(self, x):
-            counts["condition"] += 1
-            return condition(self, x)
+        def spy_add_rows(self, *args, **kwargs):
+            counts["block_condition" if in_block else "condition"] += 1
+            return add_rows(self, *args, **kwargs)
 
         def spy_block(self, X, z):
             counts["blocks"].append(np.array(X, dtype=float))
-            counts["block_values"].append(draw_append_block(self, X, z))
+            in_block.append(True)
+            try:
+                counts["block_values"].append(draw_append_block(self, X, z))
+            finally:
+                in_block.pop()
             return counts["block_values"][-1]
 
-        monkeypatch.setattr(ConditionalSampler, "_condition", spy_condition)
+        monkeypatch.setattr(ConditionalSampler, "_add_rows", spy_add_rows)
         monkeypatch.setattr(ConditionalSampler, "draw_append_block", spy_block)
         for name in ("insert_log_accept", "location_log_accept"):
             original = getattr(gpds.history, name)
@@ -374,8 +381,10 @@ class TestOneConditioningPerProposal:
             X = counts["blocks"][-1]
             assert np.all(np.isfinite(base_logpdf(X, chain.psi)))
             inside.append(len(X))
-        # insertions are conditioned one at a time; relocations only in blocks
+        # insertions are conditioned one at a time; relocations only in
+        # blocks, one conditioning each
         assert counts["condition"] == counts["insert_log_accept"]
+        assert counts["block_condition"] == len(counts["blocks"])
         assert counts["location_log_accept"] == sum(inside)
         assert inserts > 0 and moved > 0
         assert counts["insert_log_accept"] > inserts  # some inserts rejected
@@ -393,7 +402,9 @@ class TestOneConditioningPerProposal:
         walk = np.full(chain.data.shape[1], 0.05)
         before = self.snapshot(chain)
         for _ in range(4):
-            assert not chain.step_number(1.0, rng)  # always inserts
+            # Generator.uniform falls below 1 - 2^-53 except at its top cell,
+            # so this always proposes an insertion
+            assert not chain.step_number(1.0 - 2.0**-53, rng)
             assert chain.step_locations(walk, rng) == 0
             for a, b in zip(before, self.snapshot(chain)):
                 assert np.array_equal(a, b)
@@ -415,7 +426,7 @@ class TestOneConditioningPerProposal:
         rejections = chain.rejections
         moved = chain.step_locations(walk, rng)
         assert moved == counts["location_log_accept"] == len(counts["blocks"][0])
-        assert counts["condition"] == 0
+        assert counts["condition"] == 0 and counts["block_condition"] == 1
         assert moved > 20
         s = chain.sampler
         assert len(s) == 40 + 24
