@@ -4,6 +4,11 @@ Subcommands: gen-synthetic, sample-prior, fit, predict-density, geweke.
 All outputs are plot-ready CSV files plus a meta.json that echoes the
 configuration, the seed and a config hash, so runs are reproducible and
 auditable.  No plotting happens here.
+
+Only ``geweke`` imports :mod:`gpds.geweke`, inside :func:`cmd_geweke`:
+that module imports ``scipy.stats`` for its two-sample KS test, and the
+import costs every process about 0.6 s and 38 MiB, more than a small fit's
+chain takes.
 """
 from __future__ import annotations
 
@@ -17,7 +22,6 @@ import numpy as np
 from .chain import ChainOptions, default_walk_scales, run_exchange_chain, run_history_chain
 from .config import RunConfig, parse_config, parse_float_list, parse_grid_spec
 from .generate import ProposalBudgetError, draw_prior_dataset
-from .geweke import run_geweke_exchange, run_geweke_history
 from .gp import GpHyper, IllConditionedCovariance
 from .io_utils import read_data_csv, write_csv, write_json
 from .model import (
@@ -231,7 +235,6 @@ def cmd_fit(cfg: RunConfig, data_path: Path, out: Path, chains: int = 1) -> None
         raise ValueError(f"--chains must be >= 1, got {chains}")
     data, _ = _read_data(cfg, data_path)
     dim = data.shape[1]
-    out.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(cfg.seed).spawn(chains)
     tasks = [(k, data, cfg, seeds[k]) for k in range(chains)]
     t0 = time.perf_counter()
@@ -313,6 +316,8 @@ def cmd_predict_density(cfg: RunConfig, data_path: Path, out: Path,
 
 
 def cmd_geweke(cfg: RunConfig, out: Path) -> None:
+    from .geweke import run_geweke_exchange, run_geweke_history
+
     if cfg.geweke_n_data > 5:
         raise ValueError("geweke harness supports at most 5 data points")
     psi = build_psi(cfg, 1, None)
@@ -415,6 +420,13 @@ def main(argv: list[str] | None = None) -> int:
             cmd_geweke(cfg, args.out)
     except (ValueError, OSError, ProposalBudgetError, IllConditionedCovariance) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # last resort: the row cap of the rejection sampler should keep its
+        # runs from getting here
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: {args.command} ran out of memory{detail}; lower max_proposals "
+              "in the config", file=sys.stderr)
         return 2
     return 0
 

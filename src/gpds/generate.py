@@ -31,6 +31,12 @@ from .model import BaseHyper, base_sample, normal_from_uniform, phi
 
 DEFAULT_MAX_PROPOSALS = 1_000_000
 MAX_BLOCK = 64
+# Most rows a run may grow a sampler to.  Every proposal is a row, and the
+# packed factor of R rows takes 4 R^2 bytes: 256 MiB at this cap, in a buffer
+# whose doubling capacity is at most 2 R (at most 1 GiB), plus one more
+# 256 MiB copy during a block solve.  Without it, a run with a low
+# acceptance rate would run out of memory long before max_proposals.
+MAX_ROWS = 8192
 
 
 def _min_block(r: int) -> int:
@@ -99,7 +105,9 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
     ``sampler`` is grown in place, under its own hyperparameters; pass a
     :meth:`~ConditionalSampler.copy` to leave a realisation untouched.
     Returns once ``n_more`` proposals have been accepted; raises
-    :class:`ProposalBudgetError` if ``max_proposals`` is hit first.  Each
+    :class:`ProposalBudgetError` if ``max_proposals`` is hit first, or
+    once the acceptances still needed would grow a non-degenerate sampler
+    past :data:`MAX_ROWS` rows.  Each
     proposal is one row of ``rng.random((k, D + 2))``: its location from
     columns 0..D-1, its standard normal from column D and its uniform from
     column D + 1 (see the module docstring).
@@ -136,6 +144,8 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
     accepted_values: list[np.ndarray] = []
     flags: list[np.ndarray] = []
     n_accepted = n_proposed = 0
+    # a degenerate sampler keeps no factor: only the proposal budget bounds it
+    row_cap = math.inf if sampler.degenerate else MAX_ROWS
 
     def _trace() -> GenerativeTrace:
         return GenerativeTrace(
@@ -153,11 +163,18 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
                 f"{n_accepted}/{n_more} acceptances", _trace()
             )
         remaining = n_more - n_accepted
+        r = len(sampler)
+        if r + remaining > row_cap:
+            raise ProposalBudgetError(
+                f"{n_proposed} proposals produced only {n_accepted}/{n_more} "
+                f"acceptances, and {remaining} more would grow the sampler "
+                f"past {MAX_ROWS} rows (it holds {r})", _trace()
+            )
         # enough proposals for the acceptances still needed at the run's
         # acceptance rate so far, smoothed as (accepted + 1) / (proposals + 2)
         rate = (n_accepted + 1) / (n_proposed + 2)
-        r = len(sampler)
-        k = min(math.ceil(remaining / rate), _max_block(r), max_proposals - n_proposed)
+        k = min(math.ceil(remaining / rate), _max_block(r), max_proposals - n_proposed,
+                row_cap - r)
         if k < _min_block(r):
             k = 1
         start = rng.bit_generator.state if k > 1 else None

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gpds import cli
+from gpds import cli, generate
 from gpds.chain import ChainOptions, run_exchange_chain, run_history_chain
 from gpds.cli import main
 from gpds.gp import GpHyper, IllConditionedCovariance
@@ -347,6 +347,44 @@ class TestSamplerErrors:
         rc = main(["sample-prior", "--n", "3", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == "error: factorisation failed at jitter cap\n"
+
+    def test_row_cap_is_error(self, tmp_path, capsys, monkeypatch):
+        # phi(-10 + 0.3 g) is about 1e-5: three acceptances would take
+        # ~3 x 10^5 proposals, each a factor row
+        monkeypatch.setattr(generate, "MAX_ROWS", 500)
+        cfg = write_cfg(tmp_path, "amplitude_init = 0.3\nlengthscale_init = 0.2\n"
+                                  "mean_const = -10\n")
+        out = tmp_path / "o"
+        rc = main(["sample-prior", "--config", str(cfg), "--n", "3", "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "past 500 rows" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, raiser", [
+        (["sample-prior", "--n", "3"], "draw_prior_dataset"),
+        (["fit", "--data"], "run_history_chain"),
+    ])
+    def test_memory_error_is_error(self, tmp_path, capsys, monkeypatch, command,
+                                   raiser):
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 GiB")
+
+        if command[0] == "fit":
+            main(["gen-synthetic", "--name", "f1", "--n", "10", "--out",
+                  str(tmp_path / "data")])
+            command = [*command, str(tmp_path / "data" / "f1.csv")]
+        monkeypatch.setattr(cli, raiser, fail)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        rc = main([*command, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {command[0]} ran out of memory (Unable to allocate 1.00 GiB); "
+            "lower max_proposals in the config\n")
+        assert not out.exists()
 
 
 class TestBadHyperparameters:

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import chi2, ks_2samp, kstest
 
 import gpds.generate
+from gpds.chain import ChainOptions, run_exchange_chain, run_history_chain
 from gpds.generate import (
     DEFAULT_MAX_PROPOSALS,
     MAX_BLOCK,
@@ -210,6 +211,60 @@ class TestDegenerateScaling:
         trace = draw_prior_dataset(10_000, theta, BOX, np.random.default_rng(14))
         assert time.perf_counter() - t0 < 10.0
         assert trace.accepted.shape[0] == 10_000
+
+
+class TestRowCap:
+    """A run never grows a sampler past ``MAX_ROWS`` rows: when it would, it
+    is a budget failure."""
+
+    # phi(-10 + 0.3 g) is about 1e-5: a few acceptances take ~10^5 proposals
+    LOW = GpHyper(amplitude=0.3, lengthscales=[0.2], mean=-10.0)
+
+    def test_run_stops_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(gpds.generate, "MAX_ROWS", 300)
+        ends = []
+        original = ConditionalSampler.draw_append_block
+
+        def spy(self, X, z):
+            ends.append(len(self) + len(X))
+            return original(self, X, z)
+
+        monkeypatch.setattr(ConditionalSampler, "draw_append_block", spy)
+        with pytest.raises(ProposalBudgetError, match="past 300 rows") as err:
+            draw_prior_dataset(3, self.LOW, BOX, np.random.default_rng(1))
+        assert max(ends) <= 300
+        trace = err.value.trace
+        assert len(trace.sampler) == trace.proposal_count <= 300
+        assert trace.accepted.shape[0] < 3
+
+    def test_rows_that_cannot_fit_fail_before_any_proposal(self, monkeypatch):
+        monkeypatch.setattr(gpds.generate, "MAX_ROWS", 30)
+        theta = GpHyper(amplitude=1.0, lengthscales=[0.3])
+        sampler = grown(theta, 25, seed=2)
+        with pytest.raises(ProposalBudgetError) as err:
+            continue_sampler(sampler, 6, BOX, np.random.default_rng(3))
+        assert err.value.trace.proposal_count == 0 and len(sampler) == 25
+
+    def test_degenerate_sampler_is_not_capped(self, monkeypatch):
+        # it keeps no factor, so a row costs D + 2 floats
+        monkeypatch.setattr(gpds.generate, "MAX_ROWS", 10)
+        trace = draw_prior_dataset(50, frozen(40.0), BOX, np.random.default_rng(4))
+        assert trace.proposal_count == 50
+
+    @pytest.mark.parametrize("run", [run_history_chain, run_exchange_chain])
+    def test_chain_counts_a_budget_failure(self, monkeypatch, run):
+        # ten data points exceed the cap, so every predictive probe and every
+        # exchange fantasy run fails before its first proposal
+        monkeypatch.setattr(gpds.generate, "MAX_ROWS", 5)
+        rng = np.random.default_rng(5)
+        data = rng.uniform(0.2, 0.8, (10, 1))
+        opts = ChainOptions(total=6, burn_in=2, record_predictive=True)
+        result = run(data, GpHyper(amplitude=1.0, lengthscales=[0.3]), BOX, opts,
+                     None, rng)
+        assert result.counters["budget_failures"] >= 4  # one per retained probe
+        assert result.predictive.shape == (0, 2)
+        if run is run_exchange_chain:
+            assert result.counters["func_att"] > 0 and result.counters["func_acc"] == 0
 
 
 def sequential_run(sampler, n_more, psi, rng, max_proposals=DEFAULT_MAX_PROPOSALS):

@@ -1,11 +1,18 @@
-"""Every name a package module imports is used by that module, and every
-export list names what its module defines and the package re-exports."""
+"""Every name a package module imports is used by that module, every
+export list names what its module defines and the package re-exports, and
+only ``gpds geweke`` imports ``scipy.stats``."""
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gpds"
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "gpds"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -83,3 +90,44 @@ def test_export_list_is_current(path):
     assert not missing, f"{path.name}: __all__ lists undefined names {missing}"
     unlisted = sorted(package_imports(path.stem) - set(exported))
     assert not unlisted, f"{path.name}: the package imports {unlisted} but __all__ omits them"
+
+
+
+# Runs every command but geweke on a tiny input in one fresh process, and
+# prints, as its last line, whether scipy.stats was loaded after the import
+# of gpds.cli and after each command, with the command's exit code.
+COLD_START = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from pathlib import Path
+
+    from gpds.cli import main
+
+    tmp = Path(sys.argv[1])
+    cfg = tmp / "run.cfg"
+    cfg.write_text("total_iters = 4\\nburn_in = 1\\n"
+                   "pred_retained = 3\\npred_burn_in = 1\\n")
+    data = ["--data", str(tmp / "data" / "f1.csv")]
+    seen = [["import", 0, "scipy.stats" in sys.modules]]
+    for command in (["gen-synthetic", "--name", "f1", "--n", "8"],
+                    ["sample-prior", "--n", "3"],
+                    ["fit", *data],
+                    ["predict-density", *data, "--grid", "0:1:3"]):
+        out = tmp / ("data" if command[0] == "gen-synthetic" else command[0])
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main([*command, "--config", str(cfg), "--seed", "1", "--out", str(out)])
+        seen.append([command[0], rc, "scipy.stats" in sys.modules])
+    print(json.dumps(seen))
+""")
+
+
+def test_only_geweke_imports_scipy_stats(tmp_path):
+    # a fresh process: this one has imported scipy.stats for the tests
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        [step, 0, False] for step in ("import", "gen-synthetic", "sample-prior", "fit",
+                                      "predict-density")]
