@@ -47,7 +47,6 @@ from .history import (
 )
 from .predictive import (
     DensityConfig,
-    DensityEstimate,
     DensityGrid,
     density_grid,
     estimate_denominator,

@@ -70,19 +70,19 @@ class ChainOptions:
         if not 0.0 < self.zeta_insert < 1.0:
             # at 1 no deletion is ever proposed, so no insertion is accepted
             raise ValueError(f"zeta_insert must be in (0, 1), got {self.zeta_insert}")
+        if not 0.0 < self.crankshaft_eps <= 1.0:
+            raise ValueError(f"crankshaft_eps must be in (0, 1], got {self.crankshaft_eps}")
 
 
 @dataclass
 class PosteriorDraw:
     """One retained posterior draw with everything the numerator estimator
-    needs: hyperparameters, a predictive sample x' with its function value,
-    and jointly drawn function values at the pre-registered query points."""
+    needs: the base hyperparameters, the function value at the predictive
+    sample x', and jointly drawn function values at the query points
+    (``ChainOptions.numerator_query``, in their order)."""
 
-    theta: GpHyper
     psi: BaseHyper
-    x_pred: np.ndarray
     g_pred: float
-    query: np.ndarray
     g_query: np.ndarray
 
 
@@ -108,6 +108,17 @@ class ChainResult:
     final_psi: BaseHyper
     hmc_step_size: float | None  # None for exchange, which runs no HMC
     wall_time: float
+
+
+def pool_map(fn, tasks: list, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, run in a pool of ``workers`` processes
+    when there are more than one of each."""
+    if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return list(map(fn, tasks))
 
 
 def default_walk_scales(data: np.ndarray, frac: float = 0.1) -> np.ndarray:
@@ -143,9 +154,7 @@ def _predictive_probe(sampler, psi, opts, rng, counters):
     draw = None
     if opts.numerator_query is not None:
         g_query = trace.sampler.draw_batch(opts.numerator_query, rng)
-        draw = PosteriorDraw(theta=sampler.hyper, psi=psi, x_pred=x_pred,
-                             g_pred=g_pred, query=opts.numerator_query,
-                             g_query=g_query)
+        draw = PosteriorDraw(psi=psi, g_pred=g_pred, g_query=g_query)
     return x_pred, draw
 
 
@@ -267,7 +276,7 @@ def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
                        opts: ChainOptions, priors: HyperPrior | None,
                        rng: np.random.Generator) -> ChainResult:
     """Exchange-sampling MCMC: one function move (crankshaft through the
-    control points, or a prior draw when crankshaft_eps >= 1) per iteration,
+    control points, or a prior draw at crankshaft_eps = 1) per iteration,
     interleaved 1:1 with a hyperparameter move when enabled."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     recorder = _Recorder(opts, data.shape[1], isinstance(psi0, GaussianBase),
@@ -277,7 +286,7 @@ def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
 
     for it in range(opts.total):
         before = Counter(state.diagnostics)
-        if opts.crankshaft_eps >= 1.0:
+        if opts.crankshaft_eps == 1.0:
             state, _ = exchange_step_prior(state, opts.max_proposals, rng=rng)
         else:
             state, _ = exchange_step_control(state, opts.crankshaft_eps,

@@ -19,7 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainOptions, default_walk_scales, run_exchange_chain, run_history_chain
+from .chain import (
+    ChainOptions,
+    ChainResult,
+    default_walk_scales,
+    pool_map,
+    run_exchange_chain,
+    run_history_chain,
+)
 from .config import RunConfig, parse_config, parse_float_list, parse_grid_spec
 from .generate import ProposalBudgetError, draw_prior_dataset
 from .gp import GpHyper, IllConditionedCovariance
@@ -216,18 +223,16 @@ def _read_data(cfg: RunConfig, path: Path) -> tuple[np.ndarray, BaseHyper]:
     return data, psi
 
 
-def _run_one_chain(args) -> tuple[int, object]:
-    idx, data, cfg, seed = args
+def _run_one_chain(args) -> ChainResult:
+    data, cfg, seed = args
     rng = np.random.default_rng(seed)
     psi = build_psi(cfg, data.shape[1], data)
     theta = build_theta(cfg, data.shape[1], psi)
     priors = build_priors(cfg, data) if cfg.infer_hypers else None
     opts = build_chain_options(cfg, data)
     if cfg.sampler == "exchange":
-        result = run_exchange_chain(data, theta, psi, opts, priors, rng)
-    else:
-        result = run_history_chain(data, theta, psi, opts, priors, rng)
-    return idx, result
+        return run_exchange_chain(data, theta, psi, opts, priors, rng)
+    return run_history_chain(data, theta, psi, opts, priors, rng)
 
 
 def cmd_fit(cfg: RunConfig, data_path: Path, out: Path, chains: int = 1) -> None:
@@ -236,19 +241,12 @@ def cmd_fit(cfg: RunConfig, data_path: Path, out: Path, chains: int = 1) -> None
     data, _ = _read_data(cfg, data_path)
     dim = data.shape[1]
     seeds = np.random.SeedSequence(cfg.seed).spawn(chains)
-    tasks = [(k, data, cfg, seeds[k]) for k in range(chains)]
     t0 = time.perf_counter()
-    if cfg.workers > 1 and chains > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = dict(pool.map(_run_one_chain, tasks))
-    else:
-        results = dict(map(_run_one_chain, tasks))
+    results = pool_map(_run_one_chain, [(data, cfg, seed) for seed in seeds],
+                       cfg.workers)
     points = ["iteration"] + [f"x{i + 1}" for i in range(dim)]  # rejections, predictive
     summaries = {}
-    for k in range(chains):
-        result = results[k]
+    for k, result in enumerate(results):
         chain_dir = out if chains == 1 else out / f"chain{k:02d}"
         chain_dir.mkdir(parents=True, exist_ok=True)
         write_csv(chain_dir / "trace.csv", result.trace_columns, result.trace)
@@ -297,13 +295,9 @@ def cmd_predict_density(cfg: RunConfig, data_path: Path, out: Path,
     out.mkdir(parents=True, exist_ok=True)
     header = [f"x{i + 1}" for i in range(dim)]
     header += ["estimate", "stderr_numerator", "stderr_denominator"]
-    rows = np.column_stack([
-        grid,
-        result.ratios(),
-        np.array([e.numerator_se for e in result.estimates]),
-        np.array([e.denominator_se for e in result.estimates]),
-    ])
-    write_csv(out / "density_grid.csv", header, rows)
+    write_csv(out / "density_grid.csv", header,
+              np.column_stack([grid, result.ratio, result.numerator_se,
+                               result.denominator_se]))
     write_json(out / "meta.json", _meta(cfg, "predict-density", {
         "data": str(data_path),
         "grid_points": int(grid.shape[0]),

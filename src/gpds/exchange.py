@@ -62,6 +62,11 @@ class ExchangeState:
     learned about the function at fantasy locations since the last
     accepted swap, under the GP hyperparameters it holds (:attr:`theta`).
     The moves update the state in place.
+
+    The controls are the sampler's leading rows only in states that
+    :func:`init_exchange_state` and the moves build; the moves do not rely
+    on it.  A state built from a rejection-sampling run, as the Geweke
+    harness does, has its controls interleaved with the run's rejections.
     """
 
     data: np.ndarray            # (N, D), fixed
@@ -109,7 +114,8 @@ def _crankshaft(values: np.ndarray, mean: np.ndarray, lower: np.ndarray,
     """Prior-reversible update: mu + sqrt(1-eps^2)(G-mu) + eps*L*eta.
 
     Leaves N(mean, L L^T) invariant for any eps in (0, 1]; eps=1 is an
-    independent prior draw, eps->0 freezes the values.
+    independent prior draw, ``mean + L eta`` bit for bit (the finite
+    values' term is an exact zero), and eps->0 freezes the values.
     """
     eta = rng.standard_normal(values.shape[0])
     return mean + math.sqrt(1.0 - eps * eps) * (values - mean) + eps * (lower @ eta)
@@ -126,8 +132,9 @@ def _swap_log_ratio(log_phi_hat_data, log_phi_cur_data,
 def _propose(state: ExchangeState, theta: GpHyper, psi: BaseHyper, eps: float,
              max_proposals: int, rng: np.random.Generator) -> tuple[np.ndarray, GenerativeTrace]:
     """Propose a function: its values at the controls (a crankshaft step of
-    size ``eps`` from the current values, or a prior draw under ``theta``
-    when ``eps >= 1``), then N fantasies generated from it under ``psi``.
+    size ``eps`` from the current values under ``theta``; at ``eps = 1``
+    an independent prior draw), then N fantasies generated from it under
+    ``psi``.
 
     The control covariance is factorised once; the sampler built on that
     factor is grown by the fantasy run.  Raises
@@ -139,11 +146,8 @@ def _propose(state: ExchangeState, theta: GpHyper, psi: BaseHyper, eps: float,
         hat_values = mean_c.copy()  # degenerate GP: the function is the mean
     else:
         factor = chol(kernel_matrix(state.controls, state.controls, theta))
-        if eps >= 1.0:
-            hat_values = mean_c + factor.lower @ rng.standard_normal(len(mean_c))
-        else:
-            hat_values = _crankshaft(state.control_values, mean_c, factor.lower,
-                                     eps, rng)
+        hat_values = _crankshaft(state.control_values, mean_c, factor.lower,
+                                 eps, rng)
     proposal = ConditionalSampler(theta, state.controls, hat_values, factor=factor)
     trace = continue_sampler(proposal, state.n_data, psi, rng,
                              max_proposals=max_proposals)

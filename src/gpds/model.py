@@ -148,10 +148,6 @@ def base_logpdf(x, hyper: BaseHyper):
     (returns an (n,) array).
     """
     x = np.asarray(x, dtype=float)
-    if isinstance(hyper, UniformBox) and x.shape == hyper.lower.shape:
-        # one point, the predictive numerator's case: no batch arrays
-        inside = ((x >= hyper.lower) & (x <= hyper.upper)).all()
-        return -hyper.log_volume if inside else -math.inf
     single = x.ndim <= 1
     pts = np.atleast_2d(x)
     if pts.shape[1] != hyper.dim:

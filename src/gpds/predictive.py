@@ -8,7 +8,8 @@ predictive sample x' per retained step), the denominator along a fresh
 chain whose data set is augmented with x.  Neither expectation involves
 the intractable normaliser.  :func:`density_grid` estimates both at every
 point of a grid, from one numerator chain and one
-:func:`estimate_denominator` chain per point.
+:func:`estimate_denominator` chain per point, and returns them as one
+:class:`DensityGrid` of per-point arrays.
 """
 from __future__ import annotations
 
@@ -17,40 +18,38 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import ChainOptions, ChainResult, PosteriorDraw, run_exchange_chain, run_history_chain
+from .chain import (
+    ChainOptions,
+    ChainResult,
+    PosteriorDraw,
+    pool_map,
+    run_exchange_chain,
+    run_history_chain,
+)
 from .gp import GpHyper
 from .model import BaseHyper, HyperPrior, base_logpdf, phi
 
 
 @dataclass
-class DensityEstimate:
-    """Predictive density estimate at one location."""
-
-    x: np.ndarray
-    numerator: float
-    numerator_se: float
-    denominator: float
-    denominator_se: float
-    n_numerator: int
-    n_denominator: int
-
-    @property
-    def ratio(self) -> float:
-        return self.numerator / self.denominator
-
-
-@dataclass
 class DensityGrid:
-    """Predictive density estimates on a lattice; 1-D grids of two or more
-    points also carry the trapezoid integral of the ratio estimates (None
-    otherwise)."""
+    """Predictive density estimates at the grid ``points``.  Entry k of
+    each array belongs to point k: a numerator averages ``n_numerator``
+    terms, a denominator ``n_denominator``, and a standard error is nan
+    from one term.  1-D grids of two or more points also carry the
+    trapezoid integral of :attr:`ratio` (None otherwise)."""
 
     points: np.ndarray
-    estimates: list[DensityEstimate]
+    numerator: np.ndarray
+    numerator_se: np.ndarray
+    denominator: np.ndarray
+    denominator_se: np.ndarray
+    n_numerator: int
+    n_denominator: int
     integral: float | None = None
 
-    def ratios(self) -> np.ndarray:
-        return np.array([e.ratio for e in self.estimates])
+    @property
+    def ratio(self) -> np.ndarray:
+        return self.numerator / self.denominator
 
 
 @dataclass
@@ -72,18 +71,21 @@ class DensityConfig:
                                  self.priors, rng)
 
 
-def _mean_se(terms: np.ndarray) -> tuple[float, float]:
-    n = terms.shape[0]
-    mean = float(np.mean(terms))
-    se = float(np.std(terms, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-    return mean, se
+def _mean_se(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error (nan from one term) along the last axis."""
+    n = terms.shape[-1]
+    mean = np.mean(terms, axis=-1)
+    if n == 1:
+        return mean, np.full_like(mean, math.nan)
+    return mean, np.std(terms, axis=-1, ddof=1) / math.sqrt(n)
 
 
-def _numerator_term(d: PosteriorDraw, k: int) -> float:
-    """pi(x | psi) * min(1, phi(g(x)) / phi(g(x'))) at query point k of one
-    retained draw; the numerator is the mean of these terms."""
-    pi_x = math.exp(base_logpdf(d.query[k], d.psi))
-    return pi_x * min(1.0, phi(d.g_query[k]) / phi(d.g_pred))
+def _numerator_terms(d: PosteriorDraw, grid: np.ndarray) -> np.ndarray:
+    """pi(x | psi) * min(1, phi(g(x)) / phi(g(x'))) at every grid point x,
+    for one retained draw; the numerator is the mean of these terms."""
+    # math.exp: numpy's SIMD exp can round differently from libm's
+    pi_x = np.array([math.exp(v) for v in base_logpdf(grid, d.psi)])
+    return pi_x * np.minimum(1.0, phi(d.g_query) / phi(d.g_pred))
 
 
 def estimate_denominator(x, data: np.ndarray, config: DensityConfig,
@@ -97,14 +99,13 @@ def estimate_denominator(x, data: np.ndarray, config: DensityConfig,
     result = config.run(augmented, opts, rng)
     if result.denominator_terms is None or result.denominator_terms.size == 0:
         raise ValueError("augmented chain produced no denominator terms")
-    return _mean_se(result.denominator_terms)
+    mean, se = _mean_se(result.denominator_terms)
+    return float(mean), float(se)
 
 
-def _denominator_task(args) -> tuple[int, float, float]:
-    k, x, data, config, child_seq = args
-    rng = np.random.default_rng(child_seq)
-    den, den_se = estimate_denominator(x, data, config, rng)
-    return k, den, den_se
+def _denominator_task(args) -> tuple[float, float]:
+    x, data, config, child_seq = args
+    return estimate_denominator(x, data, config, np.random.default_rng(child_seq))
 
 
 def density_grid(grid, data: np.ndarray, config: DensityConfig,
@@ -113,12 +114,11 @@ def density_grid(grid, data: np.ndarray, config: DensityConfig,
 
     One chain on the plain data, run with ``numerator_query=grid``,
     supplies every numerator; each grid point runs its own augmented chain
-    for the denominator.  The chains draw from the children of
-    ``seed_seq.spawn(1 + len(grid))``: the first seeds the numerator chain,
-    child k + 1 the denominator at grid point k, so results do not depend
-    on ``workers``.  1-D grids of two or more points also carry the
-    trapezoid integral of the ratios.  Grids above two dimensions are
-    refused.
+    for the denominator, ``workers`` of them at a time.  The chains draw
+    from the children of ``seed_seq.spawn(1 + len(grid))``: the first
+    seeds the numerator chain, child k + 1 the denominator at grid point
+    k, so results do not depend on ``workers``.  Grids above two
+    dimensions are refused.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 0:
@@ -133,31 +133,20 @@ def density_grid(grid, data: np.ndarray, config: DensityConfig,
                        np.random.default_rng(children[0])).numerator_draws
     if not draws:
         raise ValueError("numerator chain recorded no draws")
-    # each retained iteration of a denominator chain adds one term
-    n_denominator = len(range(opts.burn_in, opts.total, opts.thinning))
-    tasks = [(k, grid[k], data, config, children[1 + k]) for k in range(n_grid)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            denom = {k: (den, se) for k, den, se in pool.map(_denominator_task, tasks)}
-    else:
-        denom = {k: (den, se) for k, den, se in map(_denominator_task, tasks)}
-    estimates = []
-    for k in range(n_grid):
-        terms = np.array([_numerator_term(d, k) for d in draws])
-        num, num_se = _mean_se(terms)
-        den, den_se = denom[k]
-        estimates.append(DensityEstimate(
-            x=grid[k], numerator=num, numerator_se=num_se,
-            denominator=den, denominator_se=den_se,
-            n_numerator=terms.shape[0],
-            n_denominator=n_denominator,
-        ))
+    tasks = [(x, data, config, child) for x, child in zip(grid, children[1:])]
+    den, den_se = np.array(pool_map(_denominator_task, tasks, workers)).T
+    # one contiguous row per grid point, so each mean sums in draw order
+    terms = np.ascontiguousarray(np.array([_numerator_terms(d, grid) for d in draws]).T)
+    num, num_se = _mean_se(terms)
     integral = None
     if grid.shape[1] == 1 and n_grid > 1:
         order = np.argsort(grid[:, 0])
-        xs = grid[order, 0]
-        ys = np.array([estimates[i].ratio for i in order])
-        integral = float(np.trapezoid(ys, xs))
-    return DensityGrid(points=grid, estimates=estimates, integral=integral)
+        integral = float(np.trapezoid((num / den)[order], grid[order, 0]))
+    return DensityGrid(
+        points=grid, numerator=num, numerator_se=num_se,
+        denominator=den, denominator_se=den_se,
+        n_numerator=len(draws),
+        # each retained iteration of a denominator chain adds one term
+        n_denominator=len(range(opts.burn_in, opts.total, opts.thinning)),
+        integral=integral,
+    )

@@ -154,6 +154,28 @@ class TestCrankshaft:
         draws = np.array([_crankshaft(values, mean, lower, 1.0, rng) for _ in range(2000)])
         assert abs(draws.mean()) < 5.0 / math.sqrt(2000) * 3
 
+    def test_eps_one_is_the_prior_draw_bit_for_bit(self):
+        # the function move's and the hyper move's prior draws are the
+        # crankshaft at eps = 1: mean + L eta exactly, whatever the values
+        controls = np.random.default_rng(9).uniform(0, 1, (50, 1))
+        theta = GpHyper(amplitude=1.3, lengthscales=[0.3], mean=-0.7)
+        mean = prior_mean(controls, theta)
+        lower = chol(kernel_matrix(controls, controls, theta)).lower
+        for seed in range(50):
+            values = np.random.default_rng(1000 + seed).normal(0.0, 50.0, 50)
+            got = _crankshaft(values, mean, lower, 1.0, np.random.default_rng(seed))
+            want = mean + lower @ np.random.default_rng(seed).standard_normal(50)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5, math.nan])
+    def test_chain_options_refuse_eps_outside_unit_interval(self, eps):
+        with pytest.raises(ValueError, match="crankshaft_eps"):
+            ChainOptions(total=1, burn_in=0, crankshaft_eps=eps)
+
+    def test_chain_options_accept_eps_up_to_one(self):
+        for eps in (1e-9, 0.5, 1.0):
+            assert ChainOptions(total=1, burn_in=0, crankshaft_eps=eps).crankshaft_eps == eps
+
     @pytest.mark.slow
     def test_preserves_gp_prior(self):
         # iterated crankshaft proposals from a prior draw stay prior

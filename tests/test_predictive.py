@@ -10,7 +10,7 @@ import gpds.predictive
 from gpds.chain import ChainOptions, _predictive_probe, run_history_chain
 from gpds.generate import draw_prior_dataset
 from gpds.gp import GpHyper
-from gpds.model import UniformBox, phi
+from gpds.model import GaussianBase, HyperPrior, UniformBox, base_logpdf, phi
 from gpds.predictive import DensityConfig, density_grid, estimate_denominator
 
 BOX = UniformBox.unit(1)
@@ -53,18 +53,18 @@ class TestEstimateNumerator:
         cfg = frozen_config(0.0, retained=50)
         data = np.random.default_rng(0).uniform(0, 1, (6, 1))
         out = density_grid([[0.25], [0.75]], data, cfg, np.random.SeedSequence(0))
-        for est in out.estimates:
-            assert est.n_numerator == 50
-            assert est.numerator == pytest.approx(1.0, abs=1e-12)  # pi(x) on the unit box
-            assert est.numerator_se == pytest.approx(0.0, abs=1e-12)
+        assert out.n_numerator == 50
+        assert out.numerator.shape == out.numerator_se.shape == (2,)
+        assert out.numerator == pytest.approx([1.0, 1.0], abs=1e-12)  # pi(x) on the unit box
+        assert out.numerator_se == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_single_draw_flags_undefined_stderr(self):
         cfg = frozen_config(0.0, retained=1, burn_in=2)
         data = np.random.default_rng(1).uniform(0, 1, (3, 1))
-        (est,) = density_grid([[0.3]], data, cfg, np.random.SeedSequence(1)).estimates
-        assert est.n_numerator == 1
-        assert est.numerator == pytest.approx(1.0)
-        assert math.isnan(est.numerator_se)
+        out = density_grid([[0.3]], data, cfg, np.random.SeedSequence(1))
+        assert out.n_numerator == 1
+        assert out.numerator == pytest.approx([1.0])
+        assert out.numerator_se.shape == (1,) and math.isnan(out.numerator_se[0])
 
     def test_empty_sample_set_raises(self):
         cfg = frozen_config(0.0, retained=0, burn_in=0)
@@ -80,14 +80,40 @@ class TestEstimateNumerator:
         cfg = frozen_config(mean_fn, retained=1500, burn_in=100)
         data = np.random.default_rng(1).uniform(0, 1, (5, 1))
         grid_x = np.array([[0.3]])
-        (est,) = density_grid(grid_x, data, cfg, np.random.SeedSequence(1)).estimates
+        out = density_grid(grid_x, data, cfg, np.random.SeedSequence(1))
 
         xs = np.linspace(0, 1, 8001)
         phis = phi(mean_fn(xs.reshape(-1, 1)))
         f = phis / np.trapezoid(phis, xs)
         phi_x = phi(mean_fn(grid_x))[0]
         oracle = np.trapezoid(f * np.minimum(1.0, phi_x / phis), xs)
-        assert abs(est.numerator - oracle) < 3 * est.numerator_se
+        assert abs(out.numerator[0] - oracle) < 3 * out.numerator_se[0]
+
+
+class TestNumeratorTerms:
+    def test_each_draw_matches_the_scalar_formula_under_its_own_psi(self):
+        # a Gaussian base with hypers inferred, so the base density differs
+        # between retained draws; each draw's term vector is
+        # pi(x | psi) min(1, phi(g(x)) / phi(g(x'))) at every grid point,
+        # bit for bit, under that draw's psi
+        rng = np.random.default_rng(14)
+        data = rng.normal(0.4, 0.3, (8, 1))
+        psi0 = GaussianBase(mean=[0.4], sigma=[0.3])
+        grid = np.linspace(-0.5, 1.5, 9).reshape(-1, 1)
+        opts = ChainOptions(total=30, burn_in=5, hyper_walk_scale=0.3,
+                            numerator_query=grid)
+        draws = run_history_chain(data, GpHyper(amplitude=1.0, lengthscales=[0.5]),
+                                  psi0, opts,
+                                  HyperPrior.for_data(data, gaussian_base=True),
+                                  np.random.default_rng(15)).numerator_draws
+        assert len({(d.psi.mean[0], d.psi.sigma[0]) for d in draws}) >= 2
+        for d in draws:
+            terms = gpds.predictive._numerator_terms(d, grid)
+            assert terms.shape == (len(grid),)
+            for k, x in enumerate(grid):
+                scalar = (math.exp(base_logpdf(x, d.psi))
+                          * min(1.0, phi(d.g_query[k]) / phi(d.g_pred)))
+                assert terms[k] == scalar
 
 
 class TestEstimateDenominator:
@@ -105,13 +131,13 @@ class TestEstimateDenominator:
         cfg = frozen_config(mean_fn, retained=1500, burn_in=100)
         data = np.random.default_rng(3).uniform(0, 1, (5, 1))
         grid_x = np.array([[0.6]])
-        (est,) = density_grid(grid_x, data, cfg, np.random.SeedSequence(3)).estimates
+        out = density_grid(grid_x, data, cfg, np.random.SeedSequence(3))
         xs = np.linspace(0, 1, 8001)
         phis = phi(mean_fn(xs.reshape(-1, 1)))
-        truth = phi(mean_fn(grid_x))[0] / np.trapezoid(phis, xs)
-        se = est.ratio * math.hypot(est.numerator_se / est.numerator,
-                                    est.denominator_se / est.denominator)
-        assert abs(est.ratio - truth) < 3 * se + 1e-9
+        truth = phi(mean_fn(grid_x)) / np.trapezoid(phis, xs)
+        se = out.ratio * np.hypot(out.numerator_se / out.numerator,
+                                  out.denominator_se / out.denominator)
+        assert np.all(np.abs(out.ratio - truth) < 3 * se + 1e-9)
 
 
 class TestDensityGrid:
@@ -120,7 +146,7 @@ class TestDensityGrid:
         data = np.random.default_rng(4).uniform(0, 1, (6, 1))
         grid = np.linspace(0, 1, 7).reshape(-1, 1)
         out = density_grid(grid, data, cfg, np.random.SeedSequence(4))
-        assert np.allclose(out.ratios(), 1.0, atol=1e-12)
+        assert np.allclose(out.ratio, 1.0, atol=1e-12)
         assert out.integral == pytest.approx(1.0, abs=1e-12)
 
     def test_single_point_grid(self):
@@ -128,8 +154,11 @@ class TestDensityGrid:
         cfg = frozen_config(0.0, retained=40)
         data = np.random.default_rng(5).uniform(0, 1, (4, 1))
         out = density_grid(np.array([[0.5]]), data, cfg, np.random.SeedSequence(5))
-        assert len(out.estimates) == 1
-        assert out.estimates[0].n_numerator == 40
+        assert out.points.shape == (1, 1)
+        for values in (out.numerator, out.numerator_se, out.denominator,
+                       out.denominator_se, out.ratio):
+            assert values.shape == (1,)
+        assert out.n_numerator == 40
         assert out.integral is None
 
     def test_rejects_high_dimensional_grids(self):
@@ -149,7 +178,7 @@ class TestDensityGrid:
         data = np.random.default_rng(6).uniform(0, 1, (4, 1))
         out = density_grid(np.array([[0.3], [0.7]]), data, cfg,
                            np.random.SeedSequence(6))
-        assert np.allclose(out.ratios(), 1.0, atol=1e-12)
+        assert np.allclose(out.ratio, 1.0, atol=1e-12)
 
     def test_seeded_grid_independent_of_worker_count(self):
         theta = GpHyper(amplitude=1.0, lengthscales=[0.5])
@@ -161,8 +190,23 @@ class TestDensityGrid:
         outs = [density_grid(grid, data, cfg, np.random.SeedSequence(123), workers=w)
                 for w in (1, 1, 2)]
         for out in outs[1:]:
-            for a, b in zip(outs[0].estimates, out.estimates):
-                assert (a.numerator, a.denominator) == (b.numerator, b.denominator)
+            assert np.array_equal(out.numerator, outs[0].numerator)
+            assert np.array_equal(out.denominator, outs[0].denominator)
+
+    def test_one_task_starts_no_process_pool(self, monkeypatch):
+        # a one-point grid has one denominator chain: it runs in this
+        # process whatever the worker count
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        cfg = frozen_config(0.0, retained=10, burn_in=2)
+        data = np.random.default_rng(16).uniform(0, 1, (4, 1))
+        out = density_grid(np.array([[0.5]]), data, cfg,
+                           np.random.SeedSequence(16), workers=4)
+        assert out.denominator == pytest.approx([1.0])
 
     def test_seed_children_are_numerator_then_points(self):
         # child 0 of the seed sequence drives the numerator chain, child
@@ -177,13 +221,13 @@ class TestDensityGrid:
         children = np.random.SeedSequence(5).spawn(3)
         numerator = cfg.run(data, replace(cfg.chain_options, numerator_query=grid),
                             np.random.default_rng(children[0]))
-        for k, est in enumerate(out.estimates):
+        terms = [gpds.predictive._numerator_terms(d, grid)
+                 for d in numerator.numerator_draws]
+        for k in range(len(grid)):
             den, _ = estimate_denominator(grid[k], data, cfg,
                                           np.random.default_rng(children[1 + k]))
-            terms = [gpds.predictive._numerator_term(d, k)
-                     for d in numerator.numerator_draws]
-            assert est.denominator == den
-            assert est.numerator == np.mean(terms)
+            assert out.denominator[k] == den
+            assert out.numerator[k] == np.mean([t[k] for t in terms])
 
     def test_chain_options_reach_every_chain(self, monkeypatch):
         # every field but the per-chain query grid and augmented datum is
@@ -206,7 +250,7 @@ class TestDensityGrid:
         data = np.random.default_rng(8).uniform(0, 1, (4, 1))
         grid = np.array([[0.5]])
         out = density_grid(grid, data, cfg, np.random.SeedSequence(9))
-        assert out.estimates[0].n_denominator == 3
+        assert out.n_denominator == 3
         numerator, denominator = seen
         assert numerator.numerator_query is grid and numerator.denominator_point is None
         assert denominator.numerator_query is None and denominator.denominator_point == 4
