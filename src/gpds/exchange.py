@@ -7,15 +7,19 @@ Because the fantasies are exact draws from the proposal's density, the two
 intractable normalisers cancel from the acceptance ratio, which reduces to
 a product of squashed function values at the data and the fantasies.
 
-Every move is one proposal (:func:`_propose`: the proposed function's
-values at the controls, then its fantasies, grown on one sampler) and one
-swap (:func:`_swap`).  Bookkeeping rule: anything learned about a function
-must be kept while that function is part of the Markov state, and the
-state's :class:`ConditionalSampler` is where it is kept.  The swap
-therefore draws the current function at the fantasies by growing that
-sampler (one block, with the sampler's own jitter), where a rejected swap
-leaves the values; an accepted swap discards the old function entirely and
-adopts the proposal's grown sampler.  Neither refactorises anything.
+Every move is one proposal sampler (the proposed function at the
+controls), grown by its fantasy run, and one swap (:func:`_swap`).
+Bookkeeping rule: anything learned about a function must be kept while
+that function is part of the Markov state, and the state's
+:class:`ConditionalSampler` is where it is kept.  Its leading rows are the
+controls, so a function move proposes from a copy of those rows alone: the
+crankshaft is one update of their whitened coordinates, under the state's
+own factor and jitter.  The swap draws the current function at the
+fantasies by growing the state's sampler (one block, with its own jitter),
+where a rejected swap leaves the values; an accepted swap discards the old
+function entirely and adopts the proposal's grown sampler, whose leading
+rows are again the controls.  Only a hyper move, which draws its function
+under new hyperparameters, factorises the controls' covariance.
 """
 from __future__ import annotations
 
@@ -55,26 +59,27 @@ __all__ = [
 class ExchangeState:
     """Markov state: data, accumulated function knowledge and hyperparameters.
 
-    ``controls`` are the anchor locations for perturbative proposals; the
-    first N of them are always the data locations, and their current
-    function values are ``control_values``.  ``sampler`` is the current
-    function: it is conditioned on the controls and on whatever has been
+    ``sampler`` is the current function, under the GP hyperparameters it
+    holds (:attr:`theta`).  Its first ``n_controls`` rows are the
+    controls, the anchor locations of perturbative proposals, and the
+    first N of those are the data; the rows after them are what has been
     learned about the function at fantasy locations since the last
-    accepted swap, under the GP hyperparameters it holds (:attr:`theta`).
-    The moves update the state in place.
-
-    The controls are the sampler's leading rows only in states that
-    :func:`init_exchange_state` and the moves build; the moves do not rely
-    on it.  A state built from a rejection-sampling run, as the Geweke
-    harness does, has its controls interleaved with the run's rejections.
+    accepted swap.  The moves update the state in place, keep the controls
+    as the sampler's leading rows and rely on it: a function move proposes
+    from those rows alone.  Construction checks that the data lead.
     """
 
     data: np.ndarray            # (N, D), fixed
     sampler: ConditionalSampler
-    controls: np.ndarray        # (B, D), controls[:N] == data
-    control_values: np.ndarray  # (B,)
+    n_controls: int             # B >= N: sampler rows [0, B) are the controls
     psi: BaseHyper
     diagnostics: Counter = field(default_factory=Counter)
+
+    def __post_init__(self):
+        n = self.data.shape[0]
+        if not (n <= self.n_controls <= len(self.sampler)
+                and np.array_equal(self.sampler.points[:n], self.data)):
+            raise ValueError("the sampler's leading rows must be the data")
 
     @property
     def theta(self) -> GpHyper:
@@ -85,8 +90,12 @@ class ExchangeState:
         return self.data.shape[0]
 
     @property
+    def controls(self) -> np.ndarray:
+        return self.sampler.points[: self.n_controls]
+
+    @property
     def g_data(self) -> np.ndarray:
-        return self.control_values[: self.n_data]
+        return self.sampler.values[: self.n_data]
 
 
 def init_exchange_state(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
@@ -99,26 +108,8 @@ def init_exchange_state(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
         extra = base_sample(psi, rng.random((n_extra_controls, psi.dim)))
         controls = np.vstack([data, extra])
     sampler = ConditionalSampler(theta)
-    values = sampler.draw_append_block(controls, rng.standard_normal(len(controls)))
-    return ExchangeState(
-        data=data,
-        sampler=sampler,
-        controls=controls.copy(),
-        control_values=values,
-        psi=psi,
-    )
-
-
-def _crankshaft(values: np.ndarray, mean: np.ndarray, lower: np.ndarray,
-                eps: float, rng: np.random.Generator) -> np.ndarray:
-    """Prior-reversible update: mu + sqrt(1-eps^2)(G-mu) + eps*L*eta.
-
-    Leaves N(mean, L L^T) invariant for any eps in (0, 1]; eps=1 is an
-    independent prior draw, ``mean + L eta`` bit for bit (the finite
-    values' term is an exact zero), and eps->0 freezes the values.
-    """
-    eta = rng.standard_normal(values.shape[0])
-    return mean + math.sqrt(1.0 - eps * eps) * (values - mean) + eps * (lower @ eta)
+    sampler.draw_append_block(controls, rng.standard_normal(len(controls)))
+    return ExchangeState(data, sampler, len(controls), psi)
 
 
 def _swap_log_ratio(log_phi_hat_data, log_phi_cur_data,
@@ -129,43 +120,17 @@ def _swap_log_ratio(log_phi_hat_data, log_phi_cur_data,
                  + np.sum(log_phi_cur_fant) - np.sum(log_phi_hat_fant))
 
 
-def _propose(state: ExchangeState, theta: GpHyper, psi: BaseHyper, eps: float,
-             max_proposals: int, rng: np.random.Generator) -> tuple[np.ndarray, GenerativeTrace]:
-    """Propose a function: its values at the controls (a crankshaft step of
-    size ``eps`` from the current values under ``theta``; at ``eps = 1``
-    an independent prior draw), then N fantasies generated from it under
-    ``psi``.
-
-    The control covariance is factorised once; the sampler built on that
-    factor is grown by the fantasy run.  Raises
-    :class:`ProposalBudgetError` when the fantasies exhaust the budget.
-    """
-    mean_c = prior_mean(state.controls, theta)
-    factor = None
-    if theta.amplitude == 0.0:
-        hat_values = mean_c.copy()  # degenerate GP: the function is the mean
-    else:
-        factor = chol(kernel_matrix(state.controls, state.controls, theta))
-        hat_values = _crankshaft(state.control_values, mean_c, factor.lower,
-                                 eps, rng)
-    proposal = ConditionalSampler(theta, state.controls, hat_values, factor=factor)
-    trace = continue_sampler(proposal, state.n_data, psi, rng,
-                             max_proposals=max_proposals)
-    return hat_values, trace
-
-
-def _swap(state: ExchangeState, psi: BaseHyper, hat_values: np.ndarray,
-          trace: GenerativeTrace, rng: np.random.Generator, move: str,
-          log_prior_ratio: float = 0.0,
+def _swap(state: ExchangeState, psi: BaseHyper, trace: GenerativeTrace,
+          rng: np.random.Generator, move: str, log_prior_ratio: float = 0.0,
           base_terms: tuple[float, ...] = ()) -> tuple[ExchangeState, bool]:
     """Evaluate the current function at the fantasies and accept the swap
     with probability exp(log_prior_ratio + swap ratio + sum(base_terms)).
 
     The state is updated in place and returned with the verdict.  On accept
-    the proposal (``psi``, ``hat_values`` and the sampler grown in
-    ``trace``, which holds the proposed theta) becomes the state; on reject
-    the current function keeps its values at the fantasies, which were
-    drawn onto its sampler.
+    the proposal (``psi`` and the sampler grown in ``trace``, which holds
+    the proposed theta and starts with the controls) becomes the state; on
+    reject the current function keeps its values at the fantasies, which
+    were drawn onto its sampler.
     """
     n = state.n_data
     k = len(trace.accepted)
@@ -173,7 +138,7 @@ def _swap(state: ExchangeState, psi: BaseHyper, hat_values: np.ndarray,
     z = np.zeros(k) if state.sampler.degenerate else rng.standard_normal(k)
     g_fant = state.sampler.draw_append_block(trace.accepted, z)
     log_a = log_prior_ratio + _swap_log_ratio(
-        log_phi(hat_values[:n]), log_phi(state.g_data),
+        log_phi(trace.sampler.values[:n]), log_phi(state.g_data),
         log_phi(g_fant), log_phi(trace.accepted_values))
     for term in base_terms:
         log_a += term
@@ -181,21 +146,35 @@ def _swap(state: ExchangeState, psi: BaseHyper, hat_values: np.ndarray,
     if accepted:
         state.diagnostics[f"{move}_acc"] += 1
         state.sampler = trace.sampler
-        state.control_values = hat_values
         state.psi = psi
     return state, accepted
 
 
 def _step_function(state: ExchangeState, eps: float, max_proposals: int,
                    rng: np.random.Generator) -> tuple[ExchangeState, bool]:
+    """Crankshaft the controls' whitened coordinates, ``nu -> sqrt(1 -
+    eps^2) nu + eps eta``, on a copy of the state's leading rows, generate
+    N fantasies from that proposal and offer the swap.
+
+    Since ``g = m + L nu``, this is the value-space update ``m + sqrt(1 -
+    eps^2) (g - m) + eps L eta`` under the state's own factor and jitter,
+    which leaves the GP prior at the controls invariant for any eps in
+    (0, 1]; at eps = 1 it is the prior draw ``m + L eta`` exactly, and a
+    degenerate function, which is its mean, draws no normals.
+    """
     state.diagnostics["func_att"] += 1
+    proposal = state.sampler.copy(rows=state.n_controls)
+    if not proposal.degenerate:
+        eta = rng.standard_normal(state.n_controls)
+        proposal.set_whitened(math.sqrt(1.0 - eps * eps) * proposal.whitened
+                              + eps * eta)
     try:
-        hat_values, trace = _propose(state, state.theta, state.psi, eps,
-                                     max_proposals, rng)
+        trace = continue_sampler(proposal, state.n_data, state.psi, rng,
+                                 max_proposals=max_proposals)
     except ProposalBudgetError:
         state.diagnostics["budget_failures"] += 1
         return state, False
-    return _swap(state, state.psi, hat_values, trace, rng, "func")
+    return _swap(state, state.psi, trace, rng, "func")
 
 
 def exchange_step_prior(state: ExchangeState,
@@ -245,9 +224,18 @@ def exchange_step_hyper(state: ExchangeState, walk_scale: float,
         if not np.all(np.isfinite(base_data_hat)):
             return state, False
     lp_cur = hyperprior_logpdf(state.theta, state.psi, priors)
+    # the proposed function at the controls: a prior draw under theta_hat,
+    # on the one factor of their covariance that the proposal adopts
+    controls = state.controls
+    values = prior_mean(controls, theta_hat)
+    factor = None
+    if theta_hat.amplitude != 0.0:  # a degenerate GP is its mean
+        factor = chol(kernel_matrix(controls, controls, theta_hat))
+        values = values + factor.lower @ rng.standard_normal(len(controls))
+    proposal = ConditionalSampler(theta_hat, controls, values, factor=factor)
     try:
-        hat_values, trace = _propose(state, theta_hat, psi_hat, 1.0,
-                                     max_proposals, rng)
+        trace = continue_sampler(proposal, state.n_data, psi_hat, rng,
+                                 max_proposals=max_proposals)
     except ProposalBudgetError:
         state.diagnostics["budget_failures"] += 1
         return state, False
@@ -257,5 +245,5 @@ def exchange_step_hyper(state: ExchangeState, walk_scale: float,
         base_terms = (float(np.sum(base_data_hat - base_logpdf(state.data, state.psi))),
                       float(np.sum(base_logpdf(fantasies, state.psi)
                                    - base_logpdf(fantasies, psi_hat))))
-    return _swap(state, psi_hat, hat_values, trace, rng, "hyper",
-                 lp_hat - lp_cur, base_terms)
+    return _swap(state, psi_hat, trace, rng, "hyper", lp_hat - lp_cur,
+                 base_terms)

@@ -24,7 +24,7 @@ from .exchange import (
     exchange_step_prior,
 )
 from .generate import DEFAULT_MAX_PROPOSALS, continue_sampler, draw_prior_dataset
-from .gp import GpHyper
+from .gp import ConditionalSampler, GpHyper
 from .history import HistoryChain, sweep
 from .model import BaseHyper, phi
 
@@ -123,13 +123,15 @@ def run_geweke_history(theta: GpHyper, psi: BaseHyper, n_data: int = 3,
 
 
 def _exchange_from_trace(trace, psi) -> ExchangeState:
-    return ExchangeState(
-        data=trace.accepted,
-        sampler=trace.sampler,
-        controls=trace.accepted.copy(),
-        control_values=trace.accepted_values.copy(),
-        psi=psi,
-    )
+    """The state whose data (and controls) are the block this run of the
+    sampler accepted: one build from points, the data first and then every
+    other row the function knows, in their order."""
+    s = trace.sampler
+    others = np.ones(len(s), dtype=bool)
+    others[len(s) - trace.proposal_count :][trace.accept_flags] = False
+    sampler = ConditionalSampler(s.hyper, np.vstack([trace.accepted, s.points[others]]),
+                                 np.concatenate([trace.accepted_values, s.values[others]]))
+    return ExchangeState(trace.accepted, sampler, len(trace.accepted), psi)
 
 
 def exchange_data_refresh(state: ExchangeState, rng: np.random.Generator,
@@ -143,11 +145,11 @@ def exchange_data_refresh(state: ExchangeState, rng: np.random.Generator,
     return fresh
 
 
-def _exchange_stats(state: ExchangeState) -> dict[str, float]:
+def _exchange_stats(data: np.ndarray, g_data: np.ndarray) -> dict[str, float]:
     return {
-        "mean_g_data": float(np.mean(state.g_data)),
-        "mean_phi_data": float(np.mean(phi(state.g_data))),
-        "data_mean": float(np.mean(state.data)),
+        "mean_g_data": float(np.mean(g_data)),
+        "mean_phi_data": float(np.mean(phi(g_data))),
+        "data_mean": float(np.mean(data)),
     }
 
 
@@ -169,8 +171,7 @@ def run_geweke_exchange(theta: GpHyper, psi: BaseHyper, n_data: int = 3,
     for i in range(n_samples):
         trace = draw_prior_dataset(n_data, theta, psi, rng,
                                    max_proposals=max_proposals)
-        state = _exchange_from_trace(trace, psi)
-        for k, v in _exchange_stats(state).items():
+        for k, v in _exchange_stats(trace.accepted, trace.accepted_values).items():
             forward[k][i] = v
     successive = {k: np.empty(n_samples) for k in names}
     trace = draw_prior_dataset(n_data, theta, psi, rng, max_proposals=max_proposals)
@@ -185,6 +186,6 @@ def run_geweke_exchange(theta: GpHyper, psi: BaseHyper, n_data: int = 3,
                                                  max_proposals, rng=rng)
             flip = not flip
             state = exchange_data_refresh(state, rng, max_proposals)
-        for k, v in _exchange_stats(state).items():
+        for k, v in _exchange_stats(state.data, state.g_data).items():
             successive[k][i] = v
     return _make_report(forward, successive, threshold)

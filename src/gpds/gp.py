@@ -22,8 +22,8 @@ past a prefix, is one :meth:`ConditionalSampler.compact`: the kept rows past
 the prefix are refactorised together with one Cholesky of their Schur
 complement, O(R k^2) for k kept rows.  The conditional mean at any number
 of points (:meth:`ConditionalSampler.mean`) takes one packed solve.
-It also holds the whitened coordinates used by the gradient-based function
-moves.
+It also holds the whitened coordinates the function moves update (the
+latent-history HMC and the exchange crankshaft).
 
 Jitter policy: a realisation's jitter is fixed when its factor is first
 built, and growing the factor, one point or one block at a time, never
@@ -34,8 +34,8 @@ starts at the level ``chol`` settles on for their Gram matrix, which is
 relative to its mean diagonal: under a pinned kernel the pin lowers that
 diagonal, so a pinned realisation rebuilt from its points takes a smaller
 jitter than the one it was grown with.  A sampler is the realisation:
-callers keep and grow it (or a :meth:`ConditionalSampler.copy`) instead
-of refactorising its points.
+callers keep and grow it (or a :meth:`ConditionalSampler.copy` of it or
+of its leading rows) instead of refactorising its points.
 
 Two free functions factorise from scratch, :func:`conditional` and
 :func:`log_prior_density`; nothing in the package calls them, they are the
@@ -422,9 +422,18 @@ class ConditionalSampler:
         w = self.whitened
         return -0.5 * (self._n * math.log(2 * math.pi) + self.logdet() + float(w @ w))
 
-    def copy(self) -> "ConditionalSampler":
+    def copy(self, rows: int | None = None) -> "ConditionalSampler":
+        """An independent sampler of the first ``rows`` rows (all by
+        default), with the same hyperparameters and jitter; O(rows^2).  The
+        factor's leading rows do not depend on later ones, so a shorter copy
+        is a full copy :meth:`truncate`-d to ``rows``, bit for bit, with a
+        build's capacity (twice its rows) and nothing of the rest copied."""
         n = self._n
         cap = self._pts.shape[0]
+        if rows is not None:
+            if not 0 <= rows <= n:
+                raise IndexError("row count out of range")
+            n, cap = rows, max(2 * rows, 64)
         out = ConditionalSampler.__new__(ConditionalSampler)
         out.hyper = self.hyper
         out.degenerate = self.degenerate

@@ -7,12 +7,12 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.stats import kstest
 
+import gpds.chain
 import gpds.exchange
 from gpds.chain import ChainOptions, run_exchange_chain
-from gpds.generate import continue_sampler
+from gpds.generate import ProposalBudgetError, continue_sampler
 from gpds.exchange import (
     ExchangeState,
-    _crankshaft,
     _swap_log_ratio,
     exchange_step_control,
     exchange_step_hyper,
@@ -21,10 +21,8 @@ from gpds.exchange import (
 )
 from gpds.geweke import run_geweke_exchange, run_geweke_history
 from gpds.gp import (
-    BASE_JITTER,
     ConditionalSampler,
     GpHyper,
-    chol,
     kernel_matrix,
     prior_mean,
 )
@@ -37,6 +35,26 @@ THETA = GpHyper(amplitude=1.3, lengthscales=[0.3])
 def make_state(rng, n=4, theta=THETA, psi=BOX, **kw):
     data = rng.uniform(0, 1, (n, 1))
     return init_exchange_state(data, theta, psi, rng, **kw)
+
+
+@pytest.fixture
+def propose(monkeypatch):
+    """``propose(state, eps, rng)``: the function move's proposal sampler
+    at step eps, copied as the fantasy run receives it.  The run is then
+    stopped by a budget failure, which leaves the state as it was."""
+    seen = []
+
+    def stop(sampler, *args, **kwargs):
+        seen.append(sampler.copy())
+        raise ProposalBudgetError("stopped before the fantasies", None)
+
+    monkeypatch.setattr(gpds.exchange, "continue_sampler", stop)
+
+    def run(state, eps, rng):
+        exchange_step_control(state, eps, 100, rng=rng)
+        return seen[-1]
+
+    return run
 
 
 class TestSwapRatio:
@@ -105,8 +123,8 @@ class TestExchangeStepPrior:
         state = make_state(rng, n=3)
         for _ in range(10):
             state, _ = exchange_step_prior(state, 100_000, rng=rng)
-            assert np.array_equal(state.g_data, state.control_values[:3])
-            assert np.array_equal(state.controls[:3], state.data)
+            assert np.array_equal(state.g_data, state.sampler.values[:3])
+            assert np.array_equal(state.sampler.points[:3], state.data)
 
     def test_budget_failure_leaves_state_unchanged(self):
         rng = np.random.default_rng(3)
@@ -129,43 +147,79 @@ class TestExchangeStepPrior:
         "geweke_exchange"])
 def test_missing_rng_is_refused_at_the_call(call):
     state = make_state(np.random.default_rng(19))
-    before = (state.sampler, state.control_values.copy(), dict(state.diagnostics))
+    before = (state.sampler, state.sampler.values.copy(), dict(state.diagnostics))
     with pytest.raises(TypeError, match="rng"):
         call(state)
     assert state.sampler is before[0]
-    assert np.array_equal(state.control_values, before[1])
+    assert np.array_equal(state.sampler.values, before[1])
     assert dict(state.diagnostics) == before[2]
 
 
 class TestCrankshaft:
-    def test_eps_zero_is_identity(self):
+    # the function move's proposal: a copy of the state's control rows at
+    # whitened coordinates sqrt(1 - eps^2) nu + eps eta
+    def test_eps_zero_is_identity(self, propose):
         rng = np.random.default_rng(4)
-        values = np.array([0.5, -0.2])
-        mean = np.zeros(2)
-        lower = np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 1.0]]))
-        out = _crankshaft(values, mean, lower, 1e-12, rng)
-        assert np.allclose(out, values, atol=1e-10)
+        state = make_state(rng, n=2)
+        values = state.g_data.copy()
+        out = propose(state, 1e-12, rng)
+        assert np.allclose(out.values, values, atol=1e-10)
 
-    def test_eps_one_is_independent_prior_draw(self):
+    def test_eps_one_is_independent_prior_draw(self, propose):
         rng = np.random.default_rng(5)
-        values = np.array([100.0, -100.0])  # wild state must not leak through
-        mean = np.zeros(2)
-        lower = np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 1.0]]))
-        draws = np.array([_crankshaft(values, mean, lower, 1.0, rng) for _ in range(2000)])
+        state = make_state(rng, n=2)
+        state.sampler.set_whitened(np.array([100.0, -100.0]))  # wild state must not leak through
+        draws = np.array([propose(state, 1.0, rng).values for _ in range(2000)])
         assert abs(draws.mean()) < 5.0 / math.sqrt(2000) * 3
 
-    def test_eps_one_is_the_prior_draw_bit_for_bit(self):
-        # the function move's and the hyper move's prior draws are the
-        # crankshaft at eps = 1: mean + L eta exactly, whatever the values
-        controls = np.random.default_rng(9).uniform(0, 1, (50, 1))
+    def test_eps_one_is_the_prior_draw_bit_for_bit(self, propose):
+        # the prior move is the crankshaft at eps = 1: whitened coordinates
+        # eta and values mean + L eta exactly, under the state's factor,
+        # whatever the current values and the fantasy rows after the controls
+        rng = np.random.default_rng(9)
         theta = GpHyper(amplitude=1.3, lengthscales=[0.3], mean=-0.7)
-        mean = prior_mean(controls, theta)
-        lower = chol(kernel_matrix(controls, controls, theta)).lower
+        state = make_state(rng, n=50, theta=theta)
+        state.sampler.draw_append_block(rng.uniform(0, 1, (7, 1)), rng.standard_normal(7))
         for seed in range(50):
-            values = np.random.default_rng(1000 + seed).normal(0.0, 50.0, 50)
-            got = _crankshaft(values, mean, lower, 1.0, np.random.default_rng(seed))
-            want = mean + lower @ np.random.default_rng(seed).standard_normal(50)
-            assert np.array_equal(got, want)
+            state.sampler.set_whitened(
+                np.random.default_rng(1000 + seed).normal(0.0, 50.0, 57))
+            ref = state.sampler.copy()
+            ref.truncate(50)
+            got = propose(state, 1.0, np.random.default_rng(seed))
+            eta = np.random.default_rng(seed).standard_normal(50)
+            assert np.array_equal(got.whitened, eta)
+            assert np.array_equal(got.values, ref.prior_mean_vec + ref.lower_dot(eta))
+
+    @pytest.mark.parametrize("eps", [0.3, 1.0])
+    def test_proposal_keeps_the_state_factor(self, propose, eps):
+        # the proposal is the state's first B rows, factor and jitter bit for
+        # bit, at values m + sqrt(1 - eps^2) (g - m) + eps L eta
+        rng = np.random.default_rng(21)
+        theta = GpHyper(amplitude=1.3, lengthscales=[0.3], mean=-0.7,
+                        pin_location=[0.5])
+        state = make_state(rng, n=6, theta=theta, n_extra_controls=3)
+        state.sampler.draw_append_block(rng.uniform(0, 1, (11, 1)), rng.standard_normal(11))
+        s = state.sampler
+        b = state.n_controls
+        m, g = s.prior_mean_vec[:b].copy(), s.values[:b].copy()
+        lower = np.zeros((b, b))
+        lower[np.tri(b, dtype=bool)] = s.packed[: b * (b + 1) // 2]
+        out = propose(state, eps, np.random.default_rng(3))
+        eta = np.random.default_rng(3).standard_normal(b)
+        assert len(out) == b and out.jitter == s.jitter
+        assert np.array_equal(out.points, s.points[:b])
+        assert np.array_equal(out.packed, s.packed[: b * (b + 1) // 2])
+        want = m + math.sqrt(1.0 - eps * eps) * (g - m) + eps * (lower @ eta)
+        assert np.allclose(out.values, want, rtol=1e-12, atol=0)
+
+    def test_degenerate_state_draws_no_normals(self, propose):
+        rng = np.random.default_rng(22)
+        state = make_state(rng, n=3, theta=GpHyper(amplitude=0.0, lengthscales=[0.3],
+                                                   mean=0.4))
+        draws = np.random.default_rng(7)
+        out = propose(state, 0.5, draws)
+        assert np.array_equal(out.values, [0.4] * 3)
+        assert draws.bit_generator.state == np.random.default_rng(7).bit_generator.state
 
     @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5, math.nan])
     def test_chain_options_refuse_eps_outside_unit_interval(self, eps):
@@ -177,19 +231,18 @@ class TestCrankshaft:
             assert ChainOptions(total=1, burn_in=0, crankshaft_eps=eps).crankshaft_eps == eps
 
     @pytest.mark.slow
-    def test_preserves_gp_prior(self):
+    def test_preserves_gp_prior(self, propose):
         # iterated crankshaft proposals from a prior draw stay prior
         # distributed at the control points
         pts = np.array([[0.2], [0.7]])
         cov = kernel_matrix(pts, pts, THETA)
-        factor = chol(cov, BASE_JITTER)
         rng = np.random.default_rng(6)
-        g = factor.lower @ rng.standard_normal(2)
+        state = init_exchange_state(pts, THETA, BOX, rng)
         out = np.empty((10_000, 2))
         for i in range(10_000):
-            g = _crankshaft(g, np.zeros(2), factor.lower, 0.35, rng)
-            out[i] = g
-        sd = math.sqrt(cov[0, 0] + factor.jitter)
+            state.sampler = propose(state, 0.35, rng)
+            out[i] = state.g_data
+        sd = math.sqrt(cov[0, 0] + state.sampler.jitter)
         for col in range(2):
             assert kstest(out[::10, col], "norm", args=(0.0, sd)).pvalue > 0.01
 
@@ -234,7 +287,7 @@ class TestExchangeStepHyper:
         monkeypatch.setattr(gpds.exchange, "_swap", spy)
         monkeypatch.setattr(gpds.exchange, "base_logpdf", no_base_logpdf)
         state2, _ = exchange_step_hyper(state, 0.0, HyperPrior(), 100_000, rng=rng)
-        ((_, psi_hat, _, trace, _, move, log_prior_ratio, base_terms),) = swaps
+        ((_, psi_hat, trace, _, move, log_prior_ratio, base_terms),) = swaps
         assert move == "hyper" and psi_hat is psi
         assert log_prior_ratio == 0.0 and base_terms == ()
         assert trace.sampler.hyper.amplitude == amplitude
@@ -315,20 +368,24 @@ class TestPredictiveSamplesExchange:
         theta = GpHyper(amplitude=0.0, lengthscales=[1.0], mean=40.0)
         data = np.array([[0.5]])
         state = ExchangeState(data=data, sampler=ConditionalSampler(theta, data, [40.0]),
-                              controls=data, control_values=np.array([40.0]),
-                              psi=BOX)
+                              n_controls=1, psi=BOX)
         out = self.draws(state, 5000, 3)
         assert kstest(out[:, 0], "uniform").pvalue > 0.01
 
 
 class TestFantasyBatch:
-    def test_fantasy_count_matches_data(self):
+    def test_fantasy_count_matches_data(self, monkeypatch):
         rng = np.random.default_rng(16)
         state = make_state(rng, n=5)
-        from gpds.exchange import _propose
+        runs = []
 
-        hat_values, trace = _propose(state, state.theta, state.psi, 1.0,
-                                     100_000, rng)
+        def spy(sampler, *args, **kwargs):
+            runs.append((sampler.values.copy(), continue_sampler(sampler, *args, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(gpds.exchange, "continue_sampler", spy)
+        exchange_step_prior(state, 100_000, rng=rng)
+        ((hat_values, trace),) = runs
         assert hat_values.shape == (5,)
         assert trace.accepted.shape == (5, 1)
         assert trace.accepted_values.shape == (5,)
@@ -340,8 +397,8 @@ def assert_fresh_build(state):
     points gives, at the jitter it was first built with."""
     s = state.sampler
     assert s.hyper is state.theta
-    assert np.array_equal(s.points[: len(state.controls)], state.controls)
-    assert np.array_equal(s.values[: len(state.controls)], state.control_values)
+    assert len(s) >= state.n_controls
+    assert np.array_equal(s.points[: state.n_data], state.data)
     lower = np.zeros((len(s), len(s)))
     lower[np.tri(len(s), dtype=bool)] = s.packed
     gram = kernel_matrix(s.points, s.points, s.hyper) + s.jitter * np.eye(len(s))
@@ -375,27 +432,38 @@ class TestStateSampler:
 
 class TestBookkeepingAudit:
     def test_chain_builds_factors_only_for_proposals(self, monkeypatch):
-        # the chain state, the predictive probe and the denominator draw all
-        # reuse the state's sampler: the only factor built from points is
-        # the one of each proposal's controls
-        builds, proposals = [], []
+        # the chain state, the function moves' proposals, the predictive
+        # probe and the denominator draw all reuse the state's sampler: the
+        # only factor built from points is the one of each hyper proposal's
+        # controls, built just before its fantasy run
+        events, moves = [], []
         init = ConditionalSampler.__init__
-        propose = gpds.exchange._propose
+        fantasies = gpds.exchange.continue_sampler
 
         def spy_init(self, hyper, points=None, *args, **kwargs):
             if points is not None and np.size(points):
-                builds.append(bool(proposals) and proposals[-1] == "open")
+                events.append(("build", moves[-1] if moves else None))
             init(self, hyper, points, *args, **kwargs)
 
-        def spy_propose(*args, **kwargs):
-            proposals.append("open")
-            try:
-                return propose(*args, **kwargs)
-            finally:
-                proposals[-1] = "closed"
+        def spy_fantasies(*args, **kwargs):
+            events.append(("fantasies", moves[-1]))
+            return fantasies(*args, **kwargs)
+
+        def opened(move, fn):
+            def run(*args, **kwargs):
+                moves.append(move)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    moves.pop()
+            return run
 
         monkeypatch.setattr(ConditionalSampler, "__init__", spy_init)
-        monkeypatch.setattr(gpds.exchange, "_propose", spy_propose)
+        monkeypatch.setattr(gpds.exchange, "continue_sampler", spy_fantasies)
+        monkeypatch.setattr(gpds.exchange, "_step_function",
+                            opened("func", gpds.exchange._step_function))
+        monkeypatch.setattr(gpds.chain, "exchange_step_hyper",
+                            opened("hyper", gpds.chain.exchange_step_hyper))
         rng = np.random.default_rng(19)
         data = rng.uniform(0, 1, (4, 1))
         opts = ChainOptions(total=20, burn_in=4, record_predictive=True,
@@ -404,9 +472,39 @@ class TestBookkeepingAudit:
         result = run_exchange_chain(data, THETA, BOX, opts, HyperPrior(), rng)
         assert result.denominator_terms.shape == (16,)
         assert len(result.numerator_draws) == 16
-        assert len(proposals) >= opts.total  # one function move per iteration
-        assert builds == [True] * len(proposals)
+        func = [e for e in events if e[1] == "func"]
+        hyper = [e for e in events if e[1] == "hyper"]
+        # one function move per iteration, and it builds nothing
+        assert func == [("fantasies", "func")] * opts.total
+        assert hyper and hyper == [("build", "hyper"), ("fantasies", "hyper")] * (len(hyper) // 2)
+        assert len(func) + len(hyper) == len(events)
 
+    def test_function_moves_factorise_nothing(self, monkeypatch):
+        # the proposal is the state's own factor: no function move calls
+        # chol or kernel_matrix in this module, while a hyper move still
+        # factorises its controls once
+        calls = []
+
+        def counted(name):
+            original = getattr(gpds.exchange, name)
+
+            def run(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return run
+
+        for name in ("chol", "kernel_matrix"):
+            monkeypatch.setattr(gpds.exchange, name, counted(name))
+        rng = np.random.default_rng(23)
+        state = make_state(rng, n=4, n_extra_controls=3)
+        for i in range(20):
+            if i % 2:
+                exchange_step_control(state, 0.5, 100_000, rng=rng)
+            else:
+                exchange_step_prior(state, 100_000, rng=rng)
+        assert calls == []
+        exchange_step_hyper(state, 0.0, HyperPrior(), 100_000, rng=rng)
+        assert calls == ["kernel_matrix", "chol"]
 
     def test_draw_ledger_monotone_per_function(self, monkeypatch):
         # every retrospective draw for a live function must condition on at
@@ -450,6 +548,6 @@ class TestBookkeepingAudit:
 
     def test_no_normalizer_evaluation_in_module(self):
         # the whole point of the swap construction: no quadrature anywhere
-        src = Path("src/gpds/exchange.py").read_text()
+        src = Path(gpds.exchange.__file__).read_text()
         for needle in ("trapezoid", "trapz", "simpson", "quad("):
             assert needle not in src

@@ -619,6 +619,54 @@ class TestDrawAppendBlock:
             cs.truncate(13)
 
 
+class TestCopyLeadingRows:
+    HYPER = GpHyper(amplitude=1.2, lengthscales=[0.4, 0.7], mean=-0.3)
+    FIELDS = ("points", "values", "prior_mean_vec", "packed", "whitened")
+
+    def grown(self, seed: int) -> ConditionalSampler:
+        """30 rows: 8 built from points (at chol's jitter), 22 drawn."""
+        rng = np.random.default_rng(seed)
+        cs = ConditionalSampler(self.HYPER, rng.uniform(0, 1, (8, 2)), rng.normal(size=8))
+        cs.draw_append_block(rng.uniform(0, 1, (22, 2)), rng.standard_normal(22))
+        return cs
+
+    @pytest.mark.parametrize("k", [0, 1, 13, 30])
+    def test_is_a_truncated_full_copy_bit_for_bit(self, k):
+        cs = self.grown(40)
+        want = cs.copy()
+        want.truncate(k)
+        got = cs.copy(rows=k)
+        assert len(got) == k
+        assert got.hyper is cs.hyper and got.jitter == want.jitter
+        for f in self.FIELDS:
+            assert np.array_equal(getattr(got, f), getattr(want, f))
+
+    def test_growing_the_copy_leaves_the_original(self):
+        cs = self.grown(41)
+        before = {f: getattr(cs, f).copy() for f in self.FIELDS}
+        dup = cs.copy(rows=12)
+        rng = np.random.default_rng(1)
+        # rows 12.. of the copy are new, and 100 rows outgrow its capacity
+        dup.draw_append_block(rng.uniform(0, 1, (100, 2)), rng.standard_normal(100))
+        dup.set_whitened(rng.normal(size=len(dup)))
+        assert len(cs) == 30
+        for f in self.FIELDS:
+            assert np.array_equal(getattr(cs, f), before[f])
+
+    @pytest.mark.parametrize("rows", [-1, 31])
+    def test_rows_out_of_range_are_refused(self, rows):
+        with pytest.raises(IndexError):
+            self.grown(42).copy(rows=rows)
+
+    def test_degenerate_sampler(self):
+        hyper = GpHyper(amplitude=0.0, lengthscales=[1.0], mean=0.5)
+        cs = ConditionalSampler(hyper)
+        cs.draw_append_block([[0.1], [0.4], [0.9]], [0.0, 0.0, 0.0])
+        dup = cs.copy(rows=2)
+        assert dup.degenerate and np.array_equal(dup.points, [[0.1], [0.4]])
+        assert np.array_equal(dup.values, [0.5, 0.5])
+
+
 class TestGpHyperValidation:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
