@@ -22,8 +22,6 @@ from .model import (
     base_logpdf,
     base_sample,
     hyperprior_logpdf,
-    log_one_minus_phi_grad,
-    log_phi_grad,
     phi,
     unnormalized_density,
 )

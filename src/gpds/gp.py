@@ -37,6 +37,14 @@ jitter than the one it was grown with.  A sampler is the realisation:
 callers keep and grow it (or a :meth:`ConditionalSampler.copy` of it or
 of its leading rows) instead of refactorising its points.
 
+A from-scratch factorisation, :func:`chol`, is one LAPACK ``dpotrf`` that
+overwrites a jittered Fortran-ordered copy of the Gram matrix.  It serves
+the build from a point set and the hyper moves, which propose new
+hyperparameters for points whose values are held fixed: the
+:class:`CholeskyFactor` scores those values on its own
+(:meth:`CholeskyFactor.log_density`), so a proposal builds a sampler from
+it only once accepted.
+
 Two free functions factorise from scratch, :func:`conditional` and
 :func:`log_prior_density`; nothing in the package calls them, they are the
 reference the engine is tested against.
@@ -193,7 +201,8 @@ def prior_mean(X, hyper: GpHyper) -> np.ndarray:
 class CholeskyFactor:
     """Lower-triangular factor of a jittered covariance matrix.
 
-    ``jitter`` is the absolute value that was added to the diagonal.
+    ``lower`` is dense, with exact zeros above the diagonal; ``jitter`` is
+    the absolute value that was added to the diagonal.
     """
 
     lower: np.ndarray
@@ -205,6 +214,12 @@ class CholeskyFactor:
     def logdet(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
 
+    def log_density(self, residual: np.ndarray) -> float:
+        """Zero-mean normal log density of ``residual`` under the factorised
+        covariance: the log-determinant and one triangular solve."""
+        z = self.solve_lower(residual)
+        return -0.5 * (z.shape[0] * math.log(2.0 * math.pi) + self.logdet() + float(z @ z))
+
 
 def chol(cov: np.ndarray, base_jitter: float = BASE_JITTER) -> CholeskyFactor:
     """Cholesky of ``cov + j * scale * I`` with an escalating jitter ladder.
@@ -212,6 +227,12 @@ def chol(cov: np.ndarray, base_jitter: float = BASE_JITTER) -> CholeskyFactor:
     ``j`` starts at ``base_jitter`` (relative to the mean diagonal
     magnitude ``scale``), multiplies by 10 on failure and gives up at
     ``JITTER_CAP``.  A zero ``base_jitter`` first tries the matrix as-is.
+
+    Each try factorises a Fortran-ordered copy of ``cov``, jittered on its
+    diagonal in place, with one LAPACK ``dpotrf`` that overwrites the copy;
+    a failed try starts again from ``cov``, which is never written.  The
+    factor is that Fortran-ordered array, with exact zeros above the
+    diagonal.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -225,16 +246,17 @@ def chol(cov: np.ndarray, base_jitter: float = BASE_JITTER) -> CholeskyFactor:
     j = base_jitter
     while True:
         jit = j * scale
-        try:
-            mat = cov if jit == 0.0 else cov + jit * np.eye(n)
-            lower = np.linalg.cholesky(mat)
+        mat = np.array(cov, order="F")
+        if jit:
+            mat[np.diag_indices(n)] += jit
+        lower, info = dpotrf(mat, lower=1, clean=1, overwrite_a=1)
+        if not info:
             return CholeskyFactor(lower=lower, jitter=jit)
-        except np.linalg.LinAlgError:
-            if j >= JITTER_CAP:
-                raise IllConditionedCovariance(
-                    f"factorisation failed at jitter cap {JITTER_CAP:g} (n={n})"
-                )
-            j = BASE_JITTER if j == 0.0 else j * 10.0
+        if j >= JITTER_CAP:
+            raise IllConditionedCovariance(
+                f"factorisation failed at jitter cap {JITTER_CAP:g} (n={n})"
+            )
+        j = BASE_JITTER if j == 0.0 else j * 10.0
 
 
 def conditional(query, points, values, hyper: GpHyper,
@@ -276,9 +298,7 @@ def log_prior_density(values, points, hyper: GpHyper,
     if P.shape[0] != v.shape[0]:
         raise ValueError("values and points must have equal length")
     factor = chol(kernel_matrix(P, P, hyper), base_jitter)
-    z = factor.solve_lower(v - prior_mean(P, hyper))
-    n = v.shape[0]
-    return -0.5 * (n * math.log(2.0 * math.pi) + factor.logdet() + float(z @ z))
+    return factor.log_density(v - prior_mean(P, hyper))
 
 
 def _tri(n: int) -> int:

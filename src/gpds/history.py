@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gp import ConditionalSampler, GpHyper, chol, kernel_matrix
+from .gp import ConditionalSampler, GpHyper, chol, kernel_matrix, prior_mean
 from .model import (
     BaseHyper,
     HyperPrior,
@@ -41,9 +41,7 @@ from .model import (
     base_sample,
     hyperprior_logpdf,
     log_one_minus_phi,
-    log_one_minus_phi_grad,
     log_phi,
-    log_phi_grad,
     phi,
     propose_hypers,
 )
@@ -114,13 +112,13 @@ def leapfrog(potential_grad, v0: np.ndarray, p0: np.ndarray,
     for step in range(n_steps):
         v = v + step_size * p
         u1, grad = potential_grad(v)
-        if not np.isfinite(u1):
+        if not math.isfinite(u1):
             return v, p, np.inf
         if step < n_steps - 1:
             p = p - step_size * grad
     p = p - 0.5 * step_size * grad
     h1 = u1 + 0.5 * float(p @ p)
-    if not np.isfinite(h1):
+    if not math.isfinite(h1):
         return v, p, np.inf
     return v, p, h1 - h0
 
@@ -238,11 +236,25 @@ class HistoryChain:
     # Factor rows 0..N-1 are always the data (deletes and appends only ever
     # touch rejection rows), so the data/rejection split is a range check.
     def _potential_grad(self, v: np.ndarray):
+        """U(v) = |v|^2 / 2 minus the log-likelihood of g = L v + m, and dU/dv.
+
+        A datum's likelihood term is ``log phi(g)`` and a rejection's
+        ``log phi(-g)``, so with the rejection rows of g negated (s) the
+        terms are one ``log_phi`` pass, and their derivatives in s one
+        ``phi(-s)`` pass, whose rejection rows are negated back for g.  The
+        data's and the rejections' terms are summed apart, as two partial
+        sums.
+        """
         nd = self.n_data
-        g = self.sampler.lower_dot(v) + self.sampler.prior_mean_vec
-        ll = float(np.sum(log_phi(g[:nd]))) + float(np.sum(log_one_minus_phi(g[nd:])))
+        s = self.sampler.lower_dot(v)
+        s += self.sampler.prior_mean_vec
+        s[nd:] *= -1.0
+        ll_terms = log_phi(s)
+        ll = float(ll_terms[:nd].sum()) + float(ll_terms[nd:].sum())
         u_val = 0.5 * float(v @ v) - ll
-        c = np.concatenate([log_phi_grad(g[:nd]), log_one_minus_phi_grad(g[nd:])])
+        np.negative(s, out=s)
+        c = phi(s)
+        c[nd:] *= -1.0
         grad = v - self.sampler.lower_t_dot(c)
         return u_val, grad
 
@@ -265,6 +277,16 @@ class HistoryChain:
     # -- hyperparameter move ----------------------------------------------
     def step_hyper(self, scale: float, priors: HyperPrior,
                    rng: np.random.Generator) -> bool:
+        """One random-walk proposal of ``(theta, psi)`` with the function
+        values held fixed; returns whether it was accepted.
+
+        The proposal is scored from one from-scratch factor of the Gram
+        matrix under the proposed kernel
+        (:meth:`~gpds.gp.CholeskyFactor.log_density` of the values' residual
+        from the proposed prior mean).  Only an accepted proposal builds a
+        sampler from that factor, which the chain adopts as its realisation;
+        a rejected one leaves the chain's sampler as it was.
+        """
         theta_hat, psi_hat = propose_hypers(self.theta, self.psi, scale, priors, rng)
         lp_hat = hyperprior_logpdf(theta_hat, psi_hat, priors)
         if not np.isfinite(lp_hat):
@@ -279,16 +301,16 @@ class HistoryChain:
             if not np.all(np.isfinite(base_new)):
                 return False
             base_ratio = float(np.sum(base_new - base_logpdf(pts, self.psi)))
-        # the current values under the proposed kernel, as the realisation
-        # the chain adopts on accept
+        values = self.sampler.values
         factor_hat = chol(kernel_matrix(pts, pts, theta_hat))
-        proposal = ConditionalSampler(theta_hat, pts, self.sampler.values,
-                                      factor=factor_hat)
-        log_a = (lp_hat - lp_cur + proposal.log_density() - self.sampler.log_density()
+        log_density_hat = factor_hat.log_density(values - prior_mean(pts, theta_hat))
+        log_a = (lp_hat - lp_cur + log_density_hat - self.sampler.log_density()
                  + base_ratio)
         if math.log(rng.uniform()) < log_a:
+            # the current values under the proposed kernel, as the
+            # realisation the chain adopts
             self.psi = psi_hat
-            self.sampler = proposal
+            self.sampler = ConditionalSampler(theta_hat, pts, values, factor=factor_hat)
             return True
         return False
 

@@ -42,16 +42,6 @@ def log_one_minus_phi(z):
     return log_expit(-np.asarray(z))
 
 
-def log_phi_grad(z):
-    """d/dz log phi(z) = 1 - phi(z)."""
-    return expit(-np.asarray(z))
-
-
-def log_one_minus_phi_grad(z):
-    """d/dz log (1 - phi(z)) = -phi(z)."""
-    return -expit(z)
-
-
 # ---------------------------------------------------------------------------
 # Base densities
 # ---------------------------------------------------------------------------

@@ -164,6 +164,40 @@ class TestChol:
         mat = -np.eye(3)  # negative definite stays so under any jitter <= cap
         with pytest.raises(IllConditionedCovariance):
             chol(mat, 1e-8)
+        assert np.array_equal(mat, -np.eye(3))
+
+    @pytest.mark.parametrize("n", [60, 230, 670])
+    def test_matches_numpy_at_the_same_jitter(self, n):
+        rng = np.random.default_rng(n)
+        pts = _separated_points(rng, n, 2, 0.15)
+        cov = kernel_matrix(pts, pts, GpHyper(amplitude=1.2, lengthscales=[0.4, 0.6]))
+        factor = chol(cov)
+        assert factor.jitter == pytest.approx(BASE_JITTER * 1.2**2, rel=1e-12)
+        ref = np.linalg.cholesky(cov + factor.jitter * np.eye(n))
+        assert np.linalg.norm(factor.lower - ref) / np.linalg.norm(ref) < 1e-10
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("base_jitter", [1e-8, 0.0], ids=["first-try", "escalated"])
+    def test_input_unchanged_and_zeros_above_the_diagonal(self, order, base_jitter):
+        # a repeated point makes the Gram matrix singular: at base jitter 0
+        # the first try fails and the ladder escalates from the input
+        hyper = GpHyper(amplitude=1.0, lengthscales=[0.3])
+        pts = np.array([[0.1], [0.4], [0.4], [0.9], [0.55]])
+        cov = np.array(kernel_matrix(pts, pts, hyper), order=order)
+        before = cov.copy()
+        factor = chol(cov, base_jitter)
+        assert factor.jitter == BASE_JITTER  # the unit diagonal scales nothing
+        assert np.array_equal(cov, before)
+        assert factor.lower.flags.f_contiguous
+        assert np.all(factor.lower[np.triu_indices(5, 1)] == 0.0)
+        ref = np.linalg.cholesky(cov + factor.jitter * np.eye(5))
+        assert np.linalg.norm(factor.lower - ref) / np.linalg.norm(ref) < 1e-10
+
+    def test_empty_matrix(self):
+        factor = chol(np.empty((0, 0)))
+        assert factor.lower.shape == (0, 0)
+        assert factor.logdet() == 0.0
+        assert factor.log_density(np.empty(0)) == 0.0
 
 
 class TestConditional:
@@ -958,7 +992,7 @@ class TestCompact:
             calls.append(row)
             return original(self, row)
 
-        monkeypatch.setattr("gpds.gp.dpotrf", lambda a, **kw: (a, 1))
+        monkeypatch.setattr(ConditionalSampler, "_block_chol", lambda self, S: None)
         monkeypatch.setattr(ConditionalSampler, "delete", spy)
         out = self.compact_and_check(cs, prefix, rows)
         assert calls == sorted(set(range(prefix, 30)) - set(rows), reverse=True)

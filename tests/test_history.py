@@ -1,4 +1,5 @@
 """Latent-history sampler: joint density, move ratios, HMC, sweeps."""
+import copy
 import math
 
 import numpy as np
@@ -8,7 +9,14 @@ from scipy.stats import chi2, kstest
 import gpds.history
 from gpds.chain import ChainOptions, _history_log_density
 from gpds.generate import continue_sampler, draw_prior_dataset
-from gpds.gp import ConditionalSampler, GpHyper, kernel_matrix, log_prior_density
+from gpds.gp import (
+    ConditionalSampler,
+    GpHyper,
+    chol,
+    kernel_matrix,
+    log_prior_density,
+    prior_mean,
+)
 from gpds.history import (
     HistoryChain,
     _insert_prob,
@@ -28,6 +36,7 @@ from gpds.model import (
     log_one_minus_phi,
     log_phi,
     phi,
+    propose_hypers,
 )
 
 BOX = UniformBox.unit(1)
@@ -580,6 +589,71 @@ class TestHyperMove:
             pytest.fail("no hyper move accepted")
         assert chain.theta is chain.sampler.hyper
         assert chain.theta.amplitude != theta0.amplitude
+
+
+# (theta, psi, priors) of a hyper move: a box base (only theta walks), a
+# Gaussian base (psi walks too) and a pinned kernel (its pin held fixed)
+HYPER_CONFIGS = {
+    "box": (THETA, BOX, HyperPrior()),
+    "gaussian": (GpHyper(amplitude=1.1, lengthscales=[0.6]), GaussianBase([0.2], [0.8]),
+                 HyperPrior(base_mean=(np.zeros(1), np.ones(1)),
+                            log_base_sigma=(np.zeros(1), np.ones(1)))),
+    "pinned": (GpHyper(amplitude=1.3, lengthscales=[0.3], pin_location=[0.5], mean=0.4),
+               BOX, HyperPrior()),
+}
+
+
+@pytest.mark.parametrize("config", HYPER_CONFIGS)
+class TestHyperMoveBuildsOnlyOnAccept:
+    # the move scores a proposal from its dense factor, and builds the
+    # sampler it adopts only when the proposal is accepted
+    def test_factor_log_density_is_the_builds(self, config):
+        theta, psi, priors = HYPER_CONFIGS[config]
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            chain = make_history(rng, n=6, theta=theta, psi=psi)
+            theta_hat, _ = propose_hypers(theta, psi, 0.3, priors, rng)
+            pts, vals = chain.sampler.points, chain.sampler.values
+            factor = chol(kernel_matrix(pts, pts, theta_hat))
+            built = ConditionalSampler(theta_hat, pts, vals, factor=factor)
+            assert factor.log_density(vals - prior_mean(pts, theta_hat)) == built.log_density()
+
+    def test_rejected_and_accepted_moves(self, config):
+        theta, psi, priors = HYPER_CONFIGS[config]
+        rng = np.random.default_rng(32)
+        chain = make_history(rng, n=6, theta=theta, psi=psi)
+        rejected = accepted = 0
+        for _ in range(80):
+            sampler, packed = chain.sampler, chain.sampler.packed.copy()
+            theta0, psi0 = chain.theta, chain.psi
+            pts, vals = sampler.points.copy(), sampler.values.copy()
+            replay = copy.deepcopy(rng)
+            if not chain.step_hyper(0.15, priors, rng):
+                rejected += 1
+                assert chain.sampler is sampler
+                assert np.array_equal(chain.sampler.packed, packed)
+                assert chain.psi is psi0
+                continue
+            accepted += 1
+            # the proposal the move drew, built from its factor
+            theta_hat, psi_hat = propose_hypers(theta0, psi0, 0.15, priors, replay)
+            ref = ConditionalSampler(theta_hat, pts, vals,
+                                     factor=chol(kernel_matrix(pts, pts, theta_hat)))
+            new = chain.sampler
+            assert new is not sampler
+            assert new.hyper.amplitude == theta_hat.amplitude
+            assert np.array_equal(new.hyper.lengthscales, theta_hat.lengthscales)
+            if theta_hat.pin_location is not None:
+                assert np.array_equal(new.hyper.pin_location, theta_hat.pin_location)
+            assert new.jitter == ref.jitter
+            for a, b in ((new.points, ref.points), (new.values, ref.values),
+                         (new.prior_mean_vec, ref.prior_mean_vec),
+                         (new.packed, ref.packed), (new.whitened, ref.whitened)):
+                assert np.array_equal(a, b)
+            if isinstance(psi0, GaussianBase):
+                assert np.array_equal(chain.psi.mean, psi_hat.mean)
+                assert np.array_equal(chain.psi.sigma, psi_hat.sigma)
+        assert rejected and accepted
 
 
 class TestSweep:

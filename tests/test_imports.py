@@ -1,6 +1,7 @@
 """Every name a package module imports is used by that module, every
-export list names what its module defines and the package re-exports, and
-only ``gpds geweke`` imports ``scipy.stats``."""
+export list names what its module defines and the package re-exports, no
+module calls a Cholesky routine of numpy or scipy directly, and only
+``gpds geweke`` imports ``scipy.stats``."""
 import ast
 import json
 import os
@@ -49,6 +50,27 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def cholesky_calls(tree: ast.Module) -> list[int]:
+    """Lines that reach a library ``cholesky`` (``np.linalg.cholesky``,
+    ``scipy.linalg.cholesky``, ...) by attribute or by import."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "cholesky":
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name.split(".")[-1] == "cholesky" for alias in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_factorisations_go_through_the_package(path):
+    # every factorisation is gp.chol (from scratch, jittered, one LAPACK
+    # dpotrf) or ConditionalSampler._block_chol (a Schur complement)
+    lines = cholesky_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name}: cholesky called directly on lines {lines}"
 
 
 def defined_names(tree: ast.Module) -> set[str]:
