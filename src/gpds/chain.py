@@ -63,15 +63,42 @@ class ChainOptions:
     denominator_point: int | None = None  # row of the augmented datum
 
     def __post_init__(self):
-        if self.total < 0 or self.burn_in < 0 or self.thinning < 1:
-            raise ValueError("invalid iteration counts")
-        if self.total and self.burn_in >= self.total:
-            raise ValueError("burn_in must be smaller than total")
-        if not 0.0 < self.zeta_insert < 1.0:
+        self.check(vars(self))
+
+    @staticmethod
+    def check(settings: dict, names: dict[str, str] | None = None) -> None:
+        """Refuse settings a chain cannot run as asked.  ``settings`` maps
+        each field checked here to its value; in the messages a field goes
+        by ``names[field]`` when given, so that ``RunConfig.validate``
+        checks its keys by these rules under their own names."""
+        def name(field):
+            return names[field] if names else field
+
+        def refuse(field, requirement):
+            raise ValueError(f"{name(field)} must be {requirement}, got {settings[field]}")
+
+        # written so that NaN fails the tests too
+        for field in ("total", "burn_in", "number_moves", "n_extra_controls"):
+            if not settings[field] >= 0:
+                refuse(field, ">= 0")
+        for field in ("thinning", "max_proposals", "hmc_leapfrog"):
+            if not settings[field] >= 1:
+                refuse(field, ">= 1")
+        if settings["total"] and settings["burn_in"] >= settings["total"]:
+            refuse("burn_in", f"smaller than {name('total')}")
+        # a zero or non-finite scale would not fail the run: it freezes a
+        # move, or makes every log prior nan so that the move always rejects
+        for field in ("walk_scales", "hmc_step_size", "hyper_walk_scale"):
+            value = settings[field]
+            if value is not None and not np.all(np.isfinite(value) & (np.asarray(value) > 0)):
+                refuse(field, "finite and positive")
+        if not 0.0 < settings["zeta_insert"] < 1.0:
             # at 1 no deletion is ever proposed, so no insertion is accepted
-            raise ValueError(f"zeta_insert must be in (0, 1), got {self.zeta_insert}")
-        if not 0.0 < self.crankshaft_eps <= 1.0:
-            raise ValueError(f"crankshaft_eps must be in (0, 1], got {self.crankshaft_eps}")
+            refuse("zeta_insert", "in (0, 1)")
+        if not 0.0 < settings["hmc_target"] < 1.0:
+            refuse("hmc_target", "in (0, 1)")
+        if not 0.0 < settings["crankshaft_eps"] <= 1.0:
+            refuse("crankshaft_eps", "in (0, 1]")
 
 
 @dataclass

@@ -92,24 +92,9 @@ def build_priors(cfg: RunConfig, data: np.ndarray | None) -> HyperPrior:
 
 
 def build_chain_options(cfg: RunConfig, data: np.ndarray, **overrides) -> ChainOptions:
-    kw = dict(
-        total=cfg.total_iters,
-        burn_in=cfg.burn_in,
-        thinning=cfg.thinning,
-        max_proposals=cfg.max_proposals,
-        zeta_insert=cfg.zeta_insert,
-        walk_scales=default_walk_scales(data, cfg.walk_scale_frac),
-        number_moves=cfg.number_moves,
-        hmc_step_size=cfg.hmc_step_size,
-        hmc_leapfrog=cfg.hmc_steps,
-        hmc_target=cfg.hmc_target,
-        crankshaft_eps=cfg.crankshaft_eps,
-        n_extra_controls=cfg.extra_controls,
-        infer_hypers=cfg.infer_hypers,
-        hyper_walk_scale=cfg.hyper_walk_scale,
-        record_predictive=cfg.record_predictive,
-        record_rejections=True,
-    )
+    kw = cfg.chain_settings()
+    kw.update(walk_scales=default_walk_scales(data, cfg.walk_scale_frac),
+              record_rejections=True)
     kw.update(overrides)
     return ChainOptions(**kw)
 

@@ -12,6 +12,28 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .chain import ChainOptions
+
+
+# ChainOptions field -> the RunConfig key that sets it
+CHAIN_KEYS = {
+    "total": "total_iters",
+    "burn_in": "burn_in",
+    "thinning": "thinning",
+    "max_proposals": "max_proposals",
+    "zeta_insert": "zeta_insert",
+    "walk_scales": "walk_scale_frac",
+    "number_moves": "number_moves",
+    "hmc_step_size": "hmc_step_size",
+    "hmc_leapfrog": "hmc_steps",
+    "hmc_target": "hmc_target",
+    "crankshaft_eps": "crankshaft_eps",
+    "n_extra_controls": "extra_controls",
+    "infer_hypers": "infer_hypers",
+    "hyper_walk_scale": "hyper_walk_scale",
+    "record_predictive": "record_predictive",
+}
+
 
 @dataclass
 class RunConfig:
@@ -66,6 +88,12 @@ class RunConfig:
     geweke_thin: int = 5
     geweke_corrupt: bool = False
 
+    def chain_settings(self) -> dict:
+        """The :class:`~gpds.chain.ChainOptions` fields this config sets, by
+        field name (``walk_scales`` is the fraction ``walk_scale_frac``,
+        which a run multiplies by the data's standard deviations)."""
+        return {field: getattr(self, key) for field, key in CHAIN_KEYS.items()}
+
     def validate(self) -> None:
         if self.sampler not in ("latent-history", "exchange"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
@@ -73,16 +101,10 @@ class RunConfig:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.base not in ("uniform-box", "gaussian"):
             raise ValueError(f"unknown base {self.base!r}")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
-        if self.total_iters < 0 or self.burn_in < 0:
-            raise ValueError("iteration counts must be >= 0")
-        if self.total_iters and self.burn_in >= self.total_iters:
-            raise ValueError("burn_in must be smaller than total_iters")
-        # a zero or non-finite scale would not fail the run: it freezes a
-        # move, or makes every log prior nan so that the move always rejects
-        for name in ("amplitude_init", "lengthscale_init", "hmc_step_size",
-                     "walk_scale_frac", "hyper_walk_scale",
+        # the iteration counts and move settings, by the rules of the chain
+        # options they become
+        ChainOptions.check(self.chain_settings(), names=CHAIN_KEYS)
+        for name in ("amplitude_init", "lengthscale_init",
                      "amp_log_prior_sigma", "ls_log_prior_sigma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -90,20 +112,11 @@ class RunConfig:
         for name in ("mean_const", "amp_log_prior_mu", "ls_log_prior_mu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 < self.crankshaft_eps <= 1.0:
-            raise ValueError(f"crankshaft_eps must be in (0, 1], got {self.crankshaft_eps}")
-        if not 0.0 < self.zeta_insert < 1.0:
-            # at 1 no deletion is ever proposed, so no insertion is accepted
-            raise ValueError(f"zeta_insert must be in (0, 1), got {self.zeta_insert}")
-        if not 0.0 < self.hmc_target < 1.0:
-            raise ValueError(f"hmc_target must be in (0, 1), got {self.hmc_target}")
-        for name in ("hmc_steps", "max_proposals", "pred_retained", "pred_thinning",
-                     "grid_count", "geweke_thin"):
+        for name in ("pred_retained", "pred_thinning", "grid_count", "geweke_thin"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("number_moves", "extra_controls", "pred_burn_in"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.pred_burn_in < 0:
+            raise ValueError(f"pred_burn_in must be >= 0, got {self.pred_burn_in}")
 
     def hash(self) -> str:
         canon = json.dumps(asdict(self), sort_keys=True)

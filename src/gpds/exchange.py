@@ -230,7 +230,8 @@ def exchange_step_hyper(state: ExchangeState, walk_scale: float,
     values = prior_mean(controls, theta_hat)
     factor = None
     if theta_hat.amplitude != 0.0:  # a degenerate GP is its mean
-        factor = chol(kernel_matrix(controls, controls, theta_hat))
+        factor = chol(kernel_matrix(controls, controls, theta_hat),
+                      scale=theta_hat.amplitude**2)
         values = values + factor.lower @ rng.standard_normal(len(controls))
     proposal = ConditionalSampler(theta_hat, controls, values, factor=factor)
     try:

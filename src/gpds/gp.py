@@ -4,43 +4,41 @@ Squared-exponential covariances (isotropic or per-dimension ARD, optionally
 pinned to zero at a reference location), jittered Cholesky factorisation
 and the one engine every sampler, move and estimator goes through:
 :class:`ConditionalSampler`.  It keeps the Cholesky factor of the R known
-points row-packed (BLAS packed storage) and updates it in place: O(R^2)
-retrospective draws and appends, O((R - k) R) deletion of row k (one QR
-call of the trailing block), so that rejection-sampling loops and MCMC
-moves do not refactorise the Gram matrix from scratch at every step.
-Every way of adding points (one or a block, drawn or known, and the build
-from a point set) is one routine: condition the new points on the known
-ones, factorise the Schur complement of their covariance, write their
-rows.  One point is one packed solve; joint draws at a block of k points
+points row-packed (BLAS packed storage) and updates it in place, so that
+rejection-sampling loops and MCMC moves do not refactorise the Gram matrix
+from scratch at every step.  Every change to the row set past the rows it
+keeps is one routine, :meth:`ConditionalSampler._add_rows`: condition the
+new points on the known ones, factorise the Schur complement of their
+covariance, write their rows.  That covers one point or a block, drawn or
+known, and the build from a point set.  One point is one packed solve;
+joint draws at a block of k points
 (:meth:`ConditionalSampler.draw_append_block`,
 :meth:`ConditionalSampler.draw_batch`) solve against all k columns at once
 with one BLAS-3 call on the packed factor.  A proposed point is
 conditioned once: :meth:`ConditionalSampler.draw_append` records it, and a
 rejected proposal is dropped again with the O(1)
-:meth:`ConditionalSampler.truncate`.  Dropping many rows at once, anywhere
-past a prefix, is one :meth:`ConditionalSampler.compact`: the kept rows past
-the prefix are refactorised together with one Cholesky of their Schur
-complement, O(R k^2) for k kept rows.  The conditional mean at any number
-of points (:meth:`ConditionalSampler.mean`) takes one packed solve.
-It also holds the whitened coordinates the function moves update (the
-latent-history HMC and the exchange crankshaft).
+:meth:`ConditionalSampler.truncate`.  Dropping rows is a compaction
+(:meth:`ConditionalSampler.compact`, and :meth:`ConditionalSampler.delete`
+for one row): the kept rows past the prefix already hold their factor
+entries on it, so they are added back after it as known values, O(R k^2)
+for k kept rows.  The conditional mean at any number of points
+(:meth:`ConditionalSampler.mean`) takes one packed solve.  It also holds
+the whitened coordinates the function moves update (the latent-history
+HMC and the exchange crankshaft).
 
-Jitter policy: a realisation's jitter is fixed when its factor is first
-built, and growing the factor, one point or one block at a time, never
-changes it; :meth:`ConditionalSampler.draw_batch`, which serves the
-predictive probe's query points, draws with it too.  A sampler grown from
-empty starts at ``BASE_JITTER * amplitude^2``.  One built from points
-starts at the level ``chol`` settles on for their Gram matrix, which is
-relative to its mean diagonal: under a pinned kernel the pin lowers that
-diagonal, so a pinned realisation rebuilt from its points takes a smaller
-jitter than the one it was grown with.  A sampler is the realisation:
-callers keep and grow it (or a :meth:`ConditionalSampler.copy` of it or
-of its leading rows) instead of refactorising its points.
+Jitter policy: every realisation starts at ``BASE_JITTER * amplitude^2``,
+whether it is grown from empty or built from points, pinned or not, and
+growing or compacting the factor never changes it;
+:meth:`ConditionalSampler.draw_batch`, which serves the predictive probe's
+query points, draws with it too.  A sampler is the realisation: callers
+keep and grow it (or a :meth:`ConditionalSampler.copy` of it or of its
+leading rows) instead of refactorising its points.
 
 A from-scratch factorisation, :func:`chol`, is one LAPACK ``dpotrf`` that
-overwrites a jittered Fortran-ordered copy of the Gram matrix.  It serves
-the build from a point set and the hyper moves, which propose new
-hyperparameters for points whose values are held fixed: the
+overwrites a jittered Fortran-ordered copy of the Gram matrix, with a
+jitter ladder that runs only when that fails.  It serves the hyper moves,
+which propose new hyperparameters for points whose values are held fixed
+and start it at the realisation's level (``scale=amplitude**2``): the
 :class:`CholeskyFactor` scores those values on its own
 (:meth:`CholeskyFactor.log_density`), so a proposal builds a sampler from
 it only once accepted.
@@ -57,12 +55,13 @@ from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtpmv, dtpsv, dtrsv
-from scipy.linalg.lapack import dpotrf, dtfsm, dtpqrt, dtpttf
+from scipy.linalg.blas import dtpmv, dtpsv
+from scipy.linalg.lapack import dpotrf, dtfsm, dtpttf, dtrtrs
 
 # Relative jitter ladder: start here, escalate x10 per retry, give up at the
-# cap.  Values are relative to the mean diagonal magnitude of the matrix
-# being factorised (i.e. to amplitude^2 for an unpinned kernel).
+# cap.  Values are relative to a reference scale: amplitude^2 for a
+# realisation, and by default for chol the mean diagonal magnitude of the
+# matrix being factorised (amplitude^2 for an unpinned kernel).
 BASE_JITTER = 1e-8
 JITTER_CAP = 1e-2
 
@@ -221,12 +220,15 @@ class CholeskyFactor:
         return -0.5 * (z.shape[0] * math.log(2.0 * math.pi) + self.logdet() + float(z @ z))
 
 
-def chol(cov: np.ndarray, base_jitter: float = BASE_JITTER) -> CholeskyFactor:
+def chol(cov: np.ndarray, base_jitter: float = BASE_JITTER, *,
+         scale: float | None = None) -> CholeskyFactor:
     """Cholesky of ``cov + j * scale * I`` with an escalating jitter ladder.
 
-    ``j`` starts at ``base_jitter`` (relative to the mean diagonal
-    magnitude ``scale``), multiplies by 10 on failure and gives up at
-    ``JITTER_CAP``.  A zero ``base_jitter`` first tries the matrix as-is.
+    ``j`` starts at ``base_jitter``, multiplies by 10 on failure and gives
+    up at ``JITTER_CAP``.  A zero ``base_jitter`` first tries the matrix
+    as-is.  ``scale`` defaults to the mean diagonal magnitude of ``cov``;
+    the hyper moves pass ``amplitude**2``, so that their factor starts at
+    the jitter of a realisation.  A scale that is not positive is 1.
 
     Each try factorises a Fortran-ordered copy of ``cov``, jittered on its
     diagonal in place, with one LAPACK ``dpotrf`` that overwrites the copy;
@@ -240,7 +242,8 @@ def chol(cov: np.ndarray, base_jitter: float = BASE_JITTER) -> CholeskyFactor:
     if base_jitter < 0:
         raise ValueError("base_jitter must be >= 0")
     n = cov.shape[0]
-    scale = float(np.mean(np.abs(np.diag(cov)))) if n else 0.0
+    if scale is None:
+        scale = float(np.mean(np.abs(np.diag(cov)))) if n else 0.0
     if scale <= 0.0:
         scale = 1.0
     j = base_jitter
@@ -327,36 +330,37 @@ class ConditionalSampler:
     are single packed BLAS calls (``dtpsv``, ``dtpmv``) that read R^2 / 2
     contiguous doubles.  Appending k points writes their k R + k (k + 1) / 2
     contiguous entries; growing the capacity copies the R^2 / 2 stored
-    entries.  Deleting row k moves the R - k - 1 rows below it up one row
-    and refactorises their trailing block with one LAPACK QR call
-    (:meth:`delete`), which is O((R - k) R).  Keeping a prefix and a chosen set of later rows
-    (:meth:`compact`) moves the kept rows' leading entries and refactorises
-    the rest of them from their Schur complement.
+    entries.
 
-    Every addition of points (the build from ``points`` and every draw or
-    append) goes through :meth:`_add_rows`.  One point is one packed
-    ``dtpsv`` and a scalar pivot.  k points copy the packed entries once to
-    rectangular full packed form for one BLAS-3 ``dtfsm`` call, which reads
-    the factor once instead of k times and needs no dense copy of it, and
-    take one k x k Cholesky.  The mean alone
-    (:meth:`mean`) needs no such solve: ``k(X, points) L^-T w`` is one packed
-    ``dtpsv`` and a matrix-vector product.
+    Every factorisation of a change to the row set goes through
+    :meth:`_add_rows`: the build from ``points``, every draw or append, and
+    every removal.  One point is one packed ``dtpsv`` and a scalar pivot.
+    k points copy the packed entries once to rectangular full packed form
+    for one BLAS-3 ``dtfsm`` call, which reads the factor once instead of
+    k times and needs no dense copy of it, and take one k x k Cholesky.
+    Removing rows is a compaction (:meth:`compact`; :meth:`delete` is the
+    compaction that drops one row): the kept rows past the untouched prefix
+    are gathered with the leading factor entries they already hold, the
+    factor is truncated to the prefix, and they are added back as known
+    values.  The mean alone (:meth:`mean`) needs no such solve:
+    ``k(X, points) L^-T w`` is one packed ``dtpsv`` and a matrix-vector
+    product.
 
     With ``amplitude == 0`` the sampler is degenerate: draws equal the mean
     function and no factor is kept (appends are O(1)).  The mean is always
     ``hyper.mean``.
 
-    The jitter is fixed here, when the factor is first built: the jitter
-    ``chol`` settles on for the starting points, or ``BASE_JITTER *
-    amplitude^2`` when there are none.  Every later addition of points
-    (:meth:`draw`, :meth:`draw_append`, :meth:`append`,
+    The jitter is ``BASE_JITTER * amplitude^2`` for every sampler built
+    here, from points or from none, pinned or not.  Every later addition of
+    points (:meth:`draw`, :meth:`draw_append`, :meth:`append`,
     :meth:`draw_append_block` and :meth:`draw_batch`, whose conditional
-    covariance gets this same jitter on its diagonal), :meth:`compact`
-    (likewise) and :meth:`delete` keep it, so one realisation has one
-    jitter however it grew.
+    covariance gets this same jitter on its diagonal), :meth:`compact` and
+    :meth:`delete` keep it, so one realisation has one jitter however it
+    grew.
 
     ``factor``, when given, must be ``chol(kernel_matrix(points, points,
-    hyper))``; it is adopted as is instead of being computed again.
+    hyper), scale=hyper.amplitude**2)``; it is adopted as is, with its
+    jitter, instead of being computed again.
     """
 
     def __init__(self, hyper: GpHyper, points=None, values=None,
@@ -381,11 +385,8 @@ class ConditionalSampler:
         else:
             self._ap = np.empty(_tri(cap))
             self._w = np.empty(cap)
-            if n and factor is None:
-                factor = chol(kernel_matrix(pts, pts, hyper))
-            self.jitter = factor.jitter if n else BASE_JITTER * hyper.amplitude**2
-        if n:
-            self._add_rows(pts, values=vals, M=None if self.degenerate else factor.lower)
+            self.jitter = BASE_JITTER * hyper.amplitude**2 if factor is None else factor.jitter
+        self._add_rows(pts, values=vals, M=None if factor is None else factor.lower)
 
     def __len__(self) -> int:
         return self._n
@@ -532,20 +533,22 @@ class ConditionalSampler:
         return M
 
     def _add_rows(self, X: np.ndarray, z=None, values=None,
-                  M: np.ndarray | None = None) -> None:
+                  A: np.ndarray | None = None, M: np.ndarray | None = None) -> None:
         """Record the k rows of X after the R known points, at the values
         whose whitened coordinates are z or at the known ``values`` (a
         degenerate sampler records ``values``, else its mean).
         O(R^2 k + R k^2 + k^3).
 
-        Condition: ``A = L^-1 k(points, X)``, one packed ``dtpsv`` for one
-        point, one ``dtfsm`` for more.  Factorise ``K(X, X) + jitter I -
-        A^T A`` as M, unless M is given (a build from points): for one point
-        a scalar pivot clamped to :meth:`_pivot_floor`, which cannot fail;
-        for more one :meth:`_block_chol`, and when that fails the points
-        are added one at a time instead.  Write the rows ``[A^T, M]`` with
-        the values ``mean + M z``, or whiten the known values with one
-        triangular solve.
+        Condition: ``A = L^-1 k(points, X)`` (R x k), one packed ``dtpsv``
+        for one point, one ``dtfsm`` for more, unless A is given (rows that
+        already held these leading entries: a compaction).  Factorise
+        ``K(X, X) + jitter I - A^T A`` as M, unless M is given (an adopted
+        factor): for one point a scalar pivot clamped to
+        :meth:`_pivot_floor`, which cannot fail; for more one
+        :meth:`_block_chol`, and when that fails the points are added one
+        at a time instead, with the same z or values.  Write the rows
+        ``[A^T, M]`` with the values ``mean + M z``, or whiten the known
+        values with one LAPACK triangular solve (``dtrtrs``).
         """
         n, k = self._n, X.shape[0]
         if not k:
@@ -557,9 +560,12 @@ class ConditionalSampler:
         w_head = self._w[:n]
         if k == 1 and M is None:
             # scalar arithmetic: one packed solve and one clamped pivot
-            a = kernel_matrix(X, self._pts[:n], self.hyper)[0]
-            if n:
-                a = dtpsv(n, self._ap, a, lower=0, trans=1, overwrite_x=1)
+            if A is not None:
+                a = A[:, 0]
+            else:
+                a = kernel_matrix(X, self._pts[:n], self.hyper)[0]
+                if n:
+                    a = dtpsv(n, self._ap, a, lower=0, trans=1, overwrite_x=1)
             mu = float(m[0]) + float(a @ w_head)
             d = math.sqrt(max(float(kernel_diag(X, self.hyper)[0]) + self.jitter
                               - float(a @ a), self._pivot_floor()))
@@ -570,23 +576,29 @@ class ConditionalSampler:
                 w = (g - mu) / d
             self._write_rows(n, X, m, g, a, d, w)
             return
-        A = self._cross_solve(X) if n else np.empty((0, k))
+        if A is None:
+            A = self._cross_solve(X) if n else np.empty((0, k))
         if M is None:
             # K(X, X) is symmetric: its transpose is a Fortran-ordered view
             # of the same matrix, which LAPACK factorises in place
             S = kernel_matrix(X, X, self.hyper).T
             S[np.diag_indices(k)] += self.jitter
-            S -= A.T @ A
+            if n:
+                S -= A.T @ A
             M = self._block_chol(S)
             if M is None:
                 for i in range(k):
-                    self._add_rows(X[i : i + 1], z[i : i + 1])
+                    one = slice(i, i + 1)
+                    if values is None:
+                        self._add_rows(X[one], z[one])
+                    else:
+                        self._add_rows(X[one], values=values[one])
                 return
         mu = m + A.T @ w_head
         if values is None:
             values, w = mu + M @ z, z
         else:
-            w = solve_triangular(M, values - mu, lower=True, check_finite=False)
+            w, _ = dtrtrs(M, values - mu, lower=1)
         self._write_rows(n, X, m, values, A.T, M, w)
 
     def _write_rows(self, p: int, X: np.ndarray, m: np.ndarray, g,
@@ -651,13 +663,8 @@ class ConditionalSampler:
         Kept rows already in place (``rows[i] == prefix + i``) join the
         prefix p untouched.  The p leading entries of every later kept row,
         ``L_pp^-1 k(points[:p], x)``, do not depend on the rows after p, so
-        they are gathered as A (k x p).  The rest of the new factor is the
-        Cholesky M of the Schur complement ``K(X, X) + jitter I - A A^T``
-        (one LAPACK ``dpotrf``), the new rows are ``[A, M]``, and their
-        whitened values are ``M^-1 (g - m - A w_head)``, one ``dtrsv``.
-        When that Cholesky fails or one of its pivots falls below the
-        floor, the dropped rows are removed one by one with :meth:`delete`
-        instead, which cannot fail and keeps the same order.
+        they are gathered as A; the factor is truncated to p, and the kept
+        rows are added back at their values with :meth:`_add_rows`, given A.
         """
         kept = np.asarray(rows, dtype=np.intp).tolist()  # few: checked in Python
         n = self._n
@@ -670,29 +677,13 @@ class ConditionalSampler:
         while p - prefix < len(kept) and kept[p - prefix] == p:
             p += 1
         tail = np.array(kept[p - prefix :], dtype=np.intp)
-        t = tail.size
-        if not t:
-            self._n = p
-            return
-        X = self._pts[tail]
-        g = self._vals[tail]
-        m = self._m[tail]
-        A = M = w_tail = None
+        # fancy indexing copies: the rows are read before they are overwritten
+        X, g = self._pts[tail], self._vals[tail]
+        A = None
         if not self.degenerate:
-            A = self._ap[(tail * (tail + 1) // 2)[:, None] + np.arange(p)]
-            # K(X, X) is symmetric: its transpose is a Fortran-ordered view
-            # of the same matrix, which LAPACK factorises in place
-            S = kernel_matrix(X, X, self.hyper).T
-            S[np.diag_indices(t)] += self.jitter
-            S -= A @ A.T
-            M = self._block_chol(S)
-            if M is None:
-                # delete the dropped rows from the bottom up
-                for row in np.setdiff1d(np.arange(p, n), tail)[::-1]:
-                    self.delete(int(row))
-                return
-            w_tail = dtrsv(M, g - m - A @ self._w[:p], lower=1, overwrite_x=1)
-        self._write_rows(p, X, m, g, A, M, w_tail)
+            A = self._ap[(tail * (tail + 1) // 2)[None, :] + np.arange(p)[:, None]]
+        self._n = p
+        self._add_rows(X, values=g, A=A)
 
     def mean(self, X) -> np.ndarray:
         """Conditional mean at a batch of points, ``m(X) + k(X, points)
@@ -720,49 +711,12 @@ class ConditionalSampler:
         return g
 
     def delete(self, row: int) -> None:
-        """Remove the point at ``row``; O((R - row) R).
-
-        The t rows below it are ``[C, u, B]`` (leading columns, the removed
-        column, the t x t trailing block).  They move up one row as
-        ``[C, L']`` with ``L' L'^T = B B^T + u u^T``: ``L'^T`` is the R of
-        one LAPACK ``dtpqrt`` of ``B^T`` stacked on ``u^T`` (O(t^2), and it
-        cannot fail, because B is nonsingular), with its diagonal made
-        positive.  Their whitened coordinates become
-        ``L'^-1 (B w_tail + u w_row)``, one ``dtrsv``: that is the residuals
-        minus ``C w_head``, and the rows above keep their whitened values.
-        """
+        """Remove the point at ``row``: the :meth:`compact` that keeps every
+        other row, O(t^2 R) for the t rows below it."""
         n = self._n
         if not 0 <= row < n:
             raise IndexError("row out of range")
-        self._pts[row : n - 1] = self._pts[row + 1 : n]
-        self._vals[row : n - 1] = self._vals[row + 1 : n]
-        self._m[row : n - 1] = self._m[row + 1 : n]
-        self._n = n - 1
-        t = n - 1 - row  # rows below the deleted one
-        if self.degenerate or not t:
-            return
-        ap = self._ap
-        w = self._w
-        bt = np.zeros((t, t), order="F")  # B^T, upper triangular
-        u = np.empty(t)
-        # old row j (packed at _tri(j)) moves up to _tri(j - 1) = _tri(j) - j,
-        # over the entries of row j - 1, which were read before it
-        for i, j in enumerate(range(row + 1, n)):
-            s = _tri(j)
-            u[i] = ap[s + row]
-            bt[: i + 1, i] = ap[s + row + 1 : s + j + 1]
-            ap[s - j : s - j + row] = ap[s : s + row]
-        rhs = bt.T @ w[row + 1 : n] + u * w[row]
-        # LAPACK block size, timed one call at a time on 1 BLAS thread: one
-        # block (nb = t) for tails up to 16 rows, the common case (fastest of
-        # nb = 1, 4, 8, t up to t = 9, within 10 % at t = 16); 16 above, the
-        # fastest of 1 to 64 for t = 50 to 400
-        r, _, _, _ = dtpqrt(0, min(t, 16), bt, u[None, :], overwrite_a=1, overwrite_b=1)
-        r *= np.sign(np.diag(r))[:, None]  # a positive diagonal
-        for i, j in enumerate(range(row + 1, n)):
-            s = _tri(j) - j + row
-            ap[s : s + i + 1] = r[: i + 1, i]
-        w[row : n - 1] = dtrsv(r, rhs, lower=0, trans=1, overwrite_x=1)
+        self.compact(row, range(row + 1, n))
 
     def set_whitened(self, v: np.ndarray) -> None:
         """Replace values via their whitened coordinates g = L v + m."""

@@ -302,7 +302,7 @@ class HistoryChain:
                 return False
             base_ratio = float(np.sum(base_new - base_logpdf(pts, self.psi)))
         values = self.sampler.values
-        factor_hat = chol(kernel_matrix(pts, pts, theta_hat))
+        factor_hat = chol(kernel_matrix(pts, pts, theta_hat), scale=theta_hat.amplitude**2)
         log_density_hat = factor_hat.log_density(values - prior_mean(pts, theta_hat))
         log_a = (lp_hat - lp_cur + log_density_hat - self.sampler.log_density()
                  + base_ratio)

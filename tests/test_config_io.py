@@ -1,7 +1,11 @@
-"""Config parsing and CSV round-trip fidelity."""
+"""Config parsing, the chain-option rules it shares, and CSV round-trip
+fidelity."""
+import math
+
 import numpy as np
 import pytest
 
+from gpds.chain import ChainOptions
 from gpds.config import RunConfig, parse_config, parse_float_list, parse_grid_spec
 from gpds.io_utils import fmt_float, read_csv, read_data_csv, write_csv, write_json
 
@@ -122,6 +126,39 @@ class TestConfigParsing:
             parse_grid_spec("0:1")
         with pytest.raises(ValueError):
             parse_grid_spec("1:0:5")
+
+
+class TestChainOptionsRules:
+    """Every rule holds for ``ChainOptions`` built directly, not only for a
+    config file: each bad setting is refused by name."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("total", -1), ("burn_in", -1), ("burn_in", 20), ("thinning", 0),
+        ("max_proposals", 0), ("number_moves", -2), ("n_extra_controls", -1),
+        ("hmc_leapfrog", 0),
+        ("walk_scales", 0.0), ("walk_scales", -0.1), ("walk_scales", [0.1, math.nan]),
+        ("hmc_step_size", 0.0), ("hmc_step_size", math.inf),
+        ("hyper_walk_scale", 0.0), ("hyper_walk_scale", math.nan),
+        ("zeta_insert", 0.0), ("zeta_insert", 1.0),
+        ("hmc_target", 0.0), ("hmc_target", 1.5),
+        ("crankshaft_eps", 0.0), ("crankshaft_eps", 1.5),
+    ])
+    def test_bad_setting_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChainOptions(**{"total": 20, "burn_in": 5, field: value})
+
+    def test_boundary_settings_accepted(self):
+        ChainOptions(total=0, burn_in=0, max_proposals=1, number_moves=0, hmc_leapfrog=1,
+                     n_extra_controls=0, crankshaft_eps=1.0, zeta_insert=0.999)
+        ChainOptions(total=1, burn_in=0, walk_scales=np.array([0.1, 2.0]))
+
+    @pytest.mark.parametrize("key, value", [
+        ("total_iters", -1), ("burn_in", 6000), ("thinning", 0), ("hmc_steps", 0),
+        ("extra_controls", -1), ("walk_scale_frac", 0.0), ("hmc_target", 1.5),
+    ])
+    def test_config_refuses_by_the_same_rules_under_its_own_keys(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            RunConfig(**{key: value}).validate()
 
 
 class TestCsvRoundTrip:

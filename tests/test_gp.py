@@ -449,8 +449,9 @@ class TestConditionalSampler:
         assert len(cs) == 65 and cs.values[64] == g
 
     def test_build_from_points_matches_appends_and_factor(self):
-        # unpinned, so a build from points starts at the same jitter as an
-        # empty sampler: BASE_JITTER * amplitude^2
+        # a build from points starts at the same jitter as an empty
+        # sampler, BASE_JITTER * amplitude^2, and so does a factor adopted
+        # from chol at that scale, as the hyper moves compute it
         hyper = GpHyper(amplitude=1.3, lengthscales=[0.4, 0.6], mean=0.2)
         rng = np.random.default_rng(25)
         pts = _separated_points(rng, 30, 2, 0.4)
@@ -459,10 +460,10 @@ class TestConditionalSampler:
         grown = ConditionalSampler(hyper)
         for p, v in zip(pts, vals):
             grown.append(p, v)
-        factor = chol(kernel_matrix(pts, pts, hyper))
+        factor = chol(kernel_matrix(pts, pts, hyper), scale=hyper.amplitude**2)
         adopted = ConditionalSampler(hyper, pts, vals, factor=factor)
-        assert built.jitter == adopted.jitter == factor.jitter
-        assert grown.jitter == pytest.approx(built.jitter, rel=1e-12)
+        assert built.jitter == adopted.jitter == factor.jitter == grown.jitter
+        assert built.jitter == BASE_JITTER * hyper.amplitude**2
         for other in (grown, adopted):
             assert np.array_equal(built.points, other.points)
             assert np.array_equal(built.values, other.values)
@@ -518,6 +519,21 @@ class TestMean:
         m_ref, _ = conditional(query, cs.points, cs.values, hyper,
                                base_jitter=cs.jitter / scale)
         assert np.abs(cs.mean(query) - m_ref).max() < 1e-9 * np.abs(m_ref).max()
+
+    def test_pinned_build_and_growth_share_one_jitter(self):
+        # a pinned realisation grown from empty and one built from its
+        # points have one jitter, BASE_JITTER * amplitude^2, so one model:
+        # their means agree to rounding, where a jitter relative to the
+        # pin-lowered mean diagonal moves them by up to 7e-6
+        hyper = GpHyper(amplitude=0.9, lengthscales=[0.2], pin_location=[0.4], mean=1.2)
+        rng = np.random.default_rng(33)
+        grown = ConditionalSampler(hyper)
+        grown.draw_append_block(rng.uniform(0, 1, (80, 1)), rng.standard_normal(80))
+        built = ConditionalSampler(hyper, grown.points, grown.values)
+        assert built.jitter == grown.jitter == BASE_JITTER * hyper.amplitude**2
+        query = rng.uniform(0, 1, (200, 1))
+        m_ref = grown.mean(query)
+        assert np.abs(built.mean(query) - m_ref).max() < 1e-9 * np.abs(m_ref).max()
 
     def test_empty_sampler_is_the_prior_mean(self):
         hyper = GpHyper(amplitude=1.1, lengthscales=[0.3], pin_location=[0.5], mean=2.0)
@@ -588,9 +604,9 @@ class TestDrawAppendBlock:
         blocks, single = [], []
         original = ConditionalSampler._add_rows
 
-        def spy(self, X, z=None, values=None, M=None):
+        def spy(self, X, z=None, values=None, A=None, M=None):
             (single if len(X) == 1 else blocks).extend(z)
-            return original(self, X, z, values, M)
+            return original(self, X, z, values, A, M)
 
         monkeypatch.setattr(ConditionalSampler, "_add_rows", spy)
         block, seq = base.copy(), base.copy()
@@ -658,7 +674,7 @@ class TestCopyLeadingRows:
     FIELDS = ("points", "values", "prior_mean_vec", "packed", "whitened")
 
     def grown(self, seed: int) -> ConditionalSampler:
-        """30 rows: 8 built from points (at chol's jitter), 22 drawn."""
+        """30 rows: 8 built from points, 22 drawn."""
         rng = np.random.default_rng(seed)
         cs = ConditionalSampler(self.HYPER, rng.uniform(0, 1, (8, 2)), rng.normal(size=8))
         cs.draw_append_block(rng.uniform(0, 1, (22, 2)), rng.standard_normal(22))
@@ -774,8 +790,8 @@ class TestDelete:
         return out
 
     def test_rank_one_restore_matches_refactorisation(self):
-        # deleting row 0 restores the whole trailing 29 x 29 block from a
-        # dense column u
+        # deleting row 0 refactorises the whole trailing 29 x 29 block,
+        # whose column 0 was dense
         rng = np.random.default_rng(8)
         hyper = GpHyper(amplitude=1.1, lengthscales=[0.8, 1.7])
         pts = _separated_points(rng, 30, 2, 0.6)
@@ -841,7 +857,7 @@ class TestDelete:
     def test_pinned_kernel_with_a_point_at_the_pin(self):
         # the point at the pin has prior variance 0: its pivot is the
         # jitter's square root and its column below is exactly 0, so
-        # deleting it leaves the trailing block's QR with nothing to rotate
+        # deleting it leaves the trailing block's Schur complement as it was
         rng = np.random.default_rng(12)
         hyper = GpHyper(amplitude=1.0, lengthscales=[0.4], pin_location=[0.5])
         pts = np.array([[0.1], [0.3], [0.5], [0.8], [0.95], [0.62]])
@@ -872,6 +888,32 @@ class TestDelete:
         for row in range(len(cs)):
             self.delete_and_check(cs, row)
 
+
+    def test_near_duplicate_points(self):
+        # three points 1e-6 lengthscales from another: their conditional
+        # variance is little more than the jitter.  Deleting the first, a
+        # middle and the last row leaves the factor, the whitened values and
+        # the log density of the oracle rebuilt at the sampler's jitter
+        rng = np.random.default_rng(15)
+        hyper = GpHyper(amplitude=1.1, lengthscales=[0.3], mean=0.2)
+        base = _separated_points(rng, 10, 1, 0.3)
+        d = 1e-6 * 0.3
+        pts = np.vstack([base[0] + d, base[:5], base[4] - d, base[5:], base[9] + d])
+        n = len(pts)
+        cs = ConditionalSampler(hyper)
+        cs.draw_append_block(pts, rng.standard_normal(n))
+        for row in (0, n // 2, n - 1):
+            out = cs.copy()
+            out.delete(row)
+            keep = np.delete(np.arange(n), row)
+            P = pts[keep]
+            oracle = chol(kernel_matrix(P, P, hyper) + cs.jitter * np.eye(n - 1), 0.0)
+            resid = cs.values[keep] - cs.prior_mean_vec[keep]
+            w_ref = oracle.solve_lower(resid)
+            assert np.abs(dense_lower(out) - oracle.lower).max() < 1e-10
+            assert np.abs(out.whitened - w_ref).max() < 1e-8 * np.abs(w_ref).max()
+            assert out.log_density() == pytest.approx(oracle.log_density(resid),
+                                                      abs=1e-8 * (w_ref @ w_ref))
 
 class TestCompact:
     """``compact`` against the from-scratch oracle: the Cholesky factor of
@@ -976,51 +1018,57 @@ class TestCompact:
             with pytest.raises(IndexError):
                 cs.copy().compact(prefix, rows)
 
-    def test_failed_cholesky_falls_back_to_delete(self, monkeypatch):
-        # the Schur complement's Cholesky reported as failed: the dropped
-        # rows are deleted one by one instead, with the same result
+    @staticmethod
+    def spy_sizes(monkeypatch) -> list:
+        """The number of rows of every ``_add_rows`` call, in call order."""
+        sizes = []
+        original = ConditionalSampler._add_rows
+
+        def spy(self, X, *args, **kwargs):
+            sizes.append(len(X))
+            return original(self, X, *args, **kwargs)
+
+        monkeypatch.setattr(ConditionalSampler, "_add_rows", spy)
+        return sizes
+
+    def test_failed_cholesky_falls_back_to_sequential(self, monkeypatch):
+        # the Schur complement's Cholesky reported as failed: the kept rows
+        # are added back one at a time instead, and compact and delete
+        # still match the oracle
         rng = np.random.default_rng(47)
         cs = self.sampler(rng)
-        prefix, rows = 8, [9, 12, 13, 20, 26, 29]
-        deleted = cs.copy()
-        for row in sorted(set(range(prefix, 30)) - set(rows), reverse=True):
-            deleted.delete(row)
-        calls = []
-        original = ConditionalSampler.delete
-
-        def spy(self, row):
-            calls.append(row)
-            return original(self, row)
-
         monkeypatch.setattr(ConditionalSampler, "_block_chol", lambda self, S: None)
-        monkeypatch.setattr(ConditionalSampler, "delete", spy)
-        out = self.compact_and_check(cs, prefix, rows)
-        assert calls == sorted(set(range(prefix, 30)) - set(rows), reverse=True)
-        for a, b in ((out.packed, deleted.packed), (out.whitened, deleted.whitened)):
-            assert np.array_equal(a, b)
+        sizes = self.spy_sizes(monkeypatch)
+        self.compact_and_check(cs, 8, [9, 12, 13, 20, 26, 29])
+        assert sizes == [6] + [1] * 6
+        for row in (0, 14, 27):  # tails of 29, 15 and 2 rows
+            sizes.clear()
+            TestDelete().delete_and_check(cs, row)
+            assert sizes == [29 - row] + [1] * (29 - row)
 
-    def test_pivot_below_the_floor_falls_back_to_delete(self, monkeypatch):
+    def test_pivot_below_the_floor_falls_back_to_sequential(self, monkeypatch):
         # a factor adopted without jitter, with a point 2e-9 lengthscales
         # from a stored one: its Schur pivot is at rounding level, below the
-        # floor, so the dropped row is deleted instead
+        # floor, so the kept rows are added back one at a time, exactly as
+        # appends onto the prefix would add them
         hyper = GpHyper(amplitude=1.0, lengthscales=[0.1])
         pts = np.array([[0.2], [0.5]])
         factor = chol(kernel_matrix(pts, pts, hyper), base_jitter=0.0)
         cs = ConditionalSampler(hyper, pts, [0.3, -0.1], factor=factor)
         cs.append([0.9], 0.4)
         cs.append([0.2 + 2e-10], 0.3)
-        calls = []
-        original = ConditionalSampler.delete
-        monkeypatch.setattr(ConditionalSampler, "delete",
-                            lambda self, row: (calls.append(row), original(self, row)))
-        ref = cs.copy()
-        cs.compact(1, [3])
-        assert calls == [2, 1]
-        ref.delete(2)
-        ref.delete(1)
-        assert np.array_equal(cs.points, pts[[0]].tolist() + [[0.2 + 2e-10]])
+        sizes = self.spy_sizes(monkeypatch)
+        cs.compact(1, [2, 3])
+        assert sizes == [2, 1, 1]
+        head = pts[:1]
+        ref = ConditionalSampler(hyper, head, [0.3],
+                                 factor=chol(kernel_matrix(head, head, hyper), 0.0))
+        ref.append([0.9], 0.4)
+        ref.append([0.2 + 2e-10], 0.3)
+        assert np.array_equal(cs.points, ref.points)
         assert np.array_equal(cs.packed, ref.packed)
         assert np.array_equal(cs.whitened, ref.whitened)
+        assert dense_lower(cs)[2, 2] ** 2 == pytest.approx(cs._pivot_floor(), rel=1e-12)
 
 
 class TestPackedEngineAgainstOracle:

@@ -10,6 +10,7 @@ import gpds.history
 from gpds.chain import ChainOptions, _history_log_density
 from gpds.generate import continue_sampler, draw_prior_dataset
 from gpds.gp import (
+    BASE_JITTER,
     ConditionalSampler,
     GpHyper,
     chol,
@@ -318,20 +319,22 @@ class TestOneConditioningPerProposal:
     @staticmethod
     def count_calls(monkeypatch, ratio=None):
         """Spy on the conditioning calls and the acceptance ratios: count
-        the conditionings (``_add_rows`` calls) made inside and outside
-        ``draw_append_block``, record the points of each block and the
-        values it drew, and count the ratios computed (one per insertion,
-        one per in-support relocation); ``ratio`` replaces every ratio's
-        value."""
+        the conditionings of proposals (``_add_rows`` calls that draw; a
+        call given known values is a compaction adding kept rows back) made
+        inside and outside ``draw_append_block``, record the points of each
+        block and the values it drew, and count the ratios computed (one per
+        insertion, one per in-support relocation); ``ratio`` replaces every
+        ratio's value."""
         counts = {"condition": 0, "block_condition": 0, "insert_log_accept": 0,
                   "location_log_accept": 0, "blocks": [], "block_values": []}
         add_rows = ConditionalSampler._add_rows
         draw_append_block = ConditionalSampler.draw_append_block
         in_block = []
 
-        def spy_add_rows(self, *args, **kwargs):
-            counts["block_condition" if in_block else "condition"] += 1
-            return add_rows(self, *args, **kwargs)
+        def spy_add_rows(self, X, z=None, values=None, **kwargs):
+            if values is None:
+                counts["block_condition" if in_block else "condition"] += 1
+            return add_rows(self, X, z, values, **kwargs)
 
         def spy_block(self, X, z):
             counts["blocks"].append(np.array(X, dtype=float))
@@ -614,7 +617,7 @@ class TestHyperMoveBuildsOnlyOnAccept:
             chain = make_history(rng, n=6, theta=theta, psi=psi)
             theta_hat, _ = propose_hypers(theta, psi, 0.3, priors, rng)
             pts, vals = chain.sampler.points, chain.sampler.values
-            factor = chol(kernel_matrix(pts, pts, theta_hat))
+            factor = chol(kernel_matrix(pts, pts, theta_hat), scale=theta_hat.amplitude**2)
             built = ConditionalSampler(theta_hat, pts, vals, factor=factor)
             assert factor.log_density(vals - prior_mean(pts, theta_hat)) == built.log_density()
 
@@ -635,17 +638,18 @@ class TestHyperMoveBuildsOnlyOnAccept:
                 assert chain.psi is psi0
                 continue
             accepted += 1
-            # the proposal the move drew, built from its factor
+            # the proposal the move drew, built from its factor, which starts
+            # at the jitter of a realisation
             theta_hat, psi_hat = propose_hypers(theta0, psi0, 0.15, priors, replay)
-            ref = ConditionalSampler(theta_hat, pts, vals,
-                                     factor=chol(kernel_matrix(pts, pts, theta_hat)))
+            factor = chol(kernel_matrix(pts, pts, theta_hat), scale=theta_hat.amplitude**2)
+            ref = ConditionalSampler(theta_hat, pts, vals, factor=factor)
             new = chain.sampler
             assert new is not sampler
             assert new.hyper.amplitude == theta_hat.amplitude
             assert np.array_equal(new.hyper.lengthscales, theta_hat.lengthscales)
             if theta_hat.pin_location is not None:
                 assert np.array_equal(new.hyper.pin_location, theta_hat.pin_location)
-            assert new.jitter == ref.jitter
+            assert new.jitter == ref.jitter == BASE_JITTER * theta_hat.amplitude**2
             for a, b in ((new.points, ref.points), (new.values, ref.values),
                          (new.prior_mean_vec, ref.prior_mean_vec),
                          (new.packed, ref.packed), (new.whitened, ref.whitened)):

@@ -65,12 +65,37 @@ def cholesky_calls(tree: ast.Module) -> list[int]:
     return lines
 
 
+def dpotrf_callers(tree: ast.Module) -> set[str]:
+    """Names of the functions (or ``<module>``) that call LAPACK ``dpotrf``
+    by name or as an attribute."""
+    callers = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "dpotrf":
+                callers.add(owner)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return callers
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_factorisations_go_through_the_package(path):
     # every factorisation is gp.chol (from scratch, jittered, one LAPACK
-    # dpotrf) or ConditionalSampler._block_chol (a Schur complement)
-    lines = cholesky_calls(ast.parse(path.read_text(), filename=str(path)))
+    # dpotrf) or ConditionalSampler._block_chol (the Schur complement of
+    # every change to a sampler's row set, in _add_rows)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = cholesky_calls(tree)
     assert not lines, f"{path.name}: cholesky called directly on lines {lines}"
+    callers = dpotrf_callers(tree)
+    allowed = {"chol", "_block_chol"} if path.name == "gp.py" else set()
+    assert callers <= allowed, f"{path.name}: dpotrf called in {sorted(callers - allowed)}"
 
 
 def defined_names(tree: ast.Module) -> set[str]:
