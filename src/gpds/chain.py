@@ -103,14 +103,24 @@ class ChainOptions:
 
 @dataclass
 class PosteriorDraw:
-    """One retained posterior draw with everything the numerator estimator
-    needs: the base hyperparameters, the function value at the predictive
-    sample x', and jointly drawn function values at the query points
-    (``ChainOptions.numerator_query``, in their order)."""
+    """One retained posterior draw with everything the predictive density
+    estimator needs: the base hyperparameters, the function value at the
+    predictive sample x', jointly drawn function values at the query points
+    (``ChainOptions.numerator_query``, in their order), and two sums over
+    the probe's rejection run to x'.
+
+    ``proposal_count`` is that run's T proposals; given the function g, T
+    is geometric with mean 1 / Z(g, psi), Z = integral pi(x | psi)
+    phi(g(x)) dx, so pi(x | psi) phi(g(x)) T has mean p(x | g, psi).
+    ``phi_sum`` is S = sum over those T proposals x_j of phi(g(x_j)); by
+    Wald's identity E[S | g] = E[T | g] Z = 1.  Both come from the one
+    probe, so the two are strongly correlated."""
 
     psi: BaseHyper
     g_pred: float
     g_query: np.ndarray
+    proposal_count: int
+    phi_sum: float
 
 
 @dataclass
@@ -180,8 +190,12 @@ def _predictive_probe(sampler, psi, opts, rng, counters):
     g_pred = float(trace.accepted_values[0])
     draw = None
     if opts.numerator_query is not None:
+        # the run's T proposals are the grown copy's last T rows
+        t = trace.proposal_count
+        phi_sum = float(np.sum(phi(trace.sampler.values[-t:])))
         g_query = trace.sampler.draw_batch(opts.numerator_query, rng)
-        draw = PosteriorDraw(psi=psi, g_pred=g_pred, g_query=g_query)
+        draw = PosteriorDraw(psi=psi, g_pred=g_pred, g_query=g_query,
+                             proposal_count=t, phi_sum=phi_sum)
     return x_pred, draw
 
 

@@ -275,18 +275,18 @@ def cmd_predict_density(cfg: RunConfig, data_path: Path, out: Path,
             record_predictive=False, record_rejections=False),
     )
     t0 = time.perf_counter()
-    result = density_grid(grid, data, dconf, np.random.SeedSequence(cfg.seed),
-                          workers=cfg.workers)
+    result = density_grid(grid, data, dconf, np.random.SeedSequence(cfg.seed))
     out.mkdir(parents=True, exist_ok=True)
     header = [f"x{i + 1}" for i in range(dim)]
     header += ["estimate", "stderr_numerator", "stderr_denominator"]
     write_csv(out / "density_grid.csv", header,
               np.column_stack([grid, result.ratio, result.numerator_se,
-                               result.denominator_se]))
+                               np.full(grid.shape[0], result.denominator_se)]))
     write_json(out / "meta.json", _meta(cfg, "predict-density", {
         "data": str(data_path),
         "grid_points": int(grid.shape[0]),
         "integral": result.integral,
+        "probe_budget_failures": result.probe_budget_failures,
         "wall_time_s": time.perf_counter() - t0,
     }))
     print(f"wrote {out / 'density_grid.csv'} ({grid.shape[0]} points"
@@ -371,7 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--chains", type=int, default=1)
 
-    p = sub.add_parser("predict-density", help="normalised predictive density on a grid")
+    p = sub.add_parser("predict-density",
+                       help="normalised predictive density on a grid, from one "
+                            "chain (the workers key serves only fit --chains)")
     common(p)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--grid", type=str, default=None, help="min:max:count[;...]")

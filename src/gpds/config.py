@@ -44,7 +44,7 @@ class RunConfig:
     thinning: int = 10
     seed: int = 0
     max_proposals: int = 1_000_000
-    workers: int = 1
+    workers: int = 1                     # processes for fit --chains only
     # kernel
     kernel: str = "ard"                  # ard | isotropic
     amplitude_init: float = 1.0

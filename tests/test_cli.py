@@ -274,6 +274,39 @@ class TestPredictDensity:
         assert read_csv(out / "density_grid.csv")[1].shape == (1, 4)
         assert json.loads((out / "meta.json").read_text())["integral"] is None
 
+    def predict(self, tmp_path, cfg_text, grid="0:1:3"):
+        cfg = write_cfg(tmp_path, cfg_text)
+        data_dir = tmp_path / "data"
+        main(["gen-synthetic", "--name", "f1", "--n", "10",
+              "--seed", "1", "--out", str(data_dir)])
+        out = tmp_path / "pd"
+        rc = main(["predict-density", "--config", str(cfg),
+                   "--data", str(data_dir / "f1.csv"), "--out", str(out),
+                   "--seed", "6", "--grid", grid])
+        return rc, out
+
+    def test_probe_budget_failures_in_meta(self, tmp_path):
+        # a probe may make one proposal, so those whose first is rejected
+        # fail and leave no draw
+        rc, out = self.predict(tmp_path, "pred_retained = 30\npred_burn_in = 5\n"
+                                         "max_proposals = 1\n")
+        assert rc == 0
+        failures = json.loads((out / "meta.json").read_text())["probe_budget_failures"]
+        assert isinstance(failures, int) and 0 < failures < 30
+        _, grid = read_csv(out / "density_grid.csv")
+        assert np.all(np.isfinite(grid[:, 1]) & (grid[:, 1] > 0))
+
+    def test_every_probe_failing_is_one_error_line(self, tmp_path, capsys):
+        # phi(g) is about phi(-40) everywhere: no probe is ever accepted
+        rc, out = self.predict(tmp_path, "pred_retained = 6\npred_burn_in = 2\n"
+                                         "max_proposals = 3\nmean_const = -40\n"
+                                         "amplitude_init = 0.1\ninfer_hypers = false\n")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("error: the chain recorded no draws (6 of 6 predictive "
+                       "probes ran out of proposals)\n")
+        assert not out.exists()
+
     def test_grid_dimension_mismatch_is_error(self, tmp_path):
         data_dir = tmp_path / "data"
         main(["gen-synthetic", "--name", "f2", "--n", "10",

@@ -14,7 +14,11 @@ draw each proposal as one row of D + 2 uniforms (location, standard
 normal, accept uniform; ``gpds.generate``): every output that goes through
 it (samples, fantasies, predictive probes, the Geweke data blocks) and
 every Gaussian-base location took a new stream.  Box-base latent-history
-moves kept theirs.
+moves kept theirs.  The predictive density was recorded again when it
+came to be estimated from one chain (the probe's proposal count T and its
+sum S of phi over them) instead of one chain plus one augmented chain per
+grid point: that chain is the old numerator chain, draw for draw, but
+every value written is a new estimator's.
 """
 import contextlib
 import hashlib
@@ -154,18 +158,21 @@ def test_predict_density(tmp_path):
          "--out", str(out)])
     names, grid = read_csv(out / "density_grid.csv")
     assert names == ["x1", "estimate", "stderr_numerator", "stderr_denominator"]
+    # the one-chain estimator: numerator pi(x) phi(g(x)) T over denominator
+    # S, one standard error of S shared by every point
     assert grid.tolist() == [
-        [0.0, pytest.approx(1.009456344735151, rel=1e-8),
-         pytest.approx(0.010360486414195463, rel=1e-8),
-         pytest.approx(0.015508929423171306, rel=1e-8)],
-        [0.5, pytest.approx(1.0099562059241824, rel=1e-8),
-         pytest.approx(0.0034335358524432823, rel=1e-8),
-         pytest.approx(0.0064035034353066055, rel=1e-8)],
-        [1.0, pytest.approx(0.993831243381252, rel=1e-8),
-         pytest.approx(0.006691934312768929, rel=1e-8),
-         pytest.approx(0.012536027202334507, rel=1e-8)]]
+        [0.0, pytest.approx(0.99224131600460341, rel=1e-8),
+         pytest.approx(0.076505494734154716, rel=1e-8),
+         pytest.approx(0.075631852448606429, rel=1e-8)],
+        [0.5, pytest.approx(0.99857514444765627, rel=1e-8),
+         pytest.approx(0.074500601234386066, rel=1e-8),
+         pytest.approx(0.075631852448606429, rel=1e-8)],
+        [1.0, pytest.approx(0.97699580842817668, rel=1e-8),
+         pytest.approx(0.072326675382252736, rel=1e-8),
+         pytest.approx(0.075631852448606429, rel=1e-8)]]
     meta = json.loads((out / "meta.json").read_text())
-    assert meta["integral"] == pytest.approx(1.005799999991192, rel=1e-8)
+    assert meta["integral"] == pytest.approx(0.9915968533320232, rel=1e-8)
+    assert meta["probe_budget_failures"] == 0
 
 
 EXCHANGE_EXPECTED = {
