@@ -18,6 +18,15 @@ sampling it at each proposal in turn.  The random stream is therefore
 unchanged by the blocking: a run makes the same proposals and the same
 accept decisions as one that draws one row at a time, and its function
 values equal that run's up to rounding.
+
+Growing the factor from r rows by a block of k costs r^2 k flops in the
+cross solve, r k^2 in the symmetric rank-k Schur update and k^3 / 3 in the
+block's Cholesky, ``((r + k)^3 - r^3) / 3`` in all, so a run to R rows does
+R^3 / 3 flops whatever its blocks.  The block schedule decides only the
+costs paid once per block: the r^2 / 2 copy of the factor to RFP form, the
+Python and wrapper overhead, and the low speed of narrow solves.  Blocks
+are therefore as wide as a block of up to half the rows allows
+(:func:`_max_block`).
 """
 from __future__ import annotations
 
@@ -33,9 +42,13 @@ DEFAULT_MAX_PROPOSALS = 1_000_000
 MAX_BLOCK = 64
 # Most rows a run may grow a sampler to.  Every proposal is a row, and the
 # packed factor of R rows takes 4 R^2 bytes: 256 MiB at this cap, in a buffer
-# whose doubling capacity is at most 2 R (at most 1 GiB), plus one more
-# 256 MiB copy during a block solve.  Without it, a run with a low
-# acceptance rate would run out of memory long before max_proposals.
+# whose doubling capacity is at most 2 R (at most 1 GiB).  A block of r / 2
+# rows onto r adds its temporaries: the r x k cross-covariance, the RFP copy
+# of the factor, the k x k Schur block and the k rows staged for the packed
+# write, up to about twice the packed factor of the R = r + k rows (measured
+# 1.97 times, with tracemalloc, for a block of 1365 rows onto 2731): about
+# 500 MiB more at this cap.  Without it, a run with a low acceptance rate
+# would run out of memory long before max_proposals.
 MAX_ROWS = 8192
 
 
@@ -43,28 +56,38 @@ def _min_block(r: int) -> int:
     """Smallest block worth drawing jointly at a sampler of r rows; smaller
     ones are drawn one proposal at a time.
 
-    One :meth:`~ConditionalSampler.draw_append_block` of k points against k
-    blocks of one point, each a single packed solve (1 BLAS thread, 2-vCPU
-    Xeon), breaks even at k = 3-4 up to 300 rows, where call overhead rules
-    both, and at k = 7-9 from 400 rows to 2000, where the block's copy of
-    the factor to RFP form costs about seven one-point solves.  Blocks
-    range from this size up to :func:`_max_block`, which grows with r.
+    A block of k points does the flops of k one-point draws (see the module
+    docstring) but pays once for the copy of the factor to RFP form and its
+    calls.  One :meth:`~ConditionalSampler.draw_append_block` of k points
+    against k blocks of one point, each a single packed solve (1 BLAS
+    thread, 2-vCPU Xeon), breaks even at k = 3-4 up to 300 rows, where call
+    overhead rules both, and at k = 7-9 from 400 rows to 2000, where the
+    block's copy of the factor to RFP form costs about seven one-point
+    solves.  Blocks range from this size up to :func:`_max_block`, which
+    grows with r.
     """
     return 4 if r < 384 else 8
 
 
 def _max_block(r: int) -> int:
     """Largest block drawn jointly at a sampler of r rows:
-    ``max(MAX_BLOCK, r // 8)``.
+    ``max(MAX_BLOCK, r // 2)``, so no block grows the factor by more than
+    half.
 
-    Every block copies the whole r^2 / 2 factor to RFP form before its
-    solve.  From 520 rows on, a block of r / 8 proposals spreads that copy
-    over r / 8 solve columns, and a run to R rows makes O(log R) copies
-    past that point instead of O(R / 64).  The block's temporaries (the
-    r x k cross-covariance and solve) stay within a quarter of the factor's
-    size.
+    A run's flops do not depend on its blocks (module docstring); its
+    blocks decide how often the r^2 / 2 factor is copied to RFP form and
+    the wrappers are called, and how wide each solve is, and wide solves
+    run faster.  A run to R rows makes O(log R) blocks past 130 rows.  One
+    2100-point sample-prior (lengthscale 0.2, mean 5, 1 BLAS thread, 2-vCPU
+    Xeon, 15 interleaved calls per cap) took 9 blocks at r / 2 and 21 at
+    r / 8, and against r / 2 the median call read: r / 8 +26 % (faster in
+    0 of 15), r / 4 +10.5 % (3 of 15), r / 3 +9.6 % (3 of 15), 2 r / 3
+    -4.4 % (10 of 15) and r +20 % (2 of 15).  Past r / 2 the k x k
+    Cholesky, the Schur update and the row write take over from the solve,
+    and the block's temporaries grow with k (see :data:`MAX_ROWS`), so the
+    cap stops at half the rows.
     """
-    return max(MAX_BLOCK, r // 8)
+    return max(MAX_BLOCK, r // 2)
 
 
 @dataclass
@@ -113,11 +136,13 @@ def continue_sampler(sampler: ConditionalSampler, n_more: int,
     column D + 1 (see the module docstring).
 
     Proposals are drawn in blocks of up to :func:`_max_block` of the
-    sampler's row count at the block's start (:data:`MAX_BLOCK` below 520
-    rows, an eighth of the rows from there), sized to the acceptances
-    still needed at the run's acceptance rate so far, and the
-    function is sampled at a block's proposals jointly, by
-    :meth:`~ConditionalSampler.draw_append_block`, one call per block; a
+    sampler's row count at the block's start (:data:`MAX_BLOCK` below 130
+    rows, half the rows from there), sized to the acceptances still needed
+    at the run's acceptance rate so far, and the function is sampled at a
+    block's proposals jointly, by
+    :meth:`~ConditionalSampler.draw_append_block`, one call per block,
+    whose flops are those of drawing its proposals one at a time (module
+    docstring), so a wider block saves only per-block costs; a
     block too small to pay for its solve (:func:`_min_block`) is one
     proposal, drawn as ``rng.random((1, D + 2))``, for which that call is
     the one-point solve of :meth:`~ConditionalSampler.draw_append`.

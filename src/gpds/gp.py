@@ -8,11 +8,11 @@ points row-packed (BLAS packed storage) and updates it in place, so that
 rejection-sampling loops and MCMC moves do not refactorise the Gram matrix
 from scratch at every step.  Every change to the row set past the rows it
 keeps is one routine, :meth:`ConditionalSampler._add_rows`: condition the
-new points on the known ones, factorise the Schur complement of their
-covariance, write their rows.  That covers one point or a block, drawn or
-known, and the build from a point set.  One point is one packed solve;
-joint draws at a block of k points
-(:meth:`ConditionalSampler.draw_append_block`,
+new points on the known ones, form the Schur complement of their
+covariance with one symmetric rank-k update and factorise it, write their
+rows.  That covers one point or a block, drawn or known, and the build
+from a point set.  One point is one packed solve; joint draws at a block
+of k points (:meth:`ConditionalSampler.draw_append_block`,
 :meth:`ConditionalSampler.draw_batch`) solve against all k columns at once
 with one BLAS-3 call on the packed factor.  A proposed point is
 conditioned once: :meth:`ConditionalSampler.draw_append` records it, and a
@@ -55,7 +55,7 @@ from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtpmv, dtpsv
+from scipy.linalg.blas import dsyrk, dtpmv, dtpsv
 from scipy.linalg.lapack import dpotrf, dtfsm, dtpttf, dtrtrs
 
 # Relative jitter ladder: start here, escalate x10 per retry, give up at the
@@ -337,12 +337,13 @@ class ConditionalSampler:
     every removal.  One point is one packed ``dtpsv`` and a scalar pivot.
     k points copy the packed entries once to rectangular full packed form
     for one BLAS-3 ``dtfsm`` call, which reads the factor once instead of
-    k times and needs no dense copy of it, and take one k x k Cholesky.
-    Removing rows is a compaction (:meth:`compact`; :meth:`delete` is the
-    compaction that drops one row): the kept rows past the untouched prefix
-    are gathered with the leading factor entries they already hold, the
-    factor is truncated to the prefix, and they are added back as known
-    values.  The mean alone (:meth:`mean`) needs no such solve:
+    k times and needs no dense copy of it, then one symmetric rank-k
+    update (``dsyrk``) for the Schur complement of the k points and one
+    k x k Cholesky.  Removing rows is a compaction (:meth:`compact`;
+    :meth:`delete` is the compaction that drops one row): the kept rows
+    past the untouched prefix are gathered with the leading factor entries
+    they already hold, the factor is truncated to the prefix, and they are
+    added back as known values.  The mean alone (:meth:`mean`) needs no such solve:
     ``k(X, points) L^-T w`` is one packed ``dtpsv`` and a matrix-vector
     product.
 
@@ -413,10 +414,11 @@ class ConditionalSampler:
         return self._w[: self._n]
 
     def _packed_blas(self, kernel, x, trans: int) -> np.ndarray:
-        x = np.array(x, dtype=float)  # the kernel overwrites this copy
+        """``kernel`` (``dtpsv`` or ``dtpmv``) with the packed factor, on a
+        copy of x that the wrapper makes and returns."""
         if not self._n:
-            return x
-        return kernel(self._n, self.packed, x, lower=0, trans=trans, overwrite_x=1)
+            return np.array(x, dtype=float)
+        return kernel(self._n, self.packed, x, lower=0, trans=trans)
 
     def solve_lower(self, b: np.ndarray) -> np.ndarray:
         """L^-1 b for one right-hand side; O(R^2)."""
@@ -540,15 +542,21 @@ class ConditionalSampler:
         O(R^2 k + R k^2 + k^3).
 
         Condition: ``A = L^-1 k(points, X)`` (R x k), one packed ``dtpsv``
-        for one point, one ``dtfsm`` for more, unless A is given (rows that
-        already held these leading entries: a compaction).  Factorise
+        for one point, one ``dtfsm`` for more (R^2 k flops), unless A is
+        given (rows that already held these leading entries: a compaction,
+        whose gathered A is C-ordered).  Factorise the Schur complement
         ``K(X, X) + jitter I - A^T A`` as M, unless M is given (an adopted
         factor): for one point a scalar pivot clamped to
-        :meth:`_pivot_floor`, which cannot fail; for more one
-        :meth:`_block_chol`, and when that fails the points are added one
-        at a time instead, with the same z or values.  Write the rows
-        ``[A^T, M]`` with the values ``mean + M z``, or whiten the known
-        values with one LAPACK triangular solve (``dtrtrs``).
+        :meth:`_pivot_floor`, which cannot fail; for more one symmetric
+        rank-k update (BLAS ``dsyrk``, R k^2 flops where the ``A^T A``
+        product would take 2 R k^2) into the lower triangle of the k x k
+        block, reading A in either order without copying it, then one
+        :meth:`_block_chol` (k^3 / 3 flops); when that fails the points
+        are added one at a time instead, with the same z or values.  The
+        three sum to ``((R + k)^3 - R^3) / 3`` flops, so growing a factor
+        to R rows costs R^3 / 3 flops however the rows are blocked.  Write
+        the rows ``[A^T, M]`` with the values ``mean + M z``, or whiten the
+        known values with one LAPACK triangular solve (``dtrtrs``).
         """
         n, k = self._n, X.shape[0]
         if not k:
@@ -584,7 +592,13 @@ class ConditionalSampler:
             S = kernel_matrix(X, X, self.hyper).T
             S[np.diag_indices(k)] += self.jitter
             if n:
-                S -= A.T @ A
+                # S -= A^T A in the lower triangle dpotrf reads; A is
+                # Fortran-ordered from a cross solve and C-ordered when
+                # gathered, and either way read as it lies, without a copy
+                if A.flags.f_contiguous:
+                    S = dsyrk(-1.0, A, beta=1.0, c=S, trans=1, lower=1, overwrite_c=1)
+                else:
+                    S = dsyrk(-1.0, A.T, beta=1.0, c=S, trans=0, lower=1, overwrite_c=1)
             M = self._block_chol(S)
             if M is None:
                 for i in range(k):

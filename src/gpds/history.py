@@ -32,6 +32,7 @@ from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.linalg.blas import dtpmv
 
 from .gp import ConditionalSampler, GpHyper, chol, kernel_matrix, prior_mean
 from .model import (
@@ -102,21 +103,26 @@ def leapfrog(potential_grad, v0: np.ndarray, p0: np.ndarray,
     momentum together with the energy error H_end - H_start; a non-finite
     potential along the trajectory yields an infinite energy error, which a
     Metropolis correction turns into a certain rejection.
+
+    v and p are copies of ``v0`` and ``p0``, updated in place through one
+    scratch vector, so the inputs are never written; ``potential_grad``
+    must not keep the v it is given.
     """
     v = np.array(v0, dtype=float)
     p = np.array(p0, dtype=float)
+    step_vec = np.empty_like(p)
     u0, grad = potential_grad(v)
-    h0 = u0 + 0.5 * float(p0 @ p0)
-    p = p - 0.5 * step_size * grad
+    h0 = u0 + 0.5 * float(p @ p)
+    p -= np.multiply(0.5 * step_size, grad, out=step_vec)
     u1 = np.inf
     for step in range(n_steps):
-        v = v + step_size * p
+        v += np.multiply(step_size, p, out=step_vec)
         u1, grad = potential_grad(v)
         if not math.isfinite(u1):
             return v, p, np.inf
         if step < n_steps - 1:
-            p = p - step_size * grad
-    p = p - 0.5 * step_size * grad
+            p -= np.multiply(step_size, grad, out=step_vec)
+    p -= np.multiply(0.5 * step_size, grad, out=step_vec)
     h1 = u1 + 0.5 * float(p @ p)
     if not math.isfinite(h1):
         return v, p, np.inf
@@ -255,8 +261,10 @@ class HistoryChain:
         np.negative(s, out=s)
         c = phi(s)
         c[nd:] *= -1.0
-        grad = v - self.sampler.lower_t_dot(c)
-        return u_val, grad
+        # L^T c written over the temporary c: the row-packed factor is BLAS
+        # upper-packed L^T (see ConditionalSampler)
+        c = dtpmv(len(c), self.sampler.packed, c, lower=0, trans=0, overwrite_x=1)
+        return u_val, np.subtract(v, c, out=c)
 
     def step_function_hmc(self, step_size: float, n_leapfrog: int,
                           rng: np.random.Generator) -> bool:

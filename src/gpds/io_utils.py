@@ -42,11 +42,13 @@ def _replacing(path: str | Path):
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows``, each value as :func:`fmt_float`
+    writes it; one ``%``-template per row does the formatting."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float)) if np.size(rows) else np.empty((0, len(header)))
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt_float(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows.tolist())
 
 
 def read_csv(path: str | Path) -> tuple[list[str], np.ndarray]:

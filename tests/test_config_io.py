@@ -181,6 +181,18 @@ class TestCsvRoundTrip:
         x = 0.1 + 0.2
         assert float(fmt_float(x)) == x
 
+    def test_rows_are_written_as_fmt_float_writes_each_value(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-300, 300, 400)
+        values[:12] = [-0.0, 0.0, 3.0, -42.0, 1e22, 2.0**53, np.inf, -np.inf, np.nan,
+                       5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+        rows = values.reshape(100, 4)
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c", "d"], rows)
+        expected = "a,b,c,d\n" + "".join(",".join(fmt_float(v) for v in row) + "\n"
+                                         for row in rows)
+        assert path.read_bytes() == expected.encode()
+
     def test_empty_table(self, tmp_path):
         path = tmp_path / "e.csv"
         write_csv(path, ["x1"], np.empty((0, 1)))

@@ -356,18 +356,29 @@ class TestBlockedMatchesSequential:
     def test_large_run(self, block_calls):
         theta = GpHyper(amplitude=1.0, lengthscales=[0.2], mean=5.0)
         self.check(ConditionalSampler(theta), 600, BOX, seed=40)
-        # every block within the cap at the rows it started from
+        # every block within the cap at the rows it started from; the last
+        # block, sized to the acceptances still needed, ends at the last one
         assert all(k <= _max_block(r) for r, k in block_calls["sizes"])
-        assert block_calls["truncations"] == 1
+        assert block_calls["blocks"] == 6 and block_calls["truncations"] == 0
 
     def test_blocks_grow_past_the_step(self, block_calls):
-        # past 520 rows the cap is an eighth of the rows: blocks wider than
+        # from 130 rows the cap is half the rows: blocks wider than
         # MAX_BLOCK run and still match the one-at-a-time run
         theta = GpHyper(amplitude=1.0, lengthscales=[0.2], mean=5.0)
         self.check(ConditionalSampler(theta), 1200, BOX, seed=47)
         sizes = block_calls["sizes"]
         assert all(k <= _max_block(r) for r, k in sizes)
-        assert max(k for _, k in sizes) > MAX_BLOCK
+        assert any(k == r // 2 > MAX_BLOCK for r, k in sizes)
+
+    def test_blocks_of_half_the_rows_cross_the_capacity_step(self, block_calls):
+        # a sample-prior of 2100 points: blocks of r / 2 up to 1458 rows,
+        # and the last one grows the factor past its 2048-row capacity
+        theta = GpHyper(amplitude=1.0, lengthscales=[0.2], mean=5.0)
+        self.check(ConditionalSampler(theta), 2100, BOX, seed=49)
+        sizes = block_calls["sizes"]
+        assert all(k <= _max_block(r) for r, k in sizes)
+        assert [r for r, k in sizes if k == r // 2 > MAX_BLOCK] == [192, 288, 432, 648, 972]
+        assert any(r < 2048 < r + k for r, k in sizes)
 
     # on both sides of the row count where _min_block steps up
     @pytest.mark.parametrize("rows", [150, 400])

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.stats import kstest
 
+import gpds.gp
 from gpds.gp import (
     BASE_JITTER,
     CholeskyFactor,
@@ -1069,6 +1070,64 @@ class TestCompact:
         assert np.array_equal(cs.packed, ref.packed)
         assert np.array_equal(cs.whitened, ref.whitened)
         assert dense_lower(cs)[2, 2] ** 2 == pytest.approx(cs._pivot_floor(), rel=1e-12)
+
+
+class TestSchurUpdate:
+    """A block's Schur complement ``K(X, X) + jitter I - A^T A`` is one
+    ``dsyrk`` that reads A as it lies, with no copy: Fortran-ordered after
+    a cross solve, C-ordered (read through its transpose) when a compaction
+    gathers it.  Either way the factor is the from-scratch oracle's."""
+
+    HYPER = TestCompact.HYPER
+
+    @pytest.fixture
+    def syrk_calls(self, monkeypatch):
+        """Each ``dsyrk`` call's (A's shape as passed, Fortran-ordered,
+        trans); and every block Cholesky must succeed, since the
+        one-at-a-time fallback would give the oracle's factor however
+        wrong the Schur complement was."""
+        calls = []
+        original, original_chol = gpds.gp.dsyrk, ConditionalSampler._block_chol
+
+        def spy(alpha, a, **kwargs):
+            calls.append((a.shape, a.flags.f_contiguous, kwargs["trans"]))
+            return original(alpha, a, **kwargs)
+
+        def block_chol(self, S):
+            M = original_chol(self, S)
+            assert M is not None
+            return M
+
+        monkeypatch.setattr(gpds.gp, "dsyrk", spy)
+        monkeypatch.setattr(ConditionalSampler, "_block_chol", block_chol)
+        return calls
+
+    def sampler(self, rng, n):
+        return TestCompact().sampler(rng, n=n)
+
+    def test_after_a_cross_solve(self, syrk_calls):
+        rng = np.random.default_rng(60)
+        cs = self.sampler(rng, 160)  # a block onto no rows: no Schur update
+        assert syrk_calls == []
+        X = _separated_points(rng, 80, 2, 0.4) + [70.0, 0.0]
+        X[:40, 0] -= 68.0  # half the block among the known points
+        z = rng.standard_normal(80)
+        cs.draw_append_block(X, z)
+        assert syrk_calls == [((160, 80), True, 1)]
+        P = cs.points
+        oracle = chol(kernel_matrix(P, P, self.HYPER) + cs.jitter * np.eye(240), 0.0)
+        assert np.abs(dense_lower(cs) - oracle.lower).max() < 1e-10 * np.abs(oracle.lower).max()
+        assert np.array_equal(cs.whitened[160:], z)
+
+    @pytest.mark.parametrize("prefix, rows", [
+        (10, np.arange(11, 200)),                   # a delete with a long tail
+        (30, np.arange(31, 200, 2)),                # a compaction keeping every other row
+    ], ids=["delete", "compact"])
+    def test_in_a_compaction(self, syrk_calls, prefix, rows):
+        rng = np.random.default_rng(61)
+        cs = self.sampler(rng, 200)
+        TestCompact.compact_and_check(cs, prefix, rows)
+        assert syrk_calls == [((len(rows), prefix), True, 0)]
 
 
 class TestPackedEngineAgainstOracle:

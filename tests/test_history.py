@@ -479,6 +479,36 @@ class TestHmc:
         ratio = abs(dh1) / abs(dh2)
         assert 3.0 < ratio < 5.5
 
+    def test_leapfrog_in_place_is_the_step_formula(self):
+        # the in-place steps against the allocating formula, bit for bit, on
+        # a finite trajectory, and the inputs left as they were
+        def reference(potential_grad, v, p, step_size, n_steps):
+            u0, grad = potential_grad(v)
+            h0 = u0 + 0.5 * float(p @ p)
+            p = p - 0.5 * step_size * grad
+            for step in range(n_steps):
+                v = v + step_size * p
+                u1, grad = potential_grad(v)
+                if step < n_steps - 1:
+                    p = p - step_size * grad
+            p = p - 0.5 * step_size * grad
+            return v, p, u1 + 0.5 * float(p @ p) - h0
+
+        rng = np.random.default_rng(10)
+        chain = make_history(rng, n=6)
+        v0 = chain.sampler.whitened.copy()
+        p0 = rng.standard_normal(v0.shape[0])
+        v0_in, p0_in = v0.copy(), p0.copy()
+        for step_size, n_steps in [(0.05, 1), (0.05, 12), (0.3, 7)]:
+            got = leapfrog(chain._potential_grad, v0, p0, step_size, n_steps)
+            want = reference(chain._potential_grad, v0, p0, step_size, n_steps)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+            assert np.array_equal(v0, v0_in) and np.array_equal(p0, p0_in)
+        # the gradient's temporary is overwritten, not the position
+        _, grad = chain._potential_grad(v0)
+        assert np.array_equal(v0, v0_in) and not np.shares_memory(grad, v0)
+
     def test_tiny_step_always_accepts(self):
         rng = np.random.default_rng(9)
         chain = make_history(rng, n=4)
