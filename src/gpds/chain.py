@@ -43,9 +43,9 @@ class ChainOptions:
     burn_in: int
     thinning: int = 1
     max_proposals: int = DEFAULT_MAX_PROPOSALS
-    # latent-history moves
+    # latent-history moves; the location move proposes each rejection from
+    # the base density, so it has no setting
     zeta_insert: float = 0.5
-    walk_scales: np.ndarray | float | None = None  # None: 0.1 x data std
     number_moves: int = 1
     hmc_step_size: float = 0.2
     hmc_leapfrog: int = 10
@@ -88,9 +88,8 @@ class ChainOptions:
             refuse("burn_in", f"smaller than {name('total')}")
         # a zero or non-finite scale would not fail the run: it freezes a
         # move, or makes every log prior nan so that the move always rejects
-        for field in ("walk_scales", "hmc_step_size", "hyper_walk_scale"):
-            value = settings[field]
-            if value is not None and not np.all(np.isfinite(value) & (np.asarray(value) > 0)):
+        for field in ("hmc_step_size", "hyper_walk_scale"):
+            if not (math.isfinite(settings[field]) and settings[field] > 0):
                 refuse(field, "finite and positive")
         if not 0.0 < settings["zeta_insert"] < 1.0:
             # at 1 no deletion is ever proposed, so no insertion is accepted
@@ -156,12 +155,6 @@ def pool_map(fn, tasks: list, workers: int) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return list(map(fn, tasks))
-
-
-def default_walk_scales(data: np.ndarray, frac: float = 0.1) -> np.ndarray:
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    sd = data.std(axis=0)
-    return frac * np.where(sd > 0, sd, 1.0)
 
 
 def _history_log_density(chain: HistoryChain) -> float:
@@ -288,10 +281,9 @@ def run_history_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
                       rng: np.random.Generator) -> ChainResult:
     """Latent-history MCMC with burn-in HMC step-size adaptation."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    walk = default_walk_scales(data) if opts.walk_scales is None else opts.walk_scales
     # a private copy: burn-in adapts its hmc_step_size, and the caller's
     # options may be shared with other chains
-    opts = replace(opts, walk_scales=walk)
+    opts = replace(opts)
     recorder = _Recorder(opts, data.shape[1], isinstance(psi0, GaussianBase),
                          ("number_acc", "number_att", "loc_acc", "loc_att",
                           "hmc_acc", "hmc_att", "hyper_acc", "hyper_att"))

@@ -22,7 +22,6 @@ import numpy as np
 from .chain import (
     ChainOptions,
     ChainResult,
-    default_walk_scales,
     pool_map,
     run_exchange_chain,
     run_history_chain,
@@ -91,12 +90,9 @@ def build_priors(cfg: RunConfig, data: np.ndarray | None) -> HyperPrior:
     )
 
 
-def build_chain_options(cfg: RunConfig, data: np.ndarray, **overrides) -> ChainOptions:
-    kw = cfg.chain_settings()
-    kw.update(walk_scales=default_walk_scales(data, cfg.walk_scale_frac),
-              record_rejections=True)
-    kw.update(overrides)
-    return ChainOptions(**kw)
+def build_chain_options(cfg: RunConfig, **overrides) -> ChainOptions:
+    return ChainOptions(**{**cfg.chain_settings(), "record_rejections": True,
+                           **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +210,7 @@ def _run_one_chain(args) -> ChainResult:
     psi = build_psi(cfg, data.shape[1], data)
     theta = build_theta(cfg, data.shape[1], psi)
     priors = build_priors(cfg, data) if cfg.infer_hypers else None
-    opts = build_chain_options(cfg, data)
+    opts = build_chain_options(cfg)
     if cfg.sampler == "exchange":
         return run_exchange_chain(data, theta, psi, opts, priors, rng)
     return run_history_chain(data, theta, psi, opts, priors, rng)
@@ -270,7 +266,7 @@ def cmd_predict_density(cfg: RunConfig, data_path: Path, out: Path,
     dconf = DensityConfig(
         theta0=theta, psi0=psi, priors=priors, sampler=cfg.sampler,
         chain_options=build_chain_options(
-            cfg, data, total=cfg.pred_burn_in + cfg.pred_retained * cfg.pred_thinning,
+            cfg, total=cfg.pred_burn_in + cfg.pred_retained * cfg.pred_thinning,
             burn_in=cfg.pred_burn_in, thinning=cfg.pred_thinning,
             record_predictive=False, record_rejections=False),
     )

@@ -22,7 +22,6 @@ CHAIN_KEYS = {
     "thinning": "thinning",
     "max_proposals": "max_proposals",
     "zeta_insert": "zeta_insert",
-    "walk_scales": "walk_scale_frac",
     "number_moves": "number_moves",
     "hmc_step_size": "hmc_step_size",
     "hmc_leapfrog": "hmc_steps",
@@ -67,7 +66,6 @@ class RunConfig:
     hmc_steps: int = 10
     hmc_step_size: float = 0.2
     hmc_target: float = 0.8
-    walk_scale_frac: float = 0.1
     zeta_insert: float = 0.5
     crankshaft_eps: float = 0.5
     number_moves: int = 1
@@ -90,8 +88,7 @@ class RunConfig:
 
     def chain_settings(self) -> dict:
         """The :class:`~gpds.chain.ChainOptions` fields this config sets, by
-        field name (``walk_scales`` is the fraction ``walk_scale_frac``,
-        which a run multiplies by the data's standard deviations)."""
+        field name; every one is the value of its key in ``CHAIN_KEYS``."""
         return {field: getattr(self, key) for field, key in CHAIN_KEYS.items()}
 
     def validate(self) -> None:
@@ -112,7 +109,8 @@ class RunConfig:
         for name in ("mean_const", "amp_log_prior_mu", "ls_log_prior_mu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("pred_retained", "pred_thinning", "grid_count", "geweke_thin"):
+        for name in ("workers", "pred_retained", "pred_thinning", "grid_count",
+                     "geweke_thin"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.pred_burn_in < 0:

@@ -198,12 +198,12 @@ def exchange_step_control(state: ExchangeState, step_scale: float,
     return _step_function(state, step_scale, max_proposals, rng)
 
 
-def exchange_step_hyper(state: ExchangeState, walk_scale: float,
+def exchange_step_hyper(state: ExchangeState, scale: float,
                         priors: HyperPrior,
                         max_proposals: int = DEFAULT_MAX_PROPOSALS, *,
                         rng: np.random.Generator) -> tuple[ExchangeState, bool]:
     """Propose swapping (function, theta, psi) as a triplet, with (theta,
-    psi) from the random walk at step ``walk_scale``.
+    psi) from the random walk at step ``scale``.
 
     The new function is drawn from the GP prior under the proposed theta and
     fantasies are generated under the proposed psi, so the acceptance ratio
@@ -211,8 +211,7 @@ def exchange_step_hyper(state: ExchangeState, walk_scale: float,
     base-density ratios at the data and the fantasies.
     """
     state.diagnostics["hyper_att"] += 1
-    theta_hat, psi_hat = propose_hypers(state.theta, state.psi, walk_scale,
-                                        priors, rng)
+    theta_hat, psi_hat = propose_hypers(state.theta, state.psi, scale, priors, rng)
     lp_hat = hyperprior_logpdf(theta_hat, psi_hat, priors)
     if not np.isfinite(lp_hat):
         return state, False

@@ -420,17 +420,9 @@ class ConditionalSampler:
             return np.array(x, dtype=float)
         return kernel(self._n, self.packed, x, lower=0, trans=trans)
 
-    def solve_lower(self, b: np.ndarray) -> np.ndarray:
-        """L^-1 b for one right-hand side; O(R^2)."""
-        return self._packed_blas(dtpsv, b, trans=1)
-
     def lower_dot(self, v: np.ndarray) -> np.ndarray:
         """L v; O(R^2)."""
         return self._packed_blas(dtpmv, v, trans=1)
-
-    def lower_t_dot(self, c: np.ndarray) -> np.ndarray:
-        """L^T c; O(R^2)."""
-        return self._packed_blas(dtpmv, c, trans=0)
 
     def logdet(self) -> float:
         """log det (K + jitter I) from the factor's diagonal; O(R)."""

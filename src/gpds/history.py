@@ -6,11 +6,11 @@ locations and function values of the rejected proposals.  It lives in a
 :class:`HistoryChain`, whose moves update one incrementally maintained
 factor in place: insert or delete a single latent rejection (an insertion
 is proposed with the fixed probability ``zeta_insert``, always when there
-are no rejections), perturb rejection locations, update all function
-values jointly with Hamiltonian dynamics in the whitened space, and
-random-walk the hyperparameters at one step scale.  :func:`sweep` runs one
-iteration of those moves with the tuning of a
-:class:`~gpds.chain.ChainOptions`; :func:`init_history` draws a starting
+are no rejections), propose a new location for every rejection from the
+base density, update all function values jointly with Hamiltonian dynamics
+in the whitened space, and random-walk the hyperparameters at one step
+scale.  :func:`sweep` runs one iteration of those moves with the tuning of
+a :class:`~gpds.chain.ChainOptions`; :func:`init_history` draws a starting
 state with no rejections.
 
 An insertion is conditioned on the GP once: it draws its function value
@@ -18,8 +18,12 @@ with :meth:`~gpds.gp.ConditionalSampler.draw_append`, which records it as
 the last factor row, and a rejected insertion drops that row again with
 the O(1) :meth:`~gpds.gp.ConditionalSampler.truncate`.  Given the function
 the rejection locations are conditionally independent, so one location
-sweep moves them all in one block: the walk proposals inside the base
-support are drawn jointly onto the factor with
+sweep moves them all in one block.  Each rejection's proposal is a fresh
+draw from the base density pi(. | psi), independent of where it is now
+(an independence sampler, Tierney 1994): the base density cancels from
+the ratio, which is (1 - phi(g')) / (1 - phi(g)), so the move has no step
+size to tune and no proposal falls outside the support.  The proposals
+are drawn jointly onto the factor with
 :meth:`~gpds.gp.ConditionalSampler.draw_append_block`, each is accepted or
 rejected on its own, and one
 :meth:`~gpds.gp.ConditionalSampler.compact` keeps the unmoved rejections
@@ -86,13 +90,11 @@ def delete_log_accept(m: int, n: int, zeta_insert: float, g_minus: float) -> flo
             - float(log_one_minus_phi(g_minus)))
 
 
-def location_log_accept(log_pi_new, log_pi_old, g_new, g_old):
-    """Log acceptance ratio for moving a rejection (symmetric walk), element
-    by element over arrays; -inf where the proposal is outside the support."""
-    log_pi_new = np.asarray(log_pi_new, dtype=float)
-    ratio = (log_pi_new - log_pi_old
-             + log_one_minus_phi(g_new) - log_one_minus_phi(g_old))
-    return np.where(np.isfinite(log_pi_new), ratio, -np.inf)[()]
+def location_log_accept(g_new, g_old):
+    """Log acceptance ratio for moving a rejection from function value g_old
+    to a base-density proposal at g_new, element by element over arrays:
+    log(1 - phi(g_new)) - log(1 - phi(g_old))."""
+    return log_one_minus_phi(g_new) - log_one_minus_phi(g_old)
 
 
 def leapfrog(potential_grad, v0: np.ndarray, p0: np.ndarray,
@@ -206,35 +208,28 @@ class HistoryChain:
         return False
 
     # -- location moves ---------------------------------------------------
-    def step_locations(self, walk_scales: np.ndarray, rng: np.random.Generator) -> int:
-        """One symmetric-walk proposal per rejection, all in one block;
+    def step_locations(self, rng: np.random.Generator) -> int:
+        """One base-density proposal per rejection, all in one block;
         returns the number accepted.
 
-        Given the function the rejections move independently, so the
-        proposals are drawn at once (one standard normal per coordinate),
-        those outside the base support are rejected before any
-        conditioning, and the function is drawn jointly at the rest onto
+        Given the function the rejections move independently, so the M
+        proposals are drawn at once, from one ``rng.random((M, D))`` through
+        :func:`~gpds.model.base_sample` as the rejection sampler draws its
+        proposals, and the function is drawn jointly at all of them onto
         the end of the factor.  Each proposal is then accepted on its own
-        ratio, and one :meth:`~gpds.gp.ConditionalSampler.compact` keeps the
-        unmoved rejections, followed by the moved ones at their new
-        locations and values, both in slot order.
+        ratio (:func:`location_log_accept`), and one
+        :meth:`~gpds.gp.ConditionalSampler.compact` keeps the unmoved
+        rejections, followed by the moved ones at their new locations and
+        values, both in slot order.
         """
         sampler = self.sampler
         nd, r = self.n_data, len(sampler)
-        x_old = sampler.points[nd:]
-        x_new = x_old + walk_scales * rng.standard_normal(x_old.shape)
-        lp_new = base_logpdf(x_new, self.psi)
-        live = np.flatnonzero(np.isfinite(lp_new))
-        if not live.size:
-            return 0
-        log_pi_old = base_logpdf(x_old[live], self.psi)
-        g_old = sampler.values[nd + live]
-        g_new = sampler.draw_append_block(x_new[live], rng.standard_normal(live.size))
-        log_a = location_log_accept(lp_new[live], log_pi_old, g_new, g_old)
-        moved = np.log(rng.uniform(size=live.size)) < log_a
-        stay = np.ones(r - nd, dtype=bool)
-        stay[live[moved]] = False
-        sampler.compact(nd, np.concatenate([nd + np.flatnonzero(stay),
+        m = r - nd
+        x_new = base_sample(self.psi, rng.random((m, self.psi.dim)))
+        g_new = sampler.draw_append_block(x_new, rng.standard_normal(m))
+        g_old = sampler.values[nd:r]
+        moved = np.log(rng.uniform(size=m)) < location_log_accept(g_new, g_old)
+        sampler.compact(nd, np.concatenate([nd + np.flatnonzero(~moved),
                                             r + np.flatnonzero(moved)]))
         return int(np.count_nonzero(moved))
 
@@ -334,17 +329,15 @@ def init_history(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
 def sweep(chain: HistoryChain, opts: ChainOptions, priors: HyperPrior | None,
           rng: np.random.Generator, corrupt_insert: bool = False) -> None:
     """One full iteration in place, tuned by ``opts``: ``opts.number_moves``
-    number moves at insert probability ``opts.zeta_insert``, one location
-    proposal per rejection (:meth:`HistoryChain.step_locations`: one joint
-    draw and one factor compaction for them all), HMC unless the GP is
-    degenerate, and the hyperparameter walk at step
+    number moves at insert probability ``opts.zeta_insert``, one
+    base-density proposal per rejection (:meth:`HistoryChain.step_locations`:
+    one joint draw and one factor compaction for them all), HMC unless the
+    GP is degenerate, and the hyperparameter walk at step
     ``opts.hyper_walk_scale`` when ``opts.infer_hypers`` is set and
     ``priors`` are given.
 
-    ``opts.walk_scales`` must be set (``run_history_chain`` fills in the
-    data-scaled default).  ``corrupt_insert`` is a testing hook that
-    deliberately mis-computes the insert ratio so validation harnesses can
-    confirm they catch it.
+    ``corrupt_insert`` is a testing hook that deliberately mis-computes the
+    insert ratio so validation harnesses can confirm they catch it.
     """
     c = chain.diagnostics
     for _ in range(opts.number_moves):
@@ -352,10 +345,8 @@ def sweep(chain: HistoryChain, opts: ChainOptions, priors: HyperPrior | None,
         c["number_acc"] += acc
         c["number_att"] += 1
     if chain.n_rejections:
-        scales = np.broadcast_to(np.asarray(opts.walk_scales, dtype=float),
-                                 (chain.data.shape[1],)).copy()
         c["loc_att"] += chain.n_rejections
-        c["loc_acc"] += chain.step_locations(scales, rng)
+        c["loc_acc"] += chain.step_locations(rng)
     if not chain.sampler.degenerate:
         acc = chain.step_function_hmc(opts.hmc_step_size, opts.hmc_leapfrog, rng)
         c["hmc_acc"] += acc

@@ -270,23 +270,3 @@ def propose_hypers(theta: GpHyper, psi: BaseHyper, scale: float,
         psi_hat = psi
     return theta_hat, psi_hat
 
-
-def walk_logpdf(theta_to: GpHyper, psi_to: BaseHyper, theta_from: GpHyper,
-                psi_from: BaseHyper, scale: float, priors: HyperPrior) -> float:
-    """Log proposal density of the walk; used to verify symmetry in tests."""
-    out = float(_normal_logpdf(math.log(theta_to.amplitude),
-                               math.log(theta_from.amplitude), scale))
-    if priors.isotropic:
-        out += float(_normal_logpdf(math.log(theta_to.lengthscales[0]),
-                                    math.log(theta_from.lengthscales[0]), scale))
-    else:
-        out += float(np.sum(_normal_logpdf(np.log(theta_to.lengthscales),
-                                           np.log(theta_from.lengthscales), scale)))
-    if priors.pin and theta_to.pin_location is not None:
-        out += float(np.sum(_normal_logpdf(theta_to.pin_location,
-                                           theta_from.pin_location, scale)))
-    if isinstance(psi_to, GaussianBase):
-        out += float(np.sum(_normal_logpdf(psi_to.mean, psi_from.mean, scale)))
-        out += float(np.sum(_normal_logpdf(np.log(psi_to.sigma),
-                                           np.log(psi_from.sigma), scale)))
-    return out

@@ -438,7 +438,10 @@ class TestBadHyperparameters:
                                       "amp_log_prior_sigma = 0",
                                       "zeta_insert = 1"])
     def test_fit_is_error_before_sampling(self, tmp_path, capsys, line):
-        # each would freeze a move of the chain instead of failing
+        # each but the first would freeze a move of the chain instead of
+        # failing.  The first names a key that is gone (the location move
+        # proposes from the base density and has no walk scale): an old
+        # config that still sets it is refused by name, not run without it
         main(["gen-synthetic", "--name", "f1", "--n", "20", "--seed", "1",
               "--out", str(tmp_path / "data")])
         cfg = write_cfg(tmp_path, line + "\ntotal_iters = 20\nburn_in = 5\n")

@@ -71,8 +71,6 @@ class TestConfigParsing:
         ("hmc_target", "0"), ("hmc_target", "1"), ("hmc_target", "nan"),
         ("hmc_step_size", "0"), ("hmc_step_size", "-0.2"), ("hmc_step_size", "nan"),
         ("hmc_step_size", "inf"),
-        ("walk_scale_frac", "0"), ("walk_scale_frac", "-0.1"), ("walk_scale_frac", "nan"),
-        ("walk_scale_frac", "inf"),
         ("hyper_walk_scale", "0"), ("hyper_walk_scale", "nan"), ("hyper_walk_scale", "inf"),
         ("amp_log_prior_sigma", "0"), ("amp_log_prior_sigma", "-0.5"),
         ("amp_log_prior_sigma", "nan"), ("amp_log_prior_sigma", "inf"),
@@ -93,6 +91,7 @@ class TestConfigParsing:
         ("hmc_steps", 0), ("max_proposals", 0), ("pred_retained", 0),
         ("pred_thinning", 0), ("grid_count", 0), ("geweke_thin", 0),
         ("number_moves", -1), ("extra_controls", -1), ("pred_burn_in", -1),
+        ("workers", 0), ("workers", -2),
     ])
     def test_bad_count_is_error(self, tmp_path, key, value):
         p = tmp_path / "run.cfg"
@@ -136,7 +135,6 @@ class TestChainOptionsRules:
         ("total", -1), ("burn_in", -1), ("burn_in", 20), ("thinning", 0),
         ("max_proposals", 0), ("number_moves", -2), ("n_extra_controls", -1),
         ("hmc_leapfrog", 0),
-        ("walk_scales", 0.0), ("walk_scales", -0.1), ("walk_scales", [0.1, math.nan]),
         ("hmc_step_size", 0.0), ("hmc_step_size", math.inf),
         ("hyper_walk_scale", 0.0), ("hyper_walk_scale", math.nan),
         ("zeta_insert", 0.0), ("zeta_insert", 1.0),
@@ -150,11 +148,10 @@ class TestChainOptionsRules:
     def test_boundary_settings_accepted(self):
         ChainOptions(total=0, burn_in=0, max_proposals=1, number_moves=0, hmc_leapfrog=1,
                      n_extra_controls=0, crankshaft_eps=1.0, zeta_insert=0.999)
-        ChainOptions(total=1, burn_in=0, walk_scales=np.array([0.1, 2.0]))
 
     @pytest.mark.parametrize("key, value", [
         ("total_iters", -1), ("burn_in", 6000), ("thinning", 0), ("hmc_steps", 0),
-        ("extra_controls", -1), ("walk_scale_frac", 0.0), ("hmc_target", 1.5),
+        ("extra_controls", -1), ("hyper_walk_scale", 0.0), ("hmc_target", 1.5),
     ])
     def test_config_refuses_by_the_same_rules_under_its_own_keys(self, key, value):
         with pytest.raises(ValueError, match=key):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import ndtri
-from scipy.stats import kstest
+from scipy.stats import kstest, norm
 
 from gpds.gp import GpHyper
 from gpds.model import (
@@ -22,7 +22,6 @@ from gpds.model import (
     psi_logprior,
     theta_logprior,
     unnormalized_density,
-    walk_logpdf,
 )
 
 
@@ -244,6 +243,28 @@ class TestHyperPrior:
         peak = -math.log(0.5 * math.sqrt(2 * math.pi))
         assert theta_logprior(theta, box, priors_iso) == pytest.approx(2 * peak)
         assert theta_logprior(theta, box, priors_ard) == pytest.approx(3 * peak)
+
+
+def walk_logpdf(theta_to: GpHyper, psi_to, theta_from: GpHyper, psi_from,
+                scale: float, priors: HyperPrior) -> float:
+    """Log density of ``propose_hypers`` moving (theta_from, psi_from) to
+    (theta_to, psi_to): a normal step of sd ``scale`` in every walked
+    coordinate, in log space for the positive ones."""
+    def step(to, frm):
+        return float(np.sum(norm.logpdf(to, loc=frm, scale=scale)))
+
+    out = step(math.log(theta_to.amplitude), math.log(theta_from.amplitude))
+    if priors.isotropic:
+        out += step(math.log(theta_to.lengthscales[0]),
+                    math.log(theta_from.lengthscales[0]))
+    else:
+        out += step(np.log(theta_to.lengthscales), np.log(theta_from.lengthscales))
+    if priors.pin and theta_to.pin_location is not None:
+        out += step(theta_to.pin_location, theta_from.pin_location)
+    if isinstance(psi_to, GaussianBase):
+        out += step(psi_to.mean, psi_from.mean)
+        out += step(np.log(psi_to.sigma), np.log(psi_from.sigma))
+    return out
 
 
 class TestHyperWalk:

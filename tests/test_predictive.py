@@ -383,7 +383,7 @@ class TestDensityGrid:
         monkeypatch.setattr(gpds.predictive, "run_history_chain", spy)
         given = ChainOptions(
             total=9, burn_in=3, thinning=2, max_proposals=5000, zeta_insert=0.3,
-            walk_scales=np.array([0.05]), number_moves=2, hmc_step_size=0.1,
+            number_moves=2, hmc_step_size=0.1,
             hmc_leapfrog=3, hmc_target=0.6, crankshaft_eps=0.7, n_extra_controls=1,
             infer_hypers=False, hyper_walk_scale=0.2,
             record_predictive=True, record_rejections=True)
@@ -401,8 +401,7 @@ class TestDensityGrid:
                                       getattr(given, f.name)), f.name
 
     def test_chain_options_left_unchanged(self):
-        # burn-in adapts the HMC step size and the walk scales default to
-        # the data's spread, both on a private copy: the caller's
+        # burn-in adapts the HMC step size on a private copy: the caller's
         # ChainOptions may be shared with other chains
         given = ChainOptions(total=12, burn_in=6, hmc_step_size=0.1)
         before = replace(given)
@@ -413,7 +412,6 @@ class TestDensityGrid:
         for f in fields(ChainOptions):
             assert np.array_equal(getattr(given, f.name),
                                   getattr(before, f.name)), f.name
-        assert given.walk_scales is None
         adapted = run_history_chain(data, theta, BOX, given, None,
                                     np.random.default_rng(12)).hmc_step_size
         assert adapted != given.hmc_step_size == 0.1
