@@ -22,6 +22,7 @@ import numpy as np
 from .chain import (
     ChainOptions,
     ChainResult,
+    WorkerDied,
     pool_map,
     run_exchange_chain,
     run_history_chain,
@@ -221,10 +222,13 @@ def cmd_fit(cfg: RunConfig, data_path: Path, out: Path, chains: int = 1) -> None
         raise ValueError(f"--chains must be >= 1, got {chains}")
     data, _ = _read_data(cfg, data_path)
     dim = data.shape[1]
+    # each chain draws from its own child seed, so its outputs do not
+    # depend on the process it runs in
     seeds = np.random.SeedSequence(cfg.seed).spawn(chains)
+    processes = cfg.worker_count(chains)
     t0 = time.perf_counter()
     results = pool_map(_run_one_chain, [(data, cfg, seed) for seed in seeds],
-                       cfg.workers)
+                       processes)
     points = ["iteration"] + [f"x{i + 1}" for i in range(dim)]  # rejections, predictive
     summaries = {}
     for k, result in enumerate(results):
@@ -244,6 +248,7 @@ def cmd_fit(cfg: RunConfig, data_path: Path, out: Path, chains: int = 1) -> None
         "data": str(data_path),
         "n_data": int(data.shape[0]),
         "chains": chains,
+        "processes": processes,
         "wall_time_s": time.perf_counter() - t0,
         "summary": summaries,
     }))
@@ -365,11 +370,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="run MCMC inference on a dataset")
     common(p)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--chains", type=int, default=1)
+    p.add_argument("--chains", type=int, default=1,
+                   help="independent chains, each from its own seed and in its "
+                        "own chainNN directory.  They run in parallel, one "
+                        "process per usable CPU and at most one per chain, "
+                        "unless the config's workers key sets the count; "
+                        "workers = 1 runs them in this process")
 
     p = sub.add_parser("predict-density",
                        help="normalised predictive density on a grid, from one "
-                            "chain (the workers key serves only fit --chains)")
+                            "chain, in this process (the workers key serves "
+                            "only fit --chains)")
     common(p)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--grid", type=str, default=None, help="min:max:count[;...]")
@@ -395,7 +406,8 @@ def main(argv: list[str] | None = None) -> int:
             cmd_predict_density(cfg, args.data, args.out, args.grid)
         elif args.command == "geweke":
             cmd_geweke(cfg, args.out)
-    except (ValueError, OSError, ProposalBudgetError, IllConditionedCovariance) as exc:
+    except (ValueError, OSError, ProposalBudgetError, IllConditionedCovariance,
+            WorkerDied) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .chain import ChainOptions
+from .chain import ChainOptions, usable_cpus
 
 
 # ChainOptions field -> the RunConfig key that sets it
@@ -43,7 +43,9 @@ class RunConfig:
     thinning: int = 10
     seed: int = 0
     max_proposals: int = 1_000_000
-    workers: int = 1                     # processes for fit --chains only
+    # processes for fit --chains only: auto (one per usable CPU, at most
+    # one per chain) or a count; 1 runs the chains in this process
+    workers: str | int = "auto"
     # kernel
     kernel: str = "ard"                  # ard | isotropic
     amplitude_init: float = 1.0
@@ -109,16 +111,32 @@ class RunConfig:
         for name in ("mean_const", "amp_log_prior_mu", "ls_log_prior_mu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("workers", "pred_retained", "pred_thinning", "grid_count",
-                     "geweke_thin"):
+        if self.workers != "auto" and _count(self.workers) < 1:
+            raise ValueError(f"workers must be auto or an integer >= 1, "
+                             f"got {self.workers!r}")
+        for name in ("pred_retained", "pred_thinning", "grid_count", "geweke_thin"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.pred_burn_in < 0:
             raise ValueError(f"pred_burn_in must be >= 0, got {self.pred_burn_in}")
 
+    def worker_count(self, chains: int) -> int:
+        """Processes to run ``chains`` chains in: ``workers``, or one per
+        usable CPU at ``auto``, and never more than one per chain."""
+        cap = usable_cpus() if self.workers == "auto" else _count(self.workers)
+        return min(cap, chains)
+
     def hash(self) -> str:
         canon = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _count(value) -> int:
+    """A count written as an integer or its text; 0 when it is neither."""
+    try:
+        return int(value)
+    except ValueError:
+        return 0
 
 
 def _parse_value(raw: str, kind: type):

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyrk, dtpmv, dtpsv
 from scipy.linalg.lapack import dpotrf, dtfsm, dtpttf, dtrtrs
 
@@ -208,7 +207,11 @@ class CholeskyFactor:
     jitter: float
 
     def solve_lower(self, b: np.ndarray) -> np.ndarray:
-        return solve_triangular(self.lower, b, lower=True, check_finite=False)
+        """``lower^-1 b`` by one LAPACK ``dtrtrs`` on the Fortran-ordered
+        factor, into a copy of b; LAPACK refuses an empty factor."""
+        if not self.lower.shape[0]:
+            return np.array(b, dtype=float)
+        return dtrtrs(self.lower, b, lower=1)[0]
 
     def logdet(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self.lower))))

@@ -1,5 +1,8 @@
 """End-to-end CLI runs on small budgets."""
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -7,7 +10,8 @@ import numpy as np
 import pytest
 
 from gpds import cli, generate
-from gpds.chain import ChainOptions, run_exchange_chain, run_history_chain
+from gpds.chain import (ChainOptions, run_exchange_chain, run_history_chain,
+                        usable_cpus)
 from gpds.cli import main
 from gpds.gp import GpHyper, IllConditionedCovariance
 from gpds.io_utils import read_csv, read_data_csv
@@ -167,6 +171,87 @@ class TestFit:
                      "--seed", "2"]) == 0
         names, _ = read_csv(out / "trace.csv")
         assert "base_mean1" in names and "base_sigma2" in names
+
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+class TestWorkers:
+    """``fit --chains`` runs its chains in one process per usable CPU by
+    default; every output but the wall times is that of a serial run."""
+
+    fit_args = TestFit.fit_args
+    SMALL = "total_iters = 20\nburn_in = 5\nthinning = 2\n"
+
+    @staticmethod
+    def summaries_without_wall_times(meta: dict) -> dict:
+        return {chain: {k: v for k, v in summary.items() if k != "wall_time_s"}
+                for chain, summary in meta["summary"].items()}
+
+    @pytest.mark.parametrize("sampler", ["latent-history", "exchange"])
+    def test_default_matches_one_process_byte_for_byte(self, tmp_path, sampler):
+        runs = {}
+        for workers in ("auto", "1"):
+            (tmp_path / workers).mkdir()
+            args, out = self.fit_args(
+                tmp_path / workers,
+                f"sampler = {sampler}\n{self.SMALL}workers = {workers}\n")
+            assert main(args + ["--chains", "3"]) == 0
+            meta = json.loads((out / "meta.json").read_text())
+            tables = {path.relative_to(out): path.read_bytes()
+                      for path in sorted(out.glob("chain*/*.csv"))}
+            runs[workers] = meta, tables
+        (meta, tables), (serial_meta, serial_tables) = runs["auto"], runs["1"]
+        assert len(tables) == 9 and tables == serial_tables
+        assert (self.summaries_without_wall_times(meta)
+                == self.summaries_without_wall_times(serial_meta))
+        assert meta["processes"] == min(3, usable_cpus())
+        assert serial_meta["processes"] == 1
+
+    def test_one_usable_cpu_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        args, out = self.fit_args(tmp_path, self.SMALL)
+        assert main(args + ["--chains", "2"]) == 0
+        assert json.loads((out / "meta.json").read_text())["processes"] == 1
+
+    @pytest.mark.skipif(not FORK, reason="a patched chain reaches the workers "
+                                         "only through fork")
+    @pytest.mark.parametrize("exc", [
+        ValueError("bad chain"),
+        IllConditionedCovariance("factorisation failed at jitter cap"),
+        generate.ProposalBudgetError("5 proposals and no acceptance", None),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_chain_that_raises_in_a_worker_is_error(self, tmp_path, capsys,
+                                                    monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        args, out = self.fit_args(tmp_path, f"sampler = exchange\n{self.SMALL}"
+                                            "workers = 2\n")
+        monkeypatch.setattr(cli, "run_exchange_chain", fail)
+        capsys.readouterr()
+        assert main(args + ["--chains", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {exc}\n"
+        assert not out.exists()
+
+    @pytest.mark.skipif(not FORK, reason="a patched chain reaches the workers "
+                                         "only through fork")
+    def test_worker_that_dies_is_error(self, tmp_path, capsys, monkeypatch):
+        def die(*args, **kwargs):
+            os._exit(1)
+
+        args, out = self.fit_args(tmp_path, f"sampler = exchange\n{self.SMALL}"
+                                            "workers = 2\n")
+        monkeypatch.setattr(cli, "run_exchange_chain", die)
+        capsys.readouterr()
+        assert main(args + ["--chains", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestChainTables:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gpds import config
 from gpds.chain import ChainOptions
 from gpds.config import RunConfig, parse_config, parse_float_list, parse_grid_spec
 from gpds.io_utils import fmt_float, read_csv, read_data_csv, write_csv, write_json
@@ -98,6 +99,28 @@ class TestConfigParsing:
         p.write_text(f"{key} = {value}\n")
         with pytest.raises(ValueError, match=key):
             parse_config(p)
+
+    @pytest.mark.parametrize("value", ["auto", "1", "3"])
+    def test_workers_accepts_auto_or_a_count(self, tmp_path, value):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"workers = {value}\n")
+        assert parse_config(p).workers == value
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_workers_refuses_other_values(self, tmp_path, value):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"workers = {value}\n")
+        with pytest.raises(ValueError, match="workers"):
+            parse_config(p)
+
+    @pytest.mark.parametrize("workers, chains, cpus, expected", [
+        ("auto", 12, 2, 2), ("auto", 1, 2, 1), ("auto", 3, 8, 3),
+        ("auto", 4, 1, 1), ("1", 12, 8, 1), ("3", 12, 1, 3), (5, 2, 8, 2),
+    ])
+    def test_worker_count(self, monkeypatch, workers, chains, cpus, expected):
+        # auto is one process per usable CPU; never more than one per chain
+        monkeypatch.setattr(config, "usable_cpus", lambda: cpus)
+        assert RunConfig(workers=workers).worker_count(chains) == expected
 
     def test_boundary_tuning_values_accepted(self):
         RunConfig(zeta_insert=0.999, number_moves=0, extra_controls=0,

@@ -1,7 +1,8 @@
 """Every name a package module imports is used by that module, every
 export list names what its module defines and the package re-exports, no
 module calls a Cholesky routine of numpy or scipy directly, and only
-``gpds geweke`` imports ``scipy.stats``."""
+``gpds geweke`` imports ``scipy.stats``, and importing the CLI loads no
+process-pool module."""
 import ast
 import json
 import os
@@ -178,3 +179,17 @@ def test_only_geweke_imports_scipy_stats(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [
         [step, 0, False] for step in ("import", "gen-synthetic", "sample-prior", "fit",
                                       "predict-density")]
+
+
+def test_cli_import_loads_no_process_pool():
+    # only fit --chains with more than one process starts a pool, and it
+    # imports the pool modules when it does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    code = ("import sys, gpds.cli; print(sorted(m for m in sys.modules if m in "
+            "('multiprocessing', 'concurrent.futures.process')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
