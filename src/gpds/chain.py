@@ -1,9 +1,10 @@
 """Chain drivers: run either sampler for a fixed budget and record traces.
 
-These loops own the tuning that the individual step operations deliberately
-do not: step-size adaptation during burn-in, thinned recording, predictive
-sampling at retained steps, and the per-step bookkeeping needed by the
-normalised-density estimator.
+A sampler is its state and a list of named moves, which one loop runs
+every iteration, counting each move's attempts and acceptances by its name.
+The loop owns what the moves deliberately do not: step-size adaptation
+during burn-in, thinned recording, predictive sampling at retained steps,
+and the per-step bookkeeping needed by the normalised-density estimator.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import math
 import os
 import time
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +25,7 @@ from .exchange import (
     exchange_step_prior,
     init_exchange_state,
 )
-from .history import HistoryChain, init_history, sweep
+from .history import HistoryChain, init_history, sweep_moves
 from .model import (
     BaseHyper,
     GaussianBase,
@@ -40,7 +42,7 @@ from .model import (
 class ChainOptions:
     """Iteration budget and move tuning for one chain."""
 
-    total: int
+    total_iters: int
     burn_in: int
     thinning: int = 1
     max_proposals: int = DEFAULT_MAX_PROPOSALS
@@ -49,11 +51,11 @@ class ChainOptions:
     zeta_insert: float = 0.5
     number_moves: int = 1
     hmc_step_size: float = 0.2
-    hmc_leapfrog: int = 10
+    hmc_steps: int = 10
     hmc_target: float = 0.8
     # exchange moves
     crankshaft_eps: float = 0.5
-    n_extra_controls: int = 0
+    extra_controls: int = 0
     # hyperparameters
     infer_hypers: bool = True
     hyper_walk_scale: float = 0.1  # every coordinate of the random walk
@@ -67,26 +69,22 @@ class ChainOptions:
         self.check(vars(self))
 
     @staticmethod
-    def check(settings: dict, names: dict[str, str] | None = None) -> None:
+    def check(settings: dict) -> None:
         """Refuse settings a chain cannot run as asked.  ``settings`` maps
-        each field checked here to its value; in the messages a field goes
-        by ``names[field]`` when given, so that ``RunConfig.validate``
-        checks its keys by these rules under their own names."""
-        def name(field):
-            return names[field] if names else field
-
+        each field checked here to its value; ``RunConfig.validate`` checks
+        its keys of the same names by these rules."""
         def refuse(field, requirement):
-            raise ValueError(f"{name(field)} must be {requirement}, got {settings[field]}")
+            raise ValueError(f"{field} must be {requirement}, got {settings[field]}")
 
         # written so that NaN fails the tests too
-        for field in ("total", "burn_in", "number_moves", "n_extra_controls"):
+        for field in ("total_iters", "burn_in", "number_moves", "extra_controls"):
             if not settings[field] >= 0:
                 refuse(field, ">= 0")
-        for field in ("thinning", "max_proposals", "hmc_leapfrog"):
+        for field in ("thinning", "max_proposals", "hmc_steps"):
             if not settings[field] >= 1:
                 refuse(field, ">= 1")
-        if settings["total"] and settings["burn_in"] >= settings["total"]:
-            refuse("burn_in", f"smaller than {name('total')}")
+        if settings["total_iters"] and settings["burn_in"] >= settings["total_iters"]:
+            refuse("burn_in", "smaller than total_iters")
         # a zero or non-finite scale would not fail the run: it freezes a
         # move, or makes every log prior nan so that the move always rejects
         for field in ("hmc_step_size", "hyper_walk_scale"):
@@ -143,8 +141,8 @@ class ChainResult:
     counters: Counter
     final_theta: GpHyper
     final_psi: BaseHyper
-    hmc_step_size: float | None  # None for exchange, which runs no HMC
     wall_time: float
+    hmc_step_size: float | None = None  # None for exchange, which runs no HMC
 
 
 class WorkerDied(RuntimeError):
@@ -236,28 +234,44 @@ def _tagged(it: int, points: np.ndarray) -> np.ndarray:
     return np.column_stack([np.full(points.shape[0], float(it)), points])
 
 
+# a named move: ``move()`` runs it once and returns (attempts, acceptances)
+Move = tuple[str, Callable[[], tuple[int, int]]]
+
+
+def run_moves(moves: list[Move], counters: Counter) -> None:
+    """One pass over ``moves`` in order, adding each move's attempts and
+    acceptances to ``counters`` as ``<name>_att`` and ``<name>_acc``.  A
+    move that attempted nothing adds no key."""
+    for name, move in moves:
+        att, acc = move()
+        if att:
+            counters[name + "_att"] += att
+            counters[name + "_acc"] += acc
+
+
 class _Recorder:
     """The retained iterations of one chain run, recorded the same way for
     both samplers.  The state passed in is a :class:`HistoryChain` or an
-    :class:`~gpds.exchange.ExchangeState`; both carry ``theta``, ``psi``,
-    ``sampler``, ``g_data`` and the move counters ``diagnostics``.
+    :class:`~gpds.exchange.ExchangeState`; both carry ``data``, ``theta``,
+    ``psi``, ``sampler``, ``g_data`` and the move counters ``diagnostics``.
 
     The trace's columns are fixed here: ``iteration``, ``m`` (latent
-    rejections, or the exchange sampler's size), the sorted move counters
-    ``accept_keys`` (their counts in that iteration alone),
-    ``log_density``, ``amplitude``, ``ls1..D`` and, for a Gaussian base,
-    ``base_mean1..D`` and ``base_sigma1..D``.  Each retained iteration
-    appends one row."""
+    rejections, or the exchange sampler's size), the sorted counters
+    ``<name>_acc`` and ``<name>_att`` of the sampler's moves (their counts
+    in that iteration alone), ``log_density``, ``amplitude``, ``ls1..D``
+    and, for a Gaussian base, ``base_mean1..D`` and ``base_sigma1..D``.
+    Each retained iteration appends one row."""
 
-    def __init__(self, opts: ChainOptions, dim: int, gaussian_base: bool,
-                 accept_keys: tuple[str, ...]):
+    def __init__(self, opts: ChainOptions, state, move_names: list[str]):
         self.opts = opts
-        self.gaussian_base = gaussian_base
-        self.accept_keys = sorted(accept_keys)
+        self.gaussian_base = isinstance(state.psi, GaussianBase)
+        self.accept_keys = sorted({f"{name}_{kind}" for name in move_names
+                                   for kind in ("acc", "att")})
+        dim = state.data.shape[1]
         axes = range(1, dim + 1)
         self.columns = ["iteration", "m", *self.accept_keys, "log_density",
                         "amplitude", *(f"ls{i}" for i in axes)]
-        if gaussian_base:
+        if self.gaussian_base:
             self.columns += [*(f"base_mean{i}" for i in axes),
                              *(f"base_sigma{i}" for i in axes)]
         self.t_start = time.perf_counter()
@@ -269,9 +283,8 @@ class _Recorder:
         self.numerator_draws: list[PosteriorDraw] = []
         self.denom_terms: list[float] = []
 
-    def add(self, it: int, state, m: int, log_density: float,
-            before: Counter, rng: np.random.Generator,
-            rejections: np.ndarray | None = None) -> None:
+    def add(self, it: int, state, before: Counter, rng: np.random.Generator,
+            m: int, log_density: float, rejections: np.ndarray | None) -> None:
         """Record iteration ``it``: the trace row with the acceptances since
         ``before`` and the ``rejections`` given, then the predictive probe
         and then the denominator term, drawing from ``rng`` in that order."""
@@ -297,7 +310,7 @@ class _Recorder:
             g_prime = state.sampler.draw(x_prime, rng.standard_normal())
             self.denom_terms.append(min(1.0, phi(g_prime) / phi(g_aug)))
 
-    def result(self, state, hmc_step: float | None) -> ChainResult:
+    def result(self, state) -> ChainResult:
         return ChainResult(
             trace_columns=self.columns,
             trace=np.array(self.trace, dtype=float).reshape(-1, len(self.columns)),
@@ -309,65 +322,73 @@ class _Recorder:
             counters=state.diagnostics,
             final_theta=state.theta,
             final_psi=state.psi,
-            hmc_step_size=hmc_step,
             wall_time=time.perf_counter() - self.t_start,
         )
+
+
+def _run(state, moves: list[Move], observe: Callable[[], tuple],
+         opts: ChainOptions, rng: np.random.Generator,
+         adapt: Callable[[Counter, Counter], None] | None = None) -> ChainResult:
+    """The chain loop: run ``moves`` once per iteration; after a burn-in
+    iteration call ``adapt(counters, counters before it)``; record every
+    ``opts.thinning``-th later one, with ``observe()``'s ``(m,
+    log_density, rejections or None)``."""
+    recorder = _Recorder(opts, state, [name for name, _ in moves])
+    counters = state.diagnostics
+    for it in range(opts.total_iters):
+        before = Counter(counters)
+        run_moves(moves, counters)
+        if it < opts.burn_in:
+            if adapt is not None:
+                adapt(counters, before)
+        elif (it - opts.burn_in) % opts.thinning == 0:
+            recorder.add(it, state, before, rng, *observe())
+    return recorder.result(state)
 
 
 def run_history_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
                       opts: ChainOptions, priors: HyperPrior | None,
                       rng: np.random.Generator) -> ChainResult:
-    """Latent-history MCMC with burn-in HMC step-size adaptation."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    """Latent-history MCMC over :func:`~gpds.history.sweep_moves`, with
+    burn-in HMC step-size adaptation."""
     # a private copy: burn-in adapts its hmc_step_size, and the caller's
     # options may be shared with other chains
     opts = replace(opts)
-    recorder = _Recorder(opts, data.shape[1], isinstance(psi0, GaussianBase),
-                         ("number_acc", "number_att", "loc_acc", "loc_att",
-                          "hmc_acc", "hmc_att", "hyper_acc", "hyper_att"))
     chain = init_history(data, theta0, psi0, rng)
-    counters = chain.diagnostics
 
-    for it in range(opts.total):
-        before = Counter(counters)
-        sweep(chain, opts, priors, rng)
-        if it < opts.burn_in and counters["hmc_att"] > before["hmc_att"]:
+    def observe():
+        return (chain.n_rejections, _history_log_density(chain),
+                chain.rejections if opts.record_rejections else None)
+
+    def adapt(counters: Counter, before: Counter) -> None:
+        if counters["hmc_att"] > before["hmc_att"]:
             acc = counters["hmc_acc"] - before["hmc_acc"]
             opts.hmc_step_size *= math.exp(0.05 * (acc - opts.hmc_target))
-        if it < opts.burn_in or (it - opts.burn_in) % opts.thinning:
-            continue
-        recorder.add(it, chain, chain.n_rejections, _history_log_density(chain),
-                     before, rng,
-                     chain.rejections if opts.record_rejections else None)
 
-    return recorder.result(chain, opts.hmc_step_size)
+    return replace(_run(chain, sweep_moves(chain, opts, priors, rng), observe,
+                        opts, rng, adapt), hmc_step_size=opts.hmc_step_size)
 
 
 def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
                        opts: ChainOptions, priors: HyperPrior | None,
                        rng: np.random.Generator) -> ChainResult:
-    """Exchange-sampling MCMC: one function move (crankshaft through the
-    control points, or a prior draw at crankshaft_eps = 1) per iteration,
-    interleaved 1:1 with a hyperparameter move when enabled."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    recorder = _Recorder(opts, data.shape[1], isinstance(psi0, GaussianBase),
-                         ("func_acc", "func_att", "hyper_acc", "hyper_att"))
+    """Exchange-sampling MCMC: the moves ``func`` (a prior draw at
+    crankshaft_eps = 1, else a crankshaft through the controls) and, when
+    inferring under given priors, ``hyper``, each calling its
+    ``exchange_step_*`` global when it runs."""
     state = init_exchange_state(data, theta0, psi0, rng,
-                                n_extra_controls=opts.n_extra_controls)
+                                n_extra_controls=opts.extra_controls)
 
-    for it in range(opts.total):
-        before = Counter(state.diagnostics)
+    def func():
         if opts.crankshaft_eps == 1.0:
-            state, _ = exchange_step_prior(state, opts.max_proposals, rng=rng)
-        else:
-            state, _ = exchange_step_control(state, opts.crankshaft_eps,
-                                             opts.max_proposals, rng=rng)
-        if opts.infer_hypers and priors is not None:
-            state, _ = exchange_step_hyper(state, opts.hyper_walk_scale, priors,
-                                           opts.max_proposals, rng=rng)
-        if it < opts.burn_in or (it - opts.burn_in) % opts.thinning:
-            continue
-        recorder.add(it, state, len(state.sampler),
-                     float(np.sum(log_phi(state.g_data))), before, rng)
+            return 1, exchange_step_prior(state, opts.max_proposals, rng=rng)[1]
+        return 1, exchange_step_control(state, opts.crankshaft_eps,
+                                        opts.max_proposals, rng=rng)[1]
 
-    return recorder.result(state, None)
+    moves = [("func", func)]
+    if opts.infer_hypers and priors is not None:
+        moves.append(("hyper", lambda: (1, exchange_step_hyper(
+            state, opts.hyper_walk_scale, priors, opts.max_proposals, rng=rng)[1])))
+    return _run(state, moves,
+                lambda: (len(state.sampler), float(np.sum(log_phi(state.g_data))), None),
+                opts, rng)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -92,8 +93,11 @@ def build_priors(cfg: RunConfig, data: np.ndarray | None) -> HyperPrior:
 
 
 def build_chain_options(cfg: RunConfig, **overrides) -> ChainOptions:
-    return ChainOptions(**{**cfg.chain_settings(), "record_rejections": True,
-                           **overrides})
+    """Each :class:`ChainOptions` field that is a config key at that key's
+    value, recording rejections, then ``overrides``."""
+    settings = {f.name: getattr(cfg, f.name) for f in fields(ChainOptions)
+                if f.name in vars(cfg)}
+    return ChainOptions(**{**settings, "record_rejections": True, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +111,15 @@ def _write_samples(path: Path, samples: np.ndarray) -> None:
 
 
 def _acceptance_summary(counters) -> dict:
-    """Acceptance rate of every move that was attempted, plus the number of
-    proposal-budget failures."""
-    moves = [key.removesuffix("_att") for key, att in counters.items()
-             if key.endswith("_att") and att]
-    out = {move: counters.get(f"{move}_acc", 0) / counters[f"{move}_att"]
-           for move in moves}
+    """Acceptance rate of every move the chain counted (only those that
+    attempted something), plus the number of proposal-budget failures."""
+    out = {key[:-4]: counters[key[:-4] + "_acc"] / att
+           for key, att in counters.items() if key.endswith("_att")}
     out["budget_failures"] = counters.get("budget_failures", 0)
     return out
 
 
 def _meta(cfg: RunConfig, command: str, extra: dict) -> dict:
-    from dataclasses import asdict
-
     payload = {
         "command": command,
         "seed": cfg.seed,
@@ -271,7 +271,7 @@ def cmd_predict_density(cfg: RunConfig, data_path: Path, out: Path,
     dconf = DensityConfig(
         theta0=theta, psi0=psi, priors=priors, sampler=cfg.sampler,
         chain_options=build_chain_options(
-            cfg, total=cfg.pred_burn_in + cfg.pred_retained * cfg.pred_thinning,
+            cfg, total_iters=cfg.pred_burn_in + cfg.pred_retained * cfg.pred_thinning,
             burn_in=cfg.pred_burn_in, thinning=cfg.pred_thinning,
             record_predictive=False, record_rejections=False),
     )

@@ -15,25 +15,6 @@ from pathlib import Path
 from .chain import ChainOptions, usable_cpus
 
 
-# ChainOptions field -> the RunConfig key that sets it
-CHAIN_KEYS = {
-    "total": "total_iters",
-    "burn_in": "burn_in",
-    "thinning": "thinning",
-    "max_proposals": "max_proposals",
-    "zeta_insert": "zeta_insert",
-    "number_moves": "number_moves",
-    "hmc_step_size": "hmc_step_size",
-    "hmc_leapfrog": "hmc_steps",
-    "hmc_target": "hmc_target",
-    "crankshaft_eps": "crankshaft_eps",
-    "n_extra_controls": "extra_controls",
-    "infer_hypers": "infer_hypers",
-    "hyper_walk_scale": "hyper_walk_scale",
-    "record_predictive": "record_predictive",
-}
-
-
 @dataclass
 class RunConfig:
     # sampler and budgets
@@ -88,11 +69,6 @@ class RunConfig:
     geweke_thin: int = 5
     geweke_corrupt: bool = False
 
-    def chain_settings(self) -> dict:
-        """The :class:`~gpds.chain.ChainOptions` fields this config sets, by
-        field name; every one is the value of its key in ``CHAIN_KEYS``."""
-        return {field: getattr(self, key) for field, key in CHAIN_KEYS.items()}
-
     def validate(self) -> None:
         if self.sampler not in ("latent-history", "exchange"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
@@ -101,8 +77,8 @@ class RunConfig:
         if self.base not in ("uniform-box", "gaussian"):
             raise ValueError(f"unknown base {self.base!r}")
         # the iteration counts and move settings, by the rules of the chain
-        # options they become
-        ChainOptions.check(self.chain_settings(), names=CHAIN_KEYS)
+        # options of the same names that they become
+        ChainOptions.check(vars(self))
         for name in ("amplitude_init", "lengthscale_init",
                      "amp_log_prior_sigma", "ls_log_prior_sigma"):
             value = getattr(self, name)

@@ -20,6 +20,8 @@ where a rejected swap leaves the values; an accepted swap discards the old
 function entirely and adopts the proposal's grown sampler, whose leading
 rows are again the controls.  Only a hyper move, which draws its function
 under new hyperparameters, factorises the controls' covariance.
+A move counts only its budget failures; the chain loop counts the
+attempts and acceptances.
 """
 from __future__ import annotations
 
@@ -121,7 +123,7 @@ def _swap_log_ratio(log_phi_hat_data, log_phi_cur_data,
 
 
 def _swap(state: ExchangeState, psi: BaseHyper, trace: GenerativeTrace,
-          rng: np.random.Generator, move: str, log_prior_ratio: float = 0.0,
+          rng: np.random.Generator, log_prior_ratio: float = 0.0,
           base_terms: tuple[float, ...] = ()) -> tuple[ExchangeState, bool]:
     """Evaluate the current function at the fantasies and accept the swap
     with probability exp(log_prior_ratio + swap ratio + sum(base_terms)).
@@ -144,7 +146,6 @@ def _swap(state: ExchangeState, psi: BaseHyper, trace: GenerativeTrace,
         log_a += term
     accepted = math.log(rng.uniform()) < log_a
     if accepted:
-        state.diagnostics[f"{move}_acc"] += 1
         state.sampler = trace.sampler
         state.psi = psi
     return state, accepted
@@ -162,7 +163,6 @@ def _step_function(state: ExchangeState, eps: float, max_proposals: int,
     (0, 1]; at eps = 1 it is the prior draw ``m + L eta`` exactly, and a
     degenerate function, which is its mean, draws no normals.
     """
-    state.diagnostics["func_att"] += 1
     proposal = state.sampler.copy(rows=state.n_controls)
     if not proposal.degenerate:
         eta = rng.standard_normal(state.n_controls)
@@ -174,7 +174,7 @@ def _step_function(state: ExchangeState, eps: float, max_proposals: int,
     except ProposalBudgetError:
         state.diagnostics["budget_failures"] += 1
         return state, False
-    return _swap(state, state.psi, trace, rng, "func")
+    return _swap(state, state.psi, trace, rng)
 
 
 def exchange_step_prior(state: ExchangeState,
@@ -210,7 +210,6 @@ def exchange_step_hyper(state: ExchangeState, scale: float,
     keeps only the hyperprior ratio, the squashed-value products, and the
     base-density ratios at the data and the fantasies.
     """
-    state.diagnostics["hyper_att"] += 1
     theta_hat, psi_hat = propose_hypers(state.theta, state.psi, scale, priors, rng)
     lp_hat = hyperprior_logpdf(theta_hat, psi_hat, priors)
     if not np.isfinite(lp_hat):
@@ -245,5 +244,4 @@ def exchange_step_hyper(state: ExchangeState, scale: float,
         base_terms = (float(np.sum(base_data_hat - base_logpdf(state.data, state.psi))),
                       float(np.sum(base_logpdf(fantasies, state.psi)
                                    - base_logpdf(fantasies, psi_hat))))
-    return _swap(state, psi_hat, trace, rng, "hyper", lp_hat - lp_cur,
-                 base_terms)
+    return _swap(state, psi_hat, trace, rng, lp_hat - lp_cur, base_terms)

@@ -101,7 +101,7 @@ def run_geweke_history(theta: GpHyper, psi: BaseHyper, n_data: int = 3,
     """
     if n_samples < 10:
         raise ValueError("insufficient samples for a distribution comparison")
-    opts = ChainOptions(total=0, burn_in=0)
+    opts = ChainOptions(total_iters=0, burn_in=0)
     names = ("n_rejections", "mean_g_data", "data_mean")
     forward = {k: np.empty(n_samples) for k in names}
     for i in range(n_samples):

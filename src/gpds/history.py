@@ -9,9 +9,9 @@ is proposed with the fixed probability ``zeta_insert``, always when there
 are no rejections), propose a new location for every rejection from the
 base density, update all function values jointly with Hamiltonian dynamics
 in the whitened space, and random-walk the hyperparameters at one step
-scale.  :func:`sweep` runs one iteration of those moves with the tuning of
-a :class:`~gpds.chain.ChainOptions`; :func:`init_history` draws a starting
-state with no rejections.
+scale.  :func:`sweep_moves` lists those moves, named and tuned by a
+:class:`~gpds.chain.ChainOptions`, and :func:`sweep` runs them once;
+:func:`init_history` draws a starting state with no rejections.
 
 An insertion is conditioned on the GP once: it draws its function value
 with :meth:`~gpds.gp.ConditionalSampler.draw_append`, which records it as
@@ -52,7 +52,7 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    from .chain import ChainOptions
+    from .chain import ChainOptions, Move
 
 __all__ = [
     "HistoryChain",
@@ -61,6 +61,7 @@ __all__ = [
     "delete_log_accept",
     "location_log_accept",
     "sweep",
+    "sweep_moves",
 ]
 
 
@@ -143,7 +144,7 @@ class HistoryChain:
     slot order), so individual moves reuse the incrementally maintained factor
     instead of refactorising.  The GP hyperparameters are the sampler's
     (:attr:`theta`); ``diagnostics`` counts the attempts and acceptances of
-    :func:`sweep`.
+    its moves by their names in :func:`sweep_moves`.
     """
 
     def __init__(self, data: np.ndarray, g_data: np.ndarray, theta: GpHyper,
@@ -326,32 +327,32 @@ def init_history(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
     return HistoryChain(data, g, theta, psi)
 
 
+def sweep_moves(chain: HistoryChain, opts: ChainOptions, priors: HyperPrior | None,
+                rng: np.random.Generator, corrupt_insert: bool = False) -> list[Move]:
+    """One iteration's moves, tuned by ``opts``, in order: ``number``
+    ``opts.number_moves`` times, ``loc`` (its attempts are the rejections),
+    ``hmc`` unless the GP is degenerate (which no move changes), and
+    ``hyper`` when inferring hypers under given ``priors``.  Each calls its
+    :class:`HistoryChain` method through the chain when it runs.
+    ``corrupt_insert``, a testing hook, mis-computes the insert ratio."""
+    moves = [("number", lambda: (1, chain.step_number(
+        opts.zeta_insert, rng, corrupt_insert=corrupt_insert)))] * opts.number_moves
+    moves.append(("loc", lambda: (chain.n_rejections, chain.step_locations(rng))
+                  if chain.n_rejections else (0, 0)))
+    if not chain.sampler.degenerate:
+        moves.append(("hmc", lambda: (1, chain.step_function_hmc(
+            opts.hmc_step_size, opts.hmc_steps, rng))))
+    if opts.infer_hypers and priors is not None:
+        moves.append(("hyper", lambda: (1, chain.step_hyper(
+            opts.hyper_walk_scale, priors, rng))))
+    return moves
+
+
 def sweep(chain: HistoryChain, opts: ChainOptions, priors: HyperPrior | None,
           rng: np.random.Generator, corrupt_insert: bool = False) -> None:
-    """One full iteration in place, tuned by ``opts``: ``opts.number_moves``
-    number moves at insert probability ``opts.zeta_insert``, one
-    base-density proposal per rejection (:meth:`HistoryChain.step_locations`:
-    one joint draw and one factor compaction for them all), HMC unless the
-    GP is degenerate, and the hyperparameter walk at step
-    ``opts.hyper_walk_scale`` when ``opts.infer_hypers`` is set and
-    ``priors`` are given.
+    """One iteration in place: one pass over :func:`sweep_moves`, counted
+    into ``chain.diagnostics``."""
+    from .chain import run_moves  # gpds.chain imports this module
 
-    ``corrupt_insert`` is a testing hook that deliberately mis-computes the
-    insert ratio so validation harnesses can confirm they catch it.
-    """
-    c = chain.diagnostics
-    for _ in range(opts.number_moves):
-        acc = chain.step_number(opts.zeta_insert, rng, corrupt_insert=corrupt_insert)
-        c["number_acc"] += acc
-        c["number_att"] += 1
-    if chain.n_rejections:
-        c["loc_att"] += chain.n_rejections
-        c["loc_acc"] += chain.step_locations(rng)
-    if not chain.sampler.degenerate:
-        acc = chain.step_function_hmc(opts.hmc_step_size, opts.hmc_leapfrog, rng)
-        c["hmc_acc"] += acc
-        c["hmc_att"] += 1
-    if opts.infer_hypers and priors is not None:
-        acc = chain.step_hyper(opts.hyper_walk_scale, priors, rng)
-        c["hyper_acc"] += acc
-        c["hyper_att"] += 1
+    run_moves(sweep_moves(chain, opts, priors, rng, corrupt_insert),
+              chain.diagnostics)

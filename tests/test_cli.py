@@ -9,13 +9,14 @@ import sys
 import numpy as np
 import pytest
 
+import gpds.chain
 from gpds import cli, generate
 from gpds.chain import (ChainOptions, run_exchange_chain, run_history_chain,
                         usable_cpus)
 from gpds.cli import main
 from gpds.gp import GpHyper, IllConditionedCovariance
 from gpds.io_utils import read_csv, read_data_csv
-from gpds.model import GaussianBase, HyperPrior
+from gpds.model import GaussianBase, HyperPrior, UniformBox
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -268,7 +269,7 @@ class TestChainTables:
         data = rng.normal(0.5, 0.2, (10, 2))
         psi = GaussianBase(data.mean(axis=0), data.std(axis=0))
         theta = GpHyper(amplitude=1.0, lengthscales=[1.0, 1.0])
-        opts = ChainOptions(total=11, burn_in=4, thinning=2,
+        opts = ChainOptions(total_iters=11, burn_in=4, thinning=2,
                             record_predictive=True, record_rejections=True)
         result = run(data, theta, psi, opts,
                      HyperPrior.for_data(data, gaussian_base=True), rng)
@@ -295,6 +296,39 @@ class TestChainTables:
             assert counts == col["m"].astype(int).tolist()
         else:
             assert result.rejections.shape == (0, 3)
+
+
+class TestMoveList:
+    """The chain loop runs a sampler's list of named moves every
+    iteration, and the trace's accept columns are those names."""
+
+    @pytest.mark.parametrize("run, infer, names", [
+        (run_history_chain, True, ["number", "number", "loc", "hmc", "hyper"]),
+        (run_history_chain, False, ["number", "number", "loc", "hmc"]),
+        (run_exchange_chain, True, ["func", "hyper"]),
+        (run_exchange_chain, False, ["func"]),
+    ])
+    def test_accept_columns_are_the_move_names(self, monkeypatch, run, infer,
+                                               names):
+        seen = []
+        run_moves = gpds.chain.run_moves
+
+        def spy(moves, counters):
+            seen.append([name for name, _ in moves])
+            run_moves(moves, counters)
+
+        monkeypatch.setattr(gpds.chain, "run_moves", spy)
+        rng = np.random.default_rng(7)
+        data = rng.uniform(0, 1, (5, 1))
+        opts = ChainOptions(total_iters=6, burn_in=2, number_moves=2,
+                            infer_hypers=infer)
+        result = run(data, GpHyper(amplitude=1.0, lengthscales=[0.5]),
+                     UniformBox.unit(1), opts, HyperPrior(), rng)
+        assert seen == [names] * 6
+        accept = [c for c in result.trace_columns if c.endswith(("_acc", "_att"))]
+        assert accept == sorted(f"{name}_{kind}" for name in set(names)
+                                for kind in ("acc", "att"))
+        assert set(result.counters) - {"budget_failures"} <= set(accept)
 
 
 class TestSamplePrior:

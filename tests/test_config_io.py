@@ -155,9 +155,9 @@ class TestChainOptionsRules:
     config file: each bad setting is refused by name."""
 
     @pytest.mark.parametrize("field, value", [
-        ("total", -1), ("burn_in", -1), ("burn_in", 20), ("thinning", 0),
-        ("max_proposals", 0), ("number_moves", -2), ("n_extra_controls", -1),
-        ("hmc_leapfrog", 0),
+        ("total_iters", -1), ("burn_in", -1), ("burn_in", 20), ("thinning", 0),
+        ("max_proposals", 0), ("number_moves", -2), ("extra_controls", -1),
+        ("hmc_steps", 0),
         ("hmc_step_size", 0.0), ("hmc_step_size", math.inf),
         ("hyper_walk_scale", 0.0), ("hyper_walk_scale", math.nan),
         ("zeta_insert", 0.0), ("zeta_insert", 1.0),
@@ -166,11 +166,11 @@ class TestChainOptionsRules:
     ])
     def test_bad_setting_is_refused(self, field, value):
         with pytest.raises(ValueError, match=field):
-            ChainOptions(**{"total": 20, "burn_in": 5, field: value})
+            ChainOptions(**{"total_iters": 20, "burn_in": 5, field: value})
 
     def test_boundary_settings_accepted(self):
-        ChainOptions(total=0, burn_in=0, max_proposals=1, number_moves=0, hmc_leapfrog=1,
-                     n_extra_controls=0, crankshaft_eps=1.0, zeta_insert=0.999)
+        ChainOptions(total_iters=0, burn_in=0, max_proposals=1, number_moves=0, hmc_steps=1,
+                     extra_controls=0, crankshaft_eps=1.0, zeta_insert=0.999)
 
     @pytest.mark.parametrize("key, value", [
         ("total_iters", -1), ("burn_in", 6000), ("thinning", 0), ("hmc_steps", 0),

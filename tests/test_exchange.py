@@ -137,6 +137,46 @@ class TestExchangeStepPrior:
         assert state2.diagnostics["budget_failures"] == 1
 
 
+class TestCounters:
+    """A move counts only its budget failures: the chain loop counts the
+    attempts and acceptances by the move's name."""
+
+    def test_direct_steps_count_no_attempts_or_acceptances(self):
+        rng = np.random.default_rng(5)
+        state = make_state(rng, n=3)
+        accepted = 0
+        for _ in range(6):
+            for step in (lambda: exchange_step_prior(state, 100_000, rng=rng),
+                         lambda: exchange_step_control(state, 0.5, 100_000, rng=rng),
+                         lambda: exchange_step_hyper(state, 0.1, HyperPrior(),
+                                                     100_000, rng=rng)):
+                accepted += step()[1]
+        assert accepted > 0
+        assert not state.diagnostics
+
+    def test_direct_steps_count_budget_failures(self):
+        # phi(g) is about 1e-12 near the mean of -7: no fantasy run ends
+        # within 40 proposals
+        rng = np.random.default_rng(3)
+        theta = GpHyper(amplitude=0.3, lengthscales=[0.3], mean=-7.0)
+        state = make_state(rng, n=3, theta=theta)
+        exchange_step_prior(state, 40, rng=rng)
+        exchange_step_control(state, 0.5, 40, rng=rng)
+        exchange_step_hyper(state, 0.1, HyperPrior(), 40, rng=rng)
+        assert dict(state.diagnostics) == {"budget_failures": 3}
+
+    def test_chain_counts_every_attempt(self):
+        rng = np.random.default_rng(6)
+        opts = ChainOptions(total_iters=7, burn_in=2)
+        result = run_exchange_chain(rng.uniform(0, 1, (3, 1)), THETA, BOX, opts,
+                                    HyperPrior(), rng)
+        c = result.counters
+        assert c["func_att"] == c["hyper_att"] == 7
+        col = dict(zip(result.trace_columns, result.trace.T))
+        assert col["func_acc"].sum() <= c["func_acc"]
+        assert col["func_att"].tolist() == col["hyper_att"].tolist() == [1] * 5
+
+
 @pytest.mark.parametrize("call", [
     lambda state: exchange_step_prior(state, 100_000),
     lambda state: exchange_step_control(state, 0.5),
@@ -224,11 +264,11 @@ class TestCrankshaft:
     @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5, math.nan])
     def test_chain_options_refuse_eps_outside_unit_interval(self, eps):
         with pytest.raises(ValueError, match="crankshaft_eps"):
-            ChainOptions(total=1, burn_in=0, crankshaft_eps=eps)
+            ChainOptions(total_iters=1, burn_in=0, crankshaft_eps=eps)
 
     def test_chain_options_accept_eps_up_to_one(self):
         for eps in (1e-9, 0.5, 1.0):
-            assert ChainOptions(total=1, burn_in=0, crankshaft_eps=eps).crankshaft_eps == eps
+            assert ChainOptions(total_iters=1, burn_in=0, crankshaft_eps=eps).crankshaft_eps == eps
 
     @pytest.mark.slow
     def test_preserves_gp_prior(self, propose):
@@ -287,8 +327,8 @@ class TestExchangeStepHyper:
         monkeypatch.setattr(gpds.exchange, "_swap", spy)
         monkeypatch.setattr(gpds.exchange, "base_logpdf", no_base_logpdf)
         state2, _ = exchange_step_hyper(state, 0.0, HyperPrior(), 100_000, rng=rng)
-        ((_, psi_hat, trace, _, move, log_prior_ratio, base_terms),) = swaps
-        assert move == "hyper" and psi_hat is psi
+        ((_, psi_hat, trace, _, log_prior_ratio, base_terms),) = swaps
+        assert psi_hat is psi
         assert log_prior_ratio == 0.0 and base_terms == ()
         assert trace.sampler.hyper.amplitude == amplitude
         assert state2.theta.amplitude == amplitude
@@ -466,7 +506,7 @@ class TestBookkeepingAudit:
                             opened("hyper", gpds.chain.exchange_step_hyper))
         rng = np.random.default_rng(19)
         data = rng.uniform(0, 1, (4, 1))
-        opts = ChainOptions(total=20, burn_in=4, record_predictive=True,
+        opts = ChainOptions(total_iters=20, burn_in=4, record_predictive=True,
                             numerator_query=np.array([[0.25], [0.75]]),
                             denominator_point=3)
         result = run_exchange_chain(data, THETA, BOX, opts, HyperPrior(), rng)
@@ -475,7 +515,7 @@ class TestBookkeepingAudit:
         func = [e for e in events if e[1] == "func"]
         hyper = [e for e in events if e[1] == "hyper"]
         # one function move per iteration, and it builds nothing
-        assert func == [("fantasies", "func")] * opts.total
+        assert func == [("fantasies", "func")] * opts.total_iters
         assert hyper and hyper == [("build", "hyper"), ("fantasies", "hyper")] * (len(hyper) // 2)
         assert len(func) + len(hyper) == len(events)
 

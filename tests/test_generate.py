@@ -258,7 +258,7 @@ class TestRowCap:
         monkeypatch.setattr(gpds.generate, "MAX_ROWS", 5)
         rng = np.random.default_rng(5)
         data = rng.uniform(0.2, 0.8, (10, 1))
-        opts = ChainOptions(total=6, burn_in=2, record_predictive=True)
+        opts = ChainOptions(total_iters=6, burn_in=2, record_predictive=True)
         result = run(data, GpHyper(amplitude=1.0, lengthscales=[0.3]), BOX, opts,
                      None, rng)
         assert result.counters["budget_failures"] >= 4  # one per retained probe

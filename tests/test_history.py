@@ -1,13 +1,14 @@
 """Latent-history sampler: joint density, move ratios, HMC, sweeps."""
 import copy
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.stats import chi2, kstest
 
 import gpds.history
-from gpds.chain import ChainOptions, _history_log_density
+from gpds.chain import ChainOptions, _history_log_density, run_moves
 from gpds.generate import continue_sampler, draw_prior_dataset
 from gpds.gp import (
     BASE_JITTER,
@@ -27,6 +28,7 @@ from gpds.history import (
     leapfrog,
     location_log_accept,
     sweep,
+    sweep_moves,
 )
 from gpds.model import (
     GaussianBase,
@@ -54,7 +56,7 @@ def make_history(rng, n=4, theta=THETA, psi=BOX):
 
 def sweep_options(**kw):
     """Move tuning for direct sweeps; no iteration budget."""
-    return ChainOptions(total=0, burn_in=0, **kw)
+    return ChainOptions(total_iters=0, burn_in=0, **kw)
 
 
 
@@ -195,7 +197,7 @@ class TestNumberMoveRatios:
         assert _insert_prob(1, 0.3) == 0.3
         for zeta in (0.0, 1.0):  # at 1 no insertion could be accepted
             with pytest.raises(ValueError, match="zeta_insert"):
-                ChainOptions(total=1, burn_in=0, zeta_insert=zeta)
+                ChainOptions(total_iters=1, burn_in=0, zeta_insert=zeta)
         # an empty history proposes an insertion whatever zeta_insert is: a
         # deletion there would fail to pick a slot
         rng = np.random.default_rng(6)
@@ -768,6 +770,56 @@ class TestSweep:
         assert c["loc_att"] == chain.n_rejections
         assert c["hmc_att"] == (amplitude > 0)
         assert c["hyper_att"] == (infer_hypers and priors is not None)
+
+    @pytest.mark.parametrize("number_moves, priors, amplitude, names", [
+        (2, HyperPrior(), 1.3, ["number", "number", "loc", "hmc", "hyper"]),
+        (0, None, 1.3, ["loc", "hmc"]),
+        (1, HyperPrior(), 0.0, ["number", "loc", "hyper"]),
+    ], ids=["every-move", "no-number-or-hyper", "degenerate-gp"])
+    def test_move_list_order(self, number_moves, priors, amplitude, names):
+        rng = np.random.default_rng(21)
+        chain = make_history(rng, theta=THETA.with_(amplitude=amplitude))
+        moves = sweep_moves(chain, sweep_options(number_moves=number_moves),
+                            priors, rng)
+        assert [name for name, _ in moves] == names
+
+    def test_location_move_without_rejections_attempts_nothing(self, monkeypatch):
+        # the loc move's attempts are the rejections: with none it neither
+        # runs step_locations nor adds a counter
+        calls = []
+        monkeypatch.setattr(HistoryChain, "step_locations",
+                            lambda chain, rng: calls.append(rng) or 0)
+        rng = np.random.default_rng(22)
+        chain = init_history(rng.uniform(0, 1, (3, 1)), THETA, BOX, rng)
+        assert chain.n_rejections == 0
+        moves = dict(sweep_moves(chain, sweep_options(number_moves=0), None, rng))
+        assert moves["loc"]() == (0, 0)
+        sweep(chain, sweep_options(number_moves=0), None, rng)
+        assert "loc_att" not in chain.diagnostics and "loc_acc" not in chain.diagnostics
+        assert chain.diagnostics["hmc_att"] == 1
+        assert not calls
+
+    def test_moves_call_the_chain_methods_when_they_run(self, monkeypatch):
+        # a method patched after the list is built is the one that runs
+        rng = np.random.default_rng(23)
+        chain = make_history(rng)
+        moves = sweep_moves(chain, sweep_options(), HyperPrior(), rng)
+        seen = []
+        for name in ("step_number", "step_locations", "step_function_hmc",
+                     "step_hyper"):
+            original = getattr(HistoryChain, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                seen.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(HistoryChain, name, spy)
+        counters = Counter()
+        run_moves(moves, counters)
+        expected = ["step_number", "step_function_hmc", "step_hyper"]
+        if counters["loc_att"]:
+            expected.insert(1, "step_locations")
+        assert seen == expected
+        assert counters["number_att"] == counters["hmc_att"] == counters["hyper_att"] == 1
 
     def test_seed_determinism(self):
         out = []

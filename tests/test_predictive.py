@@ -36,7 +36,7 @@ def frozen_theta(mean_fn):
 def frozen_config(mean_fn, retained=400, burn_in=50, sampler="latent-history"):
     return DensityConfig(theta0=frozen_theta(mean_fn), psi0=BOX, priors=None,
                          sampler=sampler,
-                         chain_options=ChainOptions(total=burn_in + retained,
+                         chain_options=ChainOptions(total_iters=burn_in + retained,
                                                     burn_in=burn_in,
                                                     infer_hypers=False))
 
@@ -80,7 +80,7 @@ class TestPredictiveProbe:
         sampler = draw_prior_dataset(6, theta, BOX, np.random.default_rng(20)).sampler
         before = (len(sampler), sampler.packed.copy(), sampler.whitened.copy(),
                   sampler.values.copy())
-        opts = ChainOptions(total=1, burn_in=0,
+        opts = ChainOptions(total_iters=1, burn_in=0,
                             numerator_query=np.array([[0.2], [0.8]]))
         x_pred, draw = _predictive_probe(sampler, BOX, opts,
                                          np.random.default_rng(21), Counter())
@@ -98,7 +98,7 @@ class TestPredictiveProbe:
         theta = GpHyper(amplitude=1.3, lengthscales=[0.3], mean=-1.0)
         sampler = draw_prior_dataset(6, theta, BOX, np.random.default_rng(seed)).sampler
         query = np.array([[0.2], [0.5], [0.8]])
-        opts = ChainOptions(total=1, burn_in=0, numerator_query=query)
+        opts = ChainOptions(total_iters=1, burn_in=0, numerator_query=query)
         rng = np.random.default_rng(100 + seed)
         _, draw = _predictive_probe(sampler, BOX, opts, rng, Counter())
 
@@ -174,7 +174,7 @@ class TestNumeratorTerms:
         data = rng.normal(0.4, 0.3, (8, 1))
         psi0 = GaussianBase(mean=[0.4], sigma=[0.3])
         grid = np.linspace(-0.5, 1.5, 9).reshape(-1, 1)
-        opts = ChainOptions(total=30, burn_in=5, hyper_walk_scale=0.3,
+        opts = ChainOptions(total_iters=30, burn_in=5, hyper_walk_scale=0.3,
                             numerator_query=grid)
         draws = run_history_chain(data, GpHyper(amplitude=1.0, lengthscales=[0.5]),
                                   psi0, opts,
@@ -200,7 +200,7 @@ class TestOneChainIdentities:
         # was 2.44 standard errors for T and 2.84 for S.
         z = quadrature_z(sine)
         data = np.random.default_rng(2).uniform(0, 1, (5, 1))
-        opts = ChainOptions(total=2100, burn_in=100, infer_hypers=False,
+        opts = ChainOptions(total_iters=2100, burn_in=100, infer_hypers=False,
                             numerator_query=np.array([[0.5]]))
         draws = run(data, frozen_theta(sine), BOX, opts, None,
                     np.random.default_rng(3)).numerator_draws
@@ -229,7 +229,7 @@ class TestOneChainIdentities:
         data = sample_f1(30, np.random.default_rng(3)).reshape(-1, 1)
         cfg = DensityConfig(theta0=GpHyper(amplitude=1.0, lengthscales=[0.3]),
                             psi0=BOX, chain_options=ChainOptions(
-                                total=350, burn_in=50, infer_hypers=False))
+                                total_iters=350, burn_in=50, infer_hypers=False))
         grid = np.linspace(0.1, 0.9, 5).reshape(-1, 1)
         out = density_grid(grid, data, cfg, np.random.SeedSequence(8))
         ratio = ratio_estimator(grid, data, cfg, np.random.SeedSequence(8))
@@ -329,7 +329,7 @@ class TestDensityGrid:
     def test_seeded_grid_is_reproducible(self):
         theta = GpHyper(amplitude=1.0, lengthscales=[0.5])
         cfg = DensityConfig(theta0=theta, psi0=BOX,
-                            chain_options=ChainOptions(total=12, burn_in=4,
+                            chain_options=ChainOptions(total_iters=12, burn_in=4,
                                                        infer_hypers=False))
         data = np.random.default_rng(7).uniform(0, 1, (4, 1))
         grid = np.array([[0.2], [0.8]])
@@ -359,7 +359,7 @@ class TestDensityGrid:
         # denominator chain, so its draws are that chain's
         theta = GpHyper(amplitude=1.0, lengthscales=[0.5])
         cfg = DensityConfig(theta0=theta, psi0=BOX,
-                            chain_options=ChainOptions(total=8, burn_in=2,
+                            chain_options=ChainOptions(total_iters=8, burn_in=2,
                                                        infer_hypers=False))
         data = np.random.default_rng(13).uniform(0, 1, (4, 1))
         grid = np.array([[0.2], [0.8]])
@@ -382,9 +382,9 @@ class TestDensityGrid:
 
         monkeypatch.setattr(gpds.predictive, "run_history_chain", spy)
         given = ChainOptions(
-            total=9, burn_in=3, thinning=2, max_proposals=5000, zeta_insert=0.3,
+            total_iters=9, burn_in=3, thinning=2, max_proposals=5000, zeta_insert=0.3,
             number_moves=2, hmc_step_size=0.1,
-            hmc_leapfrog=3, hmc_target=0.6, crankshaft_eps=0.7, n_extra_controls=1,
+            hmc_steps=3, hmc_target=0.6, crankshaft_eps=0.7, extra_controls=1,
             infer_hypers=False, hyper_walk_scale=0.2,
             record_predictive=True, record_rejections=True)
         cfg = DensityConfig(theta0=GpHyper(amplitude=1.0, lengthscales=[0.5]),
@@ -403,7 +403,7 @@ class TestDensityGrid:
     def test_chain_options_left_unchanged(self):
         # burn-in adapts the HMC step size on a private copy: the caller's
         # ChainOptions may be shared with other chains
-        given = ChainOptions(total=12, burn_in=6, hmc_step_size=0.1)
+        given = ChainOptions(total_iters=12, burn_in=6, hmc_step_size=0.1)
         before = replace(given)
         theta = GpHyper(amplitude=1.0, lengthscales=[0.5])
         cfg = DensityConfig(theta0=theta, psi0=BOX, chain_options=given)
