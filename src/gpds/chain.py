@@ -2,9 +2,11 @@
 
 A sampler is its state and a list of named moves, which one loop runs
 every iteration, counting each move's attempts and acceptances by its name.
-The loop owns what the moves deliberately do not: step-size adaptation
-during burn-in, thinned recording, predictive sampling at retained steps,
-and the per-step bookkeeping needed by the normalised-density estimator.
+The loop owns what the moves deliberately do not: burn-in, thinned
+recording, predictive sampling at retained steps, and the per-step
+bookkeeping needed by the normalised-density estimator.  No move adapts
+during burn-in: every move either has no setting or keeps the one it is
+given.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import os
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,19 +42,17 @@ from .model import (
 
 @dataclass
 class ChainOptions:
-    """Iteration budget and move tuning for one chain."""
+    """Iteration budget and move settings for one chain."""
 
     total_iters: int
     burn_in: int
     thinning: int = 1
     max_proposals: int = DEFAULT_MAX_PROPOSALS
     # latent-history moves; the location move proposes each rejection from
-    # the base density, so it has no setting
+    # the base density and the function move is an elliptical slice move,
+    # so neither has a setting
     zeta_insert: float = 0.5
     number_moves: int = 1
-    hmc_step_size: float = 0.2
-    hmc_steps: int = 10
-    hmc_target: float = 0.8
     # exchange moves
     crankshaft_eps: float = 0.5
     extra_controls: int = 0
@@ -80,21 +80,19 @@ class ChainOptions:
         for field in ("total_iters", "burn_in", "number_moves", "extra_controls"):
             if not settings[field] >= 0:
                 refuse(field, ">= 0")
-        for field in ("thinning", "max_proposals", "hmc_steps"):
+        for field in ("thinning", "max_proposals"):
             if not settings[field] >= 1:
                 refuse(field, ">= 1")
         if settings["total_iters"] and settings["burn_in"] >= settings["total_iters"]:
             refuse("burn_in", "smaller than total_iters")
-        # a zero or non-finite scale would not fail the run: it freezes a
+        # a zero or non-finite scale would not fail the run: it freezes the
         # move, or makes every log prior nan so that the move always rejects
-        for field in ("hmc_step_size", "hyper_walk_scale"):
-            if not (math.isfinite(settings[field]) and settings[field] > 0):
-                refuse(field, "finite and positive")
+        if not (math.isfinite(settings["hyper_walk_scale"])
+                and settings["hyper_walk_scale"] > 0):
+            refuse("hyper_walk_scale", "finite and positive")
         if not 0.0 < settings["zeta_insert"] < 1.0:
             # at 1 no deletion is ever proposed, so no insertion is accepted
             refuse("zeta_insert", "in (0, 1)")
-        if not 0.0 < settings["hmc_target"] < 1.0:
-            refuse("hmc_target", "in (0, 1)")
         if not 0.0 < settings["crankshaft_eps"] <= 1.0:
             refuse("crankshaft_eps", "in (0, 1]")
 
@@ -142,7 +140,6 @@ class ChainResult:
     final_theta: GpHyper
     final_psi: BaseHyper
     wall_time: float
-    hmc_step_size: float | None = None  # None for exchange, which runs no HMC
 
 
 class WorkerDied(RuntimeError):
@@ -327,21 +324,16 @@ class _Recorder:
 
 
 def _run(state, moves: list[Move], observe: Callable[[], tuple],
-         opts: ChainOptions, rng: np.random.Generator,
-         adapt: Callable[[Counter, Counter], None] | None = None) -> ChainResult:
-    """The chain loop: run ``moves`` once per iteration; after a burn-in
-    iteration call ``adapt(counters, counters before it)``; record every
-    ``opts.thinning``-th later one, with ``observe()``'s ``(m,
+         opts: ChainOptions, rng: np.random.Generator) -> ChainResult:
+    """The chain loop: run ``moves`` once per iteration, and after burn-in
+    record every ``opts.thinning``-th one, with ``observe()``'s ``(m,
     log_density, rejections or None)``."""
     recorder = _Recorder(opts, state, [name for name, _ in moves])
     counters = state.diagnostics
     for it in range(opts.total_iters):
         before = Counter(counters)
         run_moves(moves, counters)
-        if it < opts.burn_in:
-            if adapt is not None:
-                adapt(counters, before)
-        elif (it - opts.burn_in) % opts.thinning == 0:
+        if it >= opts.burn_in and (it - opts.burn_in) % opts.thinning == 0:
             recorder.add(it, state, before, rng, *observe())
     return recorder.result(state)
 
@@ -349,24 +341,14 @@ def _run(state, moves: list[Move], observe: Callable[[], tuple],
 def run_history_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,
                       opts: ChainOptions, priors: HyperPrior | None,
                       rng: np.random.Generator) -> ChainResult:
-    """Latent-history MCMC over :func:`~gpds.history.sweep_moves`, with
-    burn-in HMC step-size adaptation."""
-    # a private copy: burn-in adapts its hmc_step_size, and the caller's
-    # options may be shared with other chains
-    opts = replace(opts)
+    """Latent-history MCMC over :func:`~gpds.history.sweep_moves`."""
     chain = init_history(data, theta0, psi0, rng)
 
     def observe():
         return (chain.n_rejections, _history_log_density(chain),
                 chain.rejections if opts.record_rejections else None)
 
-    def adapt(counters: Counter, before: Counter) -> None:
-        if counters["hmc_att"] > before["hmc_att"]:
-            acc = counters["hmc_acc"] - before["hmc_acc"]
-            opts.hmc_step_size *= math.exp(0.05 * (acc - opts.hmc_target))
-
-    return replace(_run(chain, sweep_moves(chain, opts, priors, rng), observe,
-                        opts, rng, adapt), hmc_step_size=opts.hmc_step_size)
+    return _run(chain, sweep_moves(chain, opts, priors, rng), observe, opts, rng)
 
 
 def run_exchange_chain(data: np.ndarray, theta0: GpHyper, psi0: BaseHyper,

@@ -241,7 +241,6 @@ def cmd_fit(cfg: RunConfig, data_path: Path, out: Path, chains: int = 1) -> None
             "acceptance": _acceptance_summary(result.counters),
             "retained": int(result.trace.shape[0]),
             "final_amplitude": result.final_theta.amplitude,
-            "hmc_step_size": result.hmc_step_size,
             "wall_time_s": result.wall_time,
         }
     write_json(out / "meta.json", _meta(cfg, "fit", {
@@ -319,8 +318,8 @@ def cmd_geweke(cfg: RunConfig, out: Path) -> None:
         report = run_geweke_history(theta, psi, n_data=cfg.geweke_n_data,
                                     n_samples=cfg.geweke_samples,
                                     thin=cfg.geweke_thin, rng=rng,
-                                    corrupt_insert=cfg.geweke_corrupt,
-                                    max_proposals=cfg.max_proposals)
+                                    opts=build_chain_options(cfg),
+                                    corrupt_insert=cfg.geweke_corrupt)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "geweke_report.json", {
         "sampler": cfg.sampler,

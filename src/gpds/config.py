@@ -45,10 +45,7 @@ class RunConfig:
     amp_log_prior_sigma: float = 0.5
     ls_log_prior_mu: float = 0.05
     ls_log_prior_sigma: float = 0.5
-    # move tuning
-    hmc_steps: int = 10
-    hmc_step_size: float = 0.2
-    hmc_target: float = 0.8
+    # move settings
     zeta_insert: float = 0.5
     crankshaft_eps: float = 0.5
     number_moves: int = 1
@@ -175,6 +172,8 @@ def parse_grid_spec(raw: str) -> list[tuple[float, float, int]]:
         if len(bits) != 3:
             raise ValueError(f"bad grid spec {part!r}; expected min:max:count")
         lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"bad grid spec {part!r}: min and max must be finite")
         if n < 1 or hi <= lo:
             raise ValueError(f"bad grid spec {part!r}")
         out.append((lo, hi, n))

@@ -84,11 +84,15 @@ def _history_stats(trace) -> dict[str, float]:
 def run_geweke_history(theta: GpHyper, psi: BaseHyper, n_data: int = 3,
                        n_samples: int = 5000, thin: int = 5, *,
                        rng: np.random.Generator,
+                       opts: ChainOptions | None = None,
                        corrupt_insert: bool = False,
-                       threshold: float = 0.01,
-                       max_proposals: int = DEFAULT_MAX_PROPOSALS) -> GewekeReport:
+                       threshold: float = 0.01) -> GewekeReport:
     """Forward vs successive-conditional check of the latent-history moves
-    (number, location and HMC; the hyperparameters stay fixed).
+    (number, location and the elliptical slice function move; the
+    hyperparameters stay fixed), each sweep set by ``opts``: its
+    ``zeta_insert``, ``number_moves`` and ``max_proposals``, which also caps
+    every rejection-sampling run (the defaults of
+    :class:`~gpds.chain.ChainOptions` when not given).
 
     Its statistics are those of the data block, and they have no power
     against an error in the location-move ratio: with the (1 - phi) terms
@@ -101,7 +105,9 @@ def run_geweke_history(theta: GpHyper, psi: BaseHyper, n_data: int = 3,
     """
     if n_samples < 10:
         raise ValueError("insufficient samples for a distribution comparison")
-    opts = ChainOptions(total_iters=0, burn_in=0)
+    if opts is None:
+        opts = ChainOptions(total_iters=0, burn_in=0)
+    max_proposals = opts.max_proposals
     names = ("n_rejections", "mean_g_data", "data_mean")
     forward = {k: np.empty(n_samples) for k in names}
     for i in range(n_samples):

@@ -24,7 +24,7 @@ entries on it, so they are added back after it as known values, O(R k^2)
 for k kept rows.  The conditional mean at any number of points
 (:meth:`ConditionalSampler.mean`) takes one packed solve.  It also holds
 the whitened coordinates the function moves update (the latent-history
-HMC and the exchange crankshaft).
+elliptical slice move and the exchange crankshaft).
 
 Jitter policy: every realisation starts at ``BASE_JITTER * amplitude^2``,
 whether it is grown from empty or built from points, pinned or not, and

@@ -7,9 +7,11 @@ locations and function values of the rejected proposals.  It lives in a
 factor in place: insert or delete a single latent rejection (an insertion
 is proposed with the fixed probability ``zeta_insert``, always when there
 are no rejections), propose a new location for every rejection from the
-base density, update all function values jointly with Hamiltonian dynamics
-in the whitened space, and random-walk the hyperparameters at one step
-scale.  :func:`sweep_moves` lists those moves, named and tuned by a
+base density, update all function values jointly by elliptical slice
+sampling, and random-walk the hyperparameters at one step scale.  Only the
+insert probability, the number of number moves and the walk's step scale
+are settings: the location and function moves have none to tune.
+:func:`sweep_moves` lists those moves, named and set by a
 :class:`~gpds.chain.ChainOptions`, and :func:`sweep` runs them once;
 :func:`init_history` draws a starting state with no rejections.
 
@@ -36,7 +38,6 @@ from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.blas import dtpmv
 
 from .gp import ConditionalSampler, GpHyper, chol, kernel_matrix, prior_mean
 from .model import (
@@ -96,40 +97,6 @@ def location_log_accept(g_new, g_old):
     to a base-density proposal at g_new, element by element over arrays:
     log(1 - phi(g_new)) - log(1 - phi(g_old))."""
     return log_one_minus_phi(g_new) - log_one_minus_phi(g_old)
-
-
-def leapfrog(potential_grad, v0: np.ndarray, p0: np.ndarray,
-             step_size: float, n_steps: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Standard leapfrog integration of H(v, p) = U(v) + |p|^2 / 2.
-
-    ``potential_grad`` maps v to (U, dU/dv).  Returns the final position and
-    momentum together with the energy error H_end - H_start; a non-finite
-    potential along the trajectory yields an infinite energy error, which a
-    Metropolis correction turns into a certain rejection.
-
-    v and p are copies of ``v0`` and ``p0``, updated in place through one
-    scratch vector, so the inputs are never written; ``potential_grad``
-    must not keep the v it is given.
-    """
-    v = np.array(v0, dtype=float)
-    p = np.array(p0, dtype=float)
-    step_vec = np.empty_like(p)
-    u0, grad = potential_grad(v)
-    h0 = u0 + 0.5 * float(p @ p)
-    p -= np.multiply(0.5 * step_size, grad, out=step_vec)
-    u1 = np.inf
-    for step in range(n_steps):
-        v += np.multiply(step_size, p, out=step_vec)
-        u1, grad = potential_grad(v)
-        if not math.isfinite(u1):
-            return v, p, np.inf
-        if step < n_steps - 1:
-            p -= np.multiply(step_size, grad, out=step_vec)
-    p -= np.multiply(0.5 * step_size, grad, out=step_vec)
-    h1 = u1 + 0.5 * float(p @ p)
-    if not math.isfinite(h1):
-        return v, p, np.inf
-    return v, p, h1 - h0
 
 
 # ---------------------------------------------------------------------------
@@ -234,49 +201,56 @@ class HistoryChain:
                                             r + np.flatnonzero(moved)]))
         return int(np.count_nonzero(moved))
 
-    # -- function move (HMC in whitened coordinates) ----------------------
-    # Factor rows 0..N-1 are always the data (deletes and appends only ever
-    # touch rejection rows), so the data/rejection split is a range check.
-    def _potential_grad(self, v: np.ndarray):
-        """U(v) = |v|^2 / 2 minus the log-likelihood of g = L v + m, and dU/dv.
+    # -- function move (elliptical slice sampling) -------------------------
+    def step_function_hmc(self, rng: np.random.Generator) -> int:
+        """One elliptical slice move of every function value (Murray, Adams
+        & MacKay 2010); returns the number of angles tried, at least 1.
 
-        A datum's likelihood term is ``log phi(g)`` and a rejection's
-        ``log phi(-g)``, so with the rejection rows of g negated (s) the
-        terms are one ``log_phi`` pass, and their derivatives in s one
-        ``phi(-s)`` pass, whose rejection rows are negated back for g.  The
-        data's and the rejections' terms are summed apart, as two partial
-        sums.
+        It keeps the name of the Hamiltonian move it replaced, because the
+        benchmark's tracer patches that name; it becomes ``step_function``
+        once the tracer's patch table allows the rename.
+
+        Given the rows, the target is the GP prior times the likelihood
+        exp l(g), l(g) = sum log phi(g_data) + sum log phi(-g_rej).  A prior
+        draw nu = L eta (one ``lower_dot``) spans the ellipse
+        g(t) = m + (g - m) cos t + nu sin t, and angles are tried on it,
+        from a bracket of width 2 pi shrunk towards t = 0, until l(g(t))
+        clears a slice level drawn under l(g).  Each angle is O(R), and the
+        move has no step size and never rejects.  The state is kept as
+        :meth:`~gpds.gp.ConditionalSampler.set_whitened` of
+        w cos t + eta sin t, so the values stay ``m + L w`` exactly.
+
+        Factor rows 0..N-1 are always the data (deletes and appends only
+        ever touch rejection rows), so with the rejection rows negated every
+        term of l is one ``log_phi`` pass.
         """
-        nd = self.n_data
-        s = self.sampler.lower_dot(v)
-        s += self.sampler.prior_mean_vec
-        s[nd:] *= -1.0
-        ll_terms = log_phi(s)
-        ll = float(ll_terms[:nd].sum()) + float(ll_terms[nd:].sum())
-        u_val = 0.5 * float(v @ v) - ll
-        np.negative(s, out=s)
-        c = phi(s)
-        c[nd:] *= -1.0
-        # L^T c written over the temporary c: the row-packed factor is BLAS
-        # upper-packed L^T (see ConditionalSampler)
-        c = dtpmv(len(c), self.sampler.packed, c, lower=0, trans=0, overwrite_x=1)
-        return u_val, np.subtract(v, c, out=c)
+        sampler = self.sampler
+        if sampler.degenerate or len(sampler) == 0:
+            return 1  # nothing to move
+        w = sampler.whitened
+        eta = rng.standard_normal(w.shape[0])
+        sign = np.ones(w.shape[0])
+        sign[self.n_data:] = -1.0
+        m = sign * sampler.prior_mean_vec
+        f = sign * sampler.values - m
+        nu = sign * sampler.lower_dot(eta)
 
-    def step_function_hmc(self, step_size: float, n_leapfrog: int,
-                          rng: np.random.Generator) -> bool:
-        if step_size <= 0 or n_leapfrog < 1:
-            raise ValueError("step_size must be > 0 and n_leapfrog >= 1")
-        if self.sampler.degenerate or len(self.sampler) == 0:
-            return True  # nothing to move
-        v = self.sampler.whitened.copy()
-        p = rng.standard_normal(v.shape[0])
-        v1, _, delta_h = leapfrog(self._potential_grad, v, p, step_size, n_leapfrog)
-        if not np.isfinite(delta_h):
-            return False
-        if math.log(rng.uniform()) < -delta_h:
-            self.sampler.set_whitened(v1)
-            return True
-        return False
+        def log_lik(t: float) -> float:
+            return float(log_phi(m + f * math.cos(t) + nu * math.sin(t)).sum())
+
+        log_level = log_lik(0.0) + math.log(rng.uniform())
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        lo, hi = t - 2.0 * math.pi, t
+        tries = 1
+        while log_lik(t) <= log_level:
+            if t < 0.0:
+                lo = t
+            else:
+                hi = t
+            t = rng.uniform(lo, hi)
+            tries += 1
+        sampler.set_whitened(w * math.cos(t) + eta * math.sin(t))
+        return tries
 
     # -- hyperparameter move ----------------------------------------------
     def step_hyper(self, scale: float, priors: HyperPrior,
@@ -329,10 +303,11 @@ def init_history(data: np.ndarray, theta: GpHyper, psi: BaseHyper,
 
 def sweep_moves(chain: HistoryChain, opts: ChainOptions, priors: HyperPrior | None,
                 rng: np.random.Generator, corrupt_insert: bool = False) -> list[Move]:
-    """One iteration's moves, tuned by ``opts``, in order: ``number``
+    """One iteration's moves, set by ``opts``, in order: ``number``
     ``opts.number_moves`` times, ``loc`` (its attempts are the rejections),
-    ``hmc`` unless the GP is degenerate (which no move changes), and
-    ``hyper`` when inferring hypers under given ``priors``.  Each calls its
+    ``func`` unless the GP is degenerate (which no move changes; its
+    attempts are the angles tried, and it accepts once), and ``hyper`` when
+    inferring hypers under given ``priors``.  Each calls its
     :class:`HistoryChain` method through the chain when it runs.
     ``corrupt_insert``, a testing hook, mis-computes the insert ratio."""
     moves = [("number", lambda: (1, chain.step_number(
@@ -340,8 +315,7 @@ def sweep_moves(chain: HistoryChain, opts: ChainOptions, priors: HyperPrior | No
     moves.append(("loc", lambda: (chain.n_rejections, chain.step_locations(rng))
                   if chain.n_rejections else (0, 0)))
     if not chain.sampler.degenerate:
-        moves.append(("hmc", lambda: (1, chain.step_function_hmc(
-            opts.hmc_step_size, opts.hmc_steps, rng))))
+        moves.append(("func", lambda: (chain.step_function_hmc(rng), 1)))
     if opts.infer_hypers and priors is not None:
         moves.append(("hyper", lambda: (1, chain.step_hyper(
             opts.hyper_walk_scale, priors, rng))))

@@ -58,6 +58,9 @@ class UniformBox:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape:
             raise ValueError("lower/upper shape mismatch")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError(f"box bounds must be finite, got lower {lo.tolist()}, "
+                             f"upper {hi.tolist()}")
         if np.any(lo >= hi):
             raise ValueError("box requires lower < upper in every dimension")
         object.__setattr__(self, "lower", lo)
@@ -88,8 +91,10 @@ class GaussianBase:
         sd = np.atleast_1d(np.asarray(self.sigma, dtype=float))
         if mu.shape != sd.shape:
             raise ValueError("mean/sigma shape mismatch")
-        if np.any(sd <= 0):
-            raise ValueError("sigma must be positive")
+        if not np.all(np.isfinite(mu)):
+            raise ValueError(f"base mean must be finite, got {mu.tolist()}")
+        if not np.all(np.isfinite(sd) & (sd > 0)):
+            raise ValueError(f"base sigma must be finite and positive, got {sd.tolist()}")
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "sigma", sd)
 

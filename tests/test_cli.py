@@ -96,13 +96,13 @@ class TestFit:
         args, out = self.fit_args(tmp_path, "total_iters = 0\nburn_in = 0\n")
         assert main(args) == 0
         names, _ = read_csv(out / "trace.csv")
-        assert names == ["iteration", "m", "hmc_acc", "hmc_att", "hyper_acc",
+        assert names == ["iteration", "m", "func_acc", "func_att", "hyper_acc",
                          "hyper_att", "loc_acc", "loc_att", "number_acc",
                          "number_att", "log_density", "amplitude", "ls1"]
 
     @pytest.mark.parametrize("sampler, infer, moves", [
-        ("latent-history", "true", {"number", "loc", "hmc", "hyper"}),
-        ("latent-history", "false", {"number", "loc", "hmc"}),
+        ("latent-history", "true", {"number", "loc", "func", "hyper"}),
+        ("latent-history", "false", {"number", "loc", "func"}),
         ("exchange", "true", {"func", "hyper"}),
         ("exchange", "false", {"func"}),
     ])
@@ -125,21 +125,24 @@ class TestFit:
         names, trace = read_csv(out / "trace.csv")
         assert "func_acc" in names
 
-    @pytest.mark.parametrize("sampler, has_hmc", [("latent-history", True),
-                                                  ("exchange", False)])
-    def test_hmc_step_size_only_for_history(self, tmp_path, sampler, has_hmc):
-        # the exchange sampler runs no HMC, so it reports no step size
+    @pytest.mark.parametrize("sampler", ["latent-history", "exchange"])
+    def test_hmc_keys_are_unknown(self, tmp_path, capsys, sampler):
+        # the function move has no settings: a config that still sets the
+        # Hamiltonian move's is refused by name, not run without them, and
+        # no run reports a step size
         args, out = self.fit_args(
             tmp_path, f"sampler = {sampler}\ntotal_iters = 6\nburn_in = 2\n")
         assert main(args) == 0
-        step = json.loads((out / "meta.json").read_text())["summary"]["chain00"][
-            "hmc_step_size"]
-        if has_hmc:
-            assert type(step) is float and step > 0
-        else:
-            assert step is None
-        text = (out / "meta.json").read_text()
-        assert ('"hmc_step_size": null' in text) is not has_hmc
+        assert "hmc_step_size" not in (out / "meta.json").read_text()
+        cfg = write_cfg(tmp_path, f"sampler = {sampler}\nhmc_steps = 10\n", "old.cfg")
+        refused = tmp_path / "refused"
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg), "--data",
+                     str(tmp_path / "data" / "f1.csv"), "--out", str(refused)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("unknown config key 'hmc_steps'\n")
+        assert not refused.exists()
 
     def test_multi_chain_layout(self, tmp_path):
         args, out = self.fit_args(
@@ -261,7 +264,7 @@ class TestChainTables:
     ``[iteration, x1..xD]`` rows."""
 
     @pytest.mark.parametrize("run, moves", [
-        (run_history_chain, ["hmc", "hyper", "loc", "number"]),
+        (run_history_chain, ["func", "hyper", "loc", "number"]),
         (run_exchange_chain, ["func", "hyper"]),
     ])
     def test_layout(self, run, moves):
@@ -303,8 +306,8 @@ class TestMoveList:
     iteration, and the trace's accept columns are those names."""
 
     @pytest.mark.parametrize("run, infer, names", [
-        (run_history_chain, True, ["number", "number", "loc", "hmc", "hyper"]),
-        (run_history_chain, False, ["number", "number", "loc", "hmc"]),
+        (run_history_chain, True, ["number", "number", "loc", "func", "hyper"]),
+        (run_history_chain, False, ["number", "number", "loc", "func"]),
         (run_exchange_chain, True, ["func", "hyper"]),
         (run_exchange_chain, False, ["func"]),
     ])
@@ -460,6 +463,23 @@ class TestGeweke:
         report = self.run_report(tmp_path, "geweke_samples = 120\ngeweke_thin = 2\n")
         assert set(report["statistics"]) == {"n_rejections", "mean_g_data", "data_mean"}
 
+    def test_history_run_sweeps_with_the_config_move_settings(self, tmp_path,
+                                                              monkeypatch):
+        import gpds.geweke
+
+        seen = []
+        sweep = gpds.geweke.sweep
+
+        def spy(chain, opts, *args, **kwargs):
+            sweep(chain, opts, *args, **kwargs)
+            seen.append((opts.number_moves, opts.zeta_insert, opts.max_proposals,
+                         chain.diagnostics["number_att"]))
+
+        monkeypatch.setattr(gpds.geweke, "sweep", spy)
+        self.run_report(tmp_path, "number_moves = 3\nzeta_insert = 0.4\n"
+                        "max_proposals = 5000\ngeweke_samples = 10\ngeweke_thin = 1\n")
+        assert len(seen) == 10 and set(seen) == {(3, 0.4, 5000, 3)}
+
     def test_exchange_run_writes_report(self, tmp_path):
         report = self.run_report(
             tmp_path, "sampler = exchange\ngeweke_samples = 40\ngeweke_thin = 2\n")
@@ -596,6 +616,42 @@ class TestBadData:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+
+class TestNonFiniteSettings:
+    # before they were refused, the grids ran to a table of nan estimates,
+    # and the base settings spent a proposal budget or blamed every datum
+    SMALL = TestBadData.SMALL
+
+    @pytest.mark.parametrize("command, lines, grid, message", [
+        ("predict-density", "", "nan:1:5", "min and max must be finite"),
+        ("predict-density", "", "0:inf:5", "min and max must be finite"),
+        ("sample-prior", "box_upper = inf\n", None, "box bounds must be finite"),
+        ("fit", "box_upper = nan\n", None, "box bounds must be finite"),
+        ("sample-prior", "base = gaussian\nbase_mean_init = inf\nbase_sigma_init = 1\n",
+         None, "base mean must be finite"),
+        ("fit", "base = gaussian\nbase_sigma_init = nan\n", None,
+         "base sigma must be finite"),
+    ], ids=["grid-nan", "grid-inf", "box-inf", "box-nan", "base-mean-inf",
+            "base-sigma-nan"])
+    def test_is_error_before_output(self, tmp_path, capsys, command, lines, grid,
+                                    message):
+        cfg = write_cfg(tmp_path, self.SMALL + lines)
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg), "--out", str(out), "--seed", "0"]
+        if command == "sample-prior":
+            argv += ["--n", "5"]
+        else:
+            main(["gen-synthetic", "--name", "f1", "--n", "10", "--seed", "1",
+                  "--out", str(tmp_path / "data")])
+            argv += ["--data", str(tmp_path / "data" / "f1.csv")]
+        if grid is not None:
+            argv += ["--grid", grid]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
 
 

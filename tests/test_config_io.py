@@ -51,8 +51,8 @@ class TestConfigParsing:
 
     def test_hyphen_keys_accepted(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("hmc-steps = 5\n")
-        assert parse_config(p).hmc_steps == 5
+        p.write_text("number-moves = 5\n")
+        assert parse_config(p).number_moves == 5
 
     def test_validation(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -69,9 +69,6 @@ class TestConfigParsing:
         ("crankshaft_eps", "1.5"), ("crankshaft_eps", "nan"),
         ("zeta_insert", "0"), ("zeta_insert", "1"), ("zeta_insert", "1.5"),
         ("zeta_insert", "nan"),
-        ("hmc_target", "0"), ("hmc_target", "1"), ("hmc_target", "nan"),
-        ("hmc_step_size", "0"), ("hmc_step_size", "-0.2"), ("hmc_step_size", "nan"),
-        ("hmc_step_size", "inf"),
         ("hyper_walk_scale", "0"), ("hyper_walk_scale", "nan"), ("hyper_walk_scale", "inf"),
         ("amp_log_prior_sigma", "0"), ("amp_log_prior_sigma", "-0.5"),
         ("amp_log_prior_sigma", "nan"), ("amp_log_prior_sigma", "inf"),
@@ -89,7 +86,7 @@ class TestConfigParsing:
             RunConfig(**{key: float(value)}).validate()
 
     @pytest.mark.parametrize("key, value", [
-        ("hmc_steps", 0), ("max_proposals", 0), ("pred_retained", 0),
+        ("max_proposals", 0), ("pred_retained", 0),
         ("pred_thinning", 0), ("grid_count", 0), ("geweke_thin", 0),
         ("number_moves", -1), ("extra_controls", -1), ("pred_burn_in", -1),
         ("workers", 0), ("workers", -2),
@@ -124,7 +121,7 @@ class TestConfigParsing:
 
     def test_boundary_tuning_values_accepted(self):
         RunConfig(zeta_insert=0.999, number_moves=0, extra_controls=0,
-                  hmc_steps=1, max_proposals=1).validate()
+                  max_proposals=1).validate()
 
     def test_crankshaft_eps_of_one_is_a_prior_proposal(self):
         RunConfig(crankshaft_eps=1.0).validate()
@@ -149,6 +146,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_grid_spec("1:0:5")
 
+    @pytest.mark.parametrize("spec", ["nan:1:5", "0:inf:5", "-inf:0:3", "0:1:3; 0:nan:3"])
+    def test_parse_grid_spec_refuses_non_finite_bounds(self, spec):
+        # nan fails no comparison, and an infinite span gives nan grid points
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_grid_spec(spec)
+
 
 class TestChainOptionsRules:
     """Every rule holds for ``ChainOptions`` built directly, not only for a
@@ -157,11 +160,8 @@ class TestChainOptionsRules:
     @pytest.mark.parametrize("field, value", [
         ("total_iters", -1), ("burn_in", -1), ("burn_in", 20), ("thinning", 0),
         ("max_proposals", 0), ("number_moves", -2), ("extra_controls", -1),
-        ("hmc_steps", 0),
-        ("hmc_step_size", 0.0), ("hmc_step_size", math.inf),
         ("hyper_walk_scale", 0.0), ("hyper_walk_scale", math.nan),
         ("zeta_insert", 0.0), ("zeta_insert", 1.0),
-        ("hmc_target", 0.0), ("hmc_target", 1.5),
         ("crankshaft_eps", 0.0), ("crankshaft_eps", 1.5),
     ])
     def test_bad_setting_is_refused(self, field, value):
@@ -169,12 +169,12 @@ class TestChainOptionsRules:
             ChainOptions(**{"total_iters": 20, "burn_in": 5, field: value})
 
     def test_boundary_settings_accepted(self):
-        ChainOptions(total_iters=0, burn_in=0, max_proposals=1, number_moves=0, hmc_steps=1,
+        ChainOptions(total_iters=0, burn_in=0, max_proposals=1, number_moves=0,
                      extra_controls=0, crankshaft_eps=1.0, zeta_insert=0.999)
 
     @pytest.mark.parametrize("key, value", [
-        ("total_iters", -1), ("burn_in", 6000), ("thinning", 0), ("hmc_steps", 0),
-        ("extra_controls", -1), ("hyper_walk_scale", 0.0), ("hmc_target", 1.5),
+        ("total_iters", -1), ("burn_in", 6000), ("thinning", 0),
+        ("extra_controls", -1), ("hyper_walk_scale", 0.0), ("zeta_insert", 1.5),
     ])
     def test_config_refuses_by_the_same_rules_under_its_own_keys(self, key, value):
         with pytest.raises(ValueError, match=key):

@@ -1,4 +1,5 @@
-"""Latent-history sampler: joint density, move ratios, HMC, sweeps."""
+"""Latent-history sampler: joint density, move ratios, the elliptical
+slice function move, sweeps."""
 import copy
 import math
 from collections import Counter
@@ -25,7 +26,6 @@ from gpds.history import (
     delete_log_accept,
     init_history,
     insert_log_accept,
-    leapfrog,
     location_log_accept,
     sweep,
     sweep_moves,
@@ -146,7 +146,7 @@ class TestChainLogDensityAfterMoves:
                 inserts += chain.n_rejections > m
                 deletes += chain.n_rejections < m
             moved += chain.step_locations(rng)
-            chain.step_function_hmc(0.2, 10, rng)
+            chain.step_function_hmc(rng)
             hyper_acc += chain.step_hyper(0.1, priors, rng)
         # end on incremental updates of the last adopted factor
         for _ in range(5):
@@ -505,99 +505,70 @@ class TestOneConditioningPerProposal:
         self.assert_factor_of_state(s)
 
 
-class TestHmc:
-    def test_gradient_matches_finite_differences(self):
-        # criterion: relative error < 1e-5 at 5 random latent states
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            chain = make_history(rng, n=3)
-            v = chain.sampler.whitened.copy()
-            _, grad = chain._potential_grad(v)
-            fd = np.empty_like(v)
-            eps = 1e-5
-            for i in range(v.shape[0]):
-                vp, vm = v.copy(), v.copy()
-                vp[i] += eps
-                vm[i] -= eps
-                fd[i] = (chain._potential_grad(vp)[0] - chain._potential_grad(vm)[0]) / (2 * eps)
-            denom = np.maximum(np.abs(fd), 1e-8)
-            assert np.max(np.abs(grad - fd) / denom) < 1e-5
+def _rejection_marginal_cdf(theta, x_data, x_rej, grid):
+    """The cdf on ``grid`` of g at the rejection under the function move's
+    target with one datum and one rejection, N(g; 0, K) phi(g_d) phi(-g_r)
+    (K jittered as a realisation's factor is), by 2-D quadrature."""
+    pts = np.array([x_data, x_rej])
+    cov = kernel_matrix(pts, pts, theta) + BASE_JITTER * theta.amplitude**2 * np.eye(2)
+    prec = np.linalg.inv(cov)
+    gd, gr = np.meshgrid(grid, grid, indexing="ij")
+    quad = prec[0, 0] * gd**2 + 2 * prec[0, 1] * gd * gr + prec[1, 1] * gr**2
+    dens = np.exp(-0.5 * quad + log_phi(gd) + log_phi(-gr))
+    marginal = np.trapezoid(dens, grid, axis=0)
+    cdf = np.concatenate([[0], np.cumsum((marginal[1:] + marginal[:-1]) / 2
+                                         * np.diff(grid))])
+    return cdf / cdf[-1]
 
-    def test_energy_error_scales_quadratically(self):
-        rng = np.random.default_rng(7)
-        chain = make_history(rng, n=4)
-        v0 = chain.sampler.whitened.copy()
-        p0 = np.random.default_rng(8).standard_normal(v0.shape[0])
-        _, _, dh1 = leapfrog(chain._potential_grad, v0, p0, 0.08, 50)
-        _, _, dh2 = leapfrog(chain._potential_grad, v0, p0, 0.04, 100)
-        ratio = abs(dh1) / abs(dh2)
-        assert 3.0 < ratio < 5.5
 
-    def test_leapfrog_in_place_is_the_step_formula(self):
-        # the in-place steps against the allocating formula, bit for bit, on
-        # a finite trajectory, and the inputs left as they were
-        def reference(potential_grad, v, p, step_size, n_steps):
-            u0, grad = potential_grad(v)
-            h0 = u0 + 0.5 * float(p @ p)
-            p = p - 0.5 * step_size * grad
-            for step in range(n_steps):
-                v = v + step_size * p
-                u1, grad = potential_grad(v)
-                if step < n_steps - 1:
-                    p = p - step_size * grad
-            p = p - 0.5 * step_size * grad
-            return v, p, u1 + 0.5 * float(p @ p) - h0
-
-        rng = np.random.default_rng(10)
-        chain = make_history(rng, n=6)
-        v0 = chain.sampler.whitened.copy()
-        p0 = rng.standard_normal(v0.shape[0])
-        v0_in, p0_in = v0.copy(), p0.copy()
-        for step_size, n_steps in [(0.05, 1), (0.05, 12), (0.3, 7)]:
-            got = leapfrog(chain._potential_grad, v0, p0, step_size, n_steps)
-            want = reference(chain._potential_grad, v0, p0, step_size, n_steps)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert got[2] == want[2]
-            assert np.array_equal(v0, v0_in) and np.array_equal(p0, p0_in)
-        # the gradient's temporary is overwritten, not the position
-        _, grad = chain._potential_grad(v0)
-        assert np.array_equal(v0, v0_in) and not np.shares_memory(grad, v0)
-
-    def test_tiny_step_always_accepts(self):
-        rng = np.random.default_rng(9)
-        chain = make_history(rng, n=4)
-        accepted = 0
-        for _ in range(20):
-            accepted += chain.step_function_hmc(1e-5, 3, rng)
-        assert accepted == 20
-
+class TestEllipticalSlice:
     def test_locations_and_count_unchanged(self):
         rng = np.random.default_rng(10)
         chain = make_history(rng, n=4)
         data, rejections = chain.data.copy(), chain.rejections
-        chain.step_function_hmc(0.3, 10, rng)
+        chain.step_function_hmc(rng)
         assert np.array_equal(chain.data, data)
         assert np.array_equal(chain.rejections, rejections)
 
-    def test_invalid_arguments(self):
+    def test_values_stay_the_factor_times_the_whitened(self):
+        # after every move the values are m + L w exactly, and the move
+        # reports at least one angle tried
         rng = np.random.default_rng(11)
-        chain = make_history(rng)
-        with pytest.raises(ValueError):
-            chain.step_function_hmc(0.0, 10, rng)
-        with pytest.raises(ValueError):
-            chain.step_function_hmc(0.1, 0, rng)
+        chain = make_history(rng, n=5)
+        s = chain.sampler
+        before = s.values.copy()
+        tries = []
+        for _ in range(30):
+            tries.append(chain.step_function_hmc(rng))
+            assert np.array_equal(s.values, s.prior_mean_vec + s.lower_dot(s.whitened))
+        assert min(tries) >= 1 and max(tries) > 1
+        assert not np.array_equal(s.values, before)
+
+    def test_one_acceptance_per_sweep(self, monkeypatch):
+        # the move never rejects: one func_acc per sweep, and func_att is
+        # the sum of the angles the moves report
+        tries = []
+        step = HistoryChain.step_function_hmc
+        monkeypatch.setattr(HistoryChain, "step_function_hmc",
+                            lambda chain, rng: tries.append(step(chain, rng)) or tries[-1])
+        rng = np.random.default_rng(12)
+        chain = make_history(rng, n=4)
+        for _ in range(10):
+            sweep(chain, sweep_options(), None, rng)
+        assert chain.diagnostics["func_acc"] == len(tries) == 10
+        assert chain.diagnostics["func_att"] == sum(tries) > 10
 
     @pytest.mark.slow
     def test_invariance_on_single_point_posterior(self):
         # frozen geometry: one datum, no rejections; the conditional target
-        # for g is N(g; 0, k) phi(g) up to normalisation.  Long HMC runs
-        # must match the quadrature cdf.
+        # for g is N(g; 0, k) phi(g) up to normalisation.  Long runs of the
+        # move must match the quadrature cdf.
         theta = GpHyper(amplitude=1.2, lengthscales=[0.5])
         chain = HistoryChain([[0.5]], [0.1], theta, BOX)
         rng = np.random.default_rng(12)
         samples = []
         for i in range(6000):
-            chain.step_function_hmc(0.5, 10, rng)
+            chain.step_function_hmc(rng)
             if i % 2:
                 samples.append(chain.sampler.values[0])
         gs = np.linspace(-6, 6, 4001)
@@ -607,6 +578,36 @@ class TestHmc:
         cdf /= cdf[-1]
         res = kstest(np.array(samples)[::3], lambda x: np.interp(x, gs, cdf))
         assert res.pvalue > 0.01
+
+    @staticmethod
+    def rejection_pvalue(seed):
+        # one datum and one rejection at fixed locations: the KS p-value of
+        # g at the rejection, over 1000 thinned moves, against quadrature
+        theta = GpHyper(amplitude=1.5, lengthscales=[0.5])
+        chain = HistoryChain([[0.3]], [0.1], theta, BOX, [[0.7]], [-0.2])
+        rng = np.random.default_rng(seed)
+        samples = []
+        for i in range(6000):
+            chain.step_function_hmc(rng)
+            if i % 2:
+                samples.append(chain.g_rejections[0])
+        grid = np.linspace(-8, 8, 1601)
+        cdf = _rejection_marginal_cdf(theta, [0.3], [0.7], grid)
+        return kstest(np.array(samples)[::3], lambda x: np.interp(x, grid, cdf)).pvalue
+
+    @pytest.mark.slow
+    def test_invariance_with_one_rejection(self):
+        # the rejection's likelihood term is phi(-g): this checks its sign
+        assert self.rejection_pvalue(13) > 0.01
+
+    @pytest.mark.slow
+    def test_likelihood_without_the_rejection_term_fails(self, monkeypatch):
+        # the corrupted twin: a slice level and angles scored on the
+        # datum's term alone target N(g; 0, K) phi(g_d), and the check must
+        # see it: p = 2.7e-63 at this seed, where the move gives 0.41
+        monkeypatch.setattr(gpds.history, "log_phi", lambda s: np.concatenate(
+            [log_phi(s[:1]), np.zeros(len(s) - 1)]))
+        assert self.rejection_pvalue(13) < 1e-6
 
 
 class TestHyperMove:
@@ -753,9 +754,9 @@ class TestSweep:
     ], ids=["no-number-moves", "hypers-off", "every-move", "degenerate-gp"])
     def test_move_counts_follow_options(self, number_moves, infer_hypers, priors,
                                         amplitude):
-        # number moves as configured; locations once per rejection; HMC
-        # unless the GP is degenerate; the hyper move only when inferring
-        # hyperparameters under given priors
+        # number moves as configured; locations once per rejection; one
+        # function move unless the GP is degenerate; the hyper move only
+        # when inferring hyperparameters under given priors
         rng = np.random.default_rng(17)
         chain = make_history(rng, n=4, theta=THETA.with_(amplitude=amplitude))
         while chain.n_rejections < 1:
@@ -768,12 +769,12 @@ class TestSweep:
         if not number_moves:
             assert chain.n_rejections == m0
         assert c["loc_att"] == chain.n_rejections
-        assert c["hmc_att"] == (amplitude > 0)
+        assert c["func_acc"] == (amplitude > 0)
         assert c["hyper_att"] == (infer_hypers and priors is not None)
 
     @pytest.mark.parametrize("number_moves, priors, amplitude, names", [
-        (2, HyperPrior(), 1.3, ["number", "number", "loc", "hmc", "hyper"]),
-        (0, None, 1.3, ["loc", "hmc"]),
+        (2, HyperPrior(), 1.3, ["number", "number", "loc", "func", "hyper"]),
+        (0, None, 1.3, ["loc", "func"]),
         (1, HyperPrior(), 0.0, ["number", "loc", "hyper"]),
     ], ids=["every-move", "no-number-or-hyper", "degenerate-gp"])
     def test_move_list_order(self, number_moves, priors, amplitude, names):
@@ -796,7 +797,7 @@ class TestSweep:
         assert moves["loc"]() == (0, 0)
         sweep(chain, sweep_options(number_moves=0), None, rng)
         assert "loc_att" not in chain.diagnostics and "loc_acc" not in chain.diagnostics
-        assert chain.diagnostics["hmc_att"] == 1
+        assert chain.diagnostics["func_acc"] == 1
         assert not calls
 
     def test_moves_call_the_chain_methods_when_they_run(self, monkeypatch):
@@ -819,7 +820,7 @@ class TestSweep:
         if counters["loc_att"]:
             expected.insert(1, "step_locations")
         assert seen == expected
-        assert counters["number_att"] == counters["hmc_att"] == counters["hyper_att"] == 1
+        assert counters["number_att"] == counters["func_acc"] == counters["hyper_att"] == 1
 
     def test_seed_determinism(self):
         out = []

@@ -154,6 +154,27 @@ class TestBaseDensities:
         with pytest.raises(ValueError):
             GaussianBase([0.0], [0.0])
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([0.0], [math.inf]), ([0.0], [math.nan]), ([-math.inf], [1.0]),
+        ([math.nan], [1.0]), ([0.0, 0.0], [1.0, math.inf]),
+    ], ids=["upper-inf", "upper-nan", "lower-inf", "lower-nan", "2d-upper-inf"])
+    def test_box_refuses_non_finite_bounds(self, lower, upper):
+        # nan fails no comparison, and an infinite box has no uniform
+        # density: before, a run spent its proposal budget on nan points
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            UniformBox(lower, upper)
+
+    @pytest.mark.parametrize("mean, sigma, message", [
+        ([math.inf], [1.0], "base mean must be finite"),
+        ([math.nan], [1.0], "base mean must be finite"),
+        ([0.0], [math.inf], "base sigma must be finite"),
+        ([0.0], [math.nan], "base sigma must be finite"),
+        ([0.0, 0.0], [1.0, -1.0], "base sigma must be finite and positive"),
+    ], ids=["mean-inf", "mean-nan", "sigma-inf", "sigma-nan", "2d-sigma-negative"])
+    def test_gaussian_refuses_non_finite_settings(self, mean, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            GaussianBase(mean, sigma)
+
 
 class TestNormalFromUniform:
     """Uniforms from Generator.random are k 2^-53, k in [0, 2^53)."""
